@@ -6,10 +6,12 @@ files, undecodable or corrupt packets, a failed MDS check), 2 for usage
 errors (bad invocation, wrong packet count, empty input).
 
 Packets are written as ``<name>.p<i>.sxp`` next to a ``<name>.sxmeta``
-sidecar recording the original byte length; decode finds the sidecar by
-stripping the packet suffix from the first packet argument.  The field
-modulus comes from --g, else the SXOR_DEFAULT_G environment variable,
-else the built-in table entry for the smallest degree that fits N.
+sidecar recording the original byte length and the code fields; decode
+finds the sidecar by stripping the packet suffix from the first packet
+argument and rejects it unless its code fields match the packet headers.
+The field modulus comes from --g, else the SXOR_DEFAULT_G environment
+variable, else the built-in table entry for the smallest degree that
+fits N.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from pathlib import Path
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
 from .codec import (NotMonomialMatrix, PacketFormatError, SingularSubmatrix, TrailingBits,
                     ZigzagStuck, encode, map_decode, read_packet, write_packet, zigzag_decode)
-from .codes import (GenMatrix, MatrixFormatError, build_sxor, build_systematic_sxor,
-                    builtin_zd_k3, format_matrix, load_matrix)
+from .codes import (CodeSpec, GenMatrix, MatrixFormatError, build_sxor, build_systematic_sxor,
+                    builtin_zd_k3, format_matrix, load_matrix, matrix_for_spec)
 from .gf2m import default_modulus
 from .gf2poly import InconsistentDivision, Poly2
 
@@ -73,14 +75,13 @@ def _resolve_matrix(args) -> GenMatrix:
     return build_systematic_sxor(args.k, args.n, g, x)
 
 
-def _rebuild_from_spec(spec) -> GenMatrix:
-    if spec.kind == "sxor":
-        return build_sxor(spec.k, spec.n, spec.g)
-    if spec.kind == "systematic":
-        return build_systematic_sxor(spec.k, spec.n, spec.g, spec.x)
-    if spec.kind == "zd3":
-        return builtin_zd_k3()
-    raise _UsageError("user-kind packets need --matrix to decode")
+def _sidecar_fields(spec: CodeSpec) -> dict[str, str]:
+    # The code fields of a .sxmeta sidecar, as encode writes them and as
+    # decode expects them to match the packet headers.
+    fields = {"k": str(spec.k), "n": str(spec.n), "g": f"0x{spec.g.mask:x}", "kind": spec.kind}
+    if spec.x is not None:
+        fields["x"] = ",".join(str(i) for i in spec.x)
+    return fields
 
 
 def cmd_encode(args) -> int:
@@ -99,10 +100,8 @@ def cmd_encode(args) -> int:
     stem = Path(args.input).name
     for p in packets:
         write_packet(p, out_dir / f"{stem}.p{p.index}.sxp")
-    meta = (f"len={len(data)} k={k} n={mat.spec.n} "
-            f"g=0x{mat.spec.g.mask:x} kind={mat.spec.kind}")
-    if mat.spec.x is not None:
-        meta += " x=" + ",".join(str(i) for i in mat.spec.x)
+    fields = {"len": str(len(data)), **_sidecar_fields(mat.spec)}
+    meta = " ".join(f"{key}={value}" for key, value in fields.items())
     (out_dir / f"{stem}.sxmeta").write_text(meta + "\n", encoding="ascii")
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
     return 0
@@ -128,26 +127,27 @@ def cmd_decode(args) -> int:
     spec = packets[0].spec
     if len(packets) != spec.k:
         raise _UsageError(f"this code needs exactly {spec.k} packets, got {len(packets)}")
-    for p in packets[1:]:
-        if p.spec != spec:
-            raise ValueError("packet headers disagree about the code")
+    total_len = args.length
+    if total_len is not None and total_len < 0:
+        raise _UsageError(f"--length must not be negative, got {total_len}")
     if getattr(args, "matrix", None):
         mat = load_matrix(args.matrix)
         if mat.spec != spec:
             raise ValueError("--matrix does not match the packet headers")
     else:
-        mat = _rebuild_from_spec(spec)
+        mat = matrix_for_spec(spec)
+        if mat is None:
+            raise _UsageError("user-kind packets need --matrix to decode")
 
-    total_len = args.length
     meta = _read_sidecar(Path(args.packets[0]))
     if meta is not None:
-        if ("k" in meta and int(meta["k"]) != spec.k) or \
-           ("n" in meta and int(meta["n"]) != spec.n) or \
-           ("kind" in meta and meta["kind"] != spec.kind) or \
-           ("g" in meta and int(meta["g"], 16) != spec.g.mask):
+        sidecar_len = meta.pop("len", None)
+        if meta != _sidecar_fields(spec):
             raise ValueError("sidecar metadata does not match the packet headers")
-        if total_len is None and "len" in meta:
-            total_len = int(meta["len"])
+        if total_len is None and sidecar_len is not None:
+            total_len = int(sidecar_len)
+            if total_len < 0:
+                raise ValueError(f"sidecar length {total_len} is negative")
     if total_len is None:
         raise _UsageError("original length unknown: no sidecar found, pass --length")
 
@@ -165,6 +165,13 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _print_summary(mat: GenMatrix) -> None:
+    s, met = mat.spec, mat.metrics()
+    extra = f" x={','.join(str(i) for i in s.x)}" if s.x is not None else ""
+    print(f"kind={s.kind} K={s.k} N={s.n} m={s.m} g=0x{s.g.to_hex()}{extra}")
+    print(f"l_max={met.l_max} l_sum={met.l_sum} alpha={met.alpha}")
+
+
 def cmd_analyze(args) -> int:
     if args.compare:
         n = args.n if args.n is not None else 7
@@ -172,9 +179,8 @@ def cmd_analyze(args) -> int:
         print(emit_comparison(comparison_report(n, ks), args.format), end="")
         return 0
     mat = _resolve_matrix(args)
-    met = mat.metrics()
-    s = mat.spec
     if args.format == "json":
+        s, met = mat.spec, mat.metrics()
         print(json.dumps({
             "kind": s.kind, "K": s.k, "N": s.n, "m": s.m, "g": "0x" + s.g.to_hex(),
             "x": list(s.x) if s.x is not None else None,
@@ -182,9 +188,7 @@ def cmd_analyze(args) -> int:
             "overheads": list(mat.column_overheads()),
         }, indent=2))
     else:
-        extra = f" x={','.join(str(i) for i in s.x)}" if s.x is not None else ""
-        print(f"kind={s.kind} K={s.k} N={s.n} m={s.m} g=0x{s.g.to_hex()}{extra}")
-        print(f"l_max={met.l_max} l_sum={met.l_sum} alpha={met.alpha}")
+        _print_summary(mat)
         print("overheads: " + ",".join(str(o) for o in mat.column_overheads()))
     return 0
 
@@ -219,12 +223,7 @@ def cmd_matrix_print(args) -> int:
 
 
 def cmd_matrix_load(args) -> int:
-    mat = load_matrix(args.file)
-    met = mat.metrics()
-    s = mat.spec
-    extra = f" x={','.join(str(i) for i in s.x)}" if s.x is not None else ""
-    print(f"kind={s.kind} K={s.k} N={s.n} m={s.m} g=0x{s.g.to_hex()}{extra}")
-    print(f"l_max={met.l_max} l_sum={met.l_sum} alpha={met.alpha}")
+    _print_summary(load_matrix(args.file))
     return 0
 
 

@@ -194,31 +194,22 @@ def _map_kernel(mat: GenMatrix, survivors: tuple[int, ...]) -> MapKernel:
 
 
 def map_kernel(mat: GenMatrix, survivors: Sequence[int]) -> MapKernel:
-    """Kernel for decoding the given K distinct packet indices (1-based).
+    """Kernel for decoding the given survivor set.
 
-    Kernels are memoized per (matrix, survivor set); the packet-length
-    work in :func:`map_decode` reuses them across calls.
+    ``survivors`` must pass :meth:`GenMatrix.check_survivors`.  Kernels
+    are memoized per (matrix, survivor set); the packet-length work in
+    :func:`map_decode` reuses them across calls.
     """
-    idx = tuple(sorted(set(survivors)))
-    if len(idx) != len(tuple(survivors)) or len(idx) != mat.spec.k:
-        raise ValueError(f"survivors must be {mat.spec.k} distinct packet indices")
-    for j in idx:
-        if not 1 <= j <= mat.spec.n:
-            raise ValueError(f"packet index {j} outside 1..{mat.spec.n}")
-    return _map_kernel(mat, idx)
+    return _map_kernel(mat, mat.check_survivors(survivors))
 
 
 def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict[int, int], tuple[int, ...]]:
     # Shared decoder-side validation; returns (L, payload masks by index,
     # sorted survivor indices).
-    if len(packets) != mat.spec.k:
-        raise ValueError(f"need exactly {mat.spec.k} packets, got {len(packets)}")
     for p in packets:
         if p.spec != mat.spec:
             raise ValueError(f"packet {p.index} belongs to a different code")
-    idx = tuple(sorted(p.index for p in packets))
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate packet indices")
+    idx = mat.check_survivors(p.index for p in packets)
     lengths = {p.source_len for p in packets}
     if len(lengths) != 1:
         raise ValueError(f"packets disagree on source length: {sorted(lengths)}")
@@ -265,27 +256,14 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     return sources
 
 
-def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tuple[tuple[int, int, int], ...]:
-    """Elimination order for zigzag decoding, as (source_row, bit, packet) triples.
-
-    source_row is 0-based, bit is the 0-based source bit position, packet
-    is the 1-based packet whose exposed bit reveals it.  The schedule
-    contains each of the K * length source bits exactly once on success;
-    :class:`ZigzagStuck` reports how far elimination got otherwise.
-    Survivor entries must all be monomials (:class:`NotMonomialMatrix`).
-    """
-    k = mat.spec.k
-    idx = tuple(sorted(set(survivors)))
-    if len(idx) != len(tuple(survivors)) or len(idx) != k:
-        raise ValueError(f"survivors must be {k} distinct packet indices")
-    if length < 1:
-        raise ValueError("source length must be positive")
-    over = mat.column_overheads()
-    # shift[pi][row] is the monomial exponent, or None for a zero entry
-    shift: list[list[int | None]] = []
+@lru_cache(maxsize=256)
+def _monomial_shifts(mat: GenMatrix, idx: tuple[int, ...]) -> tuple[tuple[int | None, ...], ...]:
+    # shift[pi][row] is the exponent of the monomial entry for source row
+    # in survivor idx[pi], or None for a zero entry.
+    shift = []
     for p in idx:
         col = []
-        for row in range(k):
+        for row in range(mat.spec.k):
             e = mat.entries[row][p - 1]
             if not e:
                 col.append(None)
@@ -294,7 +272,26 @@ def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tu
                     f"entry for source {row + 1} in packet {p} is {e}, not a monomial")
             else:
                 col.append(e.degree())
-        shift.append(col)
+        shift.append(tuple(col))
+    return tuple(shift)
+
+
+def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tuple[tuple[int, int, int], ...]:
+    """Elimination order for zigzag decoding, as (source_row, bit, packet) triples.
+
+    source_row is 0-based, bit is the 0-based source bit position, packet
+    is the 1-based packet whose exposed bit reveals it.  The schedule
+    contains each of the K * length source bits exactly once on success;
+    :class:`ZigzagStuck` reports how far elimination got otherwise.
+    ``survivors`` must pass :meth:`GenMatrix.check_survivors`, and their
+    entries must all be monomials (:class:`NotMonomialMatrix`).
+    """
+    k = mat.spec.k
+    idx = mat.check_survivors(survivors)
+    if length < 1:
+        raise ValueError("source length must be positive")
+    over = mat.column_overheads()
+    shift = _monomial_shifts(mat, idx)
 
     # counts[pi][pos] = number of unresolved source bits mapped to that
     # packet bit; built with a difference array, one interval per entry.
@@ -357,22 +354,19 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """
     length, masks, idx = _check_packets(mat, packets)
     sched = zigzag_schedule(mat, idx, length)
+    shift = _monomial_shifts(mat, idx)
     k = mat.spec.k
-    shift = {}
-    for pi, p in enumerate(idx):
-        for row in range(k):
-            e = mat.entries[row][p - 1]
-            if e:
-                shift[(row, p)] = e.degree()
-    work = dict(masks)
+    column = {p: pi for pi, p in enumerate(idx)}
+    work = [masks[p] for p in idx]
     out = [0] * k
     for row, bit, p in sched:
-        if (work[p] >> (bit + shift[(row, p)])) & 1:
+        pi = column[p]
+        if (work[pi] >> (bit + shift[pi][row])) & 1:
             out[row] |= 1 << bit
-            for q in idx:
-                t = shift.get((row, q))
+            for qi in range(k):
+                t = shift[qi][row]
                 if t is not None:
-                    work[q] ^= 1 << (bit + t)
+                    work[qi] ^= 1 << (bit + t)
     return [Poly2(s) for s in out]
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "build_sxor",
     "build_systematic_sxor",
     "builtin_zd_k3",
+    "matrix_for_spec",
     "user_matrix",
     "format_matrix",
     "parse_matrix",
@@ -97,7 +98,7 @@ class CodeSpec:
         if self.kind == "systematic":
             if self.x is None:
                 raise ValueError("systematic codes need x")
-            _check_positions(self.x, self.k, self.n)
+            _sorted_indices("x", self.x, self.k, self.n)
         elif self.x is not None:
             raise ValueError(f"x is only meaningful for systematic codes, not {self.kind!r}")
         if self.kind == "zd3" and (self.k, self.n, self.m, self.g.mask) != (3, 6, 0, 0):
@@ -106,16 +107,13 @@ class CodeSpec:
             raise ValueError("m must be nonnegative")
 
 
-def _check_positions(x: Sequence[int], k: int, n: int) -> tuple[int, ...]:
-    xs = tuple(x)
-    if len(xs) != k:
-        raise ValueError(f"x must list {k} packet positions, got {len(xs)}")
-    if len(set(xs)) != len(xs):
-        raise ValueError("x positions must be distinct")
-    for i in xs:
-        if not 1 <= i <= n:
-            raise ValueError(f"x position {i} outside 1..{n}")
-    return xs
+def _sorted_indices(what: str, indices: Iterable[int], k: int, n: int) -> tuple[int, ...]:
+    # The one rule for a set of packets that stands for the code: K
+    # distinct 1-based indices in 1..N.
+    idx = tuple(sorted(indices))
+    if len(idx) != k or len(set(idx)) != k or idx[0] < 1 or idx[-1] > n:
+        raise ValueError(f"{what} must be {k} distinct packet indices in 1..{n}, got {idx}")
+    return idx
 
 
 class Metrics(NamedTuple):
@@ -180,15 +178,16 @@ class GenMatrix:
             alpha += max(terms - 1, 0)
         return Metrics(max(over), sum(over), alpha)
 
-    def submatrix(self, survivors: Sequence[int]) -> PolyMatrix:
-        """K x len(survivors) matrix of the named packet columns (1-based, sorted)."""
-        named = tuple(survivors)
-        idx = sorted(set(named))
-        if len(idx) != len(named):
-            raise ValueError("survivor indices must be distinct")
-        for j in idx:
-            if not 1 <= j <= self.spec.n:
-                raise ValueError(f"packet index {j} outside 1..{self.spec.n}")
+    def check_survivors(self, survivors: Iterable[int]) -> tuple[int, ...]:
+        """The one survivor-set check: K distinct packet indices in 1..N.
+
+        Returns them sorted; raises ValueError otherwise.
+        """
+        return _sorted_indices("survivors", survivors, self.spec.k, self.spec.n)
+
+    def submatrix(self, survivors: Iterable[int]) -> PolyMatrix:
+        """K x K matrix of the survivor columns (see :meth:`check_survivors`), sorted."""
+        idx = self.check_survivors(survivors)
         return PolyMatrix([[row[j - 1] for j in idx] for row in self.entries])
 
     def check_suboptimal(self) -> tuple[bool, list[tuple[int, ...]]]:
@@ -254,6 +253,21 @@ def build_systematic_sxor(k: int, n: int, g: PolyLike, x: Sequence[int]) -> GenM
 def builtin_zd_k3() -> GenMatrix:
     """The fixed 3 x 6 zigzag-decodable code (monomial entries, overhead 1)."""
     return GenMatrix(CodeSpec("zd3", 3, 6), _ZD3_ROWS)
+
+
+def matrix_for_spec(spec: CodeSpec) -> GenMatrix | None:
+    """The generator matrix a spec names, or None for the user kind.
+
+    Only a matrix file carries a user-kind code's entries; every other
+    kind is rebuilt from the spec's parameters alone.
+    """
+    if spec.kind == "sxor":
+        return build_sxor(spec.k, spec.n, spec.g)
+    if spec.kind == "systematic":
+        return build_systematic_sxor(spec.k, spec.n, spec.g, spec.x)
+    if spec.kind == "zd3":
+        return builtin_zd_k3()
+    return None
 
 
 def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike = 0) -> GenMatrix:
@@ -345,24 +359,12 @@ def parse_matrix(text: str) -> GenMatrix:
         mat = GenMatrix(spec, grid)
     except ValueError as exc:
         raise MatrixFormatError(str(exc), 2) from None
-    _validate_declared_kind(mat)
-    return mat
-
-
-def _validate_declared_kind(mat: GenMatrix) -> None:
     # A file claiming a constructed kind must actually contain that
     # construction; otherwise decoders would trust a wrong label.
-    s = mat.spec
-    if s.kind == "sxor":
-        expected = build_sxor(s.k, s.n, s.g)
-    elif s.kind == "systematic":
-        expected = build_systematic_sxor(s.k, s.n, s.g, s.x)
-    elif s.kind == "zd3":
-        expected = builtin_zd_k3()
-    else:
-        return
-    if mat.entries != expected.entries:
-        raise MatrixFormatError(f"entries do not match the declared {s.kind} construction", 2)
+    expected = matrix_for_spec(spec)
+    if expected is not None and mat.entries != expected.entries:
+        raise MatrixFormatError(f"entries do not match the declared {spec.kind} construction", 2)
+    return mat
 
 
 PathOrFile = Union[str, os.PathLike, io.TextIOBase]

@@ -163,13 +163,28 @@ def test_decode_length_override_truncates(tmp_path):
     assert restored.read_bytes() == data[:5]
 
 
+def test_decode_rejects_negative_length(tmp_path):
+    data = bytes(range(60))
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
+    restored = tmp_path / "r.bin"
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
+    assert run(["decode", *packs, "--out", str(restored), "--length", "-5"]) == 2
+    sidecar = out / "data.bin.sxmeta"
+    sidecar.write_text(sidecar.read_text().replace("len=60", "len=-3"))
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert not restored.exists()
+
+
 def test_decode_rejects_sidecar_mismatch(tmp_path):
     data = b"sidecar paranoia" * 2
-    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
-    sidecar = out / "data.bin.sxmeta"
-    sidecar.write_text(sidecar.read_text().replace("k=3", "k=4"))
-    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
-    assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
+    for kind, edit in (("sxor", ("k=3", "k=4")), ("systematic", ("x=1,2,3", "x=2,3,4"))):
+        src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
+        sidecar = out / "data.bin.sxmeta"
+        text = sidecar.read_text()
+        assert edit[0] in text
+        sidecar.write_text(text.replace(*edit))
+        packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
+        assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
 
 
 def test_encode_deterministic(tmp_path):

@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -262,6 +262,25 @@ def test_zigzag_schedule_validation():
         zigzag_schedule(TOY, (3, 3), 4)
     with pytest.raises(ValueError):
         zigzag_schedule(TOY, (3, 4), 0)
+    zd = builtin_zd_k3()
+    with pytest.raises(ValueError):
+        zigzag_schedule(zd, (0, 1, 2), 4)  # no packet 0
+    with pytest.raises(ValueError):
+        zigzag_schedule(zd, (1, 2, 7), 4)  # zd3 has six packets
+
+
+def test_decoders_accept_the_same_survivor_sets():
+    zd = builtin_zd_k3()
+    checks = (lambda s: map_kernel(zd, s), lambda s: zigzag_schedule(zd, s, 4), zd.submatrix)
+    for size in (2, 3, 4):
+        for survivors in product(range(8), repeat=size):
+            valid = size == len(set(survivors)) == 3 and all(1 <= j <= 6 for j in survivors)
+            for check in checks:
+                if valid:
+                    check(survivors)
+                else:
+                    with pytest.raises(ValueError):
+                        check(survivors)
 
 
 def test_packet_post_init_validation():
