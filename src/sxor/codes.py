@@ -30,9 +30,9 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from itertools import combinations
 
-from .gf2m import FieldCtx, PolyLike, _as_poly, is_primitive
+from .gf2m import FieldCtx, PolyLike, _as_poly
 from .gf2poly import Poly2
-from .polymat import PolyMatrix, _minor_det, vandermonde
+from .polymat import PolyMatrix, _check_shape, _minor_det, vandermonde
 
 __all__ = [
     "CodeSpec",
@@ -91,8 +91,7 @@ class CodeSpec:
         if self.k < 1 or self.n < 1:
             raise ValueError("K and N must be positive")
         if self.kind in ("sxor", "systematic"):
-            if self.m < 1 or not is_primitive(self.g, self.m):
-                raise ValueError(f"{self.g} is not a primitive modulus of degree {self.m}")
+            FieldCtx(self.g, self.m)  # ValueError unless g is primitive, deg g = m <= 16
             if not self.k <= self.n <= (1 << self.m) - 1:
                 raise ValueError(f"need K <= N <= 2^m - 1, got K={self.k} N={self.n} m={self.m}")
         if self.kind == "systematic":
@@ -226,11 +225,9 @@ def build_sxor(k: int, n: int, g: PolyLike) -> GenMatrix:
     Requires K <= N <= 2**m - 1 for m = deg(g), g primitive.  Any K of the
     N packets suffice to decode (the submatrices are Vandermonde minors).
     """
-    g = _as_poly(g)
     ctx = FieldCtx(g)
-    spec = CodeSpec("sxor", k, n, ctx.m, g)
-    v = vandermonde(ctx, k, n)
-    return GenMatrix(spec, [[e.value for e in row] for row in v.entries])
+    spec = CodeSpec("sxor", k, n, ctx.m, ctx.g)
+    return GenMatrix(spec, vandermonde(ctx, k, n)._masks)
 
 
 def build_systematic_sxor(k: int, n: int, g: PolyLike, x: Sequence[int]) -> GenMatrix:
@@ -240,14 +237,11 @@ def build_systematic_sxor(k: int, n: int, g: PolyLike, x: Sequence[int]) -> GenM
     columns, so the x columns of the result form the K x K identity and
     decodability of every K-subset is preserved.
     """
-    g = _as_poly(g)
     ctx = FieldCtx(g)
-    xs = tuple(x)
-    spec = CodeSpec("systematic", k, n, ctx.m, g, xs)
+    spec = CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(x))
     v = vandermonde(ctx, k, n)
-    vx = v.columns([i - 1 for i in xs])
-    a = vx.inverse() @ v
-    return GenMatrix(spec, [[e.value for e in row] for row in a.entries])
+    a = v.columns([i - 1 for i in spec.x]).inverse() @ v
+    return GenMatrix(spec, a._masks)
 
 
 def builtin_zd_k3() -> GenMatrix:
@@ -273,9 +267,8 @@ def matrix_for_spec(spec: CodeSpec) -> GenMatrix | None:
 def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike = 0) -> GenMatrix:
     """Wrap arbitrary entries as a user-kind matrix (no reduction enforced)."""
     grid = tuple(tuple(_as_poly(e) for e in row) for row in entries)
-    if not grid or not grid[0]:
-        raise ValueError("matrix must have at least one row and one column")
-    spec = CodeSpec("user", len(grid), len(grid[0]), m, _as_poly(g))
+    k, n = _check_shape(grid)
+    spec = CodeSpec("user", k, n, m, _as_poly(g))
     return GenMatrix(spec, grid)
 
 

@@ -4,11 +4,10 @@ A :class:`FieldCtx` pins the field: the extension degree m and a primitive
 modulus g(z) of degree m.  Primitivity (z generates the full multiplicative
 group of 2**m - 1 elements) is what guarantees the Vandermonde points
 z^0, z^1, ..., z^(N-1) are pairwise distinct for N <= 2**m - 1, so it is
-validated at construction time rather than trusted.
-
-Elements are :class:`FieldElem` wrappers around reduced polynomials
-(degree < m).  Arithmetic stays in int-mask form internally; only the
-API surface deals in :class:`~sxor.gf2poly.Poly2`.
+validated at construction time rather than trusted.  m <= 16 covers any
+u16 N and bounds that walk.  The arithmetic is two int-mask helpers,
+:func:`_mulmod` and :func:`_powmod`; :class:`FieldElem` here and
+:class:`~sxor.polymat.FieldMatrix` are the API over them.
 """
 
 from __future__ import annotations
@@ -87,12 +86,24 @@ def _mulmod(a: int, b: int, g: int, m: int) -> int:
     return p
 
 
+def _powmod(a: int, e: int, g: int, m: int) -> int:
+    # a**e mod g for e >= 0, by square-and-multiply.
+    acc = 1
+    while e:
+        if e & 1:
+            acc = _mulmod(acc, a, g, m)
+        a = _mulmod(a, a, g, m)
+        e >>= 1
+    return acc
+
+
 class FieldCtx:
     """A validated GF(2**m) context.
 
-    Construction raises ValueError unless g is primitive of degree m, so a
-    live context is proof the field is well-formed.  Contexts compare and
-    hash by (m, g); elements refuse to mix across unequal contexts.
+    Construction raises ValueError unless 1 <= m <= 16 and g is primitive
+    of degree m, so a live context is proof the field is well-formed.
+    Contexts compare and hash by (m, g); elements refuse to mix across
+    unequal contexts.
     """
 
     __slots__ = ("m", "g")
@@ -103,6 +114,8 @@ class FieldCtx:
             if not g.mask:
                 raise ValueError("zero polynomial cannot be a field modulus")
             m = g.degree()
+        if not 1 <= m <= 16:  # before is_primitive walks 2**m steps
+            raise ValueError(f"field degree m={m} is outside 1..16")
         if not is_primitive(g, m):
             raise ValueError(f"{g} is not a primitive polynomial of degree {m}")
         self.m = m
@@ -130,15 +143,8 @@ class FieldCtx:
 
     def z_pow(self, e: int) -> "FieldElem":
         """The element z**e, with e taken mod 2**m - 1 (e may be negative)."""
-        e %= self.order
-        acc = 1
-        base = _divmod_masks(2, self.g.mask)[1]
-        while e:
-            if e & 1:
-                acc = _mulmod(acc, base, self.g.mask, self.m)
-            base = _mulmod(base, base, self.g.mask, self.m)
-            e >>= 1
-        return FieldElem(self, acc)
+        z = _divmod_masks(2, self.g.mask)[1]  # z reduced mod g (1 when m = 1)
+        return FieldElem(self, _powmod(z, e % self.order, self.g.mask, self.m))
 
     def elements(self) -> Iterator["FieldElem"]:
         """All 2**m field elements, in mask order starting from zero."""
@@ -193,21 +199,15 @@ class FieldElem:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        acc = FieldElem(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+            # A nonzero a has a**order = 1, so a**n = a**(n mod order).
+            if not self._mask:
+                raise ZeroDivisionError("zero field element has no inverse")
+            n %= self.ctx.order
+        return FieldElem(self.ctx, _powmod(self._mask, n, self.ctx.g.mask, self.ctx.m))
 
     def inverse(self) -> "FieldElem":
         """Multiplicative inverse via a**(2**m - 2); zero is rejected."""
-        if not self._mask:
-            raise ZeroDivisionError("zero field element has no inverse")
-        return self ** ((1 << self.ctx.m) - 2)
+        return self ** -1
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         if not isinstance(other, FieldElem):

@@ -1,8 +1,9 @@
 """Matrices over GF(2**m) and over the polynomial ring GF(2)[z].
 
-Two matrix flavors back the code constructions.  :class:`FieldMatrix`
-holds field elements and supports the product and Gauss-Jordan inversion
-needed to build systematic generators.  :class:`PolyMatrix` holds plain
+Both are APIs over grids of int masks, with one product
+(:func:`_matmul_masks`, given the ring's multiply) and one shape check
+(:func:`_check_shape`).  :class:`FieldMatrix` adds the Gauss-Jordan
+inverse needed to build systematic generators.  :class:`PolyMatrix` holds
 GF(2)[z] polynomials and supports determinant/adjugate computation, which
 is the core of the exact decoder: for a K x K submatrix A_I the identity
 A_I * adj(A_I) = det(A_I) * I turns decoding into K exact divisions.
@@ -15,9 +16,11 @@ characteristic 2 all cofactor signs collapse to +1.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import xor
+from typing import Callable, Iterable, Sequence
 
-from .gf2m import FieldCtx, FieldElem
+from .gf2m import FieldCtx, FieldElem, _mulmod, _powmod
 from .gf2poly import Poly2, _mul_masks, gcd
 
 __all__ = [
@@ -33,6 +36,26 @@ class Singular(ValueError):
     """The matrix has no inverse over its field."""
 
 
+def _check_shape(grid: Sequence[Sequence]) -> tuple[int, int]:
+    # The one shape rule for a matrix: at least one row and one column, no
+    # ragged rows.  Returns (rows, cols).
+    if not grid or not grid[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    width = len(grid[0])
+    if any(len(row) != width for row in grid):
+        raise ValueError("ragged rows")
+    return len(grid), width
+
+
+def _matmul_masks(a: Sequence, b: Sequence, mul: Callable[[int, int], int]) -> list[list[int]]:
+    # Product of two int-mask grids over a ring whose addition is XOR and multiply is mul.
+    if len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
+    cols = tuple(zip(*b))
+    return [[reduce(xor, (mul(x, y) for x, y in zip(row, col) if x and y), 0) for col in cols]
+            for row in a]
+
+
 def vandermonde(ctx: FieldCtx, k: int, n: int) -> "FieldMatrix":
     """K x N Vandermonde matrix with entry (i, j) = z**(i*j), 0-based.
 
@@ -44,91 +67,88 @@ def vandermonde(ctx: FieldCtx, k: int, n: int) -> "FieldMatrix":
         raise ValueError(f"need 1 <= K <= N, got K={k} N={n}")
     if n > ctx.order:
         raise ValueError(f"N={n} exceeds the {ctx.order} distinct points of GF(2^{ctx.m})")
-    return FieldMatrix([[ctx.z_pow(i * j) for j in range(n)] for i in range(k)])
+    return FieldMatrix._of(ctx, [[ctx.z_pow(i * j)._mask for j in range(n)] for i in range(k)])
 
 
 class FieldMatrix:
-    """Rectangular matrix of :class:`FieldElem`, immutable by convention."""
+    """Rectangular matrix over GF(2**m), immutable by convention."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    __slots__ = ("ctx", "rows", "cols", "_masks")
 
     def __init__(self, entries: Iterable[Iterable[FieldElem]]):
         grid = tuple(tuple(row) for row in entries)
-        if not grid or not grid[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(grid[0])
-        ctx = grid[0][0].ctx
-        for row in grid:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for e in row:
-                if not isinstance(e, FieldElem) or e.ctx != ctx:
-                    raise ValueError("entries must share one field context")
+        self.rows, self.cols = _check_shape(grid)
+        ctx = getattr(grid[0][0], "ctx", None)
+        if not all(isinstance(e, FieldElem) and e.ctx == ctx for row in grid for e in row):
+            raise ValueError("entries must be field elements of one context")
         self.ctx = ctx
-        self.rows = len(grid)
-        self.cols = width
-        self.entries = grid
+        self._masks = tuple(tuple(e._mask for e in row) for row in grid)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, masks: Iterable[Iterable[int]]) -> "FieldMatrix":
+        # Wrap a grid of masks already reduced in ctx.
+        mat = cls.__new__(cls)
+        mat.ctx = ctx
+        mat._masks = tuple(tuple(row) for row in masks)
+        mat.rows, mat.cols = _check_shape(mat._masks)
+        return mat
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "FieldMatrix":
-        return cls([[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)])
+        return cls._of(ctx, [[int(i == j) for j in range(n)] for i in range(n)])
+
+    @property
+    def entries(self) -> tuple[tuple[FieldElem, ...], ...]:
+        """The entries as :class:`FieldElem`; they are stored as reduced masks."""
+        return tuple(tuple(FieldElem(self.ctx, v) for v in row) for row in self._masks)
 
     def columns(self, idx: Sequence[int]) -> "FieldMatrix":
         """Select columns by 0-based index, in the order given."""
         for j in idx:
             if not 0 <= j < self.cols:
                 raise ValueError(f"column index {j} out of range")
-        return FieldMatrix([[row[j] for j in idx] for row in self.entries])
+        return FieldMatrix._of(self.ctx, [[row[j] for j in idx] for row in self._masks])
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if not isinstance(other, FieldMatrix):
             return NotImplemented
         if self.ctx != other.ctx:
             raise ValueError("field context mismatch")
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.ctx.zero
-                for t in range(self.cols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(out)
+        g, m = self.ctx.g.mask, self.ctx.m
+        return FieldMatrix._of(self.ctx, _matmul_masks(self._masks, other._masks,
+                                                       lambda a, b: _mulmod(a, b, g, m)))
 
     def inverse(self) -> "FieldMatrix":
         """Gauss-Jordan inverse; raises :class:`Singular` when rank-deficient."""
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
         n = self.rows
-        aug = [list(self.entries[i]) + [FieldMatrix.identity(self.ctx, n).entries[i][j] for j in range(n)]
-               for i in range(n)]
+        g, m = self.ctx.g.mask, self.ctx.m
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._masks)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col]), None)
             if pivot is None:
                 raise Singular(f"no pivot in column {col}")
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [e * inv for e in aug[col]]
+            inv = _powmod(aug[col][col], self.ctx.order - 1, g, m)
+            aug[col] = [_mulmod(e, inv, g, m) for e in aug[col]]
             for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a + f * b for a, b in zip(aug[r], aug[col])]
-        return FieldMatrix([row[n:] for row in aug])
+                f = aug[r][col]
+                if r != col and f:
+                    aug[r] = [a ^ _mulmod(f, b, g, m) for a, b in zip(aug[r], aug[col])]
+        return FieldMatrix._of(self.ctx, [row[n:] for row in aug])
 
     def to_poly(self) -> "PolyMatrix":
         """Reinterpret the reduced representatives as GF(2)[z] polynomials."""
-        return PolyMatrix([[e.value for e in row] for row in self.entries])
+        return PolyMatrix(self._masks)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldMatrix):
-            return self.ctx == other.ctx and self.entries == other.entries
+            return self.ctx == other.ctx and self._masks == other._masks
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.entries))
+        return hash((self.ctx, self._masks))
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols}, m={self.ctx.m})"
@@ -166,14 +186,7 @@ class PolyMatrix:
 
     def __init__(self, entries: Iterable[Iterable[Poly2]]):
         grid = tuple(tuple(e if isinstance(e, Poly2) else Poly2(e) for e in row) for row in entries)
-        if not grid or not grid[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(grid[0])
-        for row in grid:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-        self.rows = len(grid)
-        self.cols = width
+        self.rows, self.cols = _check_shape(grid)
         self.entries = grid
 
     @classmethod
@@ -187,18 +200,7 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly2(0)
-                for t in range(self.cols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        return PolyMatrix(_matmul_masks(self._mask_grid(), other._mask_grid(), _mul_masks))
 
     def _mask_grid(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(e.mask for e in row) for row in self.entries)

@@ -1,6 +1,7 @@
 """Tests for encoding, exact decoding, zigzag decoding and packet files."""
 
 import random
+import struct
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -339,6 +340,16 @@ def test_packet_bytes_rejections():
     padded = blob[:-1] + bytes([blob[-1] | 0x80])  # pad bit above bit 4
     with pytest.raises(PacketFormatError):
         packet_from_bytes(padded)
+
+
+def test_packet_bytes_rejects_field_degree_above_16():
+    # A header may declare any u8 m; m = 17 with the primitive z^17+z^3+1
+    # must be refused before the 2^17-step primitivity walk.
+    blob = packet_to_bytes(encode(build_sxor(3, 7, G1), [1, 2, 3], 8)[0])
+    assert (blob[5], blob[6]) == (1, 3)  # kind=sxor, m=3
+    tampered = blob[:6] + struct.pack("<BI", 17, 0x20009) + blob[11:]
+    with pytest.raises(PacketFormatError):
+        packet_from_bytes(tampered)
 
 
 def test_packet_bytes_x_only_for_systematic():

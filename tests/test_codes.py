@@ -65,6 +65,8 @@ def test_build_sxor_bounds():
         build_sxor(3, 8, G1)
     with pytest.raises(ValueError):
         build_sxor(3, 7, 0x9)  # z^3+1 is not primitive
+    with pytest.raises(ValueError):
+        build_sxor(3, 7, 0x20009)  # primitive, but m = 17 > 16
 
 
 def test_build_systematic_examples():

@@ -46,6 +46,12 @@ def test_ctx_validation():
         FieldCtx(Poly2(0))
     with pytest.raises(ValueError):
         FieldCtx(G1, m=4)
+    # z^17+z^3+1 is primitive, but degrees past 16 are refused before the
+    # 2^17-step primitivity walk.
+    with pytest.raises(ValueError):
+        FieldCtx(0x20009)
+    with pytest.raises(ValueError):
+        FieldCtx(0x20009, m=17)
     assert FieldCtx(0xB) == FieldCtx(G1)
     assert FieldCtx(0xB) != FieldCtx(0xD)
 

@@ -66,6 +66,10 @@ def test_field_matrix_validation():
     other = FieldCtx(0xD)
     with pytest.raises(ValueError):
         FieldMatrix([[CTX8.one, other.one]])
+    with pytest.raises(ValueError):
+        FieldMatrix([[1, 2]])  # masks, not field elements
+    with pytest.raises(ValueError):
+        FieldMatrix([[CTX8.one, 2]])
 
 
 def test_field_inverse_identity():
