@@ -57,8 +57,8 @@ def matrices_equivalent(a: GenMatrix, b: GenMatrix) -> bool:
         raise ValueError("matrices must share dimensions")
     if a.spec.k > 8:
         raise ValueError("row-permutation search is factorial; K > 8 not supported")
-    target = sorted(tuple(row[j].mask for row in b.entries) for j in range(b.spec.n))
-    cols = [tuple(row[j].mask for row in a.entries) for j in range(a.spec.n)]
+    target = sorted(zip(*b._masks))
+    cols = list(zip(*a._masks))
     for perm in permutations(range(a.spec.k)):
         if sorted(tuple(col[i] for i in perm) for col in cols) == target:
             return True

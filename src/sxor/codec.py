@@ -138,11 +138,10 @@ def encode_xor_count(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -
     over = mat.column_overheads()
     packets = []
     xors = 0
-    for j in range(mat.spec.n):
+    for j, col in enumerate(zip(*mat._masks)):
         acc = 0
         terms = 0
-        for i in range(mat.spec.k):
-            e = mat.entries[i][j].mask
+        for i, e in enumerate(col):
             while e:
                 low = e & -e
                 contrib = srcs[i] << (low.bit_length() - 1)
@@ -246,7 +245,7 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     for c in range(k):
         b = 0
         for r in range(k):
-            e = kern.combine.entries[r][c].mask
+            e = kern.combine._masks[r][c]
             if e:
                 b ^= _mul_masks(e, masks[idx[r]])
         if b & low_mask:
@@ -264,14 +263,14 @@ def _monomial_shifts(mat: GenMatrix, idx: tuple[int, ...]) -> tuple[tuple[int | 
     for p in idx:
         col = []
         for row in range(mat.spec.k):
-            e = mat.entries[row][p - 1]
+            e = mat._masks[row][p - 1]
             if not e:
                 col.append(None)
-            elif e.term_count() != 1:
+            elif e.bit_count() != 1:
                 raise NotMonomialMatrix(
-                    f"entry for source {row + 1} in packet {p} is {e}, not a monomial")
+                    f"entry for source {row + 1} in packet {p} is {Poly2(e)}, not a monomial")
             else:
-                col.append(e.degree())
+                col.append(e.bit_length() - 1)
         shift.append(tuple(col))
     return tuple(shift)
 
@@ -386,8 +385,10 @@ _LENS = struct.Struct("<QQ")
 
 def packet_to_bytes(packet: Packet) -> bytes:
     s = packet.spec
-    if s.g.mask >> 32:
-        raise ValueError("modulus mask does not fit the 32-bit header field")
+    for field, value, bits in (("m", s.m, 8), ("g", s.g.mask, 32), ("K", s.k, 16), ("N", s.n, 16)):
+        if value >> bits:
+            raise ValueError(f"{field}={value} exceeds {(1 << bits) - 1}, "
+                             f"the limit of its {bits}-bit header field")
     x = s.x if s.x is not None else ()
     head = _HEAD.pack(_MAGIC, _VERSION, KIND_CODES[s.kind], s.m, s.g.mask,
                       s.k, s.n, packet.index, len(x))

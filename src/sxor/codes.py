@@ -126,41 +126,43 @@ class Metrics(NamedTuple):
 class GenMatrix:
     """A K x N generator matrix tied to its :class:`CodeSpec`.
 
-    Rows are sources, columns are encoded packets (packet indices are
+    Stored as a grid of coefficient masks (``_masks``); ``entries`` wraps
+    them as :class:`Poly2`.  Rows are sources, columns are encoded packets (packet indices are
     1-based at the API surface).  Instances are hashable so decoder
     kernels can be memoized per (matrix, survivor set).
     """
 
-    __slots__ = ("spec", "entries", "_overheads")
+    __slots__ = ("spec", "_masks", "_overheads")
 
     def __init__(self, spec: CodeSpec, entries: Iterable[Iterable[PolyLike]]):
-        grid = tuple(tuple(_as_poly(e) for e in row) for row in entries)
-        if len(grid) != spec.k or any(len(row) != spec.n for row in grid):
+        grid = tuple(tuple(_as_poly(e).mask for e in row) for row in entries)
+        if _check_shape(grid) != (spec.k, spec.n):
             raise ValueError(f"entries must form a {spec.k}x{spec.n} grid")
         if spec.kind in ("sxor", "systematic"):
-            for row in grid:
-                for e in row:
-                    if e.mask >> spec.m:
-                        raise ValueError(
-                            f"entry {e} is not reduced modulo a degree-{spec.m} modulus")
+            bad = next((e for row in grid for e in row if e >> spec.m), None)
+            if bad is not None:
+                raise ValueError(
+                    f"entry {Poly2(bad)} is not reduced modulo a degree-{spec.m} modulus")
         self.spec = spec
-        self.entries = grid
+        self._masks = grid
         self._overheads: tuple[int, ...] | None = None
+
+    @property
+    def entries(self) -> tuple[tuple[Poly2, ...], ...]:
+        """The entries as :class:`Poly2`; they are stored as masks."""
+        return tuple(tuple(Poly2(e) for e in row) for row in self._masks)
 
     def column(self, j: int) -> tuple[Poly2, ...]:
         """Entries of packet j's column (j is 1-based)."""
         if not 1 <= j <= self.spec.n:
             raise ValueError(f"packet index {j} outside 1..{self.spec.n}")
-        return tuple(row[j - 1] for row in self.entries)
+        return tuple(Poly2(row[j - 1]) for row in self._masks)
 
     def column_overheads(self) -> tuple[int, ...]:
         """Extra bits per packet: max entry degree of each column, left to right."""
         if self._overheads is None:
-            over = []
-            for j in range(self.spec.n):
-                degs = [row[j].degree() for row in self.entries if row[j]]
-                over.append(max(degs, default=0))
-            self._overheads = tuple(over)
+            self._overheads = tuple(max(max(col).bit_length() - 1, 0)
+                                    for col in zip(*self._masks))
         return self._overheads
 
     def metrics(self) -> Metrics:
@@ -171,10 +173,7 @@ class GenMatrix:
         XOR passes regardless of packet length.
         """
         over = self.column_overheads()
-        alpha = 0
-        for j in range(self.spec.n):
-            terms = sum(row[j].term_count() for row in self.entries)
-            alpha += max(terms - 1, 0)
+        alpha = sum(max(sum(e.bit_count() for e in col) - 1, 0) for col in zip(*self._masks))
         return Metrics(max(over), sum(over), alpha)
 
     def check_survivors(self, survivors: Iterable[int]) -> tuple[int, ...]:
@@ -187,7 +186,7 @@ class GenMatrix:
     def submatrix(self, survivors: Iterable[int]) -> PolyMatrix:
         """K x K matrix of the survivor columns (see :meth:`check_survivors`), sorted."""
         idx = self.check_survivors(survivors)
-        return PolyMatrix([[row[j - 1] for j in idx] for row in self.entries])
+        return PolyMatrix._of([[row[j - 1] for j in idx] for row in self._masks])
 
     def check_suboptimal(self) -> tuple[bool, list[tuple[int, ...]]]:
         """MDS check: (True, []) when every K-subset of packets decodes.
@@ -198,22 +197,21 @@ class GenMatrix:
         k, n = self.spec.k, self.spec.n
         if k > n:
             raise ValueError("more sources than packets can never be MDS")
-        grid = tuple(tuple(e.mask for e in row) for row in self.entries)
         rows = tuple(range(k))
         memo: dict = {}
         failing = []
         for comb in combinations(range(n), k):
-            if not _minor_det(grid, rows, comb, memo):
+            if not _minor_det(self._masks, rows, comb, memo):
                 failing.append(tuple(j + 1 for j in comb))
         return (not failing, failing)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GenMatrix):
-            return self.spec == other.spec and self.entries == other.entries
+            return self.spec == other.spec and self._masks == other._masks
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.entries))
+        return hash((self.spec, self._masks))
 
     def __repr__(self) -> str:
         return f"GenMatrix({self.spec.kind}, K={self.spec.k}, N={self.spec.n})"
@@ -266,7 +264,7 @@ def matrix_for_spec(spec: CodeSpec) -> GenMatrix | None:
 
 def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike = 0) -> GenMatrix:
     """Wrap arbitrary entries as a user-kind matrix (no reduction enforced)."""
-    grid = tuple(tuple(_as_poly(e) for e in row) for row in entries)
+    grid = tuple(tuple(row) for row in entries)
     k, n = _check_shape(grid)
     spec = CodeSpec("user", k, n, m, _as_poly(g))
     return GenMatrix(spec, grid)
@@ -285,8 +283,8 @@ def format_matrix(mat: GenMatrix) -> str:
     if s.x is not None:
         head += " x=" + ",".join(str(i) for i in s.x)
     lines = [head]
-    for row in mat.entries:
-        lines.append(",".join(e.to_hex() for e in row))
+    for row in mat._masks:
+        lines.append(",".join(format(e, "x") for e in row))
     return "\n".join(lines) + "\n"
 
 
@@ -355,7 +353,7 @@ def parse_matrix(text: str) -> GenMatrix:
     # A file claiming a constructed kind must actually contain that
     # construction; otherwise decoders would trust a wrong label.
     expected = matrix_for_spec(spec)
-    if expected is not None and mat.entries != expected.entries:
+    if expected is not None and mat._masks != expected._masks:
         raise MatrixFormatError(f"entries do not match the declared {spec.kind} construction", 2)
     return mat
 

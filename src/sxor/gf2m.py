@@ -5,13 +5,14 @@ modulus g(z) of degree m.  Primitivity (z generates the full multiplicative
 group of 2**m - 1 elements) is what guarantees the Vandermonde points
 z^0, z^1, ..., z^(N-1) are pairwise distinct for N <= 2**m - 1, so it is
 validated at construction time rather than trusted.  m <= 16 covers any
-u16 N and bounds that walk.  The arithmetic is two int-mask helpers,
+u16 N and bounds that check.  The arithmetic is two int-mask helpers,
 :func:`_mulmod` and :func:`_powmod`; :class:`FieldElem` here and
 :class:`~sxor.polymat.FieldMatrix` are the API over them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Union
 
 from .gf2poly import Poly2, _divmod_masks, _mul_masks
@@ -59,24 +60,38 @@ def is_primitive(g: PolyLike, m: int) -> bool:
 
     The check is direct: g must have degree m and constant term 1 (else z
     is not even invertible), and z must have multiplicative order exactly
-    2**m - 1 modulo g.  The order is found by repeated multiplication by
-    z, which is a shift and a conditional XOR per step; for the supported
-    degrees (m <= 16) that is at most 65535 steps.
+    2**m - 1 modulo g: z**(2**m - 1) = 1 and z**((2**m - 1) / p) != 1 for
+    every prime p dividing 2**m - 1.  Results are memoised per (g, m) in a
+    bounded cache, because every packet header names its modulus.
     """
     g = _as_poly(g)
     if m < 1 or not g.mask or g.degree() != m or not g.mask & 1:
         return False
+    return _z_has_full_order(g.mask, m)
+
+
+@lru_cache(maxsize=256)
+def _z_has_full_order(g: int, m: int) -> bool:
     full = (1 << m) - 1
-    t = _divmod_masks(2, g.mask)[1]  # z reduced mod g (handles m = 1)
-    e = 1
-    while t != 1:
-        t <<= 1
-        if (t >> m) & 1:
-            t ^= g.mask
-        e += 1
-        if e > full:
-            return False
-    return e == full
+    z = _divmod_masks(2, g)[1]  # z reduced mod g (1 when m = 1)
+    return (_powmod(z, full, g, m) == 1
+            and all(_powmod(z, full // p, g, m) != 1 for p in _prime_factors(full)))
+
+
+def _prime_factors(n: int) -> list[int]:
+    # Distinct prime factors by trial division; n = 2**m - 1 with m <= 16
+    # needs at most 256 trial divisors.
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _mulmod(a: int, b: int, g: int, m: int) -> int:
@@ -114,7 +129,7 @@ class FieldCtx:
             if not g.mask:
                 raise ValueError("zero polynomial cannot be a field modulus")
             m = g.degree()
-        if not 1 <= m <= 16:  # before is_primitive walks 2**m steps
+        if not 1 <= m <= 16:  # before is_primitive factors 2**m - 1
             raise ValueError(f"field degree m={m} is outside 1..16")
         if not is_primitive(g, m):
             raise ValueError(f"{g} is not a primitive polynomial of degree {m}")

@@ -64,6 +64,13 @@ def _divmod_masks(a: int, d: int) -> tuple[int, int]:
     return q, a
 
 
+def _gcd_masks(x: int, y: int) -> int:
+    # Euclid on coefficient masks; _gcd_masks(x, 0) is x.
+    while y:
+        x, y = y, _divmod_masks(x, y)[1]
+    return x
+
+
 def _square_mask(m: int) -> int:
     # Squaring over GF(2) spreads exponents: z**k -> z**(2k).  Cost is one
     # iteration per term, which is what makes the divider's tap polynomials
@@ -306,7 +313,4 @@ def gcd(a: Poly2, b: Poly2) -> Poly2:
     Over GF(2) every nonzero polynomial is monic, so no normalization step
     is needed.  gcd(0, 0) is 0 by convention.
     """
-    x, y = a.mask, b.mask
-    while y:
-        x, y = y, _divmod_masks(x, y)[1]
-    return Poly2(x)
+    return Poly2(_gcd_masks(a.mask, b.mask))

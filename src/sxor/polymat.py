@@ -1,17 +1,22 @@
 """Matrices over GF(2**m) and over the polynomial ring GF(2)[z].
 
-Both are APIs over grids of int masks, with one product
-(:func:`_matmul_masks`, given the ring's multiply) and one shape check
-(:func:`_check_shape`).  :class:`FieldMatrix` adds the Gauss-Jordan
-inverse needed to build systematic generators.  :class:`PolyMatrix` holds
-GF(2)[z] polynomials and supports determinant/adjugate computation, which
-is the core of the exact decoder: for a K x K submatrix A_I the identity
-A_I * adj(A_I) = det(A_I) * I turns decoding into K exact divisions.
+Both store a tuple-of-tuples of int masks (``_masks``) and are APIs over
+it, with one product (:func:`_matmul_masks`, given the ring's multiply)
+and one shape check (:func:`_check_shape`); ``entries`` wraps the masks
+as :class:`~sxor.gf2m.FieldElem` or :class:`~sxor.gf2poly.Poly2` on
+request.  :class:`FieldMatrix` adds the Gauss-Jordan inverse needed to
+build systematic generators.  :class:`PolyMatrix` adds determinant and
+adjugate over GF(2)[z], the core of the exact decoder: for a K x K
+submatrix A_I the identity A_I * adj(A_I) = det(A_I) * I turns decoding
+into K exact divisions.
 
 Determinants use minor expansion with a memo shared across overlapping
-column subsets; at the supported sizes (K <= 12) that is far below a
-millisecond and keeps the code free of fraction-field machinery.  Over
-characteristic 2 all cofactor signs collapse to +1.
+column subsets, which keeps the code free of fraction-field machinery;
+over characteristic 2 all cofactor signs collapse to +1.  The memo holds
+up to 2**K minors, so the cost grows exponentially in K: a decoding
+kernel for the last K packets of build_sxor(K, 31, 0x25) took 0.36 s at
+K = 12 and 1.8 s with 52 MiB peak RSS at K = 14 (Python 3.11, 2-vCPU
+Xeon).  Nothing bounds K yet (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from functools import reduce
 from operator import xor
 from typing import Callable, Iterable, Sequence
 
-from .gf2m import FieldCtx, FieldElem, _mulmod, _powmod
-from .gf2poly import Poly2, _mul_masks, gcd
+from .gf2m import FieldCtx, FieldElem, _as_poly, _mulmod, _powmod
+from .gf2poly import Poly2, _divmod_masks, _gcd_masks, _mul_masks
 
 __all__ = [
     "FieldMatrix",
@@ -140,7 +145,7 @@ class FieldMatrix:
 
     def to_poly(self) -> "PolyMatrix":
         """Reinterpret the reduced representatives as GF(2)[z] polynomials."""
-        return PolyMatrix(self._masks)
+        return PolyMatrix._of(self._masks)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldMatrix):
@@ -180,37 +185,46 @@ def _minor_det(grid: tuple[tuple[int, ...], ...],
 
 
 class PolyMatrix:
-    """Rectangular matrix of :class:`Poly2` entries."""
+    """Rectangular matrix over GF(2)[z], stored as a grid of coefficient masks."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_masks")
 
     def __init__(self, entries: Iterable[Iterable[Poly2]]):
-        grid = tuple(tuple(e if isinstance(e, Poly2) else Poly2(e) for e in row) for row in entries)
-        self.rows, self.cols = _check_shape(grid)
-        self.entries = grid
+        self._masks = tuple(tuple(_as_poly(e).mask for e in row) for row in entries)
+        self.rows, self.cols = _check_shape(self._masks)
+
+    @classmethod
+    def _of(cls, masks: Iterable[Iterable[int]]) -> "PolyMatrix":
+        # Wrap a grid of nonnegative int masks.
+        mat = cls.__new__(cls)
+        mat._masks = tuple(tuple(row) for row in masks)
+        mat.rows, mat.cols = _check_shape(mat._masks)
+        return mat
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        return cls([[Poly2(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @property
+    def entries(self) -> tuple[tuple[Poly2, ...], ...]:
+        """The entries as :class:`Poly2`; they are stored as masks."""
+        return tuple(tuple(Poly2(e) for e in row) for row in self._masks)
 
     def scale(self, p: Poly2) -> "PolyMatrix":
         """Entry-wise product with a scalar polynomial."""
-        return PolyMatrix([[p * e for e in row] for row in self.entries])
+        return PolyMatrix._of([[_mul_masks(p.mask, e) for e in row] for row in self._masks])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return PolyMatrix(_matmul_masks(self._mask_grid(), other._mask_grid(), _mul_masks))
-
-    def _mask_grid(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(e.mask for e in row) for row in self.entries)
+        return PolyMatrix._of(_matmul_masks(self._masks, other._masks, _mul_masks))
 
     def determinant(self) -> Poly2:
         """Determinant over GF(2)[z]; zero means the columns are dependent."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         idx = tuple(range(self.rows))
-        return Poly2(_minor_det(self._mask_grid(), idx, idx, {}))
+        return Poly2(_minor_det(self._masks, idx, idx, {}))
 
     def det_adjugate(self) -> tuple[Poly2, "PolyMatrix"]:
         """Determinant and adjugate, satisfying A @ adj = adj @ A = det * I.
@@ -221,25 +235,24 @@ class PolyMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("adjugate needs a square matrix")
-        n = self.rows
-        grid = self._mask_grid()
+        grid = self._masks
         memo: dict = {}
-        idx = tuple(range(n))
+        idx = tuple(range(self.rows))
         det = _minor_det(grid, idx, idx, memo)
-        adj = [[Poly2(_minor_det(grid,
-                                 tuple(i for i in idx if i != r),
-                                 tuple(j for j in idx if j != c),
-                                 memo))
+        adj = [[_minor_det(grid,
+                           tuple(i for i in idx if i != r),
+                           tuple(j for j in idx if j != c),
+                           memo)
                 for r in idx] for c in idx]  # adj[c][r] = minor(r, c): transpose
-        return Poly2(det), PolyMatrix(adj)
+        return Poly2(det), PolyMatrix._of(adj)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyMatrix):
-            return self.entries == other.entries
+            return self._masks == other._masks
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self._masks)
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols})"
@@ -254,21 +267,13 @@ def cancel_common_factor(det: Poly2, adj: PolyMatrix) -> tuple[Poly2, PolyMatrix
     """
     if not det:
         raise ValueError("cannot reduce a singular pair")
-    g = det
-    for row in adj.entries:
+    g = det.mask
+    for row in adj._masks:
         for e in row:
-            if e:
-                g = gcd(g, e)
-            if g.mask == 1:
+            g = _gcd_masks(g, e)
+            if g == 1:
                 return det, adj
-    q, r = divmod(det, g)
-    assert not r.mask
-    out = []
-    for row in adj.entries:
-        new_row = []
-        for e in row:
-            eq, er = divmod(e, g)
-            assert not er.mask
-            new_row.append(eq)
-        out.append(new_row)
-    return q, PolyMatrix(out)
+    q, r = _divmod_masks(det.mask, g)
+    out = [[_divmod_masks(e, g) for e in row] for row in adj._masks]
+    assert not r and not any(er for row in out for _, er in row)
+    return Poly2(q), PolyMatrix._of([[eq for eq, _ in row] for row in out])

@@ -109,6 +109,18 @@ def test_encode_user_kind_needs_matrix(tmp_path):
     assert run(["encode", "--kind", "user", str(src), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_encode_rejects_header_overflow(tmp_path, capsys):
+    # m = 256 does not fit the u8 header field: a clean error before any packet is written.
+    mat = tmp_path / "wide.sxorgen"
+    mat.write_text("sxorgen v1 kind=user K=1 N=2 m=256 g=0x0\n1,1\n")
+    src = tmp_path / "x.bin"
+    src.write_bytes(b"xx")
+    out = tmp_path / "shards"
+    assert run(["encode", "--matrix", str(mat), str(src), "--out-dir", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.sxp"))
+
+
 def test_encode_rejects_empty_input(tmp_path):
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")

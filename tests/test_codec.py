@@ -2,6 +2,7 @@
 
 import random
 import struct
+import time
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -11,7 +12,7 @@ from sxor.codec import (NotMonomialMatrix, Packet, PacketFormatError, SingularSu
                         TrailingBits, ZigzagStuck, encode, encode_xor_count, map_decode,
                         map_kernel, packet_from_bytes, packet_to_bytes, read_packet,
                         write_packet, zigzag_decode, zigzag_schedule)
-from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
+from sxor.codes import CodeSpec, build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import InconsistentDivision, Poly2
 from sxor.polymat import PolyMatrix
 
@@ -344,7 +345,7 @@ def test_packet_bytes_rejections():
 
 def test_packet_bytes_rejects_field_degree_above_16():
     # A header may declare any u8 m; m = 17 with the primitive z^17+z^3+1
-    # must be refused before the 2^17-step primitivity walk.
+    # must be refused before primitivity is tested.
     blob = packet_to_bytes(encode(build_sxor(3, 7, G1), [1, 2, 3], 8)[0])
     assert (blob[5], blob[6]) == (1, 3)  # kind=sxor, m=3
     tampered = blob[:6] + struct.pack("<BI", 17, 0x20009) + blob[11:]
@@ -365,6 +366,22 @@ def test_packet_to_bytes_rejects_wide_modulus():
     p = encode(mat, [1], 4)[0]
     with pytest.raises(ValueError):
         packet_to_bytes(p)
+    # m, K and N are u8/u16 header fields: overflow names the field, not struct.error.
+    wide_m = encode(user_matrix([[1, 1]], m=256), [1], 4)[0]
+    wide_n = Packet(1, Poly2(1), 4, 4, CodeSpec("user", 1, 65536))
+    for packet, field in ((wide_m, "m=256"), (wide_n, "N=65536")):
+        with pytest.raises(ValueError, match=field):
+            packet_to_bytes(packet)
+
+
+def test_packet_from_bytes_does_not_rewalk_the_field():
+    # Every header re-validates its modulus; at m = 16 that must not cost
+    # a 65535-step walk per packet.
+    blob = packet_to_bytes(encode(build_sxor(3, 7, 0x1100B), [1, 2, 3], 8)[0])
+    start = time.perf_counter()
+    for _ in range(20):
+        packet_from_bytes(blob)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_packet_file_io(tmp_path):

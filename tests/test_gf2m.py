@@ -24,6 +24,24 @@ def test_is_primitive_examples():
     assert is_primitive(Poly2.from_text("z+1"), 1)
 
 
+def test_is_primitive_matches_the_order_walk():
+    def walk(g, m):
+        # z has order 2^m - 1 mod g, found by multiplying by z step by step.
+        if g.bit_length() - 1 != m or not g & 1:
+            return False
+        t, e = 2 if m > 1 else 1, 1
+        while t != 1 and e <= (1 << m) - 1:
+            t <<= 1
+            if t >> m:
+                t ^= g
+            e += 1
+        return e == (1 << m) - 1
+
+    for m in range(1, 11):
+        for g in range(1 << m, 1 << (m + 1)):
+            assert is_primitive(g, m) == walk(g, m), f"m={m} g=0x{g:x}"
+
+
 def test_default_moduli_all_primitive():
     assert sorted(DEFAULT_MODULI) == list(range(1, 17))
     for m, mask in DEFAULT_MODULI.items():
