@@ -86,21 +86,21 @@ def _sidecar_fields(spec: CodeSpec) -> dict[str, str]:
 
 def cmd_encode(args) -> int:
     mat = _resolve_matrix(args)
-    data = Path(args.input).read_bytes()
-    if not data:
-        raise _UsageError(f"input file {args.input} is empty")
     k = mat.spec.k
-    chunk = (len(data) + k - 1) // k
-    length = chunk * 8
-    sources = [int.from_bytes(data[i * chunk:(i + 1) * chunk].ljust(chunk, b"\0"), "little")
-               for i in range(k)]
-    packets = encode(mat, sources, length)
+    with open(args.input, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if not size:
+            raise _UsageError(f"input file {args.input} is empty")
+        chunk = (size + k - 1) // k
+        # A short last chunk reads as if zero-padded: its high bytes are zero.
+        sources = [int.from_bytes(fh.read(chunk), "little") for _ in range(k)]
+    packets = encode(mat, sources, chunk * 8)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).name
     for p in packets:
         write_packet(p, out_dir / f"{stem}.p{p.index}.sxp")
-    fields = {"len": str(len(data)), **_sidecar_fields(mat.spec)}
+    fields = {"len": str(size), **_sidecar_fields(mat.spec)}
     meta = " ".join(f"{key}={value}" for key, value in fields.items())
     (out_dir / f"{stem}.sxmeta").write_text(meta + "\n", encoding="ascii")
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
@@ -127,7 +127,7 @@ def cmd_decode(args) -> int:
     spec = packets[0].spec
     if len(packets) != spec.k:
         raise _UsageError(f"this code needs exactly {spec.k} packets, got {len(packets)}")
-    total_len = args.length
+    total_len, len_source = args.length, "--length"
     if total_len is not None and total_len < 0:
         raise _UsageError(f"--length must not be negative, got {total_len}")
     if getattr(args, "matrix", None):
@@ -145,22 +145,24 @@ def cmd_decode(args) -> int:
         if meta != _sidecar_fields(spec):
             raise ValueError("sidecar metadata does not match the packet headers")
         if total_len is None and sidecar_len is not None:
-            total_len = int(sidecar_len)
+            total_len, len_source = int(sidecar_len), "sidecar length"
             if total_len < 0:
                 raise ValueError(f"sidecar length {total_len} is negative")
     if total_len is None:
         raise _UsageError("original length unknown: no sidecar found, pass --length")
-
-    decoder = zigzag_decode if args.decoder == "zigzag" else map_decode
-    sources = decoder(mat, packets)
     bit_len = packets[0].source_len
     if bit_len % 8:
         raise ValueError(f"source length {bit_len} is not a whole number of bytes")
     chunk = bit_len // 8
-    blob = b"".join(s.mask.to_bytes(chunk, "little") for s in sources)
-    if total_len > len(blob):
-        raise ValueError(f"sidecar length {total_len} exceeds decoded size {len(blob)}")
-    Path(args.out).write_bytes(blob[:total_len])
+    if total_len > spec.k * chunk:
+        raise ValueError(f"{len_source} {total_len} exceeds decoded size {spec.k * chunk}")
+
+    decoder = zigzag_decode if args.decoder == "zigzag" else map_decode
+    sources = decoder(mat, packets)
+    remaining = total_len
+    with open(args.out, "wb") as fh:
+        for s in sources:
+            remaining -= fh.write(s.mask.to_bytes(chunk, "little")[:remaining])
     print(f"restored {total_len} bytes to {args.out}")
     return 0
 

@@ -8,9 +8,13 @@ l_j yields a packet of L + l_j bits for L-bit sources.
 
 MAP decoding of survivors I with square submatrix A_I uses the adjugate
 identity: b = c_I * adj(A_I) equals det(A_I) * s entry-wise, so a source
-falls out of one exact division by det.  The division runs low
-coefficients first and is re-verified by multiplication, which is what
-turns packet corruption into a raised error instead of silent garbage.
+falls out of one exact division by det.  Each source uses its own column
+of the adjugate in lowest terms (the column and det divided by their
+gcd), so a source whose packet survived verbatim is a copy, and a parity
+source divides by the smallest polynomial that works for it.  The
+division runs low coefficients first and is re-verified by
+multiplication, which is what turns packet corruption into a raised
+error instead of silent garbage.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
 single power of z): repeatedly pick an "exposed" packet bit covered by
@@ -30,13 +34,14 @@ import io
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappush, heappop
 from typing import Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
 from .gf2m import PolyLike, _as_poly
-from .gf2poly import InconsistentDivision, Poly2, _mul_masks, exact_div_low, split_shift
+from .gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks, _mul_masks,
+                      exact_div_low, split_shift)
 from .polymat import PolyMatrix, cancel_common_factor
 
 __all__ = [
@@ -171,14 +176,20 @@ class MapKernel:
 
     ``combine`` is the (content-reduced) adjugate B and ``det`` the
     matching determinant d = z**shift * feedback with feedback(0) = 1:
-    c_I * B = d * s, so each source is recovered by dropping ``shift``
-    known-zero low bits and one exact division by ``feedback``.
+    c_I * B = d * s.  ``columns`` holds what :func:`map_decode` uses:
+    for each source c, (shift_c, feedback_c, column masks) from column c
+    of B and d divided by their gcd g_c.  Then c_I * (B_c / g_c) =
+    z**shift_c * feedback_c * s_c, so source c is recovered by dropping
+    ``shift_c`` known-zero low bits and one exact division by
+    ``feedback_c``.  A source whose packet survived verbatim gets a unit
+    column and feedback 1.
     """
 
     det: Poly2
     combine: PolyMatrix
     shift: int
     feedback: Poly2
+    columns: tuple[tuple[int, Poly2, tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=256)
@@ -188,8 +199,15 @@ def _map_kernel(mat: GenMatrix, survivors: tuple[int, ...]) -> MapKernel:
     if not det:
         raise SingularSubmatrix(f"packets {survivors} cannot determine the sources")
     det, adj = cancel_common_factor(det, adj)
+    columns = []
+    for col in zip(*adj._masks):
+        # g divides det and every entry, so det | c_I * col exactly when
+        # det / g | c_I * (col / g), with the same quotient.
+        g = reduce(_gcd_masks, col, det.mask)
+        shift_c, feedback_c = split_shift(Poly2(_divmod_masks(det.mask, g)[0]))
+        columns.append((shift_c, feedback_c, tuple(_divmod_masks(e, g)[0] for e in col)))
     shift, feedback = split_shift(det)
-    return MapKernel(det, adj, shift, feedback)
+    return MapKernel(det, adj, shift, feedback, tuple(columns))
 
 
 def map_kernel(mat: GenMatrix, survivors: Sequence[int]) -> MapKernel:
@@ -238,20 +256,16 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     checksum when that matters.
     """
     length, masks, idx = _check_packets(mat, packets)
-    kern = map_kernel(mat, idx)
-    k = mat.spec.k
-    low_mask = (1 << kern.shift) - 1
     sources = []
-    for c in range(k):
+    for c, (shift, feedback, col) in enumerate(map_kernel(mat, idx).columns):
         b = 0
-        for r in range(k):
-            e = kern.combine._masks[r][c]
+        for p, e in zip(idx, col):
             if e:
-                b ^= _mul_masks(e, masks[idx[r]])
-        if b & low_mask:
+                b ^= _mul_masks(e, masks[p])
+        if b & ((1 << shift) - 1):
             raise InconsistentDivision(
-                f"source {c + 1}: combined stream has set bits below z^{kern.shift}")
-        sources.append(exact_div_low(Poly2(b >> kern.shift), kern.feedback, length))
+                f"source {c + 1}: combined stream has set bits below z^{shift}")
+        sources.append(exact_div_low(Poly2(b >> shift), feedback, length))
     return sources
 
 

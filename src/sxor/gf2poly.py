@@ -15,7 +15,9 @@ same polynomial (least significant bit = constant term).
 
 The module-level helpers cover the operations that do not belong to a
 single ring element: :func:`exact_div_low` recovers s from b = h*s working
-from the lowest-order coefficient up (the workhorse of the exact decoder),
+from the lowest-order coefficient up (the workhorse of the exact decoder;
+it keeps the taps of h as a short list of exponents, so only the shifted
+copies of s are megabit-sized),
 :func:`split_shift` factors out the largest power of z, and :func:`gcd`
 is the Euclidean algorithm.
 """
@@ -42,8 +44,9 @@ class InconsistentDivision(ValueError):
 
 def _mul_masks(a: int, b: int) -> int:
     # Carry-less schoolbook product: XOR one shifted copy of b per set bit
-    # of a.  Iterate over the operand with fewer terms.
-    if a.bit_count() > b.bit_count():
+    # of a.  Iterate over the shorter operand: bit_length() is O(1), where
+    # bit_count() would read every word of a megabit packet.
+    if a.bit_length() > b.bit_length():
         a, b = b, a
     out = 0
     while a:
@@ -69,18 +72,6 @@ def _gcd_masks(x: int, y: int) -> int:
     while y:
         x, y = y, _divmod_masks(x, y)[1]
     return x
-
-
-def _square_mask(m: int) -> int:
-    # Squaring over GF(2) spreads exponents: z**k -> z**(2k).  Cost is one
-    # iteration per term, which is what makes the divider's tap polynomials
-    # stay sparse under repeated squaring.
-    out = 0
-    while m:
-        low = m & -m
-        out |= 1 << (2 * (low.bit_length() - 1))
-        m ^= low
-    return out
 
 
 class Poly2:
@@ -266,8 +257,10 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
     Internally the per-coefficient recursion is collapsed into
     log2(out_len) rounds of sparse shift-XORs using the characteristic-2
     identity 1/h = (1+e)(1+e^2)(1+e^4)... with e = h + 1, so megabit
-    operands stay fast.  The result is bit-identical to the naive
-    recursion.
+    operands stay fast.  The taps of e are kept as a list of exponents
+    below ``out_len``; squaring e doubles each one (z**t -> z**2t), so a
+    round touches no megabit int beyond the shifted copies of s.  The
+    result is bit-identical to the naive recursion.
     """
     if not h.mask:
         raise ZeroDivisionError("exact division by zero polynomial")
@@ -277,16 +270,13 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
         raise ValueError("output length must be nonnegative")
     mask_n = (1 << out_len) - 1
     s = b.mask & mask_n
-    taps = (h.mask ^ 1) & mask_n
+    taps = [t for t, bit in enumerate(format((h.mask ^ 1) & mask_n, "b")[::-1]) if bit == "1"]
     while taps:
         acc = s
-        t = taps
-        while t:
-            low = t & -t
-            acc ^= s << (low.bit_length() - 1)
-            t ^= low
+        for t in taps:
+            acc ^= s << t
         s = acc & mask_n
-        taps = _square_mask(taps) & mask_n
+        taps = [2 * t for t in taps if 2 * t < out_len]
     if _mul_masks(h.mask, s) != b.mask:
         raise InconsistentDivision(
             f"{b.mask.bit_length()}-bit dividend is not divisor * s for any s "

@@ -4,12 +4,13 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from sxor.cli import main
-from sxor.codec import read_packet, write_packet
-from sxor.codes import parse_matrix
+from sxor.codec import encode, read_packet, write_packet
+from sxor.codes import build_sxor, parse_matrix
 from sxor.gf2poly import Poly2
 
 
@@ -146,7 +147,6 @@ def test_decode_detects_corruption(tmp_path):
     src, out = encode_file(tmp_path, data, ["--kind", "zd3"])
     target = packet_path(out, "data.bin", 4)
     p = read_packet(target)
-    from dataclasses import replace
     write_packet(replace(p, bits=Poly2(p.bits.mask ^ 1)), target)
     packs = [str(packet_path(out, "data.bin", i)) for i in (4, 5, 6)]
     assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
@@ -184,6 +184,36 @@ def test_decode_rejects_negative_length(tmp_path):
     sidecar = out / "data.bin.sxmeta"
     sidecar.write_text(sidecar.read_text().replace("len=60", "len=-3"))
     assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert not restored.exists()
+
+
+def test_decode_checks_length_before_decoding(tmp_path, capsys):
+    data = bytes(range(60))
+    src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "7"])
+    parity = packet_path(out, "data.bin", 5)
+    p = read_packet(parity)
+    write_packet(replace(p, bits=Poly2(p.bits.mask ^ 1)), parity)
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 5)]
+    restored = tmp_path / "r.bin"
+    assert run(["decode", *packs, "--out", str(restored), "--length", "60"]) == 1
+    assert "exceeds" not in capsys.readouterr().err  # the corruption is caught
+    assert run(["decode", *packs, "--out", str(restored), "--length", "61"]) == 1
+    assert "--length 61 exceeds decoded size 60" in capsys.readouterr().err
+    sidecar = out / "data.bin.sxmeta"
+    sidecar.write_text(sidecar.read_text().replace("len=60", "len=61"))
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert "sidecar length 61 exceeds decoded size 60" in capsys.readouterr().err
+    assert not restored.exists()
+
+
+def test_decode_rejects_sources_of_partial_bytes(tmp_path, capsys):
+    mat = build_sxor(3, 7, 0xB)
+    for p in encode(mat, [0xABC, 0x123, 0xFFF], 12)[:3]:
+        write_packet(p, tmp_path / f"data.bin.p{p.index}.sxp")
+    packs = [str(tmp_path / f"data.bin.p{i}.sxp") for i in (1, 2, 3)]
+    restored = tmp_path / "r.bin"
+    assert run(["decode", *packs, "--out", str(restored), "--length", "4"]) == 1
+    assert "source length 12 is not a whole number of bytes" in capsys.readouterr().err
     assert not restored.exists()
 
 

@@ -146,6 +146,17 @@ def test_map_decode_systematic_copy():
     assert [s.mask for s in got] == src
 
 
+def test_map_kernel_gives_surviving_sources_unit_columns():
+    idx = (1, 2, 3, 4, 5, 6, 7, 9, 10, 11)  # systematic (10, 14) without packet 8
+    kern = map_kernel(build_systematic_sxor(10, 14, 0x13, range(1, 11)), idx)
+    for c, column in enumerate(kern.columns, start=1):
+        if c in idx:
+            unit = tuple(int(p == c) for p in idx)
+            assert column == (0, Poly2(1), unit)
+        else:
+            assert column[1] != Poly2(1)
+
+
 def test_map_decode_all_subsets():
     rng = random.Random(14)
     mat = build_sxor(3, 7, G1)

@@ -1,0 +1,73 @@
+"""Property tests for MAP decoding from per-source lowest-terms kernel columns.
+
+The oracle is the decoder that divides every source by the kernel's one
+common determinant: it reads only ``combine``, ``shift`` and ``feedback``
+of :class:`~sxor.codec.MapKernel`, not the per-source ``columns``.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
+from sxor.codec import _check_packets, encode, map_decode, map_kernel
+from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3
+from sxor.gf2poly import InconsistentDivision, Poly2, exact_div_low
+
+# Fixed examples, no deadline and no example database, so the suite stays
+# short and leaves no .hypothesis/ directory behind.
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+G3 = 0xB
+MATS = [build_sxor(3, 7, G3), build_systematic_sxor(4, 7, G3, (1, 2, 3, 4)), builtin_zd_k3()]
+
+
+def global_kernel_decode(mat, packets):
+    length, masks, idx = _check_packets(mat, packets)
+    kern = map_kernel(mat, idx)
+    sources = []
+    for c in range(mat.spec.k):
+        b = Poly2(0)
+        for r, p in enumerate(idx):
+            b += kern.combine.entries[r][c] * Poly2(masks[p])
+        if b.mask & ((1 << kern.shift) - 1):
+            raise InconsistentDivision(f"source {c + 1}: set bits below z^{kern.shift}")
+        sources.append(exact_div_low(b >> kern.shift, kern.feedback, length))
+    return sources
+
+
+@st.composite
+def decode_cases(draw):
+    mat = draw(st.sampled_from(MATS))
+    k, n = mat.spec.k, mat.spec.n
+    length = draw(st.integers(1, 48))
+    sources = draw(st.lists(st.integers(0, (1 << length) - 1), min_size=k, max_size=k))
+    survivors = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+    packets = [p for p in encode(mat, sources, length) if p.index in survivors]
+    flipped = draw(st.booleans())
+    if flipped:
+        i = draw(st.integers(0, k - 1))
+        p = packets[i]
+        bit = draw(st.integers(0, p.bit_len - 1))
+        packets[i] = replace(p, bits=Poly2(p.bits.mask ^ (1 << bit)))
+    return mat, sources, packets, flipped
+
+
+def outcome(decode, mat, packets):
+    try:
+        return [s.mask for s in decode(mat, packets)]
+    except ValueError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(decode_cases())
+def test_map_decode_matches_the_global_kernel_decoder(case):
+    mat, sources, packets, flipped = case
+    got = outcome(map_decode, mat, packets)
+    assert got == outcome(global_kernel_decode, mat, packets)
+    if not flipped:
+        assert got == sources

@@ -216,6 +216,51 @@ def test_exact_div_matches_reference_on_long_streams():
         assert got == s == div_low_reference(b, h, 1000)
 
 
+def assert_matches_reference(b, h, out_len):
+    # exact_div_low returns the reference's s when h * s reproduces b, and
+    # raises InconsistentDivision otherwise.
+    s = div_low_reference(b, h, out_len)
+    if h * s == b:
+        assert exact_div_low(b, h, out_len) == s
+    else:
+        with pytest.raises(InconsistentDivision):
+            exact_div_low(b, h, out_len)
+
+
+def test_exact_div_divisor_at_or_above_output_length():
+    # Taps at or above out_len never reach s; only the re-verification sees them.
+    rng = random.Random(0xD1)
+    for out_len in range(9):
+        for _ in range(20):
+            h = Poly2(1 | (rng.getrandbits(12) << 1) | (1 << (out_len + rng.randrange(12))))
+            s = Poly2(rng.getrandbits(out_len)) if out_len else Poly2(0)
+            assert_matches_reference(h * s, h, out_len)
+            assert_matches_reference(Poly2((h * s).mask ^ (1 << rng.randrange(out_len + 24))),
+                                     h, out_len)
+
+
+def test_exact_div_tiny_output_lengths():
+    rng = random.Random(0xD2)
+    for out_len in (0, 1, 2):
+        for _ in range(40):
+            h = Poly2(1 | (rng.getrandbits(6) << 1))
+            assert_matches_reference(Poly2(rng.getrandbits(8)), h, out_len)
+            s = Poly2(rng.getrandbits(out_len)) if out_len else Poly2(0)
+            assert_matches_reference(h * s, h, out_len)
+
+
+def test_exact_div_sparse_divisors():
+    rng = random.Random(0xD3)
+    for _ in range(60):
+        degree = rng.randrange(1, 41)
+        h = Poly2(1 | (1 << degree) | sum(1 << rng.randrange(1, degree + 1) for _ in range(3)))
+        out_len = rng.randrange(0, 200)
+        s = Poly2(rng.getrandbits(out_len)) if out_len else Poly2(0)
+        b = h * s
+        assert_matches_reference(b, h, out_len)
+        assert_matches_reference(Poly2(b.mask ^ (1 << rng.randrange(out_len + degree))), h, out_len)
+
+
 def test_split_reconstruction_random():
     rng = random.Random(0xACE)
     for _ in range(200):
