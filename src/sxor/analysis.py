@@ -6,13 +6,13 @@ permuting columns (relabelling packets): both leave every decoding set,
 overhead and XOR count unchanged.  Searching all C(N, K) systematic
 position tuples therefore only needs one representative per class.
 
-When N = 2**m - 1 the Vandermonde points form the full multiplicative
-group, and shifting every position cyclically (j -> j+1 mod N on the
-0-based exponents) multiplies each evaluation point by z.  That rescales
-the rows of the selected columns, so the systematic construction for the
-shifted tuple is equivalent to the original.  enumerate_classes exploits
-exactly this orbit structure and then double-checks every merge with the
-exhaustive matrix-equivalence test rather than trusting the theory alone.
+When N = 2**m - 1 the Vandermonde points are the whole multiplicative
+group and z**N = 1, so rotating the columns of V by s gives D_s * V with
+D_s = diag(z**(i*s)).  Hence G(x + s) = V_(x+s)**-1 * V is G(x) with its
+columns rotated, and sorting x + s only reorders its rows: every cyclic
+shift of a position tuple gives an equivalent code.  enumerate_classes
+therefore groups the tuples into shift orbits and builds one matrix per
+orbit; matrices_equivalent, the exhaustive check, is the test oracle.
 
 Reports render as JSON or a small markdown table; the comparison report
 sets the three constructions side by side, quoting published reference
@@ -23,8 +23,10 @@ for K in {2,3,4}, a Hankel construction beyond) are out of scope here.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterable, Sequence
 
 from .codes import GenMatrix, Metrics, build_sxor, build_systematic_sxor
@@ -84,7 +86,7 @@ def shift_sequence(x: Sequence[int], shift: int, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CodeClass:
-    """One equivalence class: smallest member, orbit size, shared metrics."""
+    """One equivalence class: colex-smallest member, orbit size, shared metrics."""
 
     rep: tuple[int, ...]
     size: int
@@ -132,47 +134,27 @@ class ClassReport:
 def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     """Group all C(N, K) systematic tuples into equivalence classes.
 
-    When N = 2**m - 1 the cyclic shift orbits are merged and every merge
-    is verified constructively with :func:`matrices_equivalent`; otherwise
-    each sorted tuple stands alone.  Class metrics are computed once from
-    the representative; members share them, and the test suite re-checks
-    that by full enumeration.
+    When N = 2**m - 1 a class is the orbit of a tuple under cyclic
+    shifts: G(x + s) is G(x) with its columns rotated and its rows
+    reordered (module docstring), so members share the metrics of the
+    class representative, which is the only matrix built.  Otherwise
+    each sorted tuple stands alone.
     """
     g = _as_poly(g)
-    probe = build_systematic_sxor(k, n, g, tuple(range(1, k + 1)))  # validates (k, n, g)
-    m = probe.spec.m
-    tuples = [tuple(c) for c in combinations(range(1, n + 1), k)]
-    cyclic = n == (1 << m) - 1
+    m = build_systematic_sxor(k, n, g, tuple(range(1, k + 1))).spec.m  # validates (k, n, g)
+    shifts = range(1, n) if n == (1 << m) - 1 else ()
 
     # The class representative is the colex-smallest member (largest
     # position compared first): the conventional choice for difference
     # sets, and the one that names classes by their tightest prefix.
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    if cyclic:
-        for t in tuples:
-            orbit = [t] + [tuple(sorted(shift_sequence(t, s, n))) for s in range(1, n)]
-            canon = min(orbit, key=lambda u: u[::-1])
-            groups.setdefault(canon, []).append(t)
-    else:
-        for t in tuples:
-            groups[t] = [t]
+    def canonical(t: tuple[int, ...]) -> tuple[int, ...]:
+        orbit = [t] + [tuple(sorted(shift_sequence(t, s, n))) for s in shifts]
+        return min(orbit, key=lambda u: u[::-1])
 
-    mats: dict[tuple[int, ...], GenMatrix] = {}
-
-    def matrix_for(t: tuple[int, ...]) -> GenMatrix:
-        if t not in mats:
-            mats[t] = build_systematic_sxor(k, n, g, t)
-        return mats[t]
-
-    classes = []
-    for rep in sorted(groups):
-        members = groups[rep]
-        rep_mat = matrix_for(rep)
-        for member in members:
-            if member != rep and not matrices_equivalent(rep_mat, matrix_for(member)):
-                raise RuntimeError(f"orbit merge of {member} into {rep} failed verification")
-        classes.append(CodeClass(rep, len(members), rep_mat.metrics()))
-    return ClassReport(k, n, g, tuple(classes), len(tuples))
+    sizes = Counter(canonical(t) for t in combinations(range(1, n + 1), k))
+    classes = tuple(CodeClass(rep, sizes[rep], build_systematic_sxor(k, n, g, rep).metrics())
+                    for rep in sorted(sizes))
+    return ClassReport(k, n, g, classes, comb(n, k))
 
 
 def best_systematic(k: int, n: int, g: PolyLike) -> tuple[tuple[int, ...], GenMatrix, Metrics]:
@@ -259,8 +241,11 @@ def comparison_report(n: int = 7, ks: Sequence[int] = (2, 3, 4, 5, 6)) -> Compar
     Everything for the Vandermonde constructions is recomputed from the
     matrices; the zigzag-decodable rows are the published reference values
     (N = 7 only).  A note is attached wherever a recomputed total differs
-    from the published one.
+    from the published one.  Raises ValueError when no K in ``ks`` lies
+    in 1..N, which includes an empty ``ks`` and any N < 1.
     """
+    if not any(1 <= k <= n for k in ks):
+        raise ValueError(f"comparison at N={n} needs some K in 1..N, got K in {tuple(ks)}")
     m = n.bit_length()
     g = default_modulus(m)
     rows = []

@@ -107,7 +107,7 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _read_sidecar(first_packet: Path) -> dict[str, str] | None:
+def _read_sidecar(first_packet: Path) -> tuple[Path, dict[str, str]] | None:
     name = first_packet.name
     m = _PACKET_SUFFIX.search(name)
     if not m:
@@ -119,7 +119,7 @@ def _read_sidecar(first_packet: Path) -> dict[str, str] | None:
     for part in sidecar.read_text(encoding="ascii").split():
         key, _, value = part.partition("=")
         fields[key] = value
-    return fields
+    return sidecar, fields
 
 
 def cmd_decode(args) -> int:
@@ -139,15 +139,17 @@ def cmd_decode(args) -> int:
         if mat is None:
             raise _UsageError("user-kind packets need --matrix to decode")
 
-    meta = _read_sidecar(Path(args.packets[0]))
-    if meta is not None:
+    found = _read_sidecar(Path(args.packets[0]))
+    if found is not None:
+        sidecar, meta = found
         sidecar_len = meta.pop("len", None)
         if meta != _sidecar_fields(spec):
             raise ValueError("sidecar metadata does not match the packet headers")
         if total_len is None and sidecar_len is not None:
+            if not sidecar_len.isdecimal():  # the file was read as ASCII
+                raise ValueError(f"sidecar {sidecar}: len={sidecar_len!r} "
+                                 "is not a non-negative decimal integer")
             total_len, len_source = int(sidecar_len), "sidecar length"
-            if total_len < 0:
-                raise ValueError(f"sidecar length {total_len} is negative")
     if total_len is None:
         raise _UsageError("original length unknown: no sidecar found, pass --length")
     bit_len = packets[0].source_len

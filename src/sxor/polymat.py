@@ -16,7 +16,7 @@ over characteristic 2 all cofactor signs collapse to +1.  The memo holds
 up to 2**K minors, so the cost grows exponentially in K: a decoding
 kernel for the last K packets of build_sxor(K, 31, 0x25) took 0.36 s at
 K = 12 and 1.8 s with 52 MiB peak RSS at K = 14 (Python 3.11, 2-vCPU
-Xeon).  Nothing bounds K yet (ROADMAP item 4).
+Xeon).  Nothing bounds K yet (ROADMAP item 1).
 """
 
 from __future__ import annotations

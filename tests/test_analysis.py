@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from sxor.analysis import (ZD_N7_REFERENCE, best_systematic, comparison_report,
-                           emit_comparison, emit_report, enumerate_classes,
+from sxor.analysis import (ZD_N7_REFERENCE, ClassReport, CodeClass, best_systematic,
+                           comparison_report, emit_comparison, emit_report, enumerate_classes,
                            matrices_equivalent, shift_sequence, zd_max_overhead)
 from sxor.codes import Metrics, build_systematic_sxor, user_matrix
 from sxor.gf2poly import Poly2
@@ -116,11 +116,44 @@ def test_class_sizes_cover_all_tuples():
 
 
 def test_metrics_are_class_invariants():
-    report = enumerate_classes(3, 7, G1)
-    rep_metrics = {c.rep: c.metrics for c in report.classes}
-    for t in combinations(range(1, 8), 3):
-        canon = min(orbit_of(t), key=lambda u: u[::-1])
-        assert sys37(t).metrics() == rep_metrics[canon]
+    for k, n, g in ((3, 7, G1), (4, 15, 0x13), (4, 15, 0x19)):
+        report = enumerate_classes(k, n, g)
+        rep_metrics = {c.rep: c.metrics for c in report.classes}
+        for t in combinations(range(1, n + 1), k):
+            canon = min(orbit_of(t, n), key=lambda u: u[::-1])
+            assert build_systematic_sxor(k, n, g, t).metrics() == rep_metrics[canon]
+
+
+def classes_by_exhaustive_check(k, n, g):
+    """The classifier that trusted no theorem: it builds every member's
+    matrix and lets a tuple join a shift orbit only once
+    matrices_equivalent confirms it against the orbit's colex-smallest
+    member."""
+    tuples = list(combinations(range(1, n + 1), k))
+    mats = {t: build_systematic_sxor(k, n, g, t) for t in tuples}
+    cyclic = n == (1 << mats[tuples[0]].spec.m) - 1
+    groups = {}
+    for t in tuples:
+        canon = min(orbit_of(t, n) if cyclic else {t}, key=lambda u: u[::-1])
+        assert matrices_equivalent(mats[canon], mats[t]), (t, canon)
+        groups.setdefault(canon, []).append(t)
+    classes = tuple(CodeClass(rep, len(groups[rep]), mats[rep].metrics()) for rep in sorted(groups))
+    return ClassReport(k, n, Poly2(g), classes, len(tuples))
+
+
+@pytest.mark.parametrize("k, n, g", [(k, 7, g) for g in (G1, G2) for k in range(2, 7)]
+                         + [(k, 15, 0x13) for k in range(2, 5)] + [(3, 6, G1)])
+def test_classes_match_the_exhaustive_check(k, n, g):
+    got = enumerate_classes(k, n, g).to_json_dict()
+    assert got == classes_by_exhaustive_check(k, n, g).to_json_dict()
+
+
+@pytest.mark.parametrize("k, count", [(9, 335), (12, 31), (14, 1)])
+def test_classes_beyond_the_exhaustive_check(k, count):
+    # matrices_equivalent refuses K > 8; classification no longer needs it.
+    report = enumerate_classes(k, 15, 0x13)
+    assert len(report.classes) == count
+    assert sum(c.size for c in report.classes) == report.total == comb(15, k)
 
 
 def test_orbits_partition_the_tuples():
@@ -213,6 +246,12 @@ def test_comparison_report_other_n_has_no_reference():
     assert report.g == Poly2(0x7)
     assert all(r.zd_reference is None for r in report.rows)
     assert report.notes == ()
+
+
+def test_comparison_report_needs_some_k_in_range():
+    for n, ks in ((-1, (2, 3, 4, 5, 6)), (0, (2,)), (1, ()), (1, (2, 3))):
+        with pytest.raises(ValueError, match=f"N={n}"):
+            comparison_report(n, ks)
 
 
 def test_emit_comparison_markdown_and_json():

@@ -217,9 +217,14 @@ def test_decode_rejects_sources_of_partial_bytes(tmp_path, capsys):
     assert not restored.exists()
 
 
-def test_decode_rejects_sidecar_mismatch(tmp_path):
+def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
     data = b"sidecar paranoia" * 2
-    for kind, edit in (("sxor", ("k=3", "k=4")), ("systematic", ("x=1,2,3", "x=2,3,4"))):
+    mismatch = "sidecar metadata does not match"
+    for kind, edit, message in (
+            ("sxor", ("k=3", "k=4"), mismatch),
+            ("systematic", ("x=1,2,3", "x=2,3,4"), mismatch),
+            ("sxor", ("len=32", "len=1e3"), "data.bin.sxmeta: len='1e3' is not"),
+            ("sxor", ("len=32", "len="), "data.bin.sxmeta: len='' is not")):
         src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
         sidecar = out / "data.bin.sxmeta"
         text = sidecar.read_text()
@@ -227,6 +232,8 @@ def test_decode_rejects_sidecar_mismatch(tmp_path):
         sidecar.write_text(text.replace(*edit))
         packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
         assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.bin").exists()
 
 
 def test_encode_deterministic(tmp_path):
@@ -264,6 +271,9 @@ def test_analyze_compare(capsys):
     assert "| 4 | sxor | 2 | 12 | 36 |" in out
     assert "zigzag-decodable (reference)" in out
     assert "note:" in out and "11" in out
+    for n in ("-1", "0"):
+        assert run(["analyze", "--compare", "--n", n]) == 1
+        assert f"error: comparison at N={n} " in capsys.readouterr().err
 
 
 def test_classify_json(capsys):
@@ -282,6 +292,8 @@ def test_classify_markdown(capsys):
     out = capsys.readouterr().out
     assert "5 classes" in out
     assert "best: (1,3,4)" in out
+    assert run(["classify", "--k", "12", "--n", "15"]) == 0  # K > 8
+    assert "(455 tuples, 31 classes)" in capsys.readouterr().out
 
 
 def test_check_passes_for_construction(capsys):
