@@ -115,8 +115,13 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, dict[str, str]] | None:
     sidecar = first_packet.parent / (name[:m.start()] + ".sxmeta")
     if not sidecar.exists():
         return None
+    try:
+        text = sidecar.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"sidecar {sidecar}: non-ASCII byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start}") from None
     fields = {}
-    for part in sidecar.read_text(encoding="ascii").split():
+    for part in text.split():
         key, _, value = part.partition("=")
         fields[key] = value
     return sidecar, fields

@@ -17,11 +17,17 @@ multiplication, which is what turns packet corruption into a raised
 error instead of silent garbage.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
-single power of z): repeatedly pick an "exposed" packet bit covered by
-exactly one unresolved source bit, read it off, and cancel that source
-bit from every packet.  The schedule always picks the lowest exposed bit
-position first (ties broken by packet order), which makes runs
-reproducible and matches the textbook left-to-right elimination.
+single power of z) and runs in time linear in L.  While some survivor
+carries exactly one unresolved source, that whole source is read off it
+with one shift and cancelled from every survivor with one big-int XOR
+each.  The sources left are peeled bit by bit over packets held one byte
+per bit: read off an "exposed" packet bit covered by exactly one
+unresolved source bit and cancel that bit from every packet carrying it,
+always taking the lowest exposed position first (ties broken by packet
+order), the textbook left-to-right elimination.  Peeling is confluent,
+so where the stages hand over changes neither the sources nor how far a
+stuck elimination gets.  Every survivor's residual (its payload with the
+recovered sources cancelled) must end at zero.
 
 The binary packet format is little-endian and self-describing: it embeds
 the CodeSpec so a decoder can rebuild the generator matrix from headers
@@ -33,9 +39,11 @@ from __future__ import annotations
 import io
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
@@ -270,23 +278,97 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
 
 
 @lru_cache(maxsize=256)
-def _monomial_shifts(mat: GenMatrix, idx: tuple[int, ...]) -> tuple[tuple[int | None, ...], ...]:
-    # shift[pi][row] is the exponent of the monomial entry for source row
-    # in survivor idx[pi], or None for a zero entry.
-    shift = []
+def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
+    # cover[pi] lists (row, t) for every nonzero entry z**t of survivor
+    # idx[pi]; hits[row] lists (pi, t) for every survivor holding source row.
+    cover = []
     for p in idx:
         col = []
         for row in range(mat.spec.k):
             e = mat._masks[row][p - 1]
             if not e:
-                col.append(None)
-            elif e.bit_count() != 1:
+                continue
+            if e.bit_count() != 1:
                 raise NotMonomialMatrix(
                     f"entry for source {row + 1} in packet {p} is {Poly2(e)}, not a monomial")
-            else:
-                col.append(e.bit_length() - 1)
-        shift.append(tuple(col))
-    return tuple(shift)
+            col.append((row, e.bit_length() - 1))
+        cover.append(tuple(col))
+    hits = [[] for _ in range(mat.spec.k)]
+    for pi, col in enumerate(cover):
+        for row, t in col:
+            hits[row].append((pi, t))
+    return tuple(cover), tuple(map(tuple, hits))
+
+
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask_to_bits(mask: int, width: int) -> bytearray:
+    # Byte k of the result is bit k of mask.
+    return bytearray(format(mask, f"0{width}b")[::-1], "ascii").translate(_TO_BITS)
+
+
+def _bits_to_mask(bits: bytearray) -> int:
+    return int(bits.translate(_TO_DIGITS)[::-1], 2)
+
+
+def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: list | None):
+    """Per-bit zigzag elimination of the unresolved source ``rows``.
+
+    ``bufs[pi]`` holds survivor pi's residual, one byte per bit, with
+    every other source already cancelled; each recovered bit is read off
+    its exposing packet and XORed out of every packet that carries it, so
+    ``bufs`` ends as the residual of the whole elimination.  The lowest
+    exposed bit position is always taken first, ties broken by packet
+    order; ``trace`` (when given) receives (row, bit, pi) in that order.
+    Returns the number of bits recovered and, per row in ``rows``, its
+    bit values (None for the other rows).
+    """
+    k = len(bufs)
+    # load[pi][pos] = k * n + (sum of their rows) for the n unresolved
+    # source bits mapped to that packet bit, so the bit is exposed exactly
+    # when k <= load < 2 * k, and load - k is then the row exposed there.
+    # Built from difference arrays, one interval per entry.
+    shift = [dict(col) for col in cover]
+    loads = []
+    heap = []
+    for pi, col in enumerate(cover):
+        diff = [0] * (len(bufs[pi]) + 1)
+        for row, t in col:
+            if row in rows:
+                diff[t] += k + row
+                diff[t + length] -= k + row
+        load = array("q", accumulate(diff[:-1]))
+        loads.append(load)
+        heap.extend(pos * k + pi for pos, n in enumerate(load) if k <= n < 2 * k)
+    heapify(heap)  # keys pos * k + pi order by position, then packet
+
+    # Per row, what resolving one of its bits touches in each survivor
+    # carrying it: the residual, the load, and the offset turning the bit
+    # position into that packet bit's heap key.
+    touch = [tuple((bufs[qi], loads[qi], tq, tq * k + qi) for qi, tq in hits[row])
+             for row in range(k)]
+    values = [bytearray(length) if row in rows else None for row in range(k)]
+    done = 0
+    while heap:
+        pos, pi = divmod(heappop(heap), k)
+        row = loads[pi][pos] - k
+        if not 0 <= row < k:
+            continue  # stale entry; the bit was emptied since
+        bit = pos - shift[pi][row]
+        done += 1
+        if trace is not None:
+            trace.append((row, bit, pi))
+        value = values[row][bit] = bufs[pi][pos]
+        step = k + row
+        for buf, load, tq, off in touch[row]:
+            qpos = bit + tq
+            buf[qpos] ^= value
+            n = load[qpos] = load[qpos] - step
+            if k <= n < 2 * k:
+                heappush(heap, bit * k + off)
+    return done, values
 
 
 def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tuple[tuple[int, int, int], ...]:
@@ -304,83 +386,60 @@ def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tu
     if length < 1:
         raise ValueError("source length must be positive")
     over = mat.column_overheads()
-    shift = _monomial_shifts(mat, idx)
-
-    # counts[pi][pos] = number of unresolved source bits mapped to that
-    # packet bit; built with a difference array, one interval per entry.
-    counts: list[list[int]] = []
-    for pi, p in enumerate(idx):
-        width = length + over[p - 1]
-        diff = [0] * (width + 1)
-        for row in range(k):
-            t = shift[pi][row]
-            if t is not None:
-                diff[t] += 1
-                diff[t + length] -= 1
-        col_counts = []
-        run = 0
-        for pos in range(width):
-            run += diff[pos]
-            col_counts.append(run)
-        counts.append(col_counts)
-
-    heap: list[tuple[int, int]] = []
-    for pi in range(k):
-        for pos, c in enumerate(counts[pi]):
-            if c == 1:
-                heappush(heap, (pos, pi))
-
-    resolved = [0] * k  # per-source bitmask of recovered bits
-    done = 0
-    schedule = []
-    while heap:
-        pos, pi = heappop(heap)
-        if counts[pi][pos] != 1:
-            continue  # stale entry; the bit was covered again or emptied
-        for row in range(k):
-            t = shift[pi][row]
-            if t is not None and 0 <= pos - t < length and not (resolved[row] >> (pos - t)) & 1:
-                bit = pos - t
-                break
-        else:
-            raise AssertionError("exposure count out of sync")
-        schedule.append((row, bit, idx[pi]))
-        resolved[row] |= 1 << bit
-        done += 1
-        for qi in range(k):
-            tq = shift[qi][row]
-            if tq is not None:
-                qpos = bit + tq
-                counts[qi][qpos] -= 1
-                if counts[qi][qpos] == 1:
-                    heappush(heap, (qpos, qi))
+    cover, hits = _monomial_terms(mat, idx)
+    trace: list[tuple[int, int, int]] = []
+    bufs = [bytearray(length + over[p - 1]) for p in idx]  # zero payloads: only the order counts
+    done, _ = _peel_bits(cover, hits, length, range(k), bufs, trace)
     if done != k * length:
         raise ZigzagStuck(done, k * length)
-    return tuple(schedule)
+    return tuple((row, bit, idx[pi]) for row, bit, pi in trace)
 
 
 def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """Recover the sources by zigzag elimination (monomial survivors only).
 
-    Produces bit-identical results to :func:`map_decode` whenever both
-    apply; the schedule never needs more than one XOR per recovered bit.
+    Sources that some survivor carries alone are peeled whole, word-wide;
+    the rest go through the per-bit elimination of :func:`zigzag_schedule`
+    (see the module docstring).  Every survivor's residual must end at
+    zero, else :class:`InconsistentDivision` names the packet, so where
+    :func:`map_decode` also applies, both accept the same inputs and
+    return bit-identical sources.
     """
     length, masks, idx = _check_packets(mat, packets)
-    sched = zigzag_schedule(mat, idx, length)
-    shift = _monomial_shifts(mat, idx)
     k = mat.spec.k
-    column = {p: pi for pi, p in enumerate(idx)}
+    cover, hits = _monomial_terms(mat, idx)
     work = [masks[p] for p in idx]
-    out = [0] * k
-    for row, bit, p in sched:
-        pi = column[p]
-        if (work[pi] >> (bit + shift[pi][row])) & 1:
-            out[row] |= 1 << bit
-            for qi in range(k):
-                t = shift[qi][row]
-                if t is not None:
-                    work[qi] ^= 1 << (bit + t)
-    return [Poly2(s) for s in out]
+    sources = [0] * k
+    live = set(range(k))
+    full = (1 << length) - 1
+    peeled = True
+    while peeled:
+        peeled = False
+        for pi, col in enumerate(cover):
+            left = [(row, t) for row, t in col if row in live]
+            if len(left) == 1:
+                (row, t), = left
+                s = sources[row] = (work[pi] >> t) & full
+                for qi, tq in hits[row]:
+                    work[qi] ^= s << tq
+                live.remove(row)
+                peeled = True
+
+    residuals = work
+    if live:
+        over = mat.column_overheads()
+        bufs = [_mask_to_bits(w, length + over[p - 1]) for p, w in zip(idx, work)]
+        done, values = _peel_bits(cover, hits, length, live, bufs, None)
+        if done != len(live) * length:
+            raise ZigzagStuck((k - len(live)) * length + done, k * length)
+        for row in live:
+            sources[row] = _bits_to_mask(values[row])
+        residuals = [1 in buf for buf in bufs]
+    for p, rest in zip(idx, residuals):
+        if rest:
+            raise InconsistentDivision(
+                f"packet {p}: payload does not match the recovered sources")
+    return [Poly2(s) for s in sources]
 
 
 # -- binary packet format ----------------------------------------------------

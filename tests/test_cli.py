@@ -91,6 +91,21 @@ def test_round_trip_zigzag_decoder(tmp_path):
     assert restored.read_bytes() == data
 
 
+def test_zigzag_decoder_rejects_a_corrupted_packet(tmp_path, capsys):
+    data = bytes(reversed(range(90)))
+    src, out = encode_file(tmp_path, data, ["--kind", "zd3"])
+    parity = packet_path(out, "data.bin", 5)
+    blob = bytearray(parity.read_bytes())
+    blob[-4] ^= 1
+    parity.write_bytes(blob)
+    restored = tmp_path / "r.bin"
+    args = ["decode"] + [str(packet_path(out, "data.bin", i)) for i in (1, 4, 5)]
+    for decoder in ("map", "zigzag"):
+        assert run(args + ["--out", str(restored), "--decoder", decoder]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not restored.exists()
+
+
 def test_round_trip_user_matrix(tmp_path):
     mfile = tmp_path / "toy.sxorgen"
     mfile.write_text("sxorgen v1 kind=user K=2 N=4 m=0 g=0x0\n1,0,1,1\n0,1,1,2\n")
@@ -224,12 +239,13 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
             ("sxor", ("k=3", "k=4"), mismatch),
             ("systematic", ("x=1,2,3", "x=2,3,4"), mismatch),
             ("sxor", ("len=32", "len=1e3"), "data.bin.sxmeta: len='1e3' is not"),
-            ("sxor", ("len=32", "len="), "data.bin.sxmeta: len='' is not")):
+            ("sxor", ("len=32", "len="), "data.bin.sxmeta: len='' is not"),
+            ("sxor", ("len=32", "len=\u00e932"), "data.bin.sxmeta: non-ASCII byte 0xc3 at offset ")):
         src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
         sidecar = out / "data.bin.sxmeta"
-        text = sidecar.read_text()
+        text = sidecar.read_text(encoding="ascii")
         assert edit[0] in text
-        sidecar.write_text(text.replace(*edit))
+        sidecar.write_text(text.replace(*edit), encoding="utf-8")
         packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
         assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
         assert message in capsys.readouterr().err

@@ -251,6 +251,20 @@ def test_zigzag_matches_map_on_zd_code():
             assert zz == map_decode(mat, chosen)
 
 
+def test_decoders_reject_the_same_corrupted_parity():
+    mat = builtin_zd_k3()
+    rng = random.Random(3)
+    packets = by_index(encode(mat, [rng.getrandbits(64) for _ in range(3)], 64))
+    for bit in (0, 10, 64):  # 64 is packet 5's overhead bit, outside every source window
+        bad = replace(packets[5], bits=Poly2(packets[5].bits.mask ^ (1 << bit)))
+        for decode in (map_decode, zigzag_decode):
+            with pytest.raises(InconsistentDivision):
+                decode(mat, [packets[1], packets[4], bad])
+    bad = replace(packets[4], bits=Poly2(packets[4].bits.mask ^ 1))
+    with pytest.raises(InconsistentDivision, match="packet 4"):
+        zigzag_decode(mat, [packets[1], packets[2], bad])  # peeled whole-source only
+
+
 def test_zigzag_requires_monomial_entries():
     mat = build_sxor(3, 7, G1)
     with pytest.raises(NotMonomialMatrix):
