@@ -8,38 +8,16 @@ encoder and the two decoders, and :mod:`sxor.analysis` for code-family
 analysis and reports.
 """
 
-from .gf2poly import InconsistentDivision, Poly2, exact_div_low, gcd, split_shift
-from .gf2m import DEFAULT_MODULI, FieldCtx, FieldElem, default_modulus, is_primitive
-from .polymat import FieldMatrix, PolyMatrix, Singular, cancel_common_factor, vandermonde
-from .codes import (CodeSpec, GenMatrix, MatrixFormatError, Metrics, build_sxor,
-                    build_systematic_sxor, builtin_zd_k3, format_matrix, load_matrix,
-                    parse_matrix, save_matrix, user_matrix)
-from .codec import (MapKernel, NotMonomialMatrix, Packet, PacketFormatError,
-                    SingularSubmatrix, TrailingBits, ZigzagStuck, encode,
-                    encode_xor_count, map_decode, map_kernel, packet_from_bytes,
-                    packet_to_bytes, read_packet, write_packet, zigzag_decode,
-                    zigzag_schedule)
-from .analysis import (ClassReport, CodeClass, ZD_N7_REFERENCE, best_systematic,
-                       comparison_report, emit_comparison, emit_report,
-                       enumerate_classes, matrices_equivalent, shift_sequence,
-                       zd_max_overhead)
+from . import analysis, codec, codes, gf2m, gf2poly, polymat
+from .gf2poly import *
+from .gf2m import *
+from .polymat import *
+from .codes import *
+from .codec import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Poly2", "InconsistentDivision", "exact_div_low", "split_shift", "gcd",
-    "FieldCtx", "FieldElem", "is_primitive", "default_modulus", "DEFAULT_MODULI",
-    "FieldMatrix", "PolyMatrix", "Singular", "vandermonde", "cancel_common_factor",
-    "CodeSpec", "GenMatrix", "Metrics", "MatrixFormatError",
-    "build_sxor", "build_systematic_sxor", "builtin_zd_k3", "user_matrix",
-    "format_matrix", "parse_matrix", "save_matrix", "load_matrix",
-    "Packet", "MapKernel", "SingularSubmatrix", "TrailingBits",
-    "NotMonomialMatrix", "ZigzagStuck", "PacketFormatError",
-    "encode", "encode_xor_count", "map_kernel", "map_decode",
-    "zigzag_schedule", "zigzag_decode",
-    "packet_to_bytes", "packet_from_bytes", "write_packet", "read_packet",
-    "CodeClass", "ClassReport", "matrices_equivalent", "shift_sequence",
-    "enumerate_classes", "best_systematic", "emit_report",
-    "comparison_report", "emit_comparison", "zd_max_overhead", "ZD_N7_REFERENCE",
-    "__version__",
-]
+# The root API is each module's own __all__, so no list is kept here twice.
+__all__ = [name for module in (gf2poly, gf2m, polymat, codes, codec, analysis)
+           for name in module.__all__] + ["__version__"]

@@ -29,8 +29,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from .codes import GenMatrix, Metrics, build_sxor, build_systematic_sxor
-from .gf2m import PolyLike, _as_poly, default_modulus
+from .codes import CodeSpec, GenMatrix, Metrics, build_sxor, build_systematic_sxor
+from .gf2m import FieldCtx, PolyLike, _as_poly, default_modulus
 from .gf2poly import Poly2
 
 __all__ = [
@@ -140,9 +140,10 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     class representative, which is the only matrix built.  Otherwise
     each sorted tuple stands alone.
     """
-    g = _as_poly(g)
-    m = build_systematic_sxor(k, n, g, tuple(range(1, k + 1))).spec.m  # validates (k, n, g)
-    shifts = range(1, n) if n == (1 << m) - 1 else ()
+    ctx = FieldCtx(g)
+    CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(range(1, k + 1)))  # validates (k, n, g)
+    g = ctx.g
+    shifts = range(1, n) if n == ctx.order else ()
 
     # The class representative is the colex-smallest member (largest
     # position compared first): the conventional choice for difference

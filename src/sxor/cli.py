@@ -9,8 +9,11 @@ Packets are written as ``<name>.p<i>.sxp`` next to a ``<name>.sxmeta``
 sidecar recording the original byte length and the code fields; decode
 finds the sidecar by stripping the packet suffix from the first packet
 argument and rejects it unless its code fields match the packet headers.
-The field modulus comes from --g, else the SXOR_DEFAULT_G environment
-variable, else the built-in table entry for the smallest degree that
+
+A code is named either by --matrix, by --kind zd3, or by --kind with
+--k, --n and optionally --g and --x; passing --k, --n, --g or --x next
+to --matrix or --kind zd3 is a usage error.  The field modulus comes
+from --g, else the built-in table entry for the smallest degree that
 fits N.
 """
 
@@ -24,12 +27,10 @@ import sys
 from pathlib import Path
 
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
-from .codec import (NotMonomialMatrix, PacketFormatError, SingularSubmatrix, TrailingBits,
-                    ZigzagStuck, encode, map_decode, read_packet, write_packet, zigzag_decode)
-from .codes import (CodeSpec, GenMatrix, MatrixFormatError, build_sxor, build_systematic_sxor,
-                    builtin_zd_k3, format_matrix, load_matrix, matrix_for_spec)
-from .gf2m import default_modulus
-from .gf2poly import InconsistentDivision, Poly2
+from .codec import encode, map_decode, read_packet, write_packet, zigzag_decode
+from .codes import CodeSpec, GenMatrix, format_matrix, load_matrix, matrix_for_spec
+from .gf2m import FieldCtx, default_modulus
+from .gf2poly import Poly2
 
 __all__ = ["main"]
 
@@ -41,12 +42,7 @@ class _UsageError(Exception):
 
 
 def _resolve_g(args, n: int) -> Poly2:
-    if getattr(args, "g", None):
-        return Poly2.from_hex(args.g)
-    env = os.environ.get("SXOR_DEFAULT_G")
-    if env:
-        return Poly2.from_hex(env)
-    return default_modulus(n.bit_length())
+    return Poly2.from_hex(args.g) if args.g else default_modulus(n.bit_length())
 
 
 def _parse_x(text: str) -> tuple[int, ...]:
@@ -57,22 +53,27 @@ def _parse_x(text: str) -> tuple[int, ...]:
 
 
 def _resolve_matrix(args) -> GenMatrix:
-    if getattr(args, "matrix", None):
-        return load_matrix(args.matrix)
+    fixed = "--matrix" if args.matrix else "--kind zd3" if args.kind == "zd3" else None
+    if fixed:
+        for flag in ("k", "n", "g", "x"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"--{flag} cannot be combined with {fixed}")
+        if args.matrix:
+            return load_matrix(args.matrix)
+        return matrix_for_spec(CodeSpec("zd3", 3, 6))
     kind = args.kind
     if kind == "user":
         raise _UsageError("kind user needs --matrix")
-    if kind == "zd3":
-        return builtin_zd_k3()
     if args.k is None or args.n is None:
         raise _UsageError(f"kind {kind} needs --k and --n (or --matrix)")
     g = _resolve_g(args, args.n)
-    if kind == "sxor":
-        if getattr(args, "x", None):
-            raise _UsageError("--x only applies to systematic codes")
-        return build_sxor(args.k, args.n, g)
-    x = _parse_x(args.x) if getattr(args, "x", None) else tuple(range(1, args.k + 1))
-    return build_systematic_sxor(args.k, args.n, g, x)
+    if kind == "sxor" and args.x:
+        raise _UsageError("--x only applies to systematic codes")
+    x = None
+    if kind == "systematic":
+        x = _parse_x(args.x) if args.x else tuple(range(1, args.k + 1))
+    ctx = FieldCtx(g)
+    return matrix_for_spec(CodeSpec(kind, args.k, args.n, ctx.m, ctx.g, x))
 
 
 def _sidecar_fields(spec: CodeSpec) -> dict[str, str]:
@@ -135,7 +136,7 @@ def cmd_decode(args) -> int:
     total_len, len_source = args.length, "--length"
     if total_len is not None and total_len < 0:
         raise _UsageError(f"--length must not be negative, got {total_len}")
-    if getattr(args, "matrix", None):
+    if args.matrix:
         mat = load_matrix(args.matrix)
         if mat.spec != spec:
             raise ValueError("--matrix does not match the packet headers")
@@ -174,11 +175,21 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _print_summary(mat: GenMatrix) -> None:
+def _summary(mat: GenMatrix) -> dict:
+    # The one record analyze and matrix load print, in this key order.
     s, met = mat.spec, mat.metrics()
-    extra = f" x={','.join(str(i) for i in s.x)}" if s.x is not None else ""
-    print(f"kind={s.kind} K={s.k} N={s.n} m={s.m} g=0x{s.g.to_hex()}{extra}")
-    print(f"l_max={met.l_max} l_sum={met.l_sum} alpha={met.alpha}")
+    return {"kind": s.kind, "K": s.k, "N": s.n, "m": s.m, "g": "0x" + s.g.to_hex(),
+            "x": list(s.x) if s.x is not None else None,
+            "l_max": met.l_max, "l_sum": met.l_sum, "alpha": met.alpha}
+
+
+def _print_summary(summary: dict) -> None:
+    pairs = [f"{key}={','.join(map(str, v)) if isinstance(v, list) else v}"
+             for key, v in summary.items() if v is not None and key != "overheads"]
+    print(" ".join(pairs[:-3]))  # the code: kind .. x
+    print(" ".join(pairs[-3:]))  # its metrics: l_max l_sum alpha
+    if "overheads" in summary:
+        print("overheads: " + ",".join(map(str, summary["overheads"])))
 
 
 def cmd_analyze(args) -> int:
@@ -188,17 +199,11 @@ def cmd_analyze(args) -> int:
         print(emit_comparison(comparison_report(n, ks), args.format), end="")
         return 0
     mat = _resolve_matrix(args)
+    summary = {**_summary(mat), "overheads": list(mat.column_overheads())}
     if args.format == "json":
-        s, met = mat.spec, mat.metrics()
-        print(json.dumps({
-            "kind": s.kind, "K": s.k, "N": s.n, "m": s.m, "g": "0x" + s.g.to_hex(),
-            "x": list(s.x) if s.x is not None else None,
-            "l_max": met.l_max, "l_sum": met.l_sum, "alpha": met.alpha,
-            "overheads": list(mat.column_overheads()),
-        }, indent=2))
+        print(json.dumps(summary, indent=2))
     else:
-        _print_summary(mat)
-        print("overheads: " + ",".join(str(o) for o in mat.column_overheads()))
+        _print_summary(summary)
     return 0
 
 
@@ -232,18 +237,17 @@ def cmd_matrix_print(args) -> int:
 
 
 def cmd_matrix_load(args) -> int:
-    _print_summary(load_matrix(args.file))
+    _print_summary(_summary(load_matrix(args.file)))
     return 0
 
 
-def _add_code_args(p: argparse.ArgumentParser, with_x: bool = True) -> None:
+def _add_code_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=["sxor", "systematic", "zd3", "user"],
                    default="sxor", help="code construction (default: sxor)")
     p.add_argument("--k", type=int, help="number of source packets")
     p.add_argument("--n", type=int, help="number of encoded packets")
     p.add_argument("--g", help="field modulus as a hex mask, e.g. 0xb")
-    if with_x:
-        p.add_argument("--x", help="systematic packet positions, e.g. 1,3,4 (default 1..K)")
+    p.add_argument("--x", help="systematic packet positions, e.g. 1,3,4 (default 1..K)")
     p.add_argument("--matrix", help="generator matrix file (required for kind user)")
 
 
@@ -309,9 +313,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixFormatError, PacketFormatError, InconsistentDivision, TrailingBits,
-            SingularSubmatrix, NotMonomialMatrix, ZigzagStuck,
-            ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # every sxor error is one of these
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -486,8 +486,6 @@ def packet_from_bytes(data: bytes) -> Packet:
     off = _HEAD.size
     x = None
     if x_len:
-        if kind != "systematic":
-            raise PacketFormatError(f"x entries are not valid for kind {kind!r}")
         if len(data) < off + 2 * x_len:
             raise PacketFormatError("truncated x positions")
         x = struct.unpack_from(f"<{x_len}H", data, off)

@@ -6,17 +6,10 @@ import subprocess
 import sys
 from dataclasses import replace
 
-import pytest
-
 from sxor.cli import main
 from sxor.codec import encode, read_packet, write_packet
 from sxor.codes import build_sxor, parse_matrix
 from sxor.gf2poly import Poly2
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("SXOR_DEFAULT_G", raising=False)
 
 
 def run(args):
@@ -148,6 +141,29 @@ def test_encode_rejects_x_for_plain_kind(tmp_path):
     src.write_bytes(b"xx")
     assert run(["encode", "--kind", "sxor", "--k", "2", "--n", "3", "--x", "1,2",
                 str(src), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_code_flags_conflict_with_matrix_and_zd3(tmp_path, capsys):
+    # A matrix file or kind zd3 fixes the whole code, so --k, --n, --g and
+    # --x next to them are usage errors, not silently ignored.
+    mfile = tmp_path / "m.sxorgen"
+    assert run(["matrix", "print", "--kind", "sxor", "--k", "3", "--n", "7",
+                "--out", str(mfile)]) == 0
+    src = tmp_path / "x.bin"
+    src.write_bytes(b"conflict")
+    encode_to = [str(src), "--out-dir", str(tmp_path / "shards")]
+    flags = {"--k": "5", "--n": "9", "--g": "0x25", "--x": "1,2"}
+    every_flag = [part for item in flags.items() for part in item]
+    for named in (["--kind", "zd3"], ["--matrix", str(mfile)]):
+        cases = [(["analyze", *named, *every_flag], "--k"),
+                 (["encode", *named, *every_flag, *encode_to], "--k")]
+        cases += [(["encode", *named, flag, value, *encode_to], flag)
+                  for flag, value in flags.items()]
+        for args, flag in cases:
+            assert run(args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and flag in err, (args, err)
+    assert not list(tmp_path.rglob("*.sxp"))
 
 
 def test_decode_wrong_packet_count(tmp_path):
@@ -348,15 +364,6 @@ def test_matrix_load_bad_file(tmp_path, capsys):
     bad.write_text("not a matrix\n")
     assert run(["matrix", "load", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_default_g_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("SXOR_DEFAULT_G", "0xd")
-    assert run(["analyze", "--kind", "sxor", "--k", "3", "--n", "7"]) == 0
-    assert "g=0xd" in capsys.readouterr().out
-    # An explicit flag still wins over the environment.
-    assert run(["analyze", "--kind", "sxor", "--k", "3", "--n", "7", "--g", "0xB"]) == 0
-    assert "g=0xb" in capsys.readouterr().out
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
