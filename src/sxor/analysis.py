@@ -131,6 +131,11 @@ class ClassReport:
         }
 
 
+# Most tuples enumerate_classes walks: every N <= 15 fits; about 14 s when
+# N is not 2**m - 1 and each tuple builds its own matrix (README).
+MAX_CLASSIFY_TUPLES = 10_000
+
+
 def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     """Group all C(N, K) systematic tuples into equivalence classes.
 
@@ -138,10 +143,14 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     shifts: G(x + s) is G(x) with its columns rotated and its rows
     reordered (module docstring), so members share the metrics of the
     class representative, which is the only matrix built.  Otherwise
-    each sorted tuple stands alone.
+    each sorted tuple stands alone.  Raises ValueError, before walking
+    any tuple, when C(N, K) exceeds ``MAX_CLASSIFY_TUPLES``.
     """
     ctx = FieldCtx(g)
     CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(range(1, k + 1)))  # validates (k, n, g)
+    if comb(n, k) > MAX_CLASSIFY_TUPLES:
+        raise ValueError(f"C({n}, {k}) = {comb(n, k)} position tuples exceeds the "
+                         f"classify limit of {MAX_CLASSIFY_TUPLES}")
     g = ctx.g
     shifts = range(1, n) if n == ctx.order else ()
 

@@ -12,9 +12,10 @@ argument and rejects it unless its code fields match the packet headers.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
-to --matrix or --kind zd3 is a usage error.  The field modulus comes
-from --g, else the built-in table entry for the smallest degree that
-fits N.
+to --matrix or --kind zd3 is a usage error, and so is a --kind other
+than user that differs from the kind the --matrix file declares.  The
+field modulus comes from --g, else the built-in table entry for the
+smallest degree that fits N.
 """
 
 from __future__ import annotations
@@ -59,9 +60,13 @@ def _resolve_matrix(args) -> GenMatrix:
             if getattr(args, flag) is not None:
                 raise _UsageError(f"--{flag} cannot be combined with {fixed}")
         if args.matrix:
-            return load_matrix(args.matrix)
+            mat = load_matrix(args.matrix)
+            if args.kind not in (None, "user", mat.spec.kind):
+                raise _UsageError(f"--kind {args.kind} does not match {args.matrix}, "
+                                  f"which holds a {mat.spec.kind} code")
+            return mat
         return matrix_for_spec(CodeSpec("zd3", 3, 6))
-    kind = args.kind
+    kind = args.kind or "sxor"
     if kind == "user":
         raise _UsageError("kind user needs --matrix")
     if args.k is None or args.n is None:
@@ -243,7 +248,7 @@ def cmd_matrix_load(args) -> int:
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=["sxor", "systematic", "zd3", "user"],
-                   default="sxor", help="code construction (default: sxor)")
+                   help="code construction (default: sxor, or the kind of --matrix)")
     p.add_argument("--k", type=int, help="number of source packets")
     p.add_argument("--n", type=int, help="number of encoded packets")
     p.add_argument("--g", help="field modulus as a hex mask, e.g. 0xb")

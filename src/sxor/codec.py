@@ -4,17 +4,20 @@ Sources and encoded packets are bit streams held as GF(2)[z] polynomials
 (bit k = coefficient of z**k), so "shift by t and XOR" is exactly
 "multiply by z**t and add".  Encoding packet j computes
 c_j = sum_i a_(i,j)(z) * s_i(z); a column whose largest entry degree is
-l_j yields a packet of L + l_j bits for L-bit sources.
+l_j yields a packet of L + l_j bits for L-bit sources.  Such sums, here
+and in the MAP combine step, run by Horner's rule: one shift per
+distinct exponent of the column, not one per term.
 
 MAP decoding of survivors I with square submatrix A_I uses the adjugate
 identity: b = c_I * adj(A_I) equals det(A_I) * s entry-wise, so a source
 falls out of one exact division by det.  Each source uses its own column
 of the adjugate in lowest terms (the column and det divided by their
-gcd), so a source whose packet survived verbatim is a copy, and a parity
-source divides by the smallest polynomial that works for it.  The
-division runs low coefficients first and is re-verified by
+gcd), so a source whose packet survived verbatim is that payload itself,
+and a parity source divides by the smallest polynomial that works for
+it.  The division runs low coefficients first and is re-verified by
 multiplication, which is what turns packet corruption into a raised
-error instead of silent garbage.
+error instead of silent garbage; a division by 1 is skipped, keeping its
+one check that no bit sits at or above z**L.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
 single power of z) and runs in time linear in L.  While some survivor
@@ -44,11 +47,12 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import or_
 from typing import Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
 from .gf2m import PolyLike, _as_poly
-from .gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks, _mul_masks,
+from .gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks,
                       exact_div_low, split_shift)
 from .polymat import PolyMatrix, cancel_common_factor
 
@@ -140,6 +144,28 @@ def _coerce_sources(sources: Sequence[PolyLike], k: int, length: int) -> list[in
     return srcs
 
 
+def _combine(col: Sequence[int], streams: Sequence[int]) -> int:
+    """sum_i col[i](z) * streams[i], by Horner's rule over col's exponents.
+
+    Highest exponent first: XOR in the streams carrying it, then shift by
+    the gap to the next, so z**37 + 1 costs two shifts, not 38.  A column
+    whose only term is z**0 returns its stream itself.
+    """
+    exps = reduce(or_, col, 0)
+    if not exps:
+        return 0
+    acc = None
+    while True:
+        t = exps.bit_length() - 1
+        for e, x in zip(col, streams):
+            if e >> t & 1:
+                acc = x if acc is None else acc ^ x
+        exps ^= 1 << t
+        if not exps:
+            return acc << t if t else acc  # x << 0 copies x
+        acc <<= t - exps.bit_length() + 1
+
+
 def encode_xor_count(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -> tuple[list[Packet], int]:
     """Encode and also report the number of packet-level XOR operations.
 
@@ -152,20 +178,8 @@ def encode_xor_count(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -
     packets = []
     xors = 0
     for j, col in enumerate(zip(*mat._masks)):
-        acc = 0
-        terms = 0
-        for i, e in enumerate(col):
-            while e:
-                low = e & -e
-                contrib = srcs[i] << (low.bit_length() - 1)
-                if terms:
-                    acc ^= contrib
-                    xors += 1
-                else:
-                    acc = contrib
-                terms += 1
-                e ^= low
-        packets.append(Packet(j + 1, Poly2(acc), length, length + over[j], mat.spec))
+        xors += max(sum(e.bit_count() for e in col) - 1, 0)
+        packets.append(Packet(j + 1, Poly2(_combine(col, srcs)), length, length + over[j], mat.spec))
     return packets, xors
 
 
@@ -253,27 +267,38 @@ def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict
 def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """Exactly recover all K sources from any K consistent packets.
 
+    Each source is its kernel column combined over the payloads, less
+    ``shift`` known-zero low bits, divided exactly by ``feedback``; with
+    feedback 1 it is the combined stream itself (for a surviving
+    systematic packet, the payload), once no bit sits at or above z**L.
+
     Raises :class:`SingularSubmatrix` for dependent survivor columns,
     :class:`TrailingBits` for over-long payloads, and
     :class:`~sxor.gf2poly.InconsistentDivision` when no length-L sources
     can reproduce the payloads: every recovered source is re-checked by
-    multiplication before being returned.  Corruption that still solves
-    to valid sources (e.g. a bit flip on a packet that carries a source
-    verbatim, as systematic identity columns do) is indistinguishable
-    from clean data given only K packets; guard integrity with an outer
-    checksum when that matters.
+    multiplication, or for feedback 1 by its length, before being
+    returned.  Corruption that still solves to valid sources (e.g. a bit
+    flip on a packet that carries a source verbatim, as systematic
+    identity columns do) is indistinguishable from clean data given only
+    K packets; guard integrity with an outer checksum when that matters.
     """
     length, masks, idx = _check_packets(mat, packets)
+    payloads = [masks[p] for p in idx]
     sources = []
     for c, (shift, feedback, col) in enumerate(map_kernel(mat, idx).columns):
-        b = 0
-        for p, e in zip(idx, col):
-            if e:
-                b ^= _mul_masks(e, masks[p])
+        b = _combine(col, payloads)
         if b & ((1 << shift) - 1):
             raise InconsistentDivision(
                 f"source {c + 1}: combined stream has set bits below z^{shift}")
-        sources.append(exact_div_low(Poly2(b >> shift), feedback, length))
+        if shift:  # b >> 0 would copy b
+            b >>= shift
+        if feedback.mask != 1:
+            sources.append(exact_div_low(Poly2(b), feedback, length))
+        elif b.bit_length() > length:
+            raise InconsistentDivision(
+                f"source {c + 1}: combined stream has set bits at or above z^{length + shift}")
+        else:
+            sources.append(Poly2(b))  # as exact_div_low(b, 1, length) would
     return sources
 
 

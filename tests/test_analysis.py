@@ -7,9 +7,10 @@ from math import comb
 
 import pytest
 
-from sxor.analysis import (ZD_N7_REFERENCE, ClassReport, CodeClass, best_systematic,
-                           comparison_report, emit_comparison, emit_report, enumerate_classes,
-                           matrices_equivalent, shift_sequence, zd_max_overhead)
+from sxor.analysis import (MAX_CLASSIFY_TUPLES, ZD_N7_REFERENCE, ClassReport, CodeClass,
+                           best_systematic, comparison_report, emit_comparison, emit_report,
+                           enumerate_classes, matrices_equivalent, shift_sequence,
+                           zd_max_overhead)
 from sxor.codes import Metrics, build_systematic_sxor, user_matrix
 from sxor.gf2poly import Poly2
 
@@ -154,6 +155,13 @@ def test_classes_beyond_the_exhaustive_check(k, count):
     report = enumerate_classes(k, 15, 0x13)
     assert len(report.classes) == count
     assert sum(c.size for c in report.classes) == report.total == comb(15, k)
+
+
+def test_enumerate_classes_bounds_the_tuple_count():
+    # C(16, 8) = 12870 is the smallest count over the limit; every N <= 15 is under it.
+    assert max(comb(15, k) for k in range(16)) <= MAX_CLASSIFY_TUPLES < comb(16, 8)
+    with pytest.raises(ValueError, match=rf"C\(16, 8\) = 12870 .* {MAX_CLASSIFY_TUPLES}"):
+        enumerate_classes(8, 16, 0x25)
 
 
 def test_orbits_partition_the_tuples():

@@ -4,8 +4,10 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
+from sxor.analysis import MAX_CLASSIFY_TUPLES
 from sxor.cli import main
 from sxor.codec import encode, read_packet, write_packet
 from sxor.codes import build_sxor, parse_matrix
@@ -164,6 +166,19 @@ def test_code_flags_conflict_with_matrix_and_zd3(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("usage error:") and flag in err, (args, err)
     assert not list(tmp_path.rglob("*.sxp"))
+
+
+def test_explicit_kind_must_match_matrix(tmp_path, capsys):
+    mfile = tmp_path / "m.sxorgen"
+    assert run(["matrix", "print", "--kind", "sxor", "--k", "3", "--n", "7",
+                "--out", str(mfile)]) == 0
+    for kind in ("systematic", "zd3"):
+        assert run(["analyze", "--matrix", str(mfile), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and kind in err and "sxor" in err, err
+    for kind in ([], ["--kind", "sxor"], ["--kind", "user"]):
+        assert run(["analyze", "--matrix", str(mfile), *kind]) == 0
+        assert capsys.readouterr().out.startswith("kind=sxor K=3 N=7")
 
 
 def test_decode_wrong_packet_count(tmp_path):
@@ -326,6 +341,14 @@ def test_classify_markdown(capsys):
     assert "best: (1,3,4)" in out
     assert run(["classify", "--k", "12", "--n", "15"]) == 0  # K > 8
     assert "(455 tuples, 31 classes)" in capsys.readouterr().out
+
+
+def test_classify_rejects_too_many_tuples(capsys):
+    start = time.perf_counter()
+    assert run(["classify", "--k", "15", "--n", "31"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "C(31, 15) = 300540195" in err and str(MAX_CLASSIFY_TUPLES) in err, err
 
 
 def test_check_passes_for_construction(capsys):

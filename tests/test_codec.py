@@ -104,6 +104,29 @@ def test_xor_count_matches_alpha():
         assert xors == mat.metrics().alpha
 
 
+def test_encode_matches_per_term_products():
+    # Reference: one Poly2 product per entry, summed.  The matrices mix zero
+    # entries, an all-zero column and sparse high exponents such as z^0 + z^37.
+    rng = random.Random(0xC0B)
+    pool = [0, 0, 1, 2, 0b1011, 1 | 1 << 37, 1 << 100, 1 << 37 | 1 << 5 | 1 << 2]
+    for _ in range(60):
+        k, n = rng.randrange(1, 5), rng.randrange(1, 7)
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(k)]
+        for row in rows:
+            row[-1] = 0
+        mat = user_matrix(rows)
+        length = rng.choice([1, 9, 64, 300])
+        src = [rng.getrandbits(length) for _ in range(k)]
+        packets, xors = encode_xor_count(mat, src, length)
+        assert xors == mat.metrics().alpha
+        for j, p in enumerate(packets):
+            want = Poly2(0)
+            for i in range(k):
+                want += Poly2(rows[i][j]) * Poly2(src[i])
+            assert p.bits == want
+            assert p.bits.mask.bit_length() <= p.bit_len
+
+
 def test_map_kernel_of_zigzag_columns():
     kern = map_kernel(builtin_zd_k3(), (4, 5, 6))
     assert kern.det == Poly2(0b11)
@@ -213,6 +236,20 @@ def test_map_decode_detects_nonzero_prefix():
     corrupt = replace(packets[1], bits=Poly2(packets[1].bits.mask | 1))
     with pytest.raises(InconsistentDivision):
         map_decode(mat, [corrupt, packets[2]])
+
+
+def test_map_decode_rejects_high_bits_on_a_feedback_1_column():
+    # det = 1, so both sources decode without a division: s1 = p1 + z^2 p2
+    # and s2 = p2.  Packet 1 may carry L + 2 bits, but a set bit at or above
+    # z^L in s1 means no length-L sources reproduce it.
+    mat = user_matrix([[1, 0], [4, 1]])
+    assert [col[1] for col in map_kernel(mat, (1, 2)).columns] == [Poly2(1), Poly2(1)]
+    packets = by_index(encode(mat, [0b1011, 0b0110], 4))
+    assert map_decode(mat, [packets[1], packets[2]]) == [Poly2(0b1011), Poly2(0b0110)]
+    for bit in (4, 5):
+        corrupt = replace(packets[1], bits=Poly2(packets[1].bits.mask ^ (1 << bit)))
+        with pytest.raises(InconsistentDivision, match="source 1"):
+            map_decode(mat, [corrupt, packets[2]])
 
 
 def test_map_decode_rejects_overlong_payload():

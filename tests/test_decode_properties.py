@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from sxor.codec import _check_packets, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3
-from sxor.gf2poly import InconsistentDivision, Poly2, exact_div_low
+from sxor.gf2poly import _CHUNK, InconsistentDivision, Poly2, exact_div_low
 
 # Fixed examples, no deadline and no example database, so the suite stays
 # short and leaves no .hypothesis/ directory behind.
@@ -43,7 +43,8 @@ def global_kernel_decode(mat, packets):
 def decode_cases(draw):
     mat = draw(st.sampled_from(MATS))
     k, n = mat.spec.k, mat.spec.n
-    length = draw(st.integers(1, 48))
+    # Lengths past the division's chunk size run its chunk stage too.
+    length = draw(st.integers(1, 48) | st.integers(_CHUNK + 1, 3 * _CHUNK))
     sources = draw(st.lists(st.integers(0, (1 << length) - 1), min_size=k, max_size=k))
     survivors = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
     packets = [p for p in encode(mat, sources, length) if p.index in survivors]

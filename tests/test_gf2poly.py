@@ -3,8 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sxor.gf2poly import InconsistentDivision, Poly2, exact_div_low, gcd, split_shift
+from sxor.gf2poly import _CHUNK, InconsistentDivision, Poly2, exact_div_low, gcd, split_shift
+
+# Fixed examples, no deadline and no example database, so the suite stays
+# short and leaves no .hypothesis/ directory behind.
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 
 def P(text):
@@ -259,6 +264,67 @@ def test_exact_div_sparse_divisors():
         b = h * s
         assert_matches_reference(b, h, out_len)
         assert_matches_reference(Poly2(b.mask ^ (1 << rng.randrange(out_len + degree))), h, out_len)
+
+
+def div_low_bits(b, h, out_len):
+    # Per-bit oracle, linear in out_len on a bit list: s_k = b_k + sum over
+    # taps d of s_(k-d), then every coefficient of h * s at or above
+    # out_len must match b.  None when no s of out_len bits exists.
+    taps = [d for d in range(1, h.bit_length()) if h >> d & 1]
+    top = max(b.bit_length(), out_len + h.bit_length())
+    bits = [c == "1" for c in format(b, f"0{top}b")[::-1]]
+    s = []
+    for k in range(out_len):
+        v = bits[k]
+        for d in taps:
+            if d > k:
+                break
+            v ^= s[k - d]
+        s.append(v)
+    for k in range(out_len, top):
+        v = False
+        for d in [0, *taps]:
+            if 0 <= k - d < out_len:
+                v ^= s[k - d]
+        if v != bits[k]:
+            return None
+    return int("".join("1" if v else "0" for v in reversed(s)) or "0", 2)
+
+
+@st.composite
+def chunked_divisions(draw):
+    # Output lengths around 0 and each multiple of the chunk size up to 4C,
+    # where the division switches from doubling rounds to whole chunks.
+    out_len = max(0, draw(st.sampled_from([0, 1, 2, 3, 4]).map(lambda j: j * _CHUNK))
+                  + draw(st.integers(-2, 2)))
+    shape = draw(st.sampled_from(["tap 1", "higher taps", "taps >= out_len"]))
+    if shape == "tap 1":
+        taps = [1, *draw(st.lists(st.integers(2, 24), max_size=3))]
+    elif shape == "higher taps":  # a first chunk tap of 2 or more, or none at all
+        tap = st.integers(2, 4) | st.integers(_CHUNK // 2, 2 * _CHUNK)
+        taps = draw(st.lists(tap, min_size=1, max_size=3))
+    else:
+        taps = draw(st.lists(st.integers(max(out_len, 1), out_len + _CHUNK), min_size=1, max_size=2))
+    h = 1
+    for d in taps:
+        h |= 1 << d
+    rng = draw(st.randoms(use_true_random=False))
+    b = (Poly2(h) * Poly2(rng.getrandbits(out_len) if out_len else 0)).mask
+    if draw(st.booleans()):
+        b ^= 1 << draw(st.integers(0, out_len + h.bit_length()))
+    return b, h, out_len
+
+
+@PROPERTY
+@given(chunked_divisions())
+def test_exact_div_matches_the_per_bit_oracle(case):
+    b, h, out_len = case
+    want = div_low_bits(b, h, out_len)
+    if want is None:
+        with pytest.raises(InconsistentDivision):
+            exact_div_low(Poly2(b), Poly2(h), out_len)
+    else:
+        assert exact_div_low(Poly2(b), Poly2(h), out_len).mask == want
 
 
 def test_split_reconstruction_random():
