@@ -8,14 +8,18 @@ errors (bad invocation, wrong packet count, empty input).
 Packets are written as ``<name>.p<i>.sxp`` next to a ``<name>.sxmeta``
 sidecar recording the original byte length and the code fields; decode
 finds the sidecar by stripping the packet suffix from the first packet
-argument and rejects it unless its code fields match the packet headers.
+argument and rejects it unless each field appears once and its code
+fields match the packet headers.  Decode always uses the exact (MAP)
+decoder, so it refuses exactly the survivor sets that check lists as
+failing.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
 to --matrix or --kind zd3 is a usage error, and so is a --kind other
-than user that differs from the kind the --matrix file declares.  The
-field modulus comes from --g, else the built-in table entry for the
-smallest degree that fits N.
+than user that differs from the kind the --matrix file declares.
+analyze --compare names no code, so any of these flags but --n is a
+usage error there.  The field modulus comes from --g, else the built-in
+table entry for the smallest degree that fits N.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
-from .codec import encode, map_decode, read_packet, write_packet, zigzag_decode
+from .codec import encode, map_decode, read_packet, write_packet
 from .codes import CodeSpec, GenMatrix, format_matrix, load_matrix, matrix_for_spec
 from .gf2m import FieldCtx, default_modulus
 from .gf2poly import Poly2
@@ -129,6 +133,8 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, dict[str, str]] | None:
     fields = {}
     for part in text.split():
         key, _, value = part.partition("=")
+        if key in fields:
+            raise ValueError(f"sidecar {sidecar}: repeated field {key!r}")
         fields[key] = value
     return sidecar, fields
 
@@ -170,8 +176,7 @@ def cmd_decode(args) -> int:
     if total_len > spec.k * chunk:
         raise ValueError(f"{len_source} {total_len} exceeds decoded size {spec.k * chunk}")
 
-    decoder = zigzag_decode if args.decoder == "zigzag" else map_decode
-    sources = decoder(mat, packets)
+    sources = map_decode(mat, packets)
     remaining = total_len
     with open(args.out, "wb") as fh:
         for s in sources:
@@ -199,6 +204,9 @@ def _print_summary(summary: dict) -> None:
 
 def cmd_analyze(args) -> int:
     if args.compare:
+        for flag in ("kind", "k", "g", "x", "matrix"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"--{flag} cannot be combined with --compare")
         n = args.n if args.n is not None else 7
         ks = tuple(k for k in range(2, 7) if k <= n)
         print(emit_comparison(comparison_report(n, ks), args.format), end="")
@@ -271,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="restore the file from K packet files")
     p.add_argument("packets", nargs="+", help="surviving packet files")
     p.add_argument("--out", required=True, help="output file")
-    p.add_argument("--decoder", choices=["map", "zigzag"], default="map")
     p.add_argument("--matrix", help="generator matrix file (user-kind packets)")
     p.add_argument("--length", type=int, help="original byte length (overrides sidecar)")
     p.set_defaults(func=cmd_decode)

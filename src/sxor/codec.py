@@ -16,8 +16,8 @@ gcd), so a source whose packet survived verbatim is that payload itself,
 and a parity source divides by the smallest polynomial that works for
 it.  The division runs low coefficients first and is re-verified by
 multiplication, which is what turns packet corruption into a raised
-error instead of silent garbage; a division by 1 is skipped, keeping its
-one check that no bit sits at or above z**L.
+error instead of silent garbage; a division by 1 returns the dividend
+itself once no bit sits at or above z**L.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
 single power of z) and runs in time linear in L.  While some survivor
@@ -268,19 +268,19 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """Exactly recover all K sources from any K consistent packets.
 
     Each source is its kernel column combined over the payloads, less
-    ``shift`` known-zero low bits, divided exactly by ``feedback``; with
-    feedback 1 it is the combined stream itself (for a surviving
-    systematic packet, the payload), once no bit sits at or above z**L.
+    ``shift`` known-zero low bits, divided exactly by ``feedback``; a
+    division by 1 returns the combined stream itself (for a surviving
+    systematic packet, the payload).
 
     Raises :class:`SingularSubmatrix` for dependent survivor columns,
     :class:`TrailingBits` for over-long payloads, and
     :class:`~sxor.gf2poly.InconsistentDivision` when no length-L sources
-    can reproduce the payloads: every recovered source is re-checked by
-    multiplication, or for feedback 1 by its length, before being
-    returned.  Corruption that still solves to valid sources (e.g. a bit
-    flip on a packet that carries a source verbatim, as systematic
-    identity columns do) is indistinguishable from clean data given only
-    K packets; guard integrity with an outer checksum when that matters.
+    can reproduce the payloads, naming the source: every recovered source
+    is re-checked before being returned.  Corruption that still solves to
+    valid sources (e.g. a bit flip on a packet that carries a source
+    verbatim, as systematic identity columns do) is indistinguishable from
+    clean data given only K packets; guard integrity with an outer
+    checksum when that matters.
     """
     length, masks, idx = _check_packets(mat, packets)
     payloads = [masks[p] for p in idx]
@@ -292,17 +292,13 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
                 f"source {c + 1}: combined stream has set bits below z^{shift}")
         if shift:  # b >> 0 would copy b
             b >>= shift
-        if feedback.mask != 1:
+        try:
             sources.append(exact_div_low(Poly2(b), feedback, length))
-        elif b.bit_length() > length:
-            raise InconsistentDivision(
-                f"source {c + 1}: combined stream has set bits at or above z^{length + shift}")
-        else:
-            sources.append(Poly2(b))  # as exact_div_low(b, 1, length) would
+        except InconsistentDivision as exc:
+            raise InconsistentDivision(f"source {c + 1}: {exc}") from None
     return sources
 
 
-@lru_cache(maxsize=256)
 def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
     # cover[pi] lists (row, t) for every nonzero entry z**t of survivor
     # idx[pi]; hits[row] lists (pi, t) for every survivor holding source row.

@@ -269,7 +269,8 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
     doubling stops at the chunk size C = 2**r: then s = s_r + e(z**C) * s,
     which runs on C-bit chunks as chunk[j] ^= chunk[j - t] per tap t of
     e, lowest first, so log2(C) rounds, not log2(out_len), touch the whole
-    operand.  The result is bit-identical to the naive recursion.
+    operand.  The result is bit-identical to the naive recursion; for
+    h = 1 it is b itself, not a copy.
     """
     if not h.mask:
         raise ZeroDivisionError("exact division by zero polynomial")
@@ -277,6 +278,8 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
         raise ValueError("divisor must have constant term 1")
     if out_len < 0:
         raise ValueError("output length must be nonnegative")
+    if h.mask == 1 and b.mask.bit_length() <= out_len:
+        return b  # s = b; an over-long b falls through to the check below
     mask_n = (1 << out_len) - 1
     s = b.mask & mask_n
     taps = [t for t, bit in enumerate(format((h.mask ^ 1) & mask_n, "b")[::-1]) if bit == "1"]

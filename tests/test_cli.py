@@ -1,14 +1,16 @@
 """Tests for the command-line interface, driven through main()."""
 
 import json
+import shlex
 import shutil
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from sxor.analysis import MAX_CLASSIFY_TUPLES
-from sxor.cli import main
+from sxor.cli import _build_parser, main
 from sxor.codec import encode, read_packet, write_packet
 from sxor.codes import build_sxor, parse_matrix
 from sxor.gf2poly import Poly2
@@ -77,16 +79,16 @@ def test_round_trip_explicit_x(tmp_path):
     assert restored.read_bytes() == data
 
 
-def test_round_trip_zigzag_decoder(tmp_path):
+def test_round_trip_zd3(tmp_path):
     data = bytes(reversed(range(90)))
     src, out = encode_file(tmp_path, data, ["--kind", "zd3"])
     restored = tmp_path / "r.bin"
     args = ["decode"] + [str(packet_path(out, "data.bin", i)) for i in (4, 5, 6)]
-    assert run(args + ["--out", str(restored), "--decoder", "zigzag"]) == 0
+    assert run(args + ["--out", str(restored)]) == 0
     assert restored.read_bytes() == data
 
 
-def test_zigzag_decoder_rejects_a_corrupted_packet(tmp_path, capsys):
+def test_decode_rejects_a_corrupted_zd3_parity(tmp_path, capsys):
     data = bytes(reversed(range(90)))
     src, out = encode_file(tmp_path, data, ["--kind", "zd3"])
     parity = packet_path(out, "data.bin", 5)
@@ -95,10 +97,24 @@ def test_zigzag_decoder_rejects_a_corrupted_packet(tmp_path, capsys):
     parity.write_bytes(blob)
     restored = tmp_path / "r.bin"
     args = ["decode"] + [str(packet_path(out, "data.bin", i)) for i in (1, 4, 5)]
-    for decoder in ("map", "zigzag"):
-        assert run(args + ["--out", str(restored), "--decoder", decoder]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert not restored.exists()
+    assert run(args + ["--out", str(restored)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not restored.exists()
+
+
+def test_decode_refuses_survivors_that_check_lists_as_failing(tmp_path, capsys):
+    # det = z^16 + z^16 = 0.  One-byte sources are short enough that zigzag
+    # could still separate them, but decode and check agree on "decodable".
+    mfile = tmp_path / "singular.sxorgen"
+    mfile.write_text("sxorgen v1 kind=user K=2 N=2 m=0 g=0x0\n100,10000\n1,100\n")
+    assert run(["check", "--matrix", str(mfile)]) == 1
+    assert "failing: 1,2" in capsys.readouterr().out
+    src, out = encode_file(tmp_path, b"ab", ["--matrix", str(mfile)])
+    restored = tmp_path / "r.bin"
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2)]
+    assert run(["decode", *packs, "--matrix", str(mfile), "--out", str(restored)]) == 1
+    assert "packets (1, 2) cannot determine the sources" in capsys.readouterr().err
+    assert not restored.exists()
 
 
 def test_round_trip_user_matrix(tmp_path):
@@ -271,7 +287,8 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
             ("systematic", ("x=1,2,3", "x=2,3,4"), mismatch),
             ("sxor", ("len=32", "len=1e3"), "data.bin.sxmeta: len='1e3' is not"),
             ("sxor", ("len=32", "len="), "data.bin.sxmeta: len='' is not"),
-            ("sxor", ("len=32", "len=\u00e932"), "data.bin.sxmeta: non-ASCII byte 0xc3 at offset ")):
+            ("sxor", ("len=32", "len=\u00e932"), "data.bin.sxmeta: non-ASCII byte 0xc3 at offset "),
+            ("sxor", ("len=32", "len=32 len=5"), "data.bin.sxmeta: repeated field 'len'")):
         src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
         sidecar = out / "data.bin.sxmeta"
         text = sidecar.read_text(encoding="ascii")
@@ -321,6 +338,18 @@ def test_analyze_compare(capsys):
     for n in ("-1", "0"):
         assert run(["analyze", "--compare", "--n", n]) == 1
         assert f"error: comparison at N={n} " in capsys.readouterr().err
+
+
+def test_compare_rejects_code_flags(capsys):
+    for extra, flag in ((["--n", "15", "--g", "0x19"], "--g"),
+                        (["--kind", "zd3"], "--kind"),
+                        (["--k", "3"], "--k"),
+                        (["--x", "1,2"], "--x"),
+                        (["--matrix", "/nonexistent"], "--matrix")):
+        assert run(["analyze", "--compare", *extra]) == 2
+        captured = capsys.readouterr()
+        assert f"usage error: {flag} cannot be combined with --compare" in captured.err
+        assert not captured.out
 
 
 def test_classify_json(capsys):
@@ -392,10 +421,22 @@ def test_matrix_load_bad_file(tmp_path, capsys):
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run([]) == 2
     assert run(["decode"]) == 2  # missing --out and packets
+    assert run(["decode", "a.p1.sxp", "--out", "r.bin", "--decoder", "zigzag"]) == 2  # no such option
     assert run(["encode", "--kind", "sxor", "--k", "3", "--n", "7",
                 str(tmp_path / "missing.bin"),
                 "--out-dir", str(tmp_path)]) == 1  # unreadable input
     capsys.readouterr()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["sxor"]]
+    assert len(commands) >= 8
+    parser = _build_parser()
+    for words in commands:
+        parser.parse_args(words)  # argparse exits on an unknown flag
 
 
 def test_module_entry_point():

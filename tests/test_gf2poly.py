@@ -101,6 +101,16 @@ def test_exact_div_examples():
     assert exact_div_low(P("z^2+1"), Poly2(1), 3) == P("z^2+1")
 
 
+def test_exact_div_by_one_returns_the_dividend_itself():
+    # No copy: a surviving systematic source stays its packet's payload.
+    b = Poly2((1 << 70000) | 0b1011)
+    assert exact_div_low(b, Poly2(1), 70001) is b
+    assert exact_div_low(Poly2(0), Poly2(1), 0) == Poly2(0)
+    for out_len in (0, 69999, 70000):
+        with pytest.raises(InconsistentDivision):
+            exact_div_low(b, Poly2(1), out_len)
+
+
 def test_exact_div_rejects_bad_input():
     b = P("z+1") * P("z^3+1")
     with pytest.raises(InconsistentDivision):
