@@ -131,9 +131,13 @@ class ClassReport:
         }
 
 
-# Most tuples enumerate_classes walks: every N <= 15 fits; about 14 s when
-# N is not 2**m - 1 and each tuple builds its own matrix (README).
+# Most tuples enumerate_classes walks: every N <= 15 fits.
 MAX_CLASSIFY_TUPLES = 10_000
+
+# Most work enumerate_classes does after the walk, counted as K*(K+1)*N
+# per matrix it builds (K*N Vandermonde entries, K*K*N products): about
+# 1 us a unit, so 4 to 5 s at the limit (README).
+MAX_CLASSIFY_WORK = 4_000_000
 
 
 def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
@@ -144,7 +148,9 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     reordered (module docstring), so members share the metrics of the
     class representative, which is the only matrix built.  Otherwise
     each sorted tuple stands alone.  Raises ValueError, before walking
-    any tuple, when C(N, K) exceeds ``MAX_CLASSIFY_TUPLES``.
+    any tuple, when C(N, K) exceeds ``MAX_CLASSIFY_TUPLES``, and before
+    building any matrix when their number times K*(K+1)*N exceeds
+    ``MAX_CLASSIFY_WORK``.
     """
     ctx = FieldCtx(g)
     CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(range(1, k + 1)))  # validates (k, n, g)
@@ -162,6 +168,10 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
         return min(orbit, key=lambda u: u[::-1])
 
     sizes = Counter(canonical(t) for t in combinations(range(1, n + 1), k))
+    work = len(sizes) * k * (k + 1) * n
+    if work > MAX_CLASSIFY_WORK:
+        raise ValueError(f"building {len(sizes)} matrices at K={k}, N={n} costs {work} "
+                         f"(matrices * K*(K+1)*N), over the classify limit of {MAX_CLASSIFY_WORK}")
     classes = tuple(CodeClass(rep, sizes[rep], build_systematic_sxor(k, n, g, rep).metrics())
                     for rep in sorted(sizes))
     return ClassReport(k, n, g, classes, comb(n, k))

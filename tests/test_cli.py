@@ -9,10 +9,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from sxor.analysis import MAX_CLASSIFY_TUPLES
+from sxor.analysis import MAX_CLASSIFY_TUPLES, MAX_CLASSIFY_WORK
 from sxor.cli import _build_parser, main
 from sxor.codec import encode, read_packet, write_packet
-from sxor.codes import build_sxor, parse_matrix
+from sxor.codes import MAX_CHECK_SUBSETS, MAX_K, build_sxor, parse_matrix
 from sxor.gf2poly import Poly2
 
 
@@ -55,6 +55,28 @@ def test_round_trip_map_subset(tmp_path):
     args = ["decode"] + [str(packet_path(out, "data.bin", i)) for i in (4, 5, 6)]
     assert run(args + ["--out", str(restored)]) == 0
     assert restored.read_bytes() == data
+
+
+def test_round_trip_k20_from_the_last_packets(tmp_path):
+    # The densest survivor set of a K = 20 code: a 20 x 20 kernel.
+    data = bytes((i * 37) % 251 for i in range(2048))
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "20", "--n", "31"])
+    restored = tmp_path / "restored.bin"
+    args = ["decode"] + [str(packet_path(out, "data.bin", i)) for i in range(12, 32)]
+    start = time.perf_counter()
+    assert run(args + ["--out", str(restored)]) == 0
+    assert time.perf_counter() - start < 5
+    assert restored.read_bytes() == data
+
+
+def test_encode_refuses_k_above_the_limit(tmp_path, capsys):
+    src = tmp_path / "x.bin"
+    src.write_bytes(b"x" * 64)
+    out = tmp_path / "shards"
+    assert run(["encode", "--kind", "sxor", "--k", str(MAX_K + 1), "--n", "63",
+                str(src), "--out-dir", str(out)]) == 1
+    assert f"limit of {MAX_K}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.sxp"))
 
 
 def test_round_trip_systematic_identity_subset(tmp_path):
@@ -378,6 +400,24 @@ def test_classify_rejects_too_many_tuples(capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "C(31, 15) = 300540195" in err and str(MAX_CLASSIFY_TUPLES) in err, err
+
+
+def test_classify_rejects_too_much_work(capsys):
+    # C(32, 29) = 4960 tuples pass the tuple limit, but N = 32 is not
+    # 2^m - 1, so each would build its own 29 x 32 matrix.
+    start = time.perf_counter()
+    assert run(["classify", "--k", "29", "--n", "32", "--g", "0x43"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "building 4960 matrices" in err and str(MAX_CLASSIFY_WORK) in err, err
+
+
+def test_check_rejects_too_many_subsets(capsys):
+    start = time.perf_counter()
+    assert run(["check", "--k", "8", "--n", "31", "--g", "0x25"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "walks 11460948 column subsets" in err and str(MAX_CHECK_SUBSETS) in err, err
 
 
 def test_check_passes_for_construction(capsys):

@@ -12,7 +12,8 @@ from sxor.codec import (NotMonomialMatrix, Packet, PacketFormatError, SingularSu
                         TrailingBits, ZigzagStuck, encode, encode_xor_count, map_decode,
                         map_kernel, packet_from_bytes, packet_to_bytes, read_packet,
                         write_packet, zigzag_decode, zigzag_schedule)
-from sxor.codes import CodeSpec, build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
+from sxor.codes import (MAX_K, CodeSpec, build_sxor, build_systematic_sxor, builtin_zd_k3,
+                        user_matrix)
 from sxor.gf2poly import InconsistentDivision, Poly2
 from sxor.polymat import PolyMatrix
 
@@ -413,6 +414,16 @@ def test_packet_bytes_rejects_field_degree_above_16():
     tampered = blob[:6] + struct.pack("<BI", 17, 0x20009) + blob[11:]
     with pytest.raises(PacketFormatError):
         packet_from_bytes(tampered)
+
+
+def test_packet_bytes_rejects_k_above_the_limit():
+    blob = packet_to_bytes(encode(build_sxor(3, 7, G1), [1, 2, 3], 8)[0])
+    # m = 16, g = z^16+z^12+z^3+z+1, K = MAX_K + 1, N = 65535.
+    tampered = blob[:6] + struct.pack("<BIHH", 16, 0x1100B, MAX_K + 1, 65535) + blob[15:]
+    start = time.perf_counter()
+    with pytest.raises(PacketFormatError, match=f"limit of {MAX_K}"):
+        packet_from_bytes(tampered)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_packet_bytes_x_only_for_systematic():

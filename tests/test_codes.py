@@ -2,12 +2,13 @@
 
 import io
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from sxor.codes import (CodeSpec, GenMatrix, MatrixFormatError, Metrics, build_sxor,
-                        build_systematic_sxor, builtin_zd_k3, format_matrix, load_matrix,
-                        parse_matrix, save_matrix, user_matrix)
+from sxor.codes import (MAX_CHECK_SUBSETS, MAX_K, CodeSpec, GenMatrix, MatrixFormatError,
+                        Metrics, build_sxor, build_systematic_sxor, builtin_zd_k3, format_matrix,
+                        load_matrix, parse_matrix, save_matrix, user_matrix)
 from sxor.gf2poly import Poly2
 
 
@@ -126,6 +127,15 @@ def test_check_suboptimal_duplicate_column():
     assert all(f == tuple(sorted(f)) for f in failing)
 
 
+def test_check_suboptimal_bounds_the_subset_count():
+    def walked(k, n):
+        return sum(comb(n, j) for j in range(1, k + 1))
+    # The largest check the benchmark runs fits; (8, 31) is refused before walking.
+    assert walked(8, 15) == 22818 < walked(6, 31) == 942648 <= MAX_CHECK_SUBSETS
+    with pytest.raises(ValueError, match=f"walks {walked(8, 31)} .* limit of {MAX_CHECK_SUBSETS}"):
+        build_sxor(8, 31, 0x25).check_suboptimal()
+
+
 def test_column_and_submatrix():
     mat = build_sxor(3, 7, G1)
     assert [e.mask for e in mat.column(4)] == [1, 3, 5]
@@ -167,6 +177,9 @@ def test_code_spec_validation():
     with pytest.raises(ValueError):
         CodeSpec("zd3", 3, 7)  # fixed shape is 3x6
     CodeSpec("user", 2, 4)  # fieldless user matrices are fine
+    CodeSpec("user", MAX_K, MAX_K)
+    with pytest.raises(ValueError, match=f"K={MAX_K + 1} exceeds the limit of {MAX_K}"):
+        CodeSpec("sxor", MAX_K + 1, 65535, 16, Poly2(0x1100B))  # refused before the field is built
 
 
 def test_gen_matrix_shape_and_reduction():

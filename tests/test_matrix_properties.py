@@ -1,10 +1,12 @@
-"""Property tests for GF(2)[z] matrices: content reduction and generator metrics.
+"""Property tests for GF(2)[z] matrices: determinant and adjugate, content
+reduction, generator metrics and the MDS check.
 
 The oracles read the entries one Poly2 at a time, so they share no code
 with the mask-grid readers they check.
 """
 
 from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +28,45 @@ def square_poly_matrices(draw):
     n = draw(st.integers(1, 5))
     cell = st.integers(0, 15)
     return PolyMatrix(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+def det_by_minors(rows):
+    # Laplace expansion along the first row; signs vanish over GF(2).
+    if not rows:
+        return Poly2(1)
+    total = Poly2(0)
+    for j, e in enumerate(rows[0]):
+        if e:
+            total = total + e * det_by_minors([r[:j] + r[j + 1:] for r in rows[1:]])
+    return total
+
+
+@st.composite
+def square_grids(draw):
+    # Half the draws repeat a row, so A is singular while adj(A) is
+    # usually not zero; A @ adj = 0 alone would also accept adj = 0.
+    n = draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(st.integers(0, 15), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        src = draw(st.integers(0, n - 1))
+        grid[(src + draw(st.integers(1, n - 1))) % n] = list(grid[src])
+    return grid
+
+
+@PROPERTY
+@given(square_grids())
+def test_det_adjugate_matches_minor_expansion(grid):
+    a = PolyMatrix(grid)
+    rows = [[Poly2(e) for e in row] for row in grid]
+    n = len(rows)
+    det, adj = a.det_adjugate()
+    assert det == a.determinant() == det_by_minors(rows)
+
+    def minor(r, c):
+        return det_by_minors([row[:c] + row[c + 1:] for i, row in enumerate(rows) if i != r])
+
+    assert adj.entries == tuple(tuple(minor(r, c) for r in range(n)) for c in range(n))
 
 
 @PROPERTY
@@ -67,3 +108,26 @@ def test_user_matrix_metrics_and_round_trips(grid):
     again = user_matrix(mat.entries)
     assert again == mat and hash(again) == hash(mat)
     assert parse_matrix(format_matrix(mat)) == mat
+
+
+@st.composite
+def check_grids(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 7))
+    grid = draw(st.lists(st.lists(st.integers(0, 15), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2)):  # repeated columns fail every subset holding both
+        for row in grid:
+            row[dst] = row[src]
+    return grid
+
+
+@PROPERTY
+@given(check_grids())
+def test_check_suboptimal_matches_minor_expansion(grid):
+    k, n = len(grid), len(grid[0])
+    cols = [[Poly2(row[j]) for row in grid] for j in range(n)]
+    failing = [tuple(j + 1 for j in sub) for sub in combinations(range(n), k)
+               if not det_by_minors([[cols[j][i] for j in sub] for i in range(k)])]
+    assert user_matrix(grid).check_suboptimal() == (not failing, failing)
