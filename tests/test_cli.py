@@ -9,6 +9,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from sxor.analysis import MAX_CLASSIFY_TUPLES, MAX_CLASSIFY_WORK
 from sxor.cli import _build_parser, main
 from sxor.codec import encode, read_packet, write_packet
@@ -466,6 +468,35 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                 str(tmp_path / "missing.bin"),
                 "--out-dir", str(tmp_path)]) == 1  # unreadable input
     capsys.readouterr()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("analyze-sxor.txt", ["analyze", "--kind", "sxor", "--k", "4", "--n", "7", "--g", "0xB"]),
+    ("analyze-systematic.json", ["analyze", "--kind", "systematic", "--k", "3", "--n", "7",
+                                 "--x", "1,3,4", "--format", "json"]),
+    ("analyze-zd3.json", ["analyze", "--kind", "zd3", "--format", "json"]),
+    ("compare.md", ["analyze", "--compare"]),
+    ("compare.json", ["analyze", "--compare", "--format", "json"]),
+    ("compare-n3.md", ["analyze", "--compare", "--n", "3"]),
+    ("classify.md", ["classify", "--k", "3", "--n", "7", "--g", "0xB"]),
+    ("classify.json", ["classify", "--k", "3", "--n", "7", "--g", "0xB", "--format", "json"]),
+    ("matrix-load.txt", ["matrix", "load", str(GOLDEN / "sxor-3-7.sxorgen")]),
+    ("sxor-3-7.sxorgen", ["matrix", "print", "--kind", "sxor", "--k", "3", "--n", "7"]),
+])
+def test_stdout_matches_golden(golden, args, capsys):
+    # Each file holds a command's whole stdout, byte for byte.
+    assert run(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="ascii")
+
+
+def test_matrix_print_header_matches_golden(capsys):
+    assert run(["matrix", "print", "--kind", "systematic", "--k", "3", "--n", "7",
+                "--x", "1,3,4"]) == 0
+    header = capsys.readouterr().out.splitlines(keepends=True)[0]
+    assert header == (GOLDEN / "matrix-print-header.txt").read_text(encoding="ascii")
 
 
 def test_readme_cli_examples_parse():
