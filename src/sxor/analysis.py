@@ -14,22 +14,22 @@ shift of a position tuple gives an equivalent code.  enumerate_classes
 therefore groups the tuples into shift orbits and builds one matrix per
 orbit; matrices_equivalent, the exhaustive check, is the test oracle.
 
-Reports render as JSON or a small markdown table; the comparison report
-sets the three constructions side by side, quoting published reference
+Each report has one JSON form, its ``to_json_dict()``, and one markdown
+form, from emit_report or emit_comparison; the comparison report sets
+the three constructions side by side, quoting published reference
 rows for the zigzag-decodable family whose matrices (heuristic searches
 for K in {2,3,4}, a Hankel construction beyond) are out of scope here.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from .codes import CodeSpec, GenMatrix, Metrics, build_sxor, build_systematic_sxor
+from .codes import CodeSpec, GenMatrix, Metrics, build_sxor, build_systematic_sxor, format_fields
 from .gf2m import FieldCtx, PolyLike, _as_poly, default_modulus
 from .gf2poly import Poly2
 
@@ -108,26 +108,14 @@ class ClassReport:
         return min(self.classes, key=lambda c: (c.metrics.l_sum, c.metrics.alpha, c.rep))
 
     def to_json_dict(self) -> dict:
+        best = self.best()
         return {
             "K": self.k,
             "N": self.n,
             "g": "0x" + self.g.to_hex(),
-            "classes": [
-                {
-                    "rep": list(c.rep),
-                    "size": c.size,
-                    "l_max": c.metrics.l_max,
-                    "l_sum": c.metrics.l_sum,
-                    "alpha": c.metrics.alpha,
-                }
-                for c in self.classes
-            ],
-            "best": {
-                "rep": list(self.best().rep),
-                "l_max": self.best().metrics.l_max,
-                "l_sum": self.best().metrics.l_sum,
-                "alpha": self.best().metrics.alpha,
-            },
+            "classes": [{"rep": list(c.rep), "size": c.size, **c.metrics._asdict()}
+                        for c in self.classes],
+            "best": {"rep": list(best.rep), **best.metrics._asdict()},
         }
 
 
@@ -188,27 +176,26 @@ def best_systematic(k: int, n: int, g: PolyLike) -> tuple[tuple[int, ...], GenMa
     return best.rep, build_systematic_sxor(k, n, _as_poly(g), best.rep), best.metrics
 
 
-def emit_report(reports: Iterable[ClassReport], fmt: str = "markdown") -> str:
-    """Render class reports as ``"json"`` or ``"markdown"`` text."""
-    reports = list(reports)
-    if fmt == "json":
-        return json.dumps({"reports": [r.to_json_dict() for r in reports]}, indent=2)
-    if fmt != "markdown":
-        raise ValueError(f"unknown format {fmt!r}")
-    lines = ["# systematic code classes"]
-    for r in reports:
-        lines.append("")
-        lines.append(f"## K={r.k} N={r.n} g=0x{r.g.to_hex()} ({r.total} tuples, {len(r.classes)} classes)")
-        lines.append("")
-        lines.append("| rep | size | l_max | l_sum | alpha |")
-        lines.append("|---|---|---|---|---|")
-        for c in r.classes:
-            rep = ",".join(str(i) for i in c.rep)
-            lines.append(f"| ({rep}) | {c.size} | {c.metrics.l_max} | {c.metrics.l_sum} | {c.metrics.alpha} |")
-        b = r.best()
-        rep = ",".join(str(i) for i in b.rep)
-        lines.append("")
-        lines.append(f"best: ({rep}) with l_max={b.metrics.l_max} l_sum={b.metrics.l_sum} alpha={b.metrics.alpha}")
+def _rep(t: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, t)) + ")"
+
+
+def _table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    # The lines of a markdown table: header, rule, one line per row.
+    def line(cells):
+        return "| " + " | ".join(map(str, cells)) + " |"
+    return [line(header), "|" + "---|" * len(header), *map(line, rows)]
+
+
+def emit_report(report: ClassReport) -> str:
+    """Render a class report as a markdown table followed by its best class."""
+    best = report.best()
+    lines = ["# systematic code classes", "",
+             f"## K={report.k} N={report.n} g=0x{report.g.to_hex()} "
+             f"({report.total} tuples, {len(report.classes)} classes)", ""]
+    lines += _table(("rep", "size", *Metrics._fields),
+                    ((_rep(c.rep), c.size, *c.metrics) for c in report.classes))
+    lines += ["", f"best: {_rep(best.rep)} with {format_fields(best.metrics._asdict())}"]
     return "\n".join(lines) + "\n"
 
 
@@ -254,6 +241,18 @@ class ComparisonReport:
     rows: tuple[ComparisonRow, ...]
     notes: tuple[str, ...]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "N": self.n,
+            "g": "0x" + self.g.to_hex(),
+            "rows": [{"K": r.k,
+                      "sxor": r.sxor._asdict(),
+                      "systematic": {**r.systematic._asdict(), "rep": list(r.systematic_rep)},
+                      "zd_reference": r.zd_reference._asdict() if r.zd_reference else None}
+                     for r in self.rows],
+            "notes": list(self.notes),
+        }
+
 
 def comparison_report(n: int = 7, ks: Sequence[int] = (2, 3, 4, 5, 6)) -> ComparisonReport:
     """Side-by-side metrics of the three constructions at one packet count.
@@ -283,38 +282,15 @@ def comparison_report(n: int = 7, ks: Sequence[int] = (2, 3, 4, 5, 6)) -> Compar
     return ComparisonReport(n, g, tuple(rows), tuple(notes))
 
 
-def emit_comparison(report: ComparisonReport, fmt: str = "markdown") -> str:
-    """Render a comparison report as ``"json"`` or ``"markdown"`` text."""
-    if fmt == "json":
-        payload = {
-            "N": report.n,
-            "g": "0x" + report.g.to_hex(),
-            "rows": [
-                {
-                    "K": r.k,
-                    "sxor": r.sxor._asdict(),
-                    "systematic": {**r.systematic._asdict(), "rep": list(r.systematic_rep)},
-                    "zd_reference": r.zd_reference._asdict() if r.zd_reference else None,
-                }
-                for r in report.rows
-            ],
-            "notes": list(report.notes),
-        }
-        return json.dumps(payload, indent=2)
-    if fmt != "markdown":
-        raise ValueError(f"unknown format {fmt!r}")
-    lines = [f"# construction comparison at N={report.n} g=0x{report.g.to_hex()}", ""]
-    lines.append("| K | construction | l_max | l_sum | alpha |")
-    lines.append("|---|---|---|---|---|")
+def emit_comparison(report: ComparisonReport) -> str:
+    """Render a comparison report as a markdown table followed by its notes."""
+    rows = []
     for r in report.rows:
-        lines.append(f"| {r.k} | sxor | {r.sxor.l_max} | {r.sxor.l_sum} | {r.sxor.alpha} |")
-        rep = ",".join(str(i) for i in r.systematic_rep)
-        lines.append(f"| {r.k} | systematic ({rep}) | {r.systematic.l_max} "
-                     f"| {r.systematic.l_sum} | {r.systematic.alpha} |")
+        rows += [(r.k, "sxor", *r.sxor), (r.k, f"systematic {_rep(r.systematic_rep)}", *r.systematic)]
         if r.zd_reference is not None:
-            lines.append(f"| {r.k} | zigzag-decodable (reference) | {r.zd_reference.l_max} "
-                         f"| {r.zd_reference.l_sum} | {r.zd_reference.alpha} |")
+            rows.append((r.k, "zigzag-decodable (reference)", *r.zd_reference))
+    lines = [f"# construction comparison at N={report.n} g=0x{report.g.to_hex()}", ""]
+    lines += _table(("K", "construction", *Metrics._fields), rows)
     for note in report.notes:
-        lines.append("")
-        lines.append(f"note: {note}")
+        lines += ["", f"note: {note}"]
     return "\n".join(lines) + "\n"

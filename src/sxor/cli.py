@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
 from .codec import encode, map_decode, read_packet, write_packet
-from .codes import CodeSpec, GenMatrix, format_matrix, load_matrix, matrix_for_spec
+from .codes import CodeSpec, GenMatrix, format_fields, load_matrix, matrix_for_spec, save_matrix
 from .gf2m import FieldCtx, default_modulus
 from .gf2poly import Poly2
 
@@ -85,15 +85,6 @@ def _resolve_matrix(args) -> GenMatrix:
     return matrix_for_spec(CodeSpec(kind, args.k, args.n, ctx.m, ctx.g, x))
 
 
-def _sidecar_fields(spec: CodeSpec) -> dict[str, str]:
-    # The code fields of a .sxmeta sidecar, as encode writes them and as
-    # decode expects them to match the packet headers.
-    fields = {"k": str(spec.k), "n": str(spec.n), "g": f"0x{spec.g.mask:x}", "kind": spec.kind}
-    if spec.x is not None:
-        fields["x"] = ",".join(str(i) for i in spec.x)
-    return fields
-
-
 def cmd_encode(args) -> int:
     mat = _resolve_matrix(args)
     k = mat.spec.k
@@ -110,8 +101,7 @@ def cmd_encode(args) -> int:
     stem = Path(args.input).name
     for p in packets:
         write_packet(p, out_dir / f"{stem}.p{p.index}.sxp")
-    fields = {"len": str(size), **_sidecar_fields(mat.spec)}
-    meta = " ".join(f"{key}={value}" for key, value in fields.items())
+    meta = format_fields({"len": size, **mat.spec.fields()})
     (out_dir / f"{stem}.sxmeta").write_text(meta + "\n", encoding="ascii")
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
     return 0
@@ -160,7 +150,7 @@ def cmd_decode(args) -> int:
     if found is not None:
         sidecar, meta = found
         sidecar_len = meta.pop("len", None)
-        if meta != _sidecar_fields(spec):
+        if set(format_fields(meta).split()) != set(format_fields(spec.fields()).split()):
             raise ValueError("sidecar metadata does not match the packet headers")
         if total_len is None and sidecar_len is not None:
             if not sidecar_len.isdecimal():  # the file was read as ASCII
@@ -185,21 +175,15 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _summary(mat: GenMatrix) -> dict:
-    # The one record analyze and matrix load print, in this key order.
-    s, met = mat.spec, mat.metrics()
-    return {"kind": s.kind, "K": s.k, "N": s.n, "m": s.m, "g": "0x" + s.g.to_hex(),
-            "x": list(s.x) if s.x is not None else None,
-            "l_max": met.l_max, "l_sum": met.l_sum, "alpha": met.alpha}
+def _emit(fmt: str, doc: dict, text: str) -> int:
+    # The one printer of every command with --format: doc is the JSON form.
+    print(json.dumps(doc, indent=2) + "\n" if fmt == "json" else text, end="")
+    return 0
 
 
-def _print_summary(summary: dict) -> None:
-    pairs = [f"{key}={','.join(map(str, v)) if isinstance(v, list) else v}"
-             for key, v in summary.items() if v is not None and key != "overheads"]
-    print(" ".join(pairs[:-3]))  # the code: kind .. x
-    print(" ".join(pairs[-3:]))  # its metrics: l_max l_sum alpha
-    if "overheads" in summary:
-        print("overheads: " + ",".join(map(str, summary["overheads"])))
+def _code_lines(mat: GenMatrix) -> str:
+    # The code's fields, then its metrics, as analyze and matrix load print them.
+    return f"{format_fields(mat.spec.fields())}\n{format_fields(mat.metrics()._asdict())}\n"
 
 
 def cmd_analyze(args) -> int:
@@ -209,25 +193,17 @@ def cmd_analyze(args) -> int:
                 raise _UsageError(f"--{flag} cannot be combined with --compare")
         n = args.n if args.n is not None else 7
         ks = tuple(k for k in range(2, 7) if k <= n)
-        print(emit_comparison(comparison_report(n, ks), args.format), end="")
-        return 0
+        report = comparison_report(n, ks)
+        return _emit(args.format, report.to_json_dict(), emit_comparison(report))
     mat = _resolve_matrix(args)
-    summary = {**_summary(mat), "overheads": list(mat.column_overheads())}
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        _print_summary(summary)
-    return 0
+    over = mat.column_overheads()
+    doc = {**mat.spec.fields(), **mat.metrics()._asdict(), "overheads": over}
+    return _emit(args.format, doc, _code_lines(mat) + f"overheads: {','.join(map(str, over))}\n")
 
 
 def cmd_classify(args) -> int:
-    g = _resolve_g(args, args.n)
-    report = enumerate_classes(args.k, args.n, g)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(emit_report([report], "markdown"), end="")
-    return 0
+    report = enumerate_classes(args.k, args.n, _resolve_g(args, args.n))
+    return _emit(args.format, report.to_json_dict(), emit_report(report))
 
 
 def cmd_check(args) -> int:
@@ -240,17 +216,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_matrix_print(args) -> int:
-    mat = _resolve_matrix(args)
-    text = format_matrix(mat)
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-    else:
-        print(text, end="")
+    save_matrix(_resolve_matrix(args), args.out or sys.stdout)
     return 0
 
 
 def cmd_matrix_load(args) -> int:
-    _print_summary(_summary(load_matrix(args.file)))
+    print(_code_lines(load_matrix(args.file)), end="")
     return 0
 
 

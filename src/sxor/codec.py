@@ -257,7 +257,7 @@ def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict
     masks = {}
     for p in packets:
         allowed = length + over[p.index - 1]
-        if p.bit_len > allowed or p.bits.mask.bit_length() > allowed:
+        if p.bit_len > allowed:  # Packet keeps the payload within bit_len
             raise TrailingBits(
                 f"packet {p.index} carries more than {allowed} bits")
         masks[p.index] = p.bits.mask
@@ -425,6 +425,11 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     zero, else :class:`InconsistentDivision` names the packet, so where
     :func:`map_decode` also applies, both accept the same inputs and
     return bit-identical sources.
+
+    Memory: the per-bit stage holds about 9 bytes per packet bit, so
+    the all-parity zd3 set of a 16 MiB object needs over 1.2 GB.  No
+    bound limits the packet length; a caller that takes packets from
+    outside bounds it itself, or decodes with :func:`map_decode`.
     """
     length, masks, idx = _check_packets(mat, packets)
     k = mat.spec.k
@@ -518,12 +523,9 @@ def packet_from_bytes(data: bytes) -> Packet:
     nbytes = (bit_len + 7) // 8
     if len(data) != off + nbytes:
         raise PacketFormatError(f"payload is {len(data) - off} bytes, expected {nbytes}")
-    mask = int.from_bytes(data[off:], "little")
-    if mask >> bit_len:
-        raise PacketFormatError("nonzero pad bits past the stated payload length")
     try:
         spec = CodeSpec(kind, k, n, m, Poly2(g), x)
-        return Packet(index, Poly2(mask), source_len, bit_len, spec)
+        return Packet(index, Poly2(int.from_bytes(data[off:], "little")), source_len, bit_len, spec)
     except ValueError as exc:
         raise PacketFormatError(str(exc)) from None
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from itertools import combinations
 from math import comb
@@ -45,6 +45,7 @@ __all__ = [
     "builtin_zd_k3",
     "matrix_for_spec",
     "user_matrix",
+    "format_fields",
     "format_matrix",
     "parse_matrix",
     "save_matrix",
@@ -58,6 +59,12 @@ KIND_CODES = {name: i for i, name in enumerate(KINDS)}
 # whose entries grow with K and m: at K = 32 the last K packets of an
 # sxor code took 0.43 s at m = 6 and 1.9 s at m = 16 (README).
 MAX_K = 32
+
+# Most K times the largest entry bit length a matrix may have, the cost
+# of its decoding kernels before any elimination.  The constructed kinds
+# reach it at K = 32, m = 16, where a kernel takes about 2 s; a user
+# matrix at the limit takes as long (README).
+MAX_KERNEL_BITS = MAX_K * 16
 
 # Most column subsets check_suboptimal walks, the sum of C(N, j) for
 # j = 1..K: (6, 31) walks 942,648 in about 2 s and 35 MiB (README).
@@ -118,6 +125,15 @@ class CodeSpec:
         if self.kind == "user" and self.m < 0:
             raise ValueError("m must be nonnegative")
 
+    def fields(self) -> dict:
+        """The spec as named fields in header order: kind K N m g x.
+
+        g is ``0x``-prefixed hex and x is None unless the code is
+        systematic; :func:`format_fields` renders them as text.
+        """
+        return {"kind": self.kind, "K": self.k, "N": self.n, "m": self.m,
+                "g": f"0x{self.g.mask:x}", "x": self.x}
+
 
 def _sorted_indices(what: str, indices: Iterable[int], k: int, n: int) -> tuple[int, ...]:
     # The one rule for a set of packets that stands for the code: K
@@ -156,6 +172,10 @@ class GenMatrix:
             if bad is not None:
                 raise ValueError(
                     f"entry {Poly2(bad)} is not reduced modulo a degree-{spec.m} modulus")
+        bits = max(e.bit_length() for row in grid for e in row)
+        if spec.k * bits > MAX_KERNEL_BITS:
+            raise ValueError(f"K={spec.k} times the largest entry's {bits} bits exceeds "
+                             f"the kernel limit of {MAX_KERNEL_BITS}")
         self.spec = spec
         self._masks = grid
         self._overheads: tuple[int, ...] | None = None
@@ -309,12 +329,18 @@ def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike =
 # Fields after "sxorgen v1" may appear in any order; whitespace between
 # fields is free-form.  x appears exactly when kind=systematic.
 
+def format_fields(fields: Mapping[str, object]) -> str:
+    """``key=value`` text of named fields, such as :meth:`CodeSpec.fields`
+    or a :class:`Metrics` as ``_asdict()``.
+
+    A tuple or list is written comma-separated; a None value is left out.
+    """
+    return " ".join(f"{key}={','.join(map(str, v)) if isinstance(v, (tuple, list)) else v}"
+                    for key, v in fields.items() if v is not None)
+
+
 def format_matrix(mat: GenMatrix) -> str:
-    s = mat.spec
-    head = f"sxorgen v1 kind={s.kind} K={s.k} N={s.n} m={s.m} g=0x{s.g.mask:x}"
-    if s.x is not None:
-        head += " x=" + ",".join(str(i) for i in s.x)
-    lines = [head]
+    lines = ["sxorgen v1 " + format_fields(mat.spec.fields())]
     for row in mat._masks:
         lines.append(",".join(format(e, "x") for e in row))
     return "\n".join(lines) + "\n"

@@ -198,20 +198,13 @@ def test_report_json_schema():
 
 def test_emit_report_json_and_markdown():
     report = enumerate_classes(3, 7, G1)
-    payload = json.loads(emit_report([report], "json"))
-    assert set(payload) == {"reports"}
-    assert payload["reports"][0] == report.to_json_dict()
-    text = emit_report([report], "markdown")
+    doc = report.to_json_dict()
+    assert {"rep": [1, 3, 4], "size": 7, "l_max": 2, "l_sum": 6, "alpha": 14} in doc["classes"]
+    assert doc["best"] == {"rep": [1, 3, 4], "l_max": 2, "l_sum": 6, "alpha": 14}
+    text = emit_report(report)
     assert "| (1,3,4) | 7 | 2 | 6 | 14 |" in text
     assert "best: (1,3,4) with l_max=2 l_sum=6 alpha=14" in text
     assert "35 tuples, 5 classes" in text
-    with pytest.raises(ValueError):
-        emit_report([report], "xml")
-
-
-def test_emit_report_empty():
-    assert emit_report([], "markdown") == "# systematic code classes\n"
-    assert json.loads(emit_report([], "json")) == {"reports": []}
 
 
 def test_zd_reference_values():
@@ -264,22 +257,20 @@ def test_comparison_report_needs_some_k_in_range():
 
 def test_emit_comparison_markdown_and_json():
     report = comparison_report()
-    text = emit_comparison(report, "markdown")
+    text = emit_comparison(report)
     assert "| 3 | sxor | 2 | 12 | 24 |" in text
     assert "| 3 | zigzag-decodable (reference) | 3 | 8 | 8 |" in text
     assert "note:" in text
-    payload = json.loads(emit_comparison(report, "json"))
+    payload = json.loads(json.dumps(report.to_json_dict()))  # must be serializable as-is
     assert payload["N"] == 7 and payload["g"] == "0xb"
     row3 = next(r for r in payload["rows"] if r["K"] == 3)
     assert row3["sxor"] == {"l_max": 2, "l_sum": 12, "alpha": 24}
     assert row3["systematic"]["rep"] == [1, 3, 4]
     assert row3["zd_reference"] == {"l_max": 3, "l_sum": 8, "alpha": 8}
     assert payload["notes"]
-    with pytest.raises(ValueError):
-        emit_comparison(report, "xml")
 
 
 def test_reports_are_deterministic():
-    a = emit_report([enumerate_classes(3, 7, G1)], "json")
-    b = emit_report([enumerate_classes(3, 7, G1)], "json")
-    assert a == b
+    a, b = enumerate_classes(3, 7, G1), enumerate_classes(3, 7, G1)
+    assert a.to_json_dict() == b.to_json_dict()
+    assert emit_report(a) == emit_report(b)

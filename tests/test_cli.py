@@ -14,7 +14,7 @@ import pytest
 from sxor.analysis import MAX_CLASSIFY_TUPLES, MAX_CLASSIFY_WORK
 from sxor.cli import _build_parser, main
 from sxor.codec import encode, read_packet, write_packet
-from sxor.codes import MAX_CHECK_SUBSETS, MAX_K, build_sxor, parse_matrix
+from sxor.codes import MAX_CHECK_SUBSETS, MAX_K, MAX_KERNEL_BITS, build_sxor, parse_matrix
 from sxor.gf2poly import Poly2
 
 
@@ -40,7 +40,7 @@ def test_encode_writes_packets_and_sidecar(tmp_path):
     files = sorted(p.name for p in out.iterdir())
     assert files == sorted([f"data.bin.p{i}.sxp" for i in range(1, 8)] + ["data.bin.sxmeta"])
     meta = (out / "data.bin.sxmeta").read_text()
-    assert "len=12" in meta and "k=3" in meta and "n=7" in meta and "kind=sxor" in meta
+    assert meta == "len=12 kind=sxor K=3 N=7 m=3 g=0xb\n"
     # 12 bytes split across 3 sources: L = 32 bits, plus the column overhead.
     overheads = [0, 2, 2, 2, 2, 2, 2]
     for i in range(1, 8):
@@ -152,6 +152,24 @@ def test_round_trip_user_matrix(tmp_path):
     assert restored.read_bytes() == data
     # Without the matrix the headers alone cannot rebuild a user-kind code.
     assert run(["decode", *packs, "--out", str(restored)]) == 2
+
+
+def test_user_matrix_over_the_kernel_limit_is_refused(tmp_path, capsys):
+    # 17-bit entries at K = 32: each decoding kernel would take seconds.
+    big = tmp_path / "big.sxorgen"
+    rows = "\n".join(",".join(["1ffff"] * 64) for _ in range(MAX_K))
+    big.write_text(f"sxorgen v1 kind=user K={MAX_K} N=64 m=0 g=0x0\n{rows}\n")
+    src, out = encode_file(tmp_path, b"abcd", ["--kind", "sxor", "--k", "2", "--n", "3"])
+    packs = [str(packet_path(out, "data.bin", i)) for i in (2, 3)]
+    restored = tmp_path / "r.bin"
+    for args in (["matrix", "load", str(big)],
+                 ["decode", *packs, "--matrix", str(big), "--out", str(restored)]):
+        start = time.perf_counter()
+        assert run(args) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"17 bits exceeds the kernel limit of {MAX_KERNEL_BITS}" in err, err
+    assert not restored.exists()
 
 
 def test_encode_user_kind_needs_matrix(tmp_path):
@@ -307,7 +325,7 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
     data = b"sidecar paranoia" * 2
     mismatch = "sidecar metadata does not match"
     for kind, edit, message in (
-            ("sxor", ("k=3", "k=4"), mismatch),
+            ("sxor", ("K=3", "K=4"), mismatch),
             ("systematic", ("x=1,2,3", "x=2,3,4"), mismatch),
             ("sxor", ("len=32", "len=1e3"), "data.bin.sxmeta: len='1e3' is not"),
             ("sxor", ("len=32", "len="), "data.bin.sxmeta: len='' is not"),

@@ -6,9 +6,11 @@ from math import comb
 
 import pytest
 
-from sxor.codes import (MAX_CHECK_SUBSETS, MAX_K, CodeSpec, GenMatrix, MatrixFormatError,
-                        Metrics, build_sxor, build_systematic_sxor, builtin_zd_k3, format_matrix,
-                        load_matrix, parse_matrix, save_matrix, user_matrix)
+from sxor.codes import (MAX_CHECK_SUBSETS, MAX_K, MAX_KERNEL_BITS, CodeSpec, GenMatrix,
+                        MatrixFormatError, Metrics, build_sxor, build_systematic_sxor,
+                        builtin_zd_k3, format_fields, format_matrix, load_matrix, parse_matrix,
+                        save_matrix, user_matrix)
+from sxor.gf2m import default_modulus
 from sxor.gf2poly import Poly2
 
 
@@ -193,6 +195,27 @@ def test_gen_matrix_shape_and_reduction():
     user_matrix(bad)  # but a user matrix may carry any entries
     with pytest.raises(ValueError):
         user_matrix([])
+
+
+def test_gen_matrix_bounds_the_kernel_cost():
+    # The constructed kinds reach the limit at K = MAX_K with m = 16 entries.
+    g16 = default_modulus(16)
+    build_sxor(MAX_K, 40, g16)
+    build_systematic_sxor(MAX_K, 64, g16, range(1, MAX_K + 1))
+    user_matrix([[0xFFFF] * 64] * MAX_K)
+    for k, bits in ((MAX_K, 17), (2, MAX_KERNEL_BITS // 2 + 1)):
+        grid = [[1] * (k + 1) for _ in range(k)]
+        grid[-1][-1] = 1 << (bits - 1)
+        with pytest.raises(ValueError, match=rf"K={k} .* {bits} bits .* limit of {MAX_KERNEL_BITS}"):
+            user_matrix(grid)
+
+
+def test_format_fields():
+    spec = CodeSpec("systematic", 3, 7, 3, Poly2(G1), (1, 3, 4))
+    assert format_fields(spec.fields()) == "kind=systematic K=3 N=7 m=3 g=0xb x=1,3,4"
+    assert format_fields(CodeSpec("zd3", 3, 6).fields()) == "kind=zd3 K=3 N=6 m=0 g=0x0"
+    assert format_fields(Metrics(2, 6, 14)._asdict()) == "l_max=2 l_sum=6 alpha=14"
+    assert format_fields({"len": 12, "x": [4, 5]}) == "len=12 x=4,5"
 
 
 def test_format_parse_round_trip():
