@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from itertools import combinations
 from math import comb
@@ -60,10 +60,10 @@ KIND_CODES = {name: i for i, name in enumerate(KINDS)}
 # sxor code took 0.43 s at m = 6 and 1.9 s at m = 16 (README).
 MAX_K = 32
 
-# Most K times the largest entry bit length a matrix may have, the cost
-# of its decoding kernels before any elimination.  The constructed kinds
-# reach it at K = 32, m = 16, where a kernel takes about 2 s; a user
-# matrix at the limit takes as long (README).
+# Largest K times widest entry bit length a matrix may have: a bound on
+# the cost of its decoding kernels that is known before any elimination.
+# The constructed kinds reach it at K = 32, m = 16, where a kernel takes
+# about 2 s; a user matrix at the limit takes as long (README).
 MAX_KERNEL_BITS = MAX_K * 16
 
 # Most column subsets check_suboptimal walks, the sum of C(N, j) for
@@ -132,7 +132,7 @@ class CodeSpec:
         systematic; :func:`format_fields` renders them as text.
         """
         return {"kind": self.kind, "K": self.k, "N": self.n, "m": self.m,
-                "g": f"0x{self.g.mask:x}", "x": self.x}
+                "g": "0x" + self.g.to_hex(), "x": self.x}
 
 
 def _sorted_indices(what: str, indices: Iterable[int], k: int, n: int) -> tuple[int, ...]:
@@ -329,13 +329,13 @@ def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike =
 # Fields after "sxorgen v1" may appear in any order; whitespace between
 # fields is free-form.  x appears exactly when kind=systematic.
 
-def format_fields(fields: Mapping[str, object]) -> str:
+def format_fields(fields: dict) -> str:
     """``key=value`` text of named fields, such as :meth:`CodeSpec.fields`
     or a :class:`Metrics` as ``_asdict()``.
 
-    A tuple or list is written comma-separated; a None value is left out.
+    A tuple is written comma-separated; a None value is left out.
     """
-    return " ".join(f"{key}={','.join(map(str, v)) if isinstance(v, (tuple, list)) else v}"
+    return " ".join(f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
                     for key, v in fields.items() if v is not None)
 
 

@@ -215,7 +215,7 @@ def test_format_fields():
     assert format_fields(spec.fields()) == "kind=systematic K=3 N=7 m=3 g=0xb x=1,3,4"
     assert format_fields(CodeSpec("zd3", 3, 6).fields()) == "kind=zd3 K=3 N=6 m=0 g=0x0"
     assert format_fields(Metrics(2, 6, 14)._asdict()) == "l_max=2 l_sum=6 alpha=14"
-    assert format_fields({"len": 12, "x": [4, 5]}) == "len=12 x=4,5"
+    assert format_fields({"len": 12, "x": (4, 5), "m": None}) == "len=12 x=4,5"
 
 
 def test_format_parse_round_trip():
