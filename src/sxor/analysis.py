@@ -23,15 +23,16 @@ for K in {2,3,4}, a Hankel construction beyond) are out of scope here.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from .codes import CodeSpec, GenMatrix, Metrics, build_sxor, build_systematic_sxor, format_fields
+from .codes import (CodeSpec, GenMatrix, Metrics, _systematic, build_sxor, build_systematic_sxor,
+                    format_fields)
 from .gf2m import FieldCtx, PolyLike, _as_poly, default_modulus
 from .gf2poly import Poly2
+from .polymat import vandermonde
 
 __all__ = [
     "CodeClass",
@@ -123,8 +124,8 @@ class ClassReport:
 MAX_CLASSIFY_TUPLES = 10_000
 
 # Most work enumerate_classes does after the walk, counted as K*(K+1)*N
-# per matrix it builds (K*N Vandermonde entries, K*K*N products): about
-# 1 us a unit, so 4 to 5 s at the limit (README).
+# per matrix it builds (about the K*K*N products of V_x**-1 * V): 1.6
+# to 2.4 us a unit, so 6 to 10 s at the limit (README).
 MAX_CLASSIFY_WORK = 4_000_000
 
 
@@ -141,27 +142,31 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     ``MAX_CLASSIFY_WORK``.
     """
     ctx = FieldCtx(g)
-    CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(range(1, k + 1)))  # validates (k, n, g)
+    spec = CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(range(1, k + 1)))  # validates (k, n, g)
     if comb(n, k) > MAX_CLASSIFY_TUPLES:
         raise ValueError(f"C({n}, {k}) = {comb(n, k)} position tuples exceeds the "
                          f"classify limit of {MAX_CLASSIFY_TUPLES}")
     g = ctx.g
     shifts = range(1, n) if n == ctx.order else ()
 
-    # The class representative is the colex-smallest member (largest
-    # position compared first): the conventional choice for difference
-    # sets, and the one that names classes by their tightest prefix.
-    def canonical(t: tuple[int, ...]) -> tuple[int, ...]:
-        orbit = [t] + [tuple(sorted(shift_sequence(t, s, n))) for s in shifts]
-        return min(orbit, key=lambda u: u[::-1])
-
-    sizes = Counter(canonical(t) for t in combinations(range(1, n + 1), k))
+    # Each orbit is walked once, from its first tuple in combinations
+    # order.  The class representative is the colex-smallest member
+    # (largest position compared first): the conventional choice for
+    # difference sets, and the one that names classes by their tightest
+    # prefix.
+    sizes, seen = {}, set()
+    for t in combinations(range(1, n + 1), k):
+        if t not in seen:
+            orbit = {t, *(tuple(sorted(shift_sequence(t, s, n))) for s in shifts)}
+            seen |= orbit
+            sizes[min(orbit, key=lambda u: u[::-1])] = len(orbit)
     work = len(sizes) * k * (k + 1) * n
     if work > MAX_CLASSIFY_WORK:
         raise ValueError(f"building {len(sizes)} matrices at K={k}, N={n} costs {work} "
                          f"(matrices * K*(K+1)*N), over the classify limit of {MAX_CLASSIFY_WORK}")
-    classes = tuple(CodeClass(rep, sizes[rep], build_systematic_sxor(k, n, g, rep).metrics())
-                    for rep in sorted(sizes))
+    v = vandermonde(ctx, k, n)
+    classes = tuple(CodeClass(rep, size, _systematic(replace(spec, x=rep), v).metrics())
+                    for rep, size in sorted(sizes.items()))
     return ClassReport(k, n, g, classes, comb(n, k))
 
 

@@ -32,8 +32,8 @@ from itertools import combinations
 from math import comb
 
 from .gf2m import FieldCtx, PolyLike, _as_poly
-from .gf2poly import Poly2, _mul_masks
-from .polymat import PolyMatrix, _check_shape, vandermonde
+from .gf2poly import Poly2
+from .polymat import FieldMatrix, PolyMatrix, _check_shape, vandermonde
 
 __all__ = [
     "CodeSpec",
@@ -67,7 +67,7 @@ MAX_K = 32
 MAX_KERNEL_BITS = MAX_K * 16
 
 # Most column subsets check_suboptimal walks, the sum of C(N, j) for
-# j = 1..K: (6, 31) walks 942,648 in about 2 s and 35 MiB (README).
+# j = 1..K: (6, 31) walks 942,648 in about 3 s and 35 MiB (README).
 MAX_CHECK_SUBSETS = 1_000_000
 
 # Entries of the fixed 3 x 6 zigzag-decodable code, as coefficient masks.
@@ -238,23 +238,30 @@ class GenMatrix:
                              f"over the check limit of {MAX_CHECK_SUBSETS}")
         # level maps each j-subset of columns (a bit set) to the determinant
         # of the last j rows on those columns.  Level j comes from level
-        # j - 1 by first-row expansion (signs vanish over GF(2)), and level
-        # K is checked as it is computed, never stored.
+        # j - 1 by first-row expansion (signs vanish over GF(2)), each
+        # product formed inline as one shift per exponent of the entry,
+        # and level K is checked as it is computed, never stored.
         level = {0: 1}
 
-        def expand(row, cols):
-            key = sum(1 << c for c in cols)
-            acc = 0
-            for c in cols:
-                e, sub = row[c], level[key ^ (1 << c)]
-                if e and sub:
-                    acc ^= _mul_masks(e, sub)
-            return key, acc
+        def expand(r):
+            # (key, det) of every (K - r)-subset, in combinations order.
+            terms = [(1 << c, [t for t in range(e.bit_length()) if e >> t & 1])
+                     for c, e in enumerate(self._masks[r])]
+            for subset in combinations(terms, k - r):
+                key = 0
+                for bit, _ in subset:
+                    key |= bit
+                acc = 0
+                for bit, exps in subset:
+                    sub = level[key ^ bit]
+                    for t in exps:
+                        acc ^= sub << t
+                yield key, acc
 
         for r in range(k - 1, 0, -1):
-            level = dict(expand(self._masks[r], cols) for cols in combinations(range(n), k - r))
-        failing = [tuple(c + 1 for c in cols) for cols in combinations(range(n), k)
-                   if not expand(self._masks[0], cols)[1]]
+            level = dict(expand(r))
+        failing = [tuple(c + 1 for c in cols)
+                   for cols, (_, det) in zip(combinations(range(n), k), expand(0)) if not det]
         return (not failing, failing)
 
     def __eq__(self, other: object) -> bool:
@@ -289,9 +296,13 @@ def build_systematic_sxor(k: int, n: int, g: PolyLike, x: Sequence[int]) -> GenM
     """
     ctx = FieldCtx(g)
     spec = CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(x))
-    v = vandermonde(ctx, k, n)
-    a = v.columns([i - 1 for i in spec.x]).inverse() @ v
-    return GenMatrix(spec, a._masks)
+    return _systematic(spec, vandermonde(ctx, k, n))
+
+
+def _systematic(spec: CodeSpec, v: FieldMatrix) -> GenMatrix:
+    # The one construction of a systematic matrix, V_x**-1 * V, from its
+    # K x N Vandermonde matrix V; classify passes one V for every class.
+    return GenMatrix(spec, (v.columns([i - 1 for i in spec.x]).inverse() @ v)._masks)
 
 
 def builtin_zd_k3() -> GenMatrix:

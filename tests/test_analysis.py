@@ -7,12 +7,14 @@ from math import comb
 
 import pytest
 
+from sxor import analysis, codes
 from sxor.analysis import (MAX_CLASSIFY_TUPLES, ZD_N7_REFERENCE, ClassReport, CodeClass,
                            best_systematic, comparison_report, emit_comparison, emit_report,
                            enumerate_classes, matrices_equivalent, shift_sequence,
                            zd_max_overhead)
 from sxor.codes import Metrics, build_systematic_sxor, user_matrix
 from sxor.gf2poly import Poly2
+from sxor.polymat import vandermonde
 
 
 G1 = 0xB
@@ -162,6 +164,21 @@ def test_enumerate_classes_bounds_the_tuple_count():
     assert max(comb(15, k) for k in range(16)) <= MAX_CLASSIFY_TUPLES < comb(16, 8)
     with pytest.raises(ValueError, match=rf"C\(16, 8\) = 12870 .* {MAX_CLASSIFY_TUPLES}"):
         enumerate_classes(8, 16, 0x25)
+
+
+def test_enumerate_classes_builds_one_vandermonde_matrix(monkeypatch):
+    # Every class matrix is V_x**-1 * V for the same V, so one build serves all 91.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vandermonde(*args)
+
+    monkeypatch.setattr(analysis, "vandermonde", counted)
+    monkeypatch.setattr(codes, "vandermonde", counted)
+    report = enumerate_classes(4, 15, 0x13)
+    assert len(report.classes) == 91
+    assert len(calls) == 1
 
 
 def test_orbits_partition_the_tuples():

@@ -112,8 +112,8 @@ def test_user_matrix_metrics_and_round_trips(grid):
 
 @st.composite
 def check_grids(draw):
-    k = draw(st.integers(1, 4))
-    n = draw(st.integers(k, 7))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 8))
     grid = draw(st.lists(st.lists(st.integers(0, 15), min_size=n, max_size=n),
                          min_size=k, max_size=k))
     for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
