@@ -503,6 +503,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("classify.json", ["classify", "--k", "3", "--n", "7", "--g", "0xB", "--format", "json"]),
     ("matrix-load.txt", ["matrix", "load", str(GOLDEN / "sxor-3-7.sxorgen")]),
     ("sxor-3-7.sxorgen", ["matrix", "print", "--kind", "sxor", "--k", "3", "--n", "7"]),
+    ("classify-4-15.json", ["classify", "--k", "4", "--n", "15", "--g", "0x13",
+                            "--format", "json"]),
+    ("systematic-10-14.sxorgen", ["matrix", "print", "--kind", "systematic",
+                                  "--k", "10", "--n", "14"]),
 ])
 def test_stdout_matches_golden(golden, args, capsys):
     # Each file holds a command's whole stdout, byte for byte.
