@@ -12,7 +12,9 @@ D_s = diag(z**(i*s)).  Hence G(x + s) = V_(x+s)**-1 * V is G(x) with its
 columns rotated, and sorting x + s only reorders its rows: every cyclic
 shift of a position tuple gives an equivalent code.  enumerate_classes
 therefore groups the tuples into shift orbits and builds one matrix per
-orbit; matrices_equivalent, the exhaustive check, is the test oracle.
+orbit, from the closed form of V_x**-1 * V (codes._systematic), so it
+forms neither V nor an inverse; matrices_equivalent, the exhaustive
+check, is the test oracle.
 
 Each report has one JSON form, its ``to_json_dict()``, and one markdown
 form, from emit_report or emit_comparison; the comparison report sets
@@ -32,7 +34,6 @@ from .codes import (CodeSpec, GenMatrix, Metrics, _systematic, build_sxor, build
                     format_fields)
 from .gf2m import FieldCtx, PolyLike, _as_poly, default_modulus
 from .gf2poly import Poly2
-from .polymat import vandermonde
 
 __all__ = [
     "CodeClass",
@@ -123,10 +124,11 @@ class ClassReport:
 # Most tuples enumerate_classes walks: every N <= 15 fits.
 MAX_CLASSIFY_TUPLES = 10_000
 
-# Most work enumerate_classes does after the walk, counted as K*(K+1)*N
-# per matrix it builds (about the K*K*N products of V_x**-1 * V): 1.6
-# to 2.4 us a unit, so 6 to 10 s at the limit (README).
-MAX_CLASSIFY_WORK = 4_000_000
+# Most work enumerate_classes does after the walk, counted as K*N per
+# matrix it builds (each entry of the closed form is O(1)): 0.8 to 1.4 us
+# a unit, so (29, 32) takes about 4 s and K = 1, N = 2236, the slowest
+# input under the limit, about 6 s (README).
+MAX_CLASSIFY_WORK = 5_000_000
 
 
 def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
@@ -138,7 +140,7 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     class representative, which is the only matrix built.  Otherwise
     each sorted tuple stands alone.  Raises ValueError, before walking
     any tuple, when C(N, K) exceeds ``MAX_CLASSIFY_TUPLES``, and before
-    building any matrix when their number times K*(K+1)*N exceeds
+    building any matrix when their number times K*N exceeds
     ``MAX_CLASSIFY_WORK``.
     """
     ctx = FieldCtx(g)
@@ -153,19 +155,19 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     # order.  The class representative is the colex-smallest member
     # (largest position compared first): the conventional choice for
     # difference sets, and the one that names classes by their tightest
-    # prefix.
+    # prefix.  Rotating by s is shift_sequence(t, s, n) inlined: t is
+    # valid already, and a rotation runs once per tuple.
     sizes, seen = {}, set()
     for t in combinations(range(1, n + 1), k):
         if t not in seen:
-            orbit = {t, *(tuple(sorted(shift_sequence(t, s, n))) for s in shifts)}
+            orbit = {t, *(tuple(sorted((j + s - 1) % n + 1 for j in t)) for s in shifts)}
             seen |= orbit
             sizes[min(orbit, key=lambda u: u[::-1])] = len(orbit)
-    work = len(sizes) * k * (k + 1) * n
+    work = len(sizes) * k * n
     if work > MAX_CLASSIFY_WORK:
         raise ValueError(f"building {len(sizes)} matrices at K={k}, N={n} costs {work} "
-                         f"(matrices * K*(K+1)*N), over the classify limit of {MAX_CLASSIFY_WORK}")
-    v = vandermonde(ctx, k, n)
-    classes = tuple(CodeClass(rep, size, _systematic(replace(spec, x=rep), v).metrics())
+                         f"(matrices * K*N), over the classify limit of {MAX_CLASSIFY_WORK}")
+    classes = tuple(CodeClass(rep, size, _systematic(replace(spec, x=rep)).metrics())
                     for rep, size in sorted(sizes.items()))
     return ClassReport(k, n, g, classes, comb(n, k))
 

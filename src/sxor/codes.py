@@ -13,7 +13,7 @@ Three constructions are provided:
   stays at most ceil(log2(N+1)) - 1 bits.
 * :func:`build_systematic_sxor` - same code pre-multiplied by the inverse
   of the columns named by x, so those K packets carry the sources
-  verbatim.
+  verbatim; built entry by entry from its Lagrange closed form.
 * :func:`builtin_zd_k3` - the fixed 3 x 6 zigzag-decodable matrix whose
   entries are all monomials, single-bit overhead, zigzag-friendly.
 
@@ -28,12 +28,12 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
-from .gf2m import FieldCtx, PolyLike, _as_poly
+from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables
 from .gf2poly import Poly2
-from .polymat import FieldMatrix, PolyMatrix, _check_shape, vandermonde
+from .polymat import PolyMatrix, _check_shape, vandermonde
 
 __all__ = [
     "CodeSpec",
@@ -164,15 +164,20 @@ class GenMatrix:
     __slots__ = ("spec", "_masks", "_overheads")
 
     def __init__(self, spec: CodeSpec, entries: Iterable[Iterable[PolyLike]]):
-        grid = tuple(tuple(_as_poly(e).mask for e in row) for row in entries)
+        grid = tuple(map(tuple, entries))
+        if not set(map(type, chain.from_iterable(grid))) <= {int}:
+            # An int is its own mask; anything else goes through Poly2's checks.
+            grid = tuple(tuple(e if type(e) is int else _as_poly(e).mask for e in row)
+                         for row in grid)
         if _check_shape(grid) != (spec.k, spec.n):
             raise ValueError(f"entries must form a {spec.k}x{spec.n} grid")
-        if spec.kind in ("sxor", "systematic"):
-            bad = next((e for row in grid for e in row if e >> spec.m), None)
-            if bad is not None:
-                raise ValueError(
-                    f"entry {Poly2(bad)} is not reduced modulo a degree-{spec.m} modulus")
-        bits = max(e.bit_length() for row in grid for e in row)
+        if min(map(min, grid)) < 0:
+            raise ValueError("coefficient mask must be nonnegative")
+        top = max(map(max, grid))  # the widest entry, as none is negative
+        if spec.kind in ("sxor", "systematic") and top >> spec.m:
+            bad = next(e for row in grid for e in row if e >> spec.m)
+            raise ValueError(f"entry {Poly2(bad)} is not reduced modulo a degree-{spec.m} modulus")
+        bits = top.bit_length()
         if spec.k * bits > MAX_KERNEL_BITS:
             raise ValueError(f"K={spec.k} times the largest entry's {bits} bits exceeds "
                              f"the kernel limit of {MAX_KERNEL_BITS}")
@@ -194,8 +199,8 @@ class GenMatrix:
     def column_overheads(self) -> tuple[int, ...]:
         """Extra bits per packet: max entry degree of each column, left to right."""
         if self._overheads is None:
-            self._overheads = tuple(max(max(col).bit_length() - 1, 0)
-                                    for col in zip(*self._masks))
+            widths = map(int.bit_length, map(max, zip(*self._masks)))
+            self._overheads = tuple(max(w - 1, 0) for w in widths)
         return self._overheads
 
     def metrics(self) -> Metrics:
@@ -206,7 +211,10 @@ class GenMatrix:
         XOR passes regardless of packet length.
         """
         over = self.column_overheads()
-        alpha = sum(max(sum(e.bit_count() for e in col) - 1, 0) for col in zip(*self._masks))
+        # Summed over columns, max(T_j - 1, 0) is every term less one per
+        # nonzero column.
+        alpha = (sum(map(int.bit_count, chain.from_iterable(self._masks)))
+                 - sum(map(any, zip(*self._masks))))
         return Metrics(max(over), sum(over), alpha)
 
     def check_survivors(self, survivors: Iterable[int]) -> tuple[int, ...]:
@@ -290,19 +298,48 @@ def build_sxor(k: int, n: int, g: PolyLike) -> GenMatrix:
 def build_systematic_sxor(k: int, n: int, g: PolyLike, x: Sequence[int]) -> GenMatrix:
     """Systematic variant: packets listed in x (1-based) carry the sources.
 
-    The Vandermonde matrix is pre-multiplied by the inverse of its x
-    columns, so the x columns of the result form the K x K identity and
-    decodability of every K-subset is preserved.
+    The matrix is V_x**-1 * V, the Vandermonde matrix pre-multiplied by
+    the inverse of its x columns, so the x columns of the result form the
+    K x K identity and decodability of every K-subset is preserved.  It
+    is built from its closed form (:func:`_systematic`), not by inverting.
     """
     ctx = FieldCtx(g)
-    spec = CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(x))
-    return _systematic(spec, vandermonde(ctx, k, n))
+    return _systematic(CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(x)))
 
 
-def _systematic(spec: CodeSpec, v: FieldMatrix) -> GenMatrix:
-    # The one construction of a systematic matrix, V_x**-1 * V, from its
-    # K x N Vandermonde matrix V; classify passes one V for every class.
-    return GenMatrix(spec, (v.columns([i - 1 for i in spec.x]).inverse() @ v)._masks)
+def _systematic(spec: CodeSpec) -> GenMatrix:
+    """The one construction of a systematic matrix G = V_x**-1 * V.
+
+    Column c of V is (1, a, a**2, ...) at the point a = z**c (0-based),
+    so G[r][c] is the Lagrange basis polynomial of the point z**p_r over
+    the points z**p_i, p_i = x_i - 1, evaluated at z**c:
+
+        G[r][c] = prod_{i != r} (z**c + z**p_i) / (z**p_r + z**p_i).
+
+    Column x_r is therefore the r-th unit column.  Every other entry is
+    one exponent: each factor is log(z**a + z**b) = a + Z(b - a) by Zech's
+    logarithm Z (:mod:`sxor.gf2m`), so an entry costs O(1) additions and
+    table lookups and the matrix O(K*N), with no inverse and no matrix
+    product; classify calls this once per class.
+    """
+    exp, zech = _zech_tables(spec.g.mask, spec.m)
+    order = len(exp)
+    ps = [j - 1 for j in spec.x]
+    # logs[r][c] = log(z**c + z**p_r).  c - p_r lies strictly between
+    # -order and order, and a negative index wraps to (c - p_r) mod order
+    # as Z needs.  The entries at c = p_r stand for log 0: they cancel out
+    # of den, and the x columns they spoil are overwritten as unit columns.
+    logs = [[p + zech[c - p] for c in range(spec.n)] for p in ps]
+    totals = list(map(sum, zip(*logs)))
+    # log G[r][c] = (totals[c] - logs[r][c]) - den[r], where the r-th
+    # denominator is the numerator's sum taken at c = p_r.
+    den = [totals[p] - row[p] for p, row in zip(ps, logs)]
+    rows = [[exp[(t - lg - d) % order] for t, lg in zip(totals, row)]
+            for row, d in zip(logs, den)]
+    for r, row in enumerate(rows):
+        for i, p in enumerate(ps):
+            row[p] = int(i == r)
+    return GenMatrix(spec, rows)
 
 
 def builtin_zd_k3() -> GenMatrix:

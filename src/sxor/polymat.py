@@ -4,11 +4,12 @@ Both store a tuple-of-tuples of int masks (``_masks``) and are APIs over
 it, with one product (:func:`_matmul_masks`, given the ring's multiply)
 and one shape check (:func:`_check_shape`); ``entries`` wraps the masks
 as :class:`~sxor.gf2m.FieldElem` or :class:`~sxor.gf2poly.Poly2` on
-request.  :class:`FieldMatrix` adds the Gauss-Jordan inverse needed to
-build systematic generators.  :class:`PolyMatrix` adds determinant and
-adjugate over GF(2)[z], the core of the exact decoder: for a K x K
-submatrix A_I the identity A_I * adj(A_I) = det(A_I) * I turns decoding
-into K exact divisions.
+request.  :class:`FieldMatrix` adds a Gauss-Jordan inverse; with the
+product it is the reference the closed-form systematic generators of
+:mod:`sxor.codes` are tested against.  :class:`PolyMatrix` adds
+determinant and adjugate over GF(2)[z], the core of the exact decoder:
+for a K x K submatrix A_I the identity A_I * adj(A_I) = det(A_I) * I
+turns decoding into K exact divisions.
 
 Determinant and adjugate come from one fraction-free (Bareiss)
 Gauss-Jordan elimination on [A | I]: every division by the previous

@@ -7,14 +7,14 @@ from math import comb
 
 import pytest
 
-from sxor import analysis, codes
+from sxor import codes, polymat
 from sxor.analysis import (MAX_CLASSIFY_TUPLES, ZD_N7_REFERENCE, ClassReport, CodeClass,
                            best_systematic, comparison_report, emit_comparison, emit_report,
                            enumerate_classes, matrices_equivalent, shift_sequence,
                            zd_max_overhead)
 from sxor.codes import Metrics, build_systematic_sxor, user_matrix
 from sxor.gf2poly import Poly2
-from sxor.polymat import vandermonde
+from sxor.polymat import FieldMatrix
 
 
 G1 = 0xB
@@ -166,19 +166,18 @@ def test_enumerate_classes_bounds_the_tuple_count():
         enumerate_classes(8, 16, 0x25)
 
 
-def test_enumerate_classes_builds_one_vandermonde_matrix(monkeypatch):
-    # Every class matrix is V_x**-1 * V for the same V, so one build serves all 91.
-    calls = []
+def test_enumerate_classes_forms_no_vandermonde_matrix_inverse_or_product(monkeypatch):
+    # Every class matrix comes from the closed form of V_x**-1 * V, so
+    # classify needs neither V nor an inverse nor a matrix product.
+    def refuse(*args):
+        raise AssertionError("classify built a matrix through the field-matrix API")
 
-    def counted(*args):
-        calls.append(args)
-        return vandermonde(*args)
-
-    monkeypatch.setattr(analysis, "vandermonde", counted)
-    monkeypatch.setattr(codes, "vandermonde", counted)
+    for owner in (polymat, codes):
+        monkeypatch.setattr(owner, "vandermonde", refuse)
+    monkeypatch.setattr(FieldMatrix, "inverse", refuse)
+    monkeypatch.setattr(FieldMatrix, "__matmul__", refuse)
     report = enumerate_classes(4, 15, 0x13)
     assert len(report.classes) == 91
-    assert len(calls) == 1
 
 
 def test_orbits_partition_the_tuples():

@@ -423,13 +423,13 @@ def test_classify_rejects_too_many_tuples(capsys):
 
 
 def test_classify_rejects_too_much_work(capsys):
-    # C(32, 29) = 4960 tuples pass the tuple limit, but N = 32 is not
-    # 2^m - 1, so each would build its own 29 x 32 matrix.
+    # C(3000, 1) = 3000 tuples pass the tuple limit, but N = 3000 is not
+    # 2^m - 1, so each would build its own 1 x 3000 matrix.
     start = time.perf_counter()
-    assert run(["classify", "--k", "29", "--n", "32", "--g", "0x43"]) == 1
+    assert run(["classify", "--k", "1", "--n", "3000", "--g", "0x1053"]) == 1
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "building 4960 matrices" in err and str(MAX_CLASSIFY_WORK) in err, err
+    assert "building 3000 matrices" in err and str(MAX_CLASSIFY_WORK) in err, err
 
 
 def test_check_rejects_too_many_subsets(capsys):

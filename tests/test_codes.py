@@ -197,6 +197,17 @@ def test_gen_matrix_shape_and_reduction():
         user_matrix([])
 
 
+def test_gen_matrix_entry_types():
+    # Ints are masks as they stand; anything else is checked as a Poly2 is.
+    assert user_matrix([[Poly2(3), 1]]) == user_matrix([[3, 1]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        user_matrix([[3, -1]])
+    with pytest.raises(TypeError):
+        user_matrix([[3, True]])
+    with pytest.raises(TypeError):
+        user_matrix([[3, "1"]])
+
+
 def test_gen_matrix_bounds_the_kernel_cost():
     # The constructed kinds reach the limit at K = MAX_K with m = 16 entries.
     g16 = default_modulus(16)

@@ -1,7 +1,10 @@
-"""Property tests for GF(2^m) exponentiation and the Gauss-Jordan inverse.
+"""Property tests for GF(2^m) exponentiation, the Gauss-Jordan inverse and
+the closed-form systematic generator.
 
 The oracle for FieldMatrix.inverse is the polynomial adjugate: it runs on
 GF(2)[z] minors and shares no arithmetic with the field's mask helpers.
+The inverse and the matrix product are in turn the oracle for
+build_systematic_sxor, which reads G = V_x**-1 * V off Zech-log tables.
 """
 
 import pytest
@@ -10,8 +13,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from sxor.gf2m import DEFAULT_MODULI, FieldCtx
-from sxor.polymat import FieldMatrix, Singular
+from sxor.codes import build_systematic_sxor
+from sxor.gf2m import DEFAULT_MODULI, FieldCtx, is_primitive
+from sxor.polymat import FieldMatrix, Singular, vandermonde
 
 # Fixed examples, no deadline and no example database, so the suite stays
 # short and leaves no .hypothesis/ directory behind.
@@ -75,3 +79,30 @@ def test_pow_matches_repeated_multiplication(data):
 def test_z_pow_of_negative_exponent(ctx, e):
     assert ctx.z_pow(e) == ctx.z_pow(e % ctx.order)
     assert ctx.z_pow(e) * ctx.z_pow(-e) == ctx.one
+
+
+# Every primitive polynomial of degree 1..8 (52 of them), not only the
+# built-in ones, so the Zech tables are checked over many fields.
+PRIMITIVE = [g for m in range(1, 9) for g in range(1 << m, 2 << m) if is_primitive(g, m)]
+
+
+def _by_inverse(k, n, g, x):
+    v = vandermonde(FieldCtx(g), k, n)
+    return (v.columns([j - 1 for j in x]).inverse() @ v).to_poly().entries
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data())
+def test_systematic_closed_form_matches_inverse_times_vandermonde(data):
+    g = data.draw(st.sampled_from(PRIMITIVE))
+    order = (1 << (g.bit_length() - 1)) - 1
+    n = data.draw(st.integers(1, min(order, 40)))
+    k = data.draw(st.integers(1, min(n, 32)))
+    x = data.draw(st.permutations(range(1, n + 1)))[:k]  # any order: rows follow x
+    assert build_systematic_sxor(k, n, g, x).entries == _by_inverse(k, n, g, x)
+
+
+def test_systematic_closed_form_matches_inverse_at_m16():
+    x = tuple(range(64, 0, -2))
+    assert build_systematic_sxor(32, 64, DEFAULT_MODULI[16], x).entries == \
+        _by_inverse(32, 64, DEFAULT_MODULI[16], x)
