@@ -8,10 +8,10 @@ errors (bad invocation, wrong packet count, empty input).
 Packets are written as ``<name>.p<i>.sxp`` next to a ``<name>.sxmeta``
 sidecar recording the original byte length and the code fields; decode
 finds the sidecar by stripping the packet suffix from the first packet
-argument and rejects it unless each field appears once and its code
-fields match the packet headers.  Decode always uses the exact (MAP)
-decoder, so it refuses exactly the survivor sets that check lists as
-failing.
+argument, reads it with the matrix-header reader ``codes.parse_fields``
+and rejects it unless its code matches the packet headers.  Decode
+always uses the exact (MAP) decoder, so it refuses exactly the survivor
+sets that check lists as failing.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
@@ -33,7 +33,8 @@ from pathlib import Path
 
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
 from .codec import encode, map_decode, read_packet, write_packet
-from .codes import CodeSpec, GenMatrix, format_fields, load_matrix, matrix_for_spec, save_matrix
+from .codes import (CodeSpec, GenMatrix, MatrixFormatError, format_fields, load_matrix,
+                    matrix_for_spec, parse_fields, save_matrix)
 from .gf2m import FieldCtx, default_modulus
 from .gf2poly import Poly2
 
@@ -107,7 +108,8 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _read_sidecar(first_packet: Path) -> tuple[Path, dict[str, str]] | None:
+def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | None:
+    # The sidecar's spec and raw len, or None when there is no sidecar.
     name = first_packet.name
     m = _PACKET_SUFFIX.search(name)
     if not m:
@@ -116,17 +118,13 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, dict[str, str]] | None:
     if not sidecar.exists():
         return None
     try:
-        text = sidecar.read_text(encoding="ascii")
+        spec, extra = parse_fields(sidecar.read_text(encoding="ascii").split(), ("len",))
     except UnicodeDecodeError as exc:
         raise ValueError(f"sidecar {sidecar}: non-ASCII byte {exc.object[exc.start]:#04x} "
                          f"at offset {exc.start}") from None
-    fields = {}
-    for part in text.split():
-        key, _, value = part.partition("=")
-        if key in fields:
-            raise ValueError(f"sidecar {sidecar}: repeated field {key!r}")
-        fields[key] = value
-    return sidecar, fields
+    except MatrixFormatError as exc:
+        raise ValueError(f"sidecar {sidecar}: {exc}") from None
+    return sidecar, spec, extra.get("len")
 
 
 def cmd_decode(args) -> int:
@@ -148,10 +146,11 @@ def cmd_decode(args) -> int:
 
     found = _read_sidecar(Path(args.packets[0]))
     if found is not None:
-        sidecar, meta = found
-        sidecar_len = meta.pop("len", None)
-        if set(format_fields(meta).split()) != set(format_fields(spec.fields()).split()):
-            raise ValueError("sidecar metadata does not match the packet headers")
+        sidecar, sidecar_spec, sidecar_len = found
+        if sidecar_spec != spec:
+            diff = [key for key, v in spec.fields().items() if sidecar_spec.fields()[key] != v]
+            raise ValueError("sidecar metadata does not match the packet headers: "
+                             f"{sidecar} differs in {', '.join(diff)}")
         if total_len is None and sidecar_len is not None:
             if not sidecar_len.isdecimal():  # the file was read as ASCII
                 raise ValueError(f"sidecar {sidecar}: len={sidecar_len!r} "

@@ -47,6 +47,7 @@ __all__ = [
     "user_matrix",
     "format_fields",
     "format_matrix",
+    "parse_fields",
     "parse_matrix",
     "save_matrix",
     "load_matrix",
@@ -394,6 +395,43 @@ def format_matrix(mat: GenMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_fields(words: Iterable[str], extra: Sequence[str] = (),
+                 first: int = 1) -> tuple[CodeSpec, dict[str, str]]:
+    """The reader of :func:`format_fields`: the spec the ``key=value``
+    words name, and the raw values of the ``extra`` fields present.
+
+    kind, K, N, m and g are required, x and the extra fields optional,
+    each at most once.  K, N and m are decimal, g hex and x a comma list.
+    Raises :class:`MatrixFormatError` at line 1, counting the words as
+    fields from ``first``.
+    """
+    seen: dict[str, str] = {}
+    for pos, word in enumerate(words, start=first):
+        key, sep, value = word.partition("=")
+        if not sep:
+            raise MatrixFormatError(f"expected key=value, got {word!r}", 1, pos)
+        if key in seen:
+            raise MatrixFormatError(f"repeated field {key!r}", 1, pos)
+        seen[key] = value
+    for required in ("kind", "K", "N", "m", "g"):
+        if required not in seen:
+            raise MatrixFormatError(f"missing field {required!r}", 1)
+    unknown = set(seen) - {"kind", "K", "N", "m", "g", "x", *extra}
+    if unknown:
+        raise MatrixFormatError(f"unknown fields {sorted(unknown)}", 1)
+    try:
+        k, n, m = (int(seen[key], 10) for key in ("K", "N", "m"))
+        x = tuple(int(part, 10) for part in seen["x"].split(",")) if "x" in seen else None
+    except ValueError:
+        raise MatrixFormatError("K, N and m must be decimal integers, and x a comma list "
+                                "of them", 1) from None
+    try:
+        spec = CodeSpec(seen["kind"], k, n, m, Poly2.from_hex(seen["g"]), x)
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc), 1) from None
+    return spec, {key: seen[key] for key in extra if key in seen}
+
+
 def parse_matrix(text: str) -> GenMatrix:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -401,40 +439,8 @@ def parse_matrix(text: str) -> GenMatrix:
     fields = lines[0].split()
     if fields[:2] != ["sxorgen", "v1"]:
         raise MatrixFormatError("expected 'sxorgen v1' header", 1, 1)
-    seen: dict[str, str] = {}
-    for pos, field in enumerate(fields[2:], start=3):
-        key, sep, value = field.partition("=")
-        if not sep or not value:
-            raise MatrixFormatError(f"expected key=value, got {field!r}", 1, pos)
-        if key in seen:
-            raise MatrixFormatError(f"duplicate field {key!r}", 1, pos)
-        seen[key] = value
-    for required in ("kind", "K", "N", "m", "g"):
-        if required not in seen:
-            raise MatrixFormatError(f"missing field {required!r}", 1)
-    extras = set(seen) - {"kind", "K", "N", "m", "g", "x"}
-    if extras:
-        raise MatrixFormatError(f"unknown fields {sorted(extras)}", 1)
-    try:
-        k = int(seen["K"], 10)
-        n = int(seen["N"], 10)
-        m = int(seen["m"], 10)
-    except ValueError:
-        raise MatrixFormatError("K, N and m must be decimal integers", 1) from None
-    try:
-        g = Poly2.from_hex(seen["g"])
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc), 1) from None
-    x = None
-    if "x" in seen:
-        try:
-            x = tuple(int(part, 10) for part in seen["x"].split(","))
-        except ValueError:
-            raise MatrixFormatError("x must be comma-separated integers", 1) from None
-    try:
-        spec = CodeSpec(seen["kind"], k, n, m, g, x)
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc), 1) from None
+    spec, _ = parse_fields(fields[2:], first=3)
+    k, n = spec.k, spec.n
 
     body = [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != k:

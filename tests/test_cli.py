@@ -324,13 +324,18 @@ def test_decode_rejects_sources_of_partial_bytes(tmp_path, capsys):
 def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
     data = b"sidecar paranoia" * 2
     mismatch = "sidecar metadata does not match"
-    for kind, edit, message in (
-            ("sxor", ("K=3", "K=4"), mismatch),
-            ("systematic", ("x=1,2,3", "x=2,3,4"), mismatch),
+    for kind, edit, *messages in (
+            ("sxor", ("K=3", "K=4"), mismatch, "data.bin.sxmeta differs in K"),
+            ("systematic", ("x=1,2,3", "x=2,3,4"), mismatch, "data.bin.sxmeta differs in x"),
+            ("sxor", ("g=0xb", "g=0xd"), mismatch, "data.bin.sxmeta differs in g"),
             ("sxor", ("len=32", "len=1e3"), "data.bin.sxmeta: len='1e3' is not"),
             ("sxor", ("len=32", "len="), "data.bin.sxmeta: len='' is not"),
             ("sxor", ("len=32", "len=\u00e932"), "data.bin.sxmeta: non-ASCII byte 0xc3 at offset "),
-            ("sxor", ("len=32", "len=32 len=5"), "data.bin.sxmeta: repeated field 'len'")):
+            ("sxor", ("len=32", "len=32 len=5"),
+             "data.bin.sxmeta: line 1, field 2: repeated field 'len'"),
+            ("sxor", ("K=3", "K=3x"), "data.bin.sxmeta: line 1: K, N and m must be decimal"),
+            ("sxor", ("K=3", "K=3 k=3"), "data.bin.sxmeta: line 1: unknown fields ['k']"),
+            ("sxor", ("len=32", "32"), "data.bin.sxmeta: line 1, field 1: expected key=value")):
         src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
         sidecar = out / "data.bin.sxmeta"
         text = sidecar.read_text(encoding="ascii")
@@ -338,8 +343,20 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
         sidecar.write_text(text.replace(*edit), encoding="utf-8")
         packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
         assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(message in err for message in messages), err
         assert not (tmp_path / "r.bin").exists()
+
+
+def test_decode_compares_sidecar_fields_as_values(tmp_path):
+    data = b"hex digits have two cases" * 2
+    src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "7"])
+    sidecar = out / "data.bin.sxmeta"
+    sidecar.write_text(sidecar.read_text().replace("g=0xb", "g=0xB"))
+    restored = tmp_path / "r.bin"
+    packs = [str(packet_path(out, "data.bin", i)) for i in (2, 5, 7)]
+    assert run(["decode", *packs, "--out", str(restored)]) == 0
+    assert restored.read_bytes() == data
 
 
 def test_encode_deterministic(tmp_path):
