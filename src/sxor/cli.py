@@ -42,6 +42,10 @@ __all__ = ["main"]
 
 _PACKET_SUFFIX = re.compile(r"\.p(\d+)\.sxp$")
 
+# Most bytes a sidecar may hold.  The longest one encode writes, at K = 32
+# with a 20-digit len, a 32-bit g and 32 five-digit x positions, is under 300.
+_SIDECAR_LIMIT = 1024
+
 
 class _UsageError(Exception):
     """Invocation problem detected after argument parsing."""
@@ -117,8 +121,12 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | Non
     sidecar = first_packet.parent / (name[:m.start()] + ".sxmeta")
     if not sidecar.exists():
         return None
+    with open(sidecar, "rb") as fh:
+        data = fh.read(_SIDECAR_LIMIT + 1)
+    if len(data) > _SIDECAR_LIMIT:
+        raise ValueError(f"sidecar {sidecar}: larger than the limit of {_SIDECAR_LIMIT} bytes")
     try:
-        spec, extra = parse_fields(sidecar.read_text(encoding="ascii").split(), ("len",))
+        spec, extra = parse_fields(data.decode("ascii").split(), ("len",))
     except UnicodeDecodeError as exc:
         raise ValueError(f"sidecar {sidecar}: non-ASCII byte {exc.object[exc.start]:#04x} "
                          f"at offset {exc.start}") from None

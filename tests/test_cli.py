@@ -1,6 +1,7 @@
 """Tests for the command-line interface, driven through main()."""
 
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -346,6 +347,18 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
         err = capsys.readouterr().err
         assert all(message in err for message in messages), err
         assert not (tmp_path / "r.bin").exists()
+
+
+def test_decode_refuses_an_oversized_sidecar(tmp_path, capsys):
+    data = b"a sidecar is one short line" * 2
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
+    os.truncate(out / "data.bin.sxmeta", 1 << 30)  # sparse: no GiB is written
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
+    start = time.perf_counter()
+    assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
+    assert time.perf_counter() - start < 1
+    assert "data.bin.sxmeta: larger than the limit of 1024 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "r.bin").exists()
 
 
 def test_decode_compares_sidecar_fields_as_values(tmp_path):
