@@ -11,10 +11,11 @@ group and z**N = 1, so rotating the columns of V by s gives D_s * V with
 D_s = diag(z**(i*s)).  Hence G(x + s) = V_(x+s)**-1 * V is G(x) with its
 columns rotated, and sorting x + s only reorders its rows: every cyclic
 shift of a position tuple gives an equivalent code.  enumerate_classes
-therefore groups the tuples into shift orbits and builds one matrix per
-orbit, from the closed form of V_x**-1 * V (codes._systematic), so it
-forms neither V nor an inverse; matrices_equivalent, the exhaustive
-check, is the test oracle.
+therefore groups the tuples into shift orbits and takes each orbit's
+metrics from the mask rows of one member, built from the closed form of
+V_x**-1 * V (codes._systematic), so it forms neither V nor an inverse
+nor a GenMatrix; matrices_equivalent, the exhaustive check, is the test
+oracle.
 
 Each report has one JSON form, its ``to_json_dict()``, and one markdown
 form, from emit_report or emit_comparison; the comparison report sets
@@ -25,13 +26,13 @@ for K in {2,3,4}, a Hankel construction beyond) are out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from .codes import (CodeSpec, GenMatrix, Metrics, _systematic, build_sxor, build_systematic_sxor,
-                    format_fields)
+from .codes import (CodeSpec, GenMatrix, Metrics, _metrics, _systematic, build_sxor,
+                    build_systematic_sxor, format_fields)
 from .gf2m import FieldCtx, PolyLike, _as_poly, default_modulus
 from .gf2poly import Poly2
 
@@ -144,7 +145,7 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     ``MAX_CLASSIFY_WORK``.
     """
     ctx = FieldCtx(g)
-    spec = CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(range(1, k + 1)))  # validates (k, n, g)
+    CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(range(1, k + 1)))  # validates (k, n, g)
     if comb(n, k) > MAX_CLASSIFY_TUPLES:
         raise ValueError(f"C({n}, {k}) = {comb(n, k)} position tuples exceeds the "
                          f"classify limit of {MAX_CLASSIFY_TUPLES}")
@@ -167,7 +168,7 @@ def enumerate_classes(k: int, n: int, g: PolyLike) -> ClassReport:
     if work > MAX_CLASSIFY_WORK:
         raise ValueError(f"building {len(sizes)} matrices at K={k}, N={n} costs {work} "
                          f"(matrices * K*N), over the classify limit of {MAX_CLASSIFY_WORK}")
-    classes = tuple(CodeClass(rep, size, _systematic(replace(spec, x=rep)).metrics())
+    classes = tuple(CodeClass(rep, size, _metrics(_systematic(g.mask, ctx.m, n, rep)))
                     for rep, size in sorted(sizes.items()))
     return ClassReport(k, n, g, classes, comb(n, k))
 

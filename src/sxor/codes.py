@@ -33,7 +33,7 @@ from math import comb
 
 from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables
 from .gf2poly import Poly2
-from .polymat import PolyMatrix, _check_shape, vandermonde
+from .polymat import PolyMatrix, _check_shape
 
 __all__ = [
     "CodeSpec",
@@ -153,6 +153,19 @@ class Metrics(NamedTuple):
     alpha: int
 
 
+def _column_overheads(masks: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    # Max entry degree of each column of a mask grid, 0 for a zero column.
+    return tuple(max(w - 1, 0) for w in map(int.bit_length, map(max, zip(*masks))))
+
+
+def _metrics(masks: Sequence[Sequence[int]]) -> Metrics:
+    # GenMatrix.metrics of a mask grid.  Summed over columns,
+    # max(T_j - 1, 0) is every term less one per nonzero column.
+    over = _column_overheads(masks)
+    alpha = sum(map(int.bit_count, chain.from_iterable(masks))) - sum(map(any, zip(*masks)))
+    return Metrics(max(over), sum(over), alpha)
+
+
 class GenMatrix:
     """A K x N generator matrix tied to its :class:`CodeSpec`.
 
@@ -165,11 +178,9 @@ class GenMatrix:
     __slots__ = ("spec", "_masks", "_overheads")
 
     def __init__(self, spec: CodeSpec, entries: Iterable[Iterable[PolyLike]]):
-        grid = tuple(map(tuple, entries))
-        if not set(map(type, chain.from_iterable(grid))) <= {int}:
-            # An int is its own mask; anything else goes through Poly2's checks.
-            grid = tuple(tuple(e if type(e) is int else _as_poly(e).mask for e in row)
-                         for row in grid)
+        # An int is its own mask; anything else goes through Poly2's checks.
+        grid = tuple(tuple(e if type(e) is int else _as_poly(e).mask for e in row)
+                     for row in entries)
         if _check_shape(grid) != (spec.k, spec.n):
             raise ValueError(f"entries must form a {spec.k}x{spec.n} grid")
         if min(map(min, grid)) < 0:
@@ -200,8 +211,7 @@ class GenMatrix:
     def column_overheads(self) -> tuple[int, ...]:
         """Extra bits per packet: max entry degree of each column, left to right."""
         if self._overheads is None:
-            widths = map(int.bit_length, map(max, zip(*self._masks)))
-            self._overheads = tuple(max(w - 1, 0) for w in widths)
+            self._overheads = _column_overheads(self._masks)
         return self._overheads
 
     def metrics(self) -> Metrics:
@@ -211,12 +221,7 @@ class GenMatrix:
         column's total term count: combining T shifted streams takes T - 1
         XOR passes regardless of packet length.
         """
-        over = self.column_overheads()
-        # Summed over columns, max(T_j - 1, 0) is every term less one per
-        # nonzero column.
-        alpha = (sum(map(int.bit_count, chain.from_iterable(self._masks)))
-                 - sum(map(any, zip(*self._masks))))
-        return Metrics(max(over), sum(over), alpha)
+        return _metrics(self._masks)
 
     def check_survivors(self, survivors: Iterable[int]) -> tuple[int, ...]:
         """The one survivor-set check: K distinct packet indices in 1..N.
@@ -290,10 +295,13 @@ def build_sxor(k: int, n: int, g: PolyLike) -> GenMatrix:
 
     Requires K <= N <= 2**m - 1 for m = deg(g), g primitive.  Any K of the
     N packets suffice to decode (the submatrices are Vandermonde minors).
+    Each entry is read from the field's table of z**e, e = i*j mod 2**m - 1;
+    :func:`sxor.polymat.vandermonde` is the reference the tests check it against.
     """
     ctx = FieldCtx(g)
     spec = CodeSpec("sxor", k, n, ctx.m, ctx.g)
-    return GenMatrix(spec, vandermonde(ctx, k, n)._masks)
+    exp = _zech_tables(ctx.g.mask, ctx.m)[0]
+    return GenMatrix(spec, [[exp[i * j % ctx.order] for j in range(n)] for i in range(k)])
 
 
 def build_systematic_sxor(k: int, n: int, g: PolyLike, x: Sequence[int]) -> GenMatrix:
@@ -305,11 +313,12 @@ def build_systematic_sxor(k: int, n: int, g: PolyLike, x: Sequence[int]) -> GenM
     is built from its closed form (:func:`_systematic`), not by inverting.
     """
     ctx = FieldCtx(g)
-    return _systematic(CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(x)))
+    spec = CodeSpec("systematic", k, n, ctx.m, ctx.g, tuple(x))
+    return GenMatrix(spec, _systematic(ctx.g.mask, ctx.m, n, spec.x))
 
 
-def _systematic(spec: CodeSpec) -> GenMatrix:
-    """The one construction of a systematic matrix G = V_x**-1 * V.
+def _systematic(g: int, m: int, n: int, x: Sequence[int]) -> list[list[int]]:
+    """Mask rows of G = V_x**-1 * V, the one systematic construction.
 
     Column c of V is (1, a, a**2, ...) at the point a = z**c (0-based),
     so G[r][c] is the Lagrange basis polynomial of the point z**p_r over
@@ -321,16 +330,17 @@ def _systematic(spec: CodeSpec) -> GenMatrix:
     one exponent: each factor is log(z**a + z**b) = a + Z(b - a) by Zech's
     logarithm Z (:mod:`sxor.gf2m`), so an entry costs O(1) additions and
     table lookups and the matrix O(K*N), with no inverse and no matrix
-    product; classify calls this once per class.
+    product; classify calls this once per class.  The modulus g of degree
+    m must be primitive and x valid for N = n: the caller checks both.
     """
-    exp, zech = _zech_tables(spec.g.mask, spec.m)
+    exp, zech = _zech_tables(g, m)
     order = len(exp)
-    ps = [j - 1 for j in spec.x]
+    ps = [j - 1 for j in x]
     # logs[r][c] = log(z**c + z**p_r).  c - p_r lies strictly between
     # -order and order, and a negative index wraps to (c - p_r) mod order
     # as Z needs.  The entries at c = p_r stand for log 0: they cancel out
     # of den, and the x columns they spoil are overwritten as unit columns.
-    logs = [[p + zech[c - p] for c in range(spec.n)] for p in ps]
+    logs = [[p + zech[c - p] for c in range(n)] for p in ps]
     totals = list(map(sum, zip(*logs)))
     # log G[r][c] = (totals[c] - logs[r][c]) - den[r], where the r-th
     # denominator is the numerator's sum taken at c = p_r.
@@ -340,7 +350,7 @@ def _systematic(spec: CodeSpec) -> GenMatrix:
     for r, row in enumerate(rows):
         for i, p in enumerate(ps):
             row[p] = int(i == r)
-    return GenMatrix(spec, rows)
+    return rows
 
 
 def builtin_zd_k3() -> GenMatrix:

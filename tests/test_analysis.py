@@ -7,12 +7,12 @@ from math import comb
 
 import pytest
 
-from sxor import codes, polymat
+from sxor import polymat
 from sxor.analysis import (MAX_CLASSIFY_TUPLES, ZD_N7_REFERENCE, ClassReport, CodeClass,
                            best_systematic, comparison_report, emit_comparison, emit_report,
                            enumerate_classes, matrices_equivalent, shift_sequence,
                            zd_max_overhead)
-from sxor.codes import Metrics, build_systematic_sxor, user_matrix
+from sxor.codes import GenMatrix, Metrics, build_systematic_sxor, user_matrix
 from sxor.gf2poly import Poly2
 from sxor.polymat import FieldMatrix
 
@@ -167,13 +167,14 @@ def test_enumerate_classes_bounds_the_tuple_count():
 
 
 def test_enumerate_classes_forms_no_vandermonde_matrix_inverse_or_product(monkeypatch):
-    # Every class matrix comes from the closed form of V_x**-1 * V, so
-    # classify needs neither V nor an inverse nor a matrix product.
+    # Every class's metrics come from the mask rows of the closed form of
+    # V_x**-1 * V, so classify needs neither V nor an inverse nor a matrix
+    # product, and wraps no class in a GenMatrix.
     def refuse(*args):
-        raise AssertionError("classify built a matrix through the field-matrix API")
+        raise AssertionError("classify built a matrix object")
 
-    for owner in (polymat, codes):
-        monkeypatch.setattr(owner, "vandermonde", refuse)
+    monkeypatch.setattr(polymat, "vandermonde", refuse)
+    monkeypatch.setattr(GenMatrix, "__init__", refuse)
     monkeypatch.setattr(FieldMatrix, "inverse", refuse)
     monkeypatch.setattr(FieldMatrix, "__matmul__", refuse)
     report = enumerate_classes(4, 15, 0x13)

@@ -4,7 +4,9 @@ the closed-form systematic generator.
 The oracle for FieldMatrix.inverse is the polynomial adjugate: it runs on
 GF(2)[z] minors and shares no arithmetic with the field's mask helpers.
 The inverse and the matrix product are in turn the oracle for
-build_systematic_sxor, which reads G = V_x**-1 * V off Zech-log tables.
+build_systematic_sxor, which reads G = V_x**-1 * V off Zech-log tables,
+and vandermonde is the oracle for build_sxor, which reads V off the table
+of powers of z.
 """
 
 import pytest
@@ -13,7 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from sxor.codes import build_systematic_sxor
+from sxor.codes import build_sxor, build_systematic_sxor
 from sxor.gf2m import DEFAULT_MODULI, FieldCtx, is_primitive
 from sxor.polymat import FieldMatrix, Singular, vandermonde
 
@@ -100,9 +102,12 @@ def test_systematic_closed_form_matches_inverse_times_vandermonde(data):
     k = data.draw(st.integers(1, min(n, 32)))
     x = data.draw(st.permutations(range(1, n + 1)))[:k]  # any order: rows follow x
     assert build_systematic_sxor(k, n, g, x).entries == _by_inverse(k, n, g, x)
+    assert build_sxor(k, n, g)._masks == vandermonde(FieldCtx(g), k, n)._masks
 
 
 def test_systematic_closed_form_matches_inverse_at_m16():
     x = tuple(range(64, 0, -2))
     assert build_systematic_sxor(32, 64, DEFAULT_MODULI[16], x).entries == \
         _by_inverse(32, 64, DEFAULT_MODULI[16], x)
+    assert build_sxor(32, 64, DEFAULT_MODULI[16])._masks == \
+        vandermonde(FieldCtx(DEFAULT_MODULI[16]), 32, 64)._masks
