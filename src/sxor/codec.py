@@ -350,17 +350,20 @@ def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: lis
     # load[pi][pos] = k * n + (sum of their rows) for the n unresolved
     # source bits mapped to that packet bit, so the bit is exposed exactly
     # when k <= load < 2 * k, and load - k is then the row exposed there.
-    # Built from difference arrays, one interval per entry.
+    # Built from difference arrays, one interval per entry.  n <= k <= MAX_K
+    # = 32, so a load, and a difference, is at most 32 * 32 + 496 = 1520 in
+    # size, and both arrays hold it in 16 bits.
     shift = [dict(col) for col in cover]
     loads = []
     heap = []
     for pi, col in enumerate(cover):
-        diff = [0] * (len(bufs[pi]) + 1)
+        diff = array("h", bytes(2 * len(bufs[pi]) + 2))
         for row, t in col:
             if row in rows:
                 diff[t] += k + row
                 diff[t + length] -= k + row
-        load = array("q", accumulate(diff[:-1]))
+        diff.pop()
+        load = array("H", accumulate(diff))
         loads.append(load)
         heap.extend(pos * k + pi for pos, n in enumerate(load) if k <= n < 2 * k)
     heapify(heap)  # keys pos * k + pi order by position, then packet
@@ -426,8 +429,9 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     :func:`map_decode` also applies, both accept the same inputs and
     return bit-identical sources.
 
-    Memory: the per-bit stage holds about 9 bytes per packet bit, so
-    the all-parity zd3 set of a 16 MiB object needs over 1.2 GB.  No
+    Memory: the per-bit stage peaks at about 5 bytes per packet bit (the
+    all-parity zd3 set of a 3 MiB object: 137 MiB peak RSS, 113 MiB over
+    the process before it), so a 16 MiB object needs about 0.6 GB.  No
     bound limits the packet length; a caller that takes packets from
     outside bounds it itself, or decodes with :func:`map_decode`.
     """
