@@ -1,15 +1,16 @@
 """Tests for the code constructions, metrics and matrix serialization."""
 
 import io
-from itertools import combinations
+import re
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
-from sxor.codes import (MAX_CHECK_SUBSETS, MAX_K, MAX_KERNEL_BITS, CodeSpec, GenMatrix,
+from sxor.codes import (KINDS, MAX_CHECK_SUBSETS, MAX_K, MAX_KERNEL_BITS, CodeSpec, GenMatrix,
                         MatrixFormatError, Metrics, build_sxor, build_systematic_sxor,
-                        builtin_zd_k3, format_fields, format_matrix, load_matrix, parse_matrix,
-                        save_matrix, user_matrix)
+                        builtin_zd_k3, format_fields, format_matrix, load_matrix, parse_fields,
+                        parse_matrix, save_matrix, user_matrix)
 from sxor.gf2m import default_modulus
 from sxor.gf2poly import Poly2
 
@@ -227,6 +228,36 @@ def test_format_fields():
     assert format_fields(CodeSpec("zd3", 3, 6).fields()) == "kind=zd3 K=3 N=6 m=0 g=0x0"
     assert format_fields(Metrics(2, 6, 14)._asdict()) == "l_max=2 l_sum=6 alpha=14"
     assert format_fields({"len": 12, "x": (4, 5), "m": None}) == "len=12 x=4,5"
+
+
+def test_parse_fields_reads_back_format_fields():
+    specs = [build_sxor(3, 7, G1).spec, builtin_zd_k3().spec,
+             user_matrix([[1, 0, 1, 1], [0, 1, 1, 2]], m=5, g=0x25).spec,
+             build_systematic_sxor(4, 15, 0x13, (15, 2, 9, 1)).spec]
+    specs += [build_systematic_sxor(3, 7, G1, x).spec for x in permutations((1, 3, 4))]
+    assert {spec.kind for spec in specs} == set(KINDS)
+    for spec in specs:
+        assert parse_fields(format_fields(spec.fields()).split()) == (spec, {})
+        line = format_fields({"len": 12, **spec.fields()})
+        assert parse_fields(line.split(), ("len",)) == (spec, {"len": "12"})
+        assert parse_fields(line.split()[::-1], ("len", "pad")) == (spec, {"len": "12"})
+    # Fields are compared as values: the case of g's hex digits does not matter.
+    assert parse_fields("kind=sxor K=3 N=7 m=3 g=0XB".split())[0] == build_sxor(3, 7, G1).spec
+
+
+def test_parse_fields_rejects_malformed_words():
+    line = "len=12 kind=sxor K=3 N=7 m=3 g=0xb"
+    for words, message in (
+            (line.split(), "unknown fields ['len']"),
+            (("kind=sxor", "K=3", "N=7", "m=3", "g"), "field 5: expected key=value, got 'g'"),
+            (("kind=sxor", "K=3", "N=7", "m=3", "K=3"), "field 5: repeated field 'K'"),
+            (("kind=sxor", "K=3", "N=7", "m=3"), "missing field 'g'"),
+            (("kind=sxor", "K=", "N=7", "m=3", "g=0xb"), "K, N and m must be decimal"),
+            (("kind=systematic", "K=3", "N=7", "m=3", "g=0xb", "x=1,,3"), "x a comma list"),
+            (("kind=sxor", "K=3", "N=7", "m=3", "g=0xq"), "bad hex mask"),
+            (("kind=sxor", "K=9", "N=7", "m=3", "g=0xb"), "need K <= N")):
+        with pytest.raises(MatrixFormatError, match=re.escape(message)):
+            parse_fields(words)
 
 
 def test_format_parse_round_trip():
