@@ -126,7 +126,11 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | Non
     if len(data) > _SIDECAR_LIMIT:
         raise ValueError(f"sidecar {sidecar}: larger than the limit of {_SIDECAR_LIMIT} bytes")
     try:
-        spec, extra = parse_fields(data.decode("ascii").split(), ("len",))
+        first, *rest = data.decode("ascii").splitlines() or [""]
+        for line, text in enumerate(rest, start=2):
+            if text.strip():  # encode writes one line
+                raise MatrixFormatError("a sidecar holds one line of fields", line)
+        spec, extra = parse_fields(first.split(), ("len",))
     except UnicodeDecodeError as exc:
         raise ValueError(f"sidecar {sidecar}: non-ASCII byte {exc.object[exc.start]:#04x} "
                          f"at offset {exc.start}") from None

@@ -10,14 +10,19 @@ distinct exponent of the column, not one per term.
 
 MAP decoding of survivors I with square submatrix A_I uses the adjugate
 identity: b = c_I * adj(A_I) equals det(A_I) * s entry-wise, so a source
-falls out of one exact division by det.  Each source uses its own column
-of the adjugate in lowest terms (the column and det divided by their
-gcd), so a source whose packet survived verbatim is that payload itself,
-and a parity source divides by the smallest polynomial that works for
-it.  The division runs low coefficients first and is re-verified by
-multiplication, which is what turns packet corruption into a raised
-error instead of silent garbage; a division by 1 returns the dividend
-itself once no bit sits at or above z**L.
+falls out of one exact division by det, or by the smaller factor its
+column of the adjugate in lowest terms (the column and det divided by
+their gcd) leaves.  Decoding is successive elimination, the
+exact-division form of the zigzag peel: recover the source whose
+division has the fewest taps, cancel it from the payloads still to be
+read, and solve the smaller system left.  That system's determinant is
+a cofactor of the last one, and its adjugate follows from a rank-one
+(Desnanot-Jacobi) update, with no second elimination.  A source whose
+packet survived verbatim is that payload itself.  Each division runs
+low coefficients first and is re-verified by multiplication, which is
+what turns packet corruption into a raised error instead of silent
+garbage; a division by 1 returns the dividend itself once no bit sits
+at or above z**L.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
 single power of z) and runs in time linear in L.  While some survivor
@@ -48,7 +53,7 @@ from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import or_
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
 from .gf2m import PolyLike, _as_poly
@@ -192,26 +197,116 @@ def encode(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -> list[Pac
     return encode_xor_count(mat, sources, length)[0]
 
 
+class DecodeStep(NamedTuple):
+    """One step of a :class:`MapKernel` plan; positions are 0-based.
+
+    Before the step, each ``update`` entry ``(r, coefficients, sources)``
+    brings residual r (payload r less the sources already cancelled from
+    it) up to date: those recovered sources, times their generator
+    entries for packet r, are cancelled in one Horner combine.  Then
+    ``column`` combined over the residuals is z**shift * feedback *
+    s_source, so the source is that stream less ``shift`` known-zero low
+    bits, divided exactly by ``feedback``.  No later step reads the
+    residuals in ``release``.
+    """
+
+    source: int
+    shift: int
+    feedback: Poly2
+    column: tuple[int, ...]
+    update: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    release: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class MapKernel:
     """Precomputed exact-decoding data for one survivor set.
 
     ``combine`` is the (content-reduced) adjugate B and ``det`` the
     matching determinant d = z**shift * feedback with feedback(0) = 1:
-    c_I * B = d * s.  ``columns`` holds what :func:`map_decode` uses:
-    for each source c, (shift_c, feedback_c, column masks) from column c
-    of B and d divided by their gcd g_c.  Then c_I * (B_c / g_c) =
-    z**shift_c * feedback_c * s_c, so source c is recovered by dropping
-    ``shift_c`` known-zero low bits and one exact division by
-    ``feedback_c``.  A source whose packet survived verbatim gets a unit
-    column and feedback 1.
+    c_I * B = d * s.  ``steps`` is the plan :func:`map_decode` runs, one
+    :class:`DecodeStep` per source.
+
+    A step's column is column ``source``, in lowest terms, of the
+    adjugate of some system seen while planning: the survivor set less
+    the sources recovered before it and as many equations.  Steps whose
+    column is the whole set's read the payloads untouched, so they run
+    first.  A later step's column solves for its source once every source
+    recovered so far is cancelled from the residuals it reads, so a
+    residual is brought up to date only when such a step reads it.  No
+    residual needs a check at the end: step j's column meets the
+    generator row of every source recovered after it in zero, so the K
+    columns are independent, and when every step's division is exact,
+    every payload is reproduced.
     """
 
     det: Poly2
     combine: PolyMatrix
     shift: int
     feedback: Poly2
-    columns: tuple[tuple[int, Poly2, tuple[int, ...]], ...]
+    steps: tuple[DecodeStep, ...]
+
+
+def _exponents(mask: int) -> list[int]:
+    return [t for t, bit in enumerate(format(mask, "b")[::-1]) if bit == "1"]
+
+
+def _plan(det: int, adj: tuple) -> list[tuple[int, int, int, tuple[int, ...], bool]]:
+    """Successive elimination order: (source, shift, feedback, column, first) per step.
+
+    ``det`` and ``adj`` are the survivor submatrix's unreduced
+    determinant and adjugate (rows are packets).  Each source keeps
+    the lowest-terms column with the fewest taps over the systems seen so
+    far, the earliest on a tie; ``first`` says it is one of the whole
+    set's.  Each round takes the source c whose column has the fewest
+    taps (on a tie, reads the fewest packets) and drops the equation p
+    whose cofactor adj[p][c] has the fewest taps: that cofactor is the
+    determinant of the system left, and its adjugate follows from the
+    Desnanot-Jacobi identity
+    adj'[q][e] = (adj[p][c] adj[q][e] + adj[p][e] adj[q][c]) / det,
+    an exact division.  Remaining ties go to the lowest index.
+    """
+    k = len(adj)
+    sources, packets = list(range(k)), list(range(k))
+    b = [list(row) for row in adj]
+    best = [None] * k  # (taps, packets read, shift, feedback, column, first) per source
+    order = []
+    while True:
+        for c in sources:
+            g = det
+            for p in packets:
+                if g == 1:
+                    break
+                g = _gcd_masks(g, b[p][c])
+            f = _divmod_masks(det, g)[0]
+            shift = (f & -f).bit_length() - 1
+            f >>= shift
+            taps = f.bit_count() - 1
+            if best[c] is None or taps < best[c][0]:
+                col = [0] * k
+                for p in packets:
+                    col[p] = _divmod_masks(b[p][c], g)[0] if g != 1 else b[p][c]
+                best[c] = (taps, len(packets) - col.count(0), shift, f, tuple(col), best[c] is None)
+        c = min(sources, key=lambda c: best[c][:2])
+        order.append((c, *best[c][2:]))
+        sources.remove(c)
+        if not sources:
+            return order
+        p = min((p for p in packets if b[p][c]), key=lambda p: b[p][c].bit_count())
+        packets.remove(p)
+        pivot, row = b[p][c], b[p]
+        pivot_exps = _exponents(pivot)
+        for q in packets:
+            bq = b[q]
+            f_exps = _exponents(bq[c])
+            for e in sources:
+                x, y, num = bq[e], row[e], 0
+                for t in pivot_exps:
+                    num ^= x << t
+                for t in f_exps:
+                    num ^= y << t
+                bq[e] = _divmod_masks(num, det)[0]
+        det = pivot
 
 
 @lru_cache(maxsize=256)
@@ -220,16 +315,32 @@ def _map_kernel(mat: GenMatrix, survivors: tuple[int, ...]) -> MapKernel:
     det, adj = sub.det_adjugate()
     if not det:
         raise SingularSubmatrix(f"packets {survivors} cannot determine the sources")
+    a = sub._masks
+    k = len(a)
+    plan = _plan(det.mask, adj._masks)
+    # A column of the whole set's adjugate solves over the untouched
+    # payloads, so those steps run first and cancel nothing.  Every later
+    # step reads residuals with every source recovered so far cancelled.
+    plan = [step for step in plan if step[4]] + [step for step in plan if not step[4]]
+    pending = [[] for _ in range(k)]  # per residual: recovered sources not yet cancelled
+    updates = []
+    for c, _, _, col, first in plan:
+        update = ()
+        if not first:
+            update = tuple((r, tuple(a[i][r] for i in due), tuple(due))
+                           for r, due in enumerate(pending) if col[r] and due)
+            pending = [[] if col[r] else due for r, due in enumerate(pending)]
+        for r in range(k):
+            if a[c][r]:
+                pending[r].append(c)
+        updates.append(update)
+    last = {r: j for j, step in enumerate(plan) for r, e in enumerate(step[3]) if e}
+    steps = tuple(DecodeStep(c, shift, Poly2(f), col, update,
+                             tuple(r for r in range(k) if last.get(r) == j))
+                  for j, ((c, shift, f, col, _), update) in enumerate(zip(plan, updates)))
     det, adj = cancel_common_factor(det, adj)
-    columns = []
-    for col in zip(*adj._masks):
-        # g divides det and every entry, so det | c_I * col exactly when
-        # det / g | c_I * (col / g), with the same quotient.
-        g = reduce(_gcd_masks, col, det.mask)
-        shift_c, feedback_c = split_shift(Poly2(_divmod_masks(det.mask, g)[0]))
-        columns.append((shift_c, feedback_c, tuple(_divmod_masks(e, g)[0] for e in col)))
     shift, feedback = split_shift(det)
-    return MapKernel(det, adj, shift, feedback, tuple(columns))
+    return MapKernel(det, adj, shift, feedback, steps)
 
 
 def map_kernel(mat: GenMatrix, survivors: Sequence[int]) -> MapKernel:
@@ -267,36 +378,43 @@ def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict
 def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """Exactly recover all K sources from any K consistent packets.
 
-    Each source is its kernel column combined over the payloads, less
-    ``shift`` known-zero low bits, divided exactly by ``feedback``; a
-    division by 1 returns the combined stream itself (for a surviving
-    systematic packet, the payload).
+    Runs the kernel's ``steps`` over residuals that start as the payloads:
+    each step brings the residuals it reads up to date, combines its
+    column over them, drops ``shift`` known-zero low bits and divides
+    exactly by ``feedback``; a division by 1 returns the combined stream
+    itself (for a surviving systematic packet, the payload).
 
     Raises :class:`SingularSubmatrix` for dependent survivor columns,
     :class:`TrailingBits` for over-long payloads, and
     :class:`~sxor.gf2poly.InconsistentDivision` when no length-L sources
-    can reproduce the payloads, naming the source: every recovered source
-    is re-checked before being returned.  Corruption that still solves to
-    valid sources (e.g. a bit flip on a packet that carries a source
-    verbatim, as systematic identity columns do) is indistinguishable from
-    clean data given only K packets; guard integrity with an outer
-    checksum when that matters.
+    can reproduce the payloads, naming the source whose division failed:
+    every division is re-checked, and together they accept exactly the
+    payloads that some length-L sources reproduce.  Corruption that
+    still solves to valid sources (e.g. a bit flip on a packet that
+    carries a source verbatim, as systematic identity columns do) is
+    indistinguishable from clean data given only K packets; guard
+    integrity with an outer checksum when that matters.
     """
     length, masks, idx = _check_packets(mat, packets)
-    payloads = [masks[p] for p in idx]
-    sources = []
-    for c, (shift, feedback, col) in enumerate(map_kernel(mat, idx).columns):
-        b = _combine(col, payloads)
+    kern = map_kernel(mat, idx)
+    res = [masks[p] for p in idx]
+    out = [None] * len(idx)
+    for c, shift, feedback, col, update, release in kern.steps:
+        for r, coeffs, which in update:
+            res[r] ^= _combine(coeffs, [out[i].mask for i in which])
+        b = _combine(col, res)
+        for r in release:
+            res[r] = 0
         if b & ((1 << shift) - 1):
             raise InconsistentDivision(
                 f"source {c + 1}: combined stream has set bits below z^{shift}")
         if shift:  # b >> 0 would copy b
             b >>= shift
         try:
-            sources.append(exact_div_low(Poly2(b), feedback, length))
+            out[c] = exact_div_low(Poly2(b), feedback, length)
         except InconsistentDivision as exc:
             raise InconsistentDivision(f"source {c + 1}: {exc}") from None
-    return sources
+    return out
 
 
 def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):

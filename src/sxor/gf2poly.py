@@ -280,18 +280,19 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
         raise ValueError("output length must be nonnegative")
     if h.mask == 1 and b.mask.bit_length() <= out_len:
         return b  # s = b; an over-long b falls through to the check below
-    mask_n = (1 << out_len) - 1
-    s = b.mask & mask_n
-    taps = [t for t, bit in enumerate(format((h.mask ^ 1) & mask_n, "b")[::-1]) if bit == "1"]
+    # The all-ones mask of out_len bits is as large as s: build it where
+    # it is used, so that it does not live through the rounds.
+    s = b.mask & ((1 << out_len) - 1)
+    taps = [t for t, bit in enumerate(format(h.mask ^ 1, "b")[::-1]) if bit == "1" and t < out_len]
     stride = 1
     while taps and stride < _CHUNK:  # bits past out_len never reach lower ones: cut once
         acc = s
         for t in taps:
             acc ^= s << (t * stride)
-        s = acc
+        s, acc = acc, None  # acc must not keep the last round's s alive
         stride *= 2
         taps = [t for t in taps if t * stride < out_len]
-    s &= mask_n
+    s &= (1 << out_len) - 1
     if taps:
         s = _chunk_recurrence(s, taps, out_len)
     if _mul_masks(h.mask, s) != b.mask:
@@ -305,8 +306,10 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
 def _chunk_recurrence(s: int, taps: list[int], out_len: int) -> int:
     # x = s + sum_t z**(t * _CHUNK) * x mod z**out_len, chunk by chunk; only
     # the last chunk can gain bits at or above out_len.
+    # The chunks are written back into the bytes they came from and dropped
+    # before the result is built: besides s, at most two copies are alive.
     width = _CHUNK // 8
-    data = s.to_bytes(-(-out_len // _CHUNK) * width, "little")
+    data = bytearray(s.to_bytes(-(-out_len // _CHUNK) * width, "little"))
     chunks = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
     for j in range(taps[0], len(chunks)):
         x = chunks[j]
@@ -316,7 +319,10 @@ def _chunk_recurrence(s: int, taps: list[int], out_len: int) -> int:
             x ^= chunks[j - t]
         chunks[j] = x
     chunks[-1] &= (1 << (out_len - (len(chunks) - 1) * _CHUNK)) - 1
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in chunks), "little")
+    for j, x in enumerate(chunks):
+        data[j * width:(j + 1) * width] = x.to_bytes(width, "little")
+    del chunks
+    return int.from_bytes(data, "little")
 
 
 def split_shift(p: Poly2) -> tuple[int, Poly2]:

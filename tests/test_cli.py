@@ -336,7 +336,9 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
              "data.bin.sxmeta: line 1, field 2: repeated field 'len'"),
             ("sxor", ("K=3", "K=3x"), "data.bin.sxmeta: line 1: K, N and m must be decimal"),
             ("sxor", ("K=3", "K=3 k=3"), "data.bin.sxmeta: line 1: unknown fields ['k']"),
-            ("sxor", ("len=32", "32"), "data.bin.sxmeta: line 1, field 1: expected key=value")):
+            ("sxor", ("len=32", "32"), "data.bin.sxmeta: line 1, field 1: expected key=value"),
+            ("sxor", ("\n", "\nK=3\n"),
+             "data.bin.sxmeta: line 2: a sidecar holds one line of fields")):
         src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
         sidecar = out / "data.bin.sxmeta"
         text = sidecar.read_text(encoding="ascii")

@@ -173,12 +173,13 @@ def test_map_decode_systematic_copy():
 def test_map_kernel_gives_surviving_sources_unit_columns():
     idx = (1, 2, 3, 4, 5, 6, 7, 9, 10, 11)  # systematic (10, 14) without packet 8
     kern = map_kernel(build_systematic_sxor(10, 14, 0x13, range(1, 11)), idx)
-    for c, column in enumerate(kern.columns, start=1):
-        if c in idx:
-            unit = tuple(int(p == c) for p in idx)
-            assert column == (0, Poly2(1), unit)
+    assert sorted(step.source for step in kern.steps) == list(range(10))
+    for step in kern.steps:
+        if step.source + 1 in idx:
+            unit = tuple(int(p == step.source + 1) for p in idx)
+            assert (step.shift, step.feedback, step.column) == (0, Poly2(1), unit)
         else:
-            assert column[1] != Poly2(1)
+            assert step.feedback != Poly2(1)
 
 
 def test_map_decode_all_subsets():
@@ -244,7 +245,7 @@ def test_map_decode_rejects_high_bits_on_a_feedback_1_column():
     # and s2 = p2.  Packet 1 may carry L + 2 bits, but a set bit at or above
     # z^L in s1 means no length-L sources reproduce it.
     mat = user_matrix([[1, 0], [4, 1]])
-    assert [col[1] for col in map_kernel(mat, (1, 2)).columns] == [Poly2(1), Poly2(1)]
+    assert [step.feedback for step in map_kernel(mat, (1, 2)).steps] == [Poly2(1), Poly2(1)]
     packets = by_index(encode(mat, [0b1011, 0b0110], 4))
     assert map_decode(mat, [packets[1], packets[2]]) == [Poly2(0b1011), Poly2(0b0110)]
     for bit in (4, 5):

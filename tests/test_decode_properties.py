@@ -1,8 +1,8 @@
-"""Property tests for MAP decoding from per-source lowest-terms kernel columns.
+"""Property tests for MAP decoding by the kernel's successive-elimination plan.
 
 The oracle is the decoder that divides every source by the kernel's one
 common determinant: it reads only ``combine``, ``shift`` and ``feedback``
-of :class:`~sxor.codec.MapKernel`, not the per-source ``columns``.
+of :class:`~sxor.codec.MapKernel`, not the plan's ``steps``.
 """
 
 import pytest
@@ -22,7 +22,8 @@ from sxor.gf2poly import _CHUNK, InconsistentDivision, Poly2, exact_div_low
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 G3 = 0xB
-MATS = [build_sxor(3, 7, G3), build_systematic_sxor(4, 7, G3, (1, 2, 3, 4)), builtin_zd_k3()]
+MATS = [build_sxor(3, 7, G3), build_sxor(4, 7, G3), build_systematic_sxor(4, 7, G3, (1, 2, 3, 4)),
+        build_systematic_sxor(6, 15, 0x13, range(1, 7)), builtin_zd_k3()]
 
 
 def global_kernel_decode(mat, packets):
