@@ -63,9 +63,8 @@ def test_the_plan_never_divides_by_more_taps_than_one_shot_columns():
 
 
 def test_every_bit_flip_is_rejected_exactly_when_one_shot_rejects_it():
-    # Every equation is dropped by some step, most of them after being read
-    # only through columns of larger systems.  The plan keeps no check of
-    # its own at the end, so its divisions alone must catch what the
+    # Every equation is dropped by some step, and the plan keeps no check of
+    # its own at the end: its divisions alone must catch every flip that the
     # one-shot divisions catch.
     mat = build_sxor(4, 7, 0xB)
     sources = [0x5A, 0x3C, 0xF0, 0x99]
