@@ -13,6 +13,13 @@ and rejects it unless its code matches the packet headers.  Decode
 always uses the exact (MAP) decoder, so it refuses exactly the survivor
 sets that check lists as failing.
 
+Encode and decode stream their files through the codec's stripe core,
+2**19 bits of each source at a time, so their memory does not grow with
+the file; the packets are the bytes ``write_packet`` writes.  Decode
+reads each packet header once, writes the restored bytes to a new file
+next to --out and renames it onto --out only once every division has
+checked out, so a failed decode leaves --out as it was.
+
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
 to --matrix or --kind zd3 is a usage error, and so is a --kind other
@@ -29,10 +36,15 @@ import json
 import os
 import re
 import sys
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
-from .codec import encode, map_decode, read_packet, write_packet
+from .codec import _decode_files, _encode_file, _open_packet
+# The library's whole-packet I/O; the CLI streams instead, but
+# perfbench/tracing.py still wraps these names here.
+from .codec import read_packet, write_packet  # noqa: F401
 from .codes import (CodeSpec, GenMatrix, MatrixFormatError, format_fields, load_matrix,
                     matrix_for_spec, parse_fields, save_matrix)
 from .gf2m import FieldCtx, default_modulus
@@ -92,20 +104,14 @@ def _resolve_matrix(args) -> GenMatrix:
 
 def cmd_encode(args) -> int:
     mat = _resolve_matrix(args)
-    k = mat.spec.k
+    out_dir = Path(args.out_dir)
+    stem = Path(args.input).name
     with open(args.input, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if not size:
             raise _UsageError(f"input file {args.input} is empty")
-        chunk = (size + k - 1) // k
-        # A short last chunk reads as if zero-padded: its high bytes are zero.
-        sources = [int.from_bytes(fh.read(chunk), "little") for _ in range(k)]
-    packets = encode(mat, sources, chunk * 8)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).name
-    for p in packets:
-        write_packet(p, out_dir / f"{stem}.p{p.index}.sxp")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _encode_file(mat, fh, size, [out_dir / f"{stem}.p{j}.sxp" for j in range(1, mat.spec.n + 1)])
     meta = format_fields({"len": size, **mat.spec.fields()})
     (out_dir / f"{stem}.sxmeta").write_text(meta + "\n", encoding="ascii")
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
@@ -140,8 +146,18 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | Non
 
 
 def cmd_decode(args) -> int:
-    packets = [read_packet(Path(p)) for p in args.packets]
-    spec = packets[0].spec
+    with ExitStack() as stack:
+        packets = []
+        for path in args.packets:
+            fh, head = _open_packet(path)
+            stack.callback(fh.close)
+            packets.append((fh, head))
+        _decode(args, packets)
+    return 0
+
+
+def _decode(args, packets) -> None:
+    spec = packets[0][1].spec
     if len(packets) != spec.k:
         raise _UsageError(f"this code needs exactly {spec.k} packets, got {len(packets)}")
     total_len, len_source = args.length, "--length"
@@ -170,20 +186,28 @@ def cmd_decode(args) -> int:
             total_len, len_source = int(sidecar_len), "sidecar length"
     if total_len is None:
         raise _UsageError("original length unknown: no sidecar found, pass --length")
-    bit_len = packets[0].source_len
+    bit_len = packets[0][1].source_len
     if bit_len % 8:
         raise ValueError(f"source length {bit_len} is not a whole number of bytes")
     chunk = bit_len // 8
     if total_len > spec.k * chunk:
         raise ValueError(f"{len_source} {total_len} exceeds decoded size {spec.k * chunk}")
 
-    sources = map_decode(mat, packets)
-    remaining = total_len
-    with open(args.out, "wb") as fh:
-        for s in sources:
-            remaining -= fh.write(s.mask.to_bytes(chunk, "little")[:remaining])
+    # Decode into a new file next to --out, and put it in place only once
+    # every division has checked out.
+    out = Path(args.out)
+    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=f".{out.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            _decode_files(mat, packets, fh, total_len)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # what open(args.out, "wb") would have made
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     print(f"restored {total_len} bytes to {args.out}")
-    return 0
 
 
 def _emit(fmt: str, doc: dict, text: str) -> int:

@@ -24,6 +24,15 @@ what turns packet corruption into a raised error instead of silent
 garbage; a division by 1 returns the dividend itself once no bit sits
 at or above z**L.
 
+Encoding and MAP decoding run on one stripe core: a network of these
+combines, shift drops and divisions over bit streams.  Every output bit
+depends only on input bits at or below it, so the network can run on
+stripes of its streams, each map carrying across stripes only its
+product's carry, its division's state and the few bits by which a
+dropped shift sets its inputs apart.  The library runs one stripe of the
+whole stream; ``sxor encode`` and ``sxor decode`` stream their files in
+2**19-bit stripes, so their memory does not grow with the file.
+
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
 single power of z) and runs in time linear in L.  While some survivor
 carries exactly one unresolved source, that whole source is read off it
@@ -48,16 +57,17 @@ import io
 import os
 import struct
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import or_
-from typing import NamedTuple, Sequence, Union
+from typing import BinaryIO, NamedTuple, Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
 from .gf2m import PolyLike, _as_poly
-from .gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks,
+from .gf2poly import (InconsistentDivision, Poly2, _div_low, _divmod_masks, _exponents, _gcd_masks,
                       exact_div_low, split_shift)
 from .polymat import PolyMatrix, cancel_common_factor
 
@@ -127,14 +137,22 @@ class Packet:
     spec: CodeSpec
 
     def __post_init__(self):
-        if not 1 <= self.index <= self.spec.n:
-            raise ValueError(f"packet index {self.index} outside 1..{self.spec.n}")
-        if self.source_len < 1:
-            raise ValueError("source length must be positive")
-        if self.bit_len < self.source_len:
-            raise ValueError("payload length cannot be shorter than the source length")
+        _check_fields(self.index, self.source_len, self.bit_len, self.spec)
         if self.bits.mask.bit_length() > self.bit_len:
-            raise ValueError("payload has set bits beyond its stated length")
+            raise ValueError(_PAD_BITS)
+
+
+_PAD_BITS = "payload has set bits beyond its stated length"
+
+
+def _check_fields(index: int, source_len: int, bit_len: int, spec: CodeSpec) -> None:
+    # A packet's rules for its header fields, for Packet and the header parser.
+    if not 1 <= index <= spec.n:
+        raise ValueError(f"packet index {index} outside 1..{spec.n}")
+    if source_len < 1:
+        raise ValueError("source length must be positive")
+    if bit_len < source_len:
+        raise ValueError("payload length cannot be shorter than the source length")
 
 
 def _coerce_sources(sources: Sequence[PolyLike], k: int, length: int) -> list[int]:
@@ -180,11 +198,11 @@ def encode_xor_count(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -
     """
     srcs = _coerce_sources(sources, mat.spec.k, length)
     over = mat.column_overheads()
-    packets = []
-    xors = 0
-    for j, col in enumerate(zip(*mat._masks)):
-        xors += max(sum(e.bit_count() for e in col) - 1, 0)
-        packets.append(Packet(j + 1, Poly2(_combine(col, srcs)), length, length + over[j], mat.spec))
+    xors = sum(max(sum(e.bit_count() for e in col) - 1, 0) for col in zip(*mat._masks))
+    net, outs = _encoder(mat)
+    payloads = _run(net, outs, srcs, length)
+    packets = [Packet(j + 1, Poly2(c), length, length + over[j], mat.spec)
+               for j, c in enumerate(payloads)]
     return packets, xors
 
 
@@ -197,6 +215,211 @@ def encode(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -> list[Pac
     return encode_xor_count(mat, sources, length)[0]
 
 
+# -- the stripe core -----------------------------------------------------------
+#
+# Encoding and MAP decoding are fixed networks of linear maps over bit
+# streams.  Each map is a Horner combine of a column of polynomials over
+# its input streams; a decode step's map then drops its shift's
+# known-zero low bits and divides exactly by its feedback, low bits
+# first.  A bit of any output depends only on input bits at or below it,
+# so a network runs on stripes of its inputs, each map carrying across
+# stripes only its product's carry (fewer bits than its column's degree)
+# and its division's (fewer than its feedback's).  A dropped shift just
+# relabels the stream, so a map's inputs may run some bits apart; every
+# input it reads has its own queue, and the map takes from each, per
+# stripe, as many bits as all of them hold.  One stripe of the whole
+# stream is the in-memory case.
+
+# Bits per stripe of each stream the CLI runs (64 KiB).  On CLI decodes
+# of 16 MiB files, 2**18..2**20 were within noise of each other and
+# 2**21 up to 1.2x slower; peak RSS rose with the width (CHANGES.md).
+_STRIPE = 1 << 19
+
+
+class _Queue:
+    """The bits of one stream that one map has not read yet, lowest first."""
+
+    __slots__ = ("value", "bits")
+
+    def __init__(self):
+        self.value = self.bits = 0
+
+    def put(self, value: int, bits: int) -> None:
+        if self.bits:
+            self.value |= value << self.bits
+        else:
+            self.value = value
+        self.bits += bits
+
+    def take(self, bits: int) -> int:
+        value = self.value
+        if bits == self.bits:
+            self.value = self.bits = 0
+            return value
+        self.value >>= bits
+        self.bits -= bits
+        return value & ((1 << bits) - 1)
+
+    def drain(self) -> int:
+        value = self.value
+        self.value = self.bits = 0
+        return value
+
+
+class _Map:
+    """out = sum_i col[i](z) * in_i over aligned stripes, with the product's carry.
+
+    A decode step's map (``step`` set) then drops the step's shift, bits
+    that must be zero, and divides by its feedback: each stripe but the
+    last goes through :func:`~sxor.gf2poly._div_low`, carrying the
+    division's state in ``rest``, and the last, which holds every bit
+    from z**length up, is one :func:`~sxor.gf2poly.exact_div_low`; the
+    stripes before it reach no bit at or above z**length, since the
+    sources' last stripe is the final one.  A failure is kept in
+    ``error`` and the map runs on, so that a network reports the failure
+    of its first step, as a one-stripe run does.
+    """
+
+    __slots__ = ("col", "inputs", "outputs", "carry", "step", "drop", "length", "left", "rest",
+                 "error")
+
+    def __init__(self, col, inputs, step=None, length=0):
+        self.col = col
+        self.inputs = inputs
+        self.outputs = []
+        self.carry = self.rest = 0
+        self.step = step
+        self.drop = step.shift if step else 0
+        self.length = self.left = length
+        self.error = None
+
+    def run(self, final: bool) -> None:
+        if final:
+            xs, n = [q.drain() for q in self.inputs], 0
+        else:
+            n = min(q.bits for q in self.inputs)
+            if not n:
+                return
+            xs = [q.take(n) for q in self.inputs]
+        acc = _combine(self.col, xs)
+        if self.carry:
+            acc ^= self.carry
+            self.carry = 0
+        if not final and acc.bit_length() > n:
+            acc, self.carry = acc & ((1 << n) - 1), acc >> n
+        if self.step:
+            acc, n = self._solve(acc, n, final)
+        for q in self.outputs:
+            q.put(acc, n)
+
+    def _fail(self, message: str) -> None:
+        if self.error is None:
+            self.error = f"source {self.step.source + 1}: {message}"
+
+    def _solve(self, b: int, n: int, final: bool) -> tuple[int, int]:
+        if self.drop:
+            d = self.drop if final else min(self.drop, n)
+            if b & ((1 << d) - 1):
+                self._fail(f"combined stream has set bits below z^{self.step.shift}")
+            b >>= d
+            self.drop -= d
+            n -= d
+        if final:
+            if self.rest:
+                b ^= self.rest
+            try:
+                return exact_div_low(Poly2(b), self.step.feedback, self.left).mask, 0
+            except InconsistentDivision:
+                self._fail(f"combined stream is not its feedback times any source "
+                           f"of {self.length} bits")
+                return 0, 0
+        s = 0
+        if n:
+            s, self.rest = _div_low(b, self.step.feedback.mask, n, self.rest)
+            self.left -= n
+        return s, n
+
+
+class _Network:
+    """A fixed network of :class:`_Map` over numbered streams, fed stripe by stripe.
+
+    Streams 0..inputs-1 are fed by :meth:`push`; each map added makes the
+    next stream.  Maps run in the order they were added, which must read
+    every stream after the map that makes it.
+    """
+
+    def __init__(self, inputs: int):
+        self.fanout = [[] for _ in range(inputs)]  # per stream: the queues reading it
+        self.maps = []
+
+    def read(self, stream: int) -> _Queue:
+        q = _Queue()
+        self.fanout[stream].append(q)
+        return q
+
+    def add(self, col, streams, step=None, length=0) -> int:
+        m = _Map(tuple(col), [self.read(x) for x in streams], step, length)
+        self.maps.append(m)
+        self.fanout.append(m.outputs)
+        return len(self.fanout) - 1
+
+    def push(self, chunks: Sequence[int], bits: int, final: bool = False) -> None:
+        """Feed the next ``bits`` bits of each input stream, or with ``final`` all the rest.
+
+        The stripes before the final one must hold only bits below
+        z**length of the sources.
+
+        After the final stripe, raises :class:`InconsistentDivision` for
+        the first decode step that failed.
+        """
+        for value, queues in zip(chunks, self.fanout):
+            for q in queues:
+                q.put(value, bits)
+        for m in self.maps:
+            m.run(final)
+        if final:
+            for m in self.maps:
+                if m.error:
+                    raise InconsistentDivision(m.error)
+
+
+def _encoder(mat: GenMatrix) -> tuple[_Network, list[_Queue]]:
+    # One map per packet over the K sources; the queues read the payloads.
+    net = _Network(mat.spec.k)
+    return net, [net.read(net.add(col, range(mat.spec.k))) for col in zip(*mat._masks)]
+
+
+def _decoder(kern: MapKernel, length: int) -> tuple[_Network, list[_Queue]]:
+    # The kernel's plan as a network over the K payloads, in survivor order:
+    # each residual update is a new stream, and each step's map reads the
+    # residuals of its column.  The queues read the sources.
+    k = len(kern.steps)
+    net = _Network(k)
+    res = list(range(k))
+    src = [0] * k
+    for step in kern.steps:
+        for r, coeffs, which in step.update:
+            res[r] = net.add((1, *coeffs), [res[r], *(src[i] for i in which)])
+        rows = [r for r, e in enumerate(step.column) if e]
+        src[step.source] = net.add((step.column[r] for r in rows), (res[r] for r in rows),
+                                   step, length)
+    return net, [net.read(x) for x in src]
+
+
+def _run(net: _Network, outs: list[_Queue], values: Sequence[int], length: int,
+         width: int = 0) -> list[int]:
+    # Whole in-memory streams through a network, in stripes of ``width``
+    # bits of the ``length``-bit sources (one stripe when width is 0).
+    if width:
+        stripes = (length - 1) // width
+        mask = (1 << width) - 1
+        for t in range(stripes):
+            net.push([v >> (t * width) & mask for v in values], width)
+        values = [v >> (stripes * width) for v in values]
+    net.push(values, 0, final=True)
+    return [q.drain() for q in outs]
+
+
 class DecodeStep(NamedTuple):
     """One step of a :class:`MapKernel` plan; positions are 0-based.
 
@@ -206,8 +429,7 @@ class DecodeStep(NamedTuple):
     entries for packet r, are cancelled in one Horner combine.  Then
     ``column`` combined over the residuals is z**shift * feedback *
     s_source, so the source is that stream less ``shift`` known-zero low
-    bits, divided exactly by ``feedback``.  No later step reads the
-    residuals in ``release``.
+    bits, divided exactly by ``feedback``.
     """
 
     source: int
@@ -215,7 +437,6 @@ class DecodeStep(NamedTuple):
     feedback: Poly2
     column: tuple[int, ...]
     update: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-    release: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -245,10 +466,6 @@ class MapKernel:
     shift: int
     feedback: Poly2
     steps: tuple[DecodeStep, ...]
-
-
-def _exponents(mask: int) -> list[int]:
-    return [t for t, bit in enumerate(format(mask, "b")[::-1]) if bit == "1"]
 
 
 def _plan(det: int, adj: tuple) -> list[tuple[int, int, int, tuple[int, ...], bool]]:
@@ -334,10 +551,8 @@ def _map_kernel(mat: GenMatrix, survivors: tuple[int, ...]) -> MapKernel:
             if a[c][r]:
                 pending[r].append(c)
         updates.append(update)
-    last = {r: j for j, step in enumerate(plan) for r, e in enumerate(step[3]) if e}
-    steps = tuple(DecodeStep(c, shift, Poly2(f), col, update,
-                             tuple(r for r in range(k) if last.get(r) == j))
-                  for j, ((c, shift, f, col, _), update) in enumerate(zip(plan, updates)))
+    steps = tuple(DecodeStep(c, shift, Poly2(f), col, update)
+                  for (c, shift, f, col, _), update in zip(plan, updates))
     det, adj = cancel_common_factor(det, adj)
     shift, feedback = split_shift(det)
     return MapKernel(det, adj, shift, feedback, steps)
@@ -353,9 +568,10 @@ def map_kernel(mat: GenMatrix, survivors: Sequence[int]) -> MapKernel:
     return _map_kernel(mat, mat.check_survivors(survivors))
 
 
-def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict[int, int], tuple[int, ...]]:
-    # Shared decoder-side validation; returns (L, payload masks by index,
-    # sorted survivor indices).
+def _check_headers(mat: GenMatrix, packets) -> tuple[int, tuple[int, ...]]:
+    # Shared decoder-side validation of packet headers (anything with
+    # index, spec, source_len and bit_len); returns (L, sorted survivor
+    # indices).
     for p in packets:
         if p.spec != mat.spec:
             raise ValueError(f"packet {p.index} belongs to a different code")
@@ -365,14 +581,18 @@ def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict
         raise ValueError(f"packets disagree on source length: {sorted(lengths)}")
     length = lengths.pop()
     over = mat.column_overheads()
-    masks = {}
     for p in packets:
         allowed = length + over[p.index - 1]
-        if p.bit_len > allowed:  # Packet keeps the payload within bit_len
+        if p.bit_len > allowed:  # the payload stays within bit_len
             raise TrailingBits(
                 f"packet {p.index} carries more than {allowed} bits")
-        masks[p.index] = p.bits.mask
-    return length, masks, idx
+    return length, idx
+
+
+def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict[int, int], tuple[int, ...]]:
+    # _check_headers, plus the payload masks by index.
+    length, idx = _check_headers(mat, packets)
+    return length, {p.index: p.bits.mask for p in packets}, idx
 
 
 def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
@@ -382,39 +602,26 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     each step brings the residuals it reads up to date, combines its
     column over them, drops ``shift`` known-zero low bits and divides
     exactly by ``feedback``; a division by 1 returns the combined stream
-    itself (for a surviving systematic packet, the payload).
+    itself (for a surviving systematic packet, the payload).  The steps
+    run as the stripe core's network over one stripe of the whole
+    payloads: ``sxor decode`` runs the same network over its files in
+    stripes, and gets the same sources or the same error.
 
     Raises :class:`SingularSubmatrix` for dependent survivor columns,
     :class:`TrailingBits` for over-long payloads, and
     :class:`~sxor.gf2poly.InconsistentDivision` when no length-L sources
-    can reproduce the payloads, naming the source whose division failed:
-    every division is re-checked, and together they accept exactly the
-    payloads that some length-L sources reproduce.  Corruption that
+    can reproduce the payloads, naming the source of the first step
+    whose division failed: every division is re-checked, and together
+    they accept exactly the payloads that some length-L sources
+    reproduce.  Corruption that
     still solves to valid sources (e.g. a bit flip on a packet that
     carries a source verbatim, as systematic identity columns do) is
     indistinguishable from clean data given only K packets; guard
     integrity with an outer checksum when that matters.
     """
     length, masks, idx = _check_packets(mat, packets)
-    kern = map_kernel(mat, idx)
-    res = [masks[p] for p in idx]
-    out = [None] * len(idx)
-    for c, shift, feedback, col, update, release in kern.steps:
-        for r, coeffs, which in update:
-            res[r] ^= _combine(coeffs, [out[i].mask for i in which])
-        b = _combine(col, res)
-        for r in release:
-            res[r] = 0
-        if b & ((1 << shift) - 1):
-            raise InconsistentDivision(
-                f"source {c + 1}: combined stream has set bits below z^{shift}")
-        if shift:  # b >> 0 would copy b
-            b >>= shift
-        try:
-            out[c] = exact_div_low(Poly2(b), feedback, length)
-        except InconsistentDivision as exc:
-            raise InconsistentDivision(f"source {c + 1}: {exc}") from None
-    return out
+    net, outs = _decoder(map_kernel(mat, idx), length)
+    return [Poly2(s) for s in _run(net, outs, [masks[p] for p in idx], length)]
 
 
 def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
@@ -604,23 +811,30 @@ _HEAD = struct.Struct("<4sBBBIHHHH")
 _LENS = struct.Struct("<QQ")
 
 
-def packet_to_bytes(packet: Packet) -> bytes:
-    s = packet.spec
-    for field, value, bits in (("m", s.m, 8), ("g", s.g.mask, 32), ("N", s.n, 16)):
+class _Header(NamedTuple):
+    """A packet's header fields and where its payload starts."""
+
+    index: int
+    spec: CodeSpec
+    source_len: int
+    bit_len: int
+    offset: int
+
+
+def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int) -> bytes:
+    for field, value, bits in (("m", spec.m, 8), ("g", spec.g.mask, 32), ("N", spec.n, 16)):
         if value >> bits:
             raise ValueError(f"{field}={value} exceeds {(1 << bits) - 1}, "
                              f"the limit of its {bits}-bit header field")
-    x = s.x if s.x is not None else ()
-    head = _HEAD.pack(_MAGIC, _VERSION, KIND_CODES[s.kind], s.m, s.g.mask,
-                      s.k, s.n, packet.index, len(x))
+    x = spec.x if spec.x is not None else ()
+    head = _HEAD.pack(_MAGIC, _VERSION, KIND_CODES[spec.kind], spec.m, spec.g.mask,
+                      spec.k, spec.n, index, len(x))
     xs = struct.pack(f"<{len(x)}H", *x) if x else b""
-    lens = _LENS.pack(packet.source_len, packet.bit_len)
-    nbytes = (packet.bit_len + 7) // 8
-    payload = packet.bits.mask.to_bytes(nbytes, "little")
-    return head + xs + lens + payload
+    return head + xs + _LENS.pack(source_len, bit_len)
 
 
-def packet_from_bytes(data: bytes) -> Packet:
+def _parse_header(data: bytes) -> _Header:
+    # The header at the start of data, checked as Packet checks its fields.
     if len(data) < _HEAD.size:
         raise PacketFormatError("truncated header")
     magic, version, kind_code, m, g, k, n, index, x_len = _HEAD.unpack_from(data, 0)
@@ -630,7 +844,6 @@ def packet_from_bytes(data: bytes) -> Packet:
         raise PacketFormatError(f"unsupported version {version}")
     if kind_code >= len(KINDS):
         raise PacketFormatError(f"unknown kind code {kind_code}")
-    kind = KINDS[kind_code]
     off = _HEAD.size
     x = None
     if x_len:
@@ -641,13 +854,27 @@ def packet_from_bytes(data: bytes) -> Packet:
     if len(data) < off + _LENS.size:
         raise PacketFormatError("truncated length fields")
     source_len, bit_len = _LENS.unpack_from(data, off)
-    off += _LENS.size
-    nbytes = (bit_len + 7) // 8
-    if len(data) != off + nbytes:
-        raise PacketFormatError(f"payload is {len(data) - off} bytes, expected {nbytes}")
     try:
-        spec = CodeSpec(kind, k, n, m, Poly2(g), x)
-        return Packet(index, Poly2(int.from_bytes(data[off:], "little")), source_len, bit_len, spec)
+        spec = CodeSpec(KINDS[kind_code], k, n, m, Poly2(g), x)
+        _check_fields(index, source_len, bit_len, spec)
+    except ValueError as exc:
+        raise PacketFormatError(str(exc)) from None
+    return _Header(index, spec, source_len, bit_len, off + _LENS.size)
+
+
+def packet_to_bytes(packet: Packet) -> bytes:
+    head = _header_bytes(packet.spec, packet.index, packet.source_len, packet.bit_len)
+    return head + packet.bits.mask.to_bytes((packet.bit_len + 7) // 8, "little")
+
+
+def packet_from_bytes(data: bytes) -> Packet:
+    head = _parse_header(data)
+    nbytes = (head.bit_len + 7) // 8
+    if len(data) != head.offset + nbytes:
+        raise PacketFormatError(f"payload is {len(data) - head.offset} bytes, expected {nbytes}")
+    try:
+        return Packet(head.index, Poly2(int.from_bytes(data[head.offset:], "little")),
+                      head.source_len, head.bit_len, head.spec)
     except ValueError as exc:
         raise PacketFormatError(str(exc)) from None
 
@@ -671,3 +898,95 @@ def read_packet(src: PathOrFile) -> Packet:
         return packet_from_bytes(src.read())
     with open(src, "rb") as fh:
         return packet_from_bytes(fh.read())
+
+
+# -- packet files, stripe by stripe -------------------------------------------
+#
+# The CLI's files go through the stripe core _STRIPE bits at a time, so
+# its memory does not grow with the file.  They hold the bytes that
+# write_packet writes and read_packet reads.
+
+
+def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[PathOrFile]) -> None:
+    """Encode the first ``size`` bytes of ``src`` into one packet file per path in ``dests``.
+
+    The bytes split into K sources of ceil(size / K) bytes, the last
+    zero-padded.  Every header is formed before the first file is
+    opened, so a header field overflow writes nothing.
+    """
+    chunk = -(-size // mat.spec.k)
+    length = 8 * chunk
+    over = mat.column_overheads()
+    heads = [_header_bytes(mat.spec, j + 1, length, length + w) for j, w in enumerate(over)]
+    net, outs = _encoder(mat)
+    stripe = _STRIPE // 8
+    stripes = (chunk - 1) // stripe
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(d, "wb")) for d in dests]
+        for fh, head in zip(files, heads):
+            fh.write(head)
+        for t in range(stripes + 1):
+            final = t == stripes
+            width = chunk - t * stripe if final else stripe
+            pieces = []
+            for i in range(mat.spec.k):
+                src.seek(i * chunk + t * stripe)
+                pieces.append(int.from_bytes(src.read(width), "little"))
+            net.push(pieces, 8 * width, final)
+            for fh, q, w in zip(files, outs, over):
+                fh.write(q.drain().to_bytes(width + (w + 7) // 8 if final else width, "little"))
+
+
+def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
+    """Open a packet file at its payload, checked as :func:`packet_from_bytes` checks it."""
+    fh = open(path, "rb")
+    try:
+        data = fh.read(_HEAD.size)
+        if len(data) == _HEAD.size:
+            data += fh.read(2 * _HEAD.unpack(data)[-1] + _LENS.size)
+        head = _parse_header(data)
+        nbytes = (head.bit_len + 7) // 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != head.offset + nbytes:
+            raise PacketFormatError(f"payload is {size - head.offset} bytes, expected {nbytes}")
+        if head.bit_len % 8:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1)[0] >> head.bit_len % 8:
+                raise PacketFormatError(_PAD_BITS)
+            fh.seek(head.offset)
+        return fh, head
+    except BaseException:
+        fh.close()
+        raise
+
+
+def _decode_files(mat: GenMatrix, packets: Sequence[tuple[BinaryIO, _Header]], dest: BinaryIO,
+                  size: int) -> None:
+    """Decode packet files from :func:`_open_packet` into the first ``size`` bytes of ``dest``.
+
+    The same checks, kernel and stripe core as :func:`map_decode`; source
+    c fills bytes c * L/8 up to (c + 1) * L/8 of the output, as far as
+    ``size`` reaches, and L must be whole bytes.  Bytes are written as
+    stripes complete, and an error is raised only after the last one.
+    """
+    length, idx = _check_headers(mat, [head for _, head in packets])
+    net, outs = _decoder(map_kernel(mat, idx), length)
+    files = {head.index: fh for fh, head in packets}
+    files = [files[p] for p in idx]
+    chunk, stripe = length // 8, _STRIPE // 8
+    stripes = (chunk - 1) // stripe
+    done = [0] * len(outs)  # bytes of each source taken so far
+    for t in range(stripes + 1):
+        final = t == stripes
+        net.push([int.from_bytes(fh.read() if final else fh.read(stripe), "little") for fh in files],
+                 _STRIPE, final)
+        for c, q in enumerate(outs):
+            nbytes = chunk - done[c] if final else q.bits // 8
+            if not nbytes:
+                continue
+            data = (q.drain() if final else q.take(8 * nbytes)).to_bytes(nbytes, "little")
+            at = c * chunk + done[c]
+            done[c] += nbytes
+            if at < size:
+                dest.seek(at)
+                dest.write(data[:size - at])

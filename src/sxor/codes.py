@@ -444,18 +444,31 @@ def parse_fields(words: Iterable[str], extra: Sequence[str] = (),
 
 def parse_matrix(text: str) -> GenMatrix:
     lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    return _matrix_rows(_matrix_spec(lines[0] if lines else ""), iter(lines[1:]))
+
+
+def _matrix_spec(header: str) -> CodeSpec:
+    if not header.strip():
         raise MatrixFormatError("missing header", 1)
-    fields = lines[0].split()
+    fields = header.split()
     if fields[:2] != ["sxorgen", "v1"]:
         raise MatrixFormatError("expected 'sxorgen v1' header", 1, 1)
-    spec, _ = parse_fields(fields[2:], first=3)
-    k, n = spec.k, spec.n
+    return parse_fields(fields[2:], first=3)[0]
 
-    body = [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
+
+def _matrix_rows(spec: CodeSpec, lines: Iterable[str]) -> GenMatrix:
+    # The entry rows after the header line; reads lines up to the one
+    # holding row K + 1, or to the end.
+    k, n = spec.k, spec.n
+    body = []
+    lineno = 1
+    for lineno, line in enumerate(lines, start=2):
+        if line.strip():
+            if len(body) == k:
+                raise MatrixFormatError(f"expected {k} entry rows, found more", lineno)
+            body.append((lineno, line))
     if len(body) != k:
-        raise MatrixFormatError(f"expected {k} entry rows, found {len(body)}",
-                                body[k][0] if len(body) > k else len(lines) + 1)
+        raise MatrixFormatError(f"expected {k} entry rows, found {len(body)}", lineno + 1)
     grid = []
     for lineno, line in body:
         parts = line.split(",")
@@ -493,9 +506,44 @@ def save_matrix(mat: GenMatrix, dest: PathOrFile) -> None:
             fh.write(text)
 
 
+# Most characters load_matrix reads for a header line, before it knows K
+# and N.  The longest one save_matrix writes, at K = 32 with a 32-bit g
+# and 32 five-digit x positions, is under 300.
+_HEADER_LIMIT = 1024
+
+
+def _rows_limit(k: int, n: int) -> int:
+    # Most characters the entry rows of a valid K x N matrix file take:
+    # per entry, "0x" and the hex digits of MAX_KERNEL_BITS // K bits,
+    # then a comma or a line end, plus one for a CR or a blank line.
+    return k * n * (-(-(MAX_KERNEL_BITS // k) // 4) + 4)
+
+
 def load_matrix(src: PathOrFile) -> GenMatrix:
-    """Read the text form from a path or text file object."""
-    if hasattr(src, "read"):
-        return parse_matrix(src.read())
-    with open(src, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+    """Read the text form from a path or text file object.
+
+    Reads the header line first, at most 1024 characters of it.  A file
+    whose rows hold more characters than a valid K x N matrix can take
+    (``_rows_limit``) is refused once that many are read, as is one with
+    a row past the K-th, so a malformed file costs bounded time and
+    memory.
+    """
+    if not hasattr(src, "read"):
+        with open(src, "r", encoding="ascii") as fh:
+            return load_matrix(fh)
+    header = src.readline(_HEADER_LIMIT + 1)
+    if len(header) > _HEADER_LIMIT:
+        raise MatrixFormatError(f"header is longer than {_HEADER_LIMIT} characters", 1)
+    spec = _matrix_spec(header)
+    limit = _rows_limit(spec.k, spec.n)
+
+    def lines():
+        left = limit
+        while line := src.readline(left + 1):
+            left -= len(line)
+            if left < 0:
+                raise MatrixFormatError(f"the rows hold more than {limit} characters, "
+                                        f"the most that K={spec.k} N={spec.n} entries take", 2)
+            yield line
+
+    return _matrix_rows(spec, lines())

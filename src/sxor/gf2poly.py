@@ -17,7 +17,9 @@ The module-level helpers cover the operations that do not belong to a
 single ring element: :func:`exact_div_low` recovers s from b = h*s working
 from the lowest-order coefficient up (the workhorse of the exact decoder;
 it keeps the taps of h as a short list of exponents, so only the shifted
-copies of s are megabit-sized, and ends on fixed-size chunks),
+copies of s are megabit-sized, and ends on fixed-size chunks; it is the
+last stripe of :func:`_div_low`, which divides one stripe of a longer
+dividend and carries the product's high bits into the next),
 :func:`split_shift` factors out the largest power of z, and :func:`gcd`
 is the Euclidean algorithm.
 """
@@ -71,6 +73,11 @@ def _divmod_masks(a: int, d: int) -> tuple[int, int]:
         q |= 1 << shift
         a ^= d << shift
     return q, a
+
+
+def _exponents(mask: int) -> list[int]:
+    # The exponents of mask's terms, lowest first.
+    return [t for t, bit in enumerate(format(mask, "b")[::-1]) if bit == "1"]
 
 
 def _gcd_masks(x: int, y: int) -> int:
@@ -260,17 +267,11 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
     reproduce b exactly, so trailing garbage in b or an s that would need
     more bits both raise :class:`InconsistentDivision`.
 
-    Internally the per-coefficient recursion is collapsed into rounds of
-    sparse shift-XORs using the characteristic-2 identity
-    1/h = (1+e)(1+e^2)(1+e^4)... with e = h + 1, so megabit operands stay
-    fast.  The taps of e are kept as a list of exponents below
-    ``out_len``; squaring e multiplies each by 2 (z**t -> z**2t), so a
-    round touches no megabit int beyond the shifted copies of s.  The
-    doubling stops at the chunk size C = 2**r: then s = s_r + e(z**C) * s,
-    which runs on C-bit chunks as chunk[j] ^= chunk[j - t] per tap t of
-    e, lowest first, so log2(C) rounds, not log2(out_len), touch the whole
-    operand.  The result is bit-identical to the naive recursion; for
-    h = 1 it is b itself, not a copy.
+    This is the last stripe of :func:`_div_low`, whose bits at and above
+    ``out_len`` are the product's carry: the decoder's stripe core runs
+    the earlier stripes of a long division through :func:`_div_low` and
+    hands the last one, with the carry cancelled from it, to this
+    function.  For h = 1 the result is b itself, not a copy.
     """
     if not h.mask:
         raise ZeroDivisionError("exact division by zero polynomial")
@@ -280,27 +281,63 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
         raise ValueError("output length must be nonnegative")
     if h.mask == 1 and b.mask.bit_length() <= out_len:
         return b  # s = b; an over-long b falls through to the check below
-    # The all-ones mask of out_len bits is as large as s: build it where
-    # it is used, so that it does not live through the rounds.
-    s = b.mask & ((1 << out_len) - 1)
-    taps = [t for t, bit in enumerate(format(h.mask ^ 1, "b")[::-1]) if bit == "1" and t < out_len]
-    stride = 1
-    while taps and stride < _CHUNK:  # bits past out_len never reach lower ones: cut once
-        acc = s
-        for t in taps:
-            acc ^= s << (t * stride)
-        s, acc = acc, None  # acc must not keep the last round's s alive
-        stride *= 2
-        taps = [t for t in taps if t * stride < out_len]
-    s &= (1 << out_len) - 1
-    if taps:
-        s = _chunk_recurrence(s, taps, out_len)
-    if _mul_masks(h.mask, s) != b.mask:
+    s, rest = _div_low(b.mask, h.mask, out_len)
+    if rest:
         raise InconsistentDivision(
             f"{b.mask.bit_length()}-bit dividend is not divisor * s for any s "
             f"of {out_len} coefficient bits"
         )
     return Poly2(s)
+
+
+def _div_low(b: int, h: int, width: int, carry: int = 0) -> tuple[int, int]:
+    """One stripe of a low-first division: s and (h * s + carry - b) / z**width.
+
+    s is the ``width``-bit solution of h * s + carry = b mod z**width,
+    with b the stripe's dividend bits and ``carry`` the bits that the
+    product of h with the earlier stripes' quotient leaves at and above
+    the stripe's start (fewer than deg h of them).  When b holds no more
+    than ``width`` bits, the second value is the carry into the next
+    stripe; when it holds all the dividend's remaining bits, the division
+    is exact just when that value is 0.  So the product h * s, formed
+    again, is what re-verifies the division.
+
+    The per-coefficient recursion is collapsed into rounds of sparse
+    shift-XORs using the characteristic-2 identity
+    1/h = (1+e)(1+e^2)(1+e^4)... with e = h + 1, so megabit operands stay
+    fast.  The taps of e are kept as a list of exponents below
+    ``width``; squaring e multiplies each by 2 (z**t -> z**2t), so a
+    round touches no large int beyond the shifted copies of s.  The
+    doubling stops at the chunk size C = 2**r: then s = s_r + e(z**C) * s,
+    which runs on C-bit chunks as chunk[j] ^= chunk[j - t] per tap t of
+    e, lowest first, so log2(C) rounds, not log2(width), touch the whole
+    operand.  The result is bit-identical to the naive recursion.
+    """
+    if h == 1 and b.bit_length() <= width:
+        return b, 0  # carry is 0 too: h = 1 leaves none
+    s = b ^ carry if carry else b
+    if s.bit_length() > width:
+        # The all-ones mask of width bits is as large as s: build it where
+        # it is used, so that it does not live through the rounds.
+        s &= (1 << width) - 1
+    taps = [t for t in _exponents(h ^ 1) if t < width]
+    stride = 1
+    while taps and stride < _CHUNK:  # bits past width never reach lower ones: cut once
+        acc = s
+        for t in taps:
+            acc ^= s << (t * stride)
+        s, acc = acc, None  # acc must not keep the last round's s alive
+        stride *= 2
+        taps = [t for t in taps if t * stride < width]
+    s &= (1 << width) - 1
+    if taps:
+        s = _chunk_recurrence(s, taps, width)
+    prod = _mul_masks(h, s)
+    if carry:
+        prod ^= carry
+    if prod == b:
+        return s, 0
+    return s, (prod ^ b) >> width  # s solves the low width bits: they cancel
 
 
 def _chunk_recurrence(s: int, taps: list[int], out_len: int) -> int:

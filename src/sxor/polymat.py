@@ -30,7 +30,7 @@ from operator import xor
 from typing import Callable, Iterable, Sequence
 
 from .gf2m import FieldCtx, FieldElem, _as_poly, _mulmod, _powmod
-from .gf2poly import Poly2, _divmod_masks, _gcd_masks, _mul_masks
+from .gf2poly import Poly2, _divmod_masks, _exponents, _gcd_masks, _mul_masks
 
 __all__ = [
     "FieldMatrix",
@@ -234,12 +234,21 @@ class PolyMatrix:
             aug[k], aug[p] = aug[p], aug[k]
             top = aug[k]
             pivot = top[k]
+            # Each product is a sum of shifts by the exponents of the pivot
+            # and of the row's entry f, listed once per stage and row.
+            pivot_exps = _exponents(pivot)
             for i, row in enumerate(aug):
                 if i != k:
-                    f = row[k]
-                    aug[i] = row[:k + 1] + [
-                        _divmod_masks(_mul_masks(pivot, a) ^ _mul_masks(f, b), prev)[0]
-                        for a, b in zip(row[k + 1:], top[k + 1:])]
+                    f_exps = _exponents(row[k])
+                    new = row[:k + 1]
+                    for a, b in zip(row[k + 1:], top[k + 1:]):
+                        num = 0
+                        for t in pivot_exps:
+                            num ^= a << t
+                        for t in f_exps:
+                            num ^= b << t
+                        new.append(_divmod_masks(num, prev)[0])
+                    aug[i] = new
             prev = pivot
         return Poly2(prev), PolyMatrix._of([row[n:] for row in aug])
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface, driven through main()."""
 
+import io
 import json
 import os
 import shlex
@@ -8,15 +9,21 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from sxor import codec
 from sxor.analysis import MAX_CLASSIFY_TUPLES, MAX_CLASSIFY_WORK
-from sxor.cli import _build_parser, main
-from sxor.codec import encode, read_packet, write_packet
-from sxor.codes import MAX_CHECK_SUBSETS, MAX_K, MAX_KERNEL_BITS, build_sxor, parse_matrix
+from sxor.cli import _build_parser, _resolve_matrix, main
+from sxor.codec import encode, packet_to_bytes, read_packet, write_packet
+from sxor.codes import (MAX_CHECK_SUBSETS, MAX_K, MAX_KERNEL_BITS, MatrixFormatError, build_sxor,
+                        load_matrix, parse_matrix)
 from sxor.gf2poly import Poly2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(args):
@@ -238,6 +245,80 @@ def test_explicit_kind_must_match_matrix(tmp_path, capsys):
     for kind in ([], ["--kind", "sxor"], ["--kind", "user"]):
         assert run(["analyze", "--matrix", str(mfile), *kind]) == 0
         assert capsys.readouterr().out.startswith("kind=sxor K=3 N=7")
+
+
+def test_a_fault_in_the_last_stripe_leaves_out_untouched(tmp_path, capsys):
+    # Three stripes per source; the flipped bit is the last payload bit of
+    # a parity packet, so only the last stripe of its division sees it.
+    data = bytes(range(256)) * (3 * (2 * codec._STRIPE // 8 + 100) // 256)
+    src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "5"])
+    parity = packet_path(out, "data.bin", 4)
+    head = read_packet(parity)
+    blob = bytearray(parity.read_bytes())
+    blob[-1] ^= 1 << (head.bit_len - 1) % 8
+    parity.write_bytes(blob)
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 4)]
+    restored = tmp_path / "r.bin"
+    before = sorted(tmp_path.iterdir())
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert "error: source 3:" in capsys.readouterr().err
+    assert not restored.exists()
+    assert sorted(tmp_path.iterdir()) == before  # no temp file left behind
+    restored.write_bytes(b"an older restore")
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert restored.read_bytes() == b"an older restore"
+    assert sorted(tmp_path.iterdir()) == sorted(before + [restored])
+    parity.write_bytes(packet_to_bytes(head))
+    assert run(["decode", *packs, "--out", str(restored)]) == 0
+    assert restored.read_bytes() == data
+
+
+@pytest.mark.parametrize("stripe", [8, 24, 64])
+def test_striped_files_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
+    # With stripes of a few bytes, files span many stripes: packets are
+    # packet_to_bytes of the library's encode, and every set restores.
+    monkeypatch.setattr(codec, "_STRIPE", stripe)
+    mfile = tmp_path / "wide.sxorgen"
+    mfile.write_text("sxorgen v1 kind=user K=2 N=3 m=0 g=0x0\n"
+                     f"{1 << 70:x},{1 << 72 | 1:x},1\n0,{1 << 66:x},3\n")
+    data = bytes(range(7, 250)) * 2
+    for flags in (["--kind", "sxor", "--k", "3", "--n", "7"],
+                  ["--kind", "systematic", "--k", "4", "--n", "7"],
+                  ["--kind", "zd3"], ["--matrix", str(mfile)]):
+        src, out = encode_file(tmp_path, data, flags)
+        mat = _resolve_matrix(_build_parser().parse_args(["encode", *flags, "x"]))
+        k, chunk = mat.spec.k, -(-len(data) // mat.spec.k)
+        sources = [int.from_bytes(data[i * chunk:(i + 1) * chunk], "little") for i in range(k)]
+        for p in encode(mat, sources, 8 * chunk):
+            assert packet_path(out, "data.bin", p.index).read_bytes() == packet_to_bytes(p)
+        restored = tmp_path / "r.bin"
+        for idx in combinations(range(1, mat.spec.n + 1), k):
+            packs = [str(packet_path(out, "data.bin", i)) for i in idx]
+            extra = ["--matrix", str(mfile)] if "--matrix" in flags else []
+            assert run(["decode", *packs, "--out", str(restored), *extra]) == 0
+            assert restored.read_bytes() == data, (flags, idx)
+
+
+def test_decode_checks_payload_bytes_before_decoding(tmp_path, capsys):
+    # A set pad bit past the payload's stated length, and a payload one
+    # byte short, fail as read_packet fails on them.
+    data = b"pad bits stay zero" * 5
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
+    target = packet_path(out, "data.bin", 5)
+    head = read_packet(target)
+    assert head.bit_len % 8
+    good = target.read_bytes()
+    packs = [str(packet_path(out, "data.bin", i)) for i in (2, 5, 7)]
+    restored = tmp_path / "r.bin"
+    for blob, message in ((good[:-1] + bytes([good[-1] | 0x80]),
+                           "payload has set bits beyond its stated length"),
+                          (good[:-1], f"payload is {(head.bit_len + 7) // 8 - 1} bytes")):
+        target.write_bytes(blob)
+        with pytest.raises(ValueError, match=message):
+            read_packet(target)
+        assert run(["decode", *packs, "--out", str(restored)]) == 1
+        assert message in capsys.readouterr().err
+        assert not restored.exists()
 
 
 def test_decode_wrong_packet_count(tmp_path):
@@ -508,6 +589,39 @@ def test_matrix_load_bad_file(tmp_path, capsys):
     bad.write_text("not a matrix\n")
     assert run(["matrix", "load", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_floods_of_matrix_text_are_refused_at_once(tmp_path):
+    # Under a 1 x 1 header: 3 MiB of rows, refused after the second, and
+    # one 16 MiB row, refused after 133 characters of it; and a 16 MiB
+    # header line, refused after 1025.
+    head = "sxorgen v1 kind=user K=1 N=1 m=0 g=0x0\n"
+    rows, row, header = (tmp_path / f"{name}.sxorgen" for name in ("rows", "row", "header"))
+    rows.write_text(head + "ab\n" * (1 << 20))
+    row.write_text(head + "0" * (16 << 20) + "1\n")
+    header.write_text(head[:-1] + " " * (16 << 20) + "\n1\n")
+    # A fresh interpreter times one call, then traces a second one's
+    # allocations: a child's ru_maxrss would start at this process's peak.
+    probe = ("import sys, time, tracemalloc\n"
+             "from sxor.cli import main\n"
+             "start = time.perf_counter()\n"
+             "code = main(['matrix', 'load', sys.argv[1]])\n"
+             "seconds = time.perf_counter() - start\n"
+             "tracemalloc.start()\n"
+             "main(['matrix', 'load', sys.argv[1]])\n"
+             "print(code, seconds, tracemalloc.get_traced_memory()[1] / 2**20)\n")
+    for path, message in ((rows, "line 3: expected 1 entry rows, found more"),
+                          (row, "line 2: the rows hold more than 132 characters"),
+                          (header, "line 1: header is longer than 1024 characters")):
+        proc = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                              text=True, check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        code, seconds, peak_mib = proc.stdout.split()
+        assert code == "1"
+        assert message in proc.stderr
+        assert float(seconds) < 0.05
+        assert float(peak_mib) < 5
+        with pytest.raises(MatrixFormatError, match=message):
+            load_matrix(io.StringIO(path.read_text()))
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -11,7 +11,7 @@ from functools import reduce
 from itertools import combinations
 
 from sxor import codec
-from sxor.codec import _check_packets, _combine, encode, map_decode, map_kernel
+from sxor.codec import _check_packets, _combine, _decoder, _run, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks, exact_div_low,
                           split_shift)
@@ -41,6 +41,16 @@ def one_shot_decode(mat, packets):
     return sources
 
 
+def striped_decode(mat, packets, width=3):
+    # map_decode's network, run over 3-bit stripes of the 8-bit sources.
+    length, masks, idx = _check_packets(mat, packets)
+    net, outs = _decoder(map_kernel(mat, idx), length)
+    try:
+        return _run(net, outs, [masks[p] for p in idx], length, width)
+    except InconsistentDivision:
+        return InconsistentDivision
+
+
 def taps(feedback):
     return feedback.term_count() - 1
 
@@ -65,7 +75,7 @@ def test_the_plan_never_divides_by_more_taps_than_one_shot_columns():
 def test_every_bit_flip_is_rejected_exactly_when_one_shot_rejects_it():
     # Every equation is dropped by some step, and the plan keeps no check of
     # its own at the end: its divisions alone must catch every flip that the
-    # one-shot divisions catch.
+    # one-shot divisions catch, in one stripe or in several.
     mat = build_sxor(4, 7, 0xB)
     sources = [0x5A, 0x3C, 0xF0, 0x99]
     packets = {p.index: p for p in encode(mat, sources, 8)}
@@ -84,6 +94,7 @@ def test_every_bit_flip_is_rejected_exactly_when_one_shot_rejects_it():
                 except InconsistentDivision:
                     got = InconsistentDivision
                 assert got == want, (idx, p, bit)
+                assert striped_decode(mat, chosen) == want, (idx, p, bit)
                 rejected += got is InconsistentDivision
     assert rejected > 0
 
@@ -95,8 +106,8 @@ def test_ties_go_to_the_lowest_source_and_equation():
     # cancelled from it.
     kern = map_kernel(user_matrix([[1, 2], [2, 1]]), (1, 2))
     assert [tuple(s) for s in kern.steps] == [
-        (0, 0, Poly2(0b101), (1, 2), (), (0,)),
-        (1, 0, Poly2(1), (0, 1), ((1, (2,), (0,)),), (1,))]
+        (0, 0, Poly2(0b101), (1, 2), ()),
+        (1, 0, Poly2(1), (0, 1), ((1, (2,), (0,)),))]
 
 
 def test_two_decodes_of_one_set_eliminate_once(monkeypatch):

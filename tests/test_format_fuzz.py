@@ -2,8 +2,9 @@
 and the .sxmeta sidecar's key=value line.
 
 Real packets, matrix files and sidecars are damaged in 1-3 places (or
-truncated); the parsers must either return a value or raise their own
-format error, never any other exception, and each call must finish
+truncated); the parsers, and ``load_matrix`` reading a matrix from a
+file object, must either return a value or raise their own format
+error, never any other exception, and each call must finish
 within a fixed time bound.  ``sxor decode`` next to a damaged sidecar
 must exit 0, 1 or 2 without a traceback.
 """
@@ -21,7 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from sxor.cli import main
 from sxor.codec import Packet, PacketFormatError, encode, packet_from_bytes, packet_to_bytes
 from sxor.codes import (CodeSpec, GenMatrix, MatrixFormatError, build_sxor, build_systematic_sxor,
-                        builtin_zd_k3, format_fields, format_matrix, parse_fields, parse_matrix)
+                        builtin_zd_k3, format_fields, format_matrix, load_matrix, parse_fields,
+                        parse_matrix)
 
 # Fixed examples, no deadline and no example database, so the suite stays
 # short and leaves no .hypothesis/ directory behind.
@@ -85,11 +87,15 @@ def test_damaged_packet_parses_or_raises_packet_format_error(data):
     assert isinstance(packet, Packet)
 
 
+def load_text(text):
+    return load_matrix(io.StringIO(text))
+
+
 @PROPERTY
-@given(damaged(TEXTS, TEXT_UNITS))
-def test_damaged_matrix_text_parses_or_raises_matrix_format_error(text):
+@given(damaged(TEXTS, TEXT_UNITS), st.sampled_from([parse_matrix, load_text]))
+def test_damaged_matrix_text_parses_or_raises_matrix_format_error(text, parse):
     try:
-        mat = timed(parse_matrix, text, PARSE_SECONDS)
+        mat = timed(parse, text, PARSE_SECONDS)
     except MatrixFormatError:
         return
     assert isinstance(mat, GenMatrix)
