@@ -58,7 +58,7 @@ import os
 import struct
 from array import array
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
@@ -198,12 +198,9 @@ def encode_xor_count(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -
     """
     srcs = _coerce_sources(sources, mat.spec.k, length)
     over = mat.column_overheads()
-    xors = sum(max(sum(e.bit_count() for e in col) - 1, 0) for col in zip(*mat._masks))
-    net, outs = _encoder(mat)
-    payloads = _run(net, outs, srcs, length)
     packets = [Packet(j + 1, Poly2(c), length, length + over[j], mat.spec)
-               for j, c in enumerate(payloads)]
-    return packets, xors
+               for j, c in enumerate(_run(_encoder(mat), srcs, length))]
+    return packets, mat.metrics().alpha
 
 
 def encode(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -> list[Packet]:
@@ -236,188 +233,183 @@ def encode(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -> list[Pac
 _STRIPE = 1 << 19
 
 
-class _Queue:
-    """The bits of one stream that one map has not read yet, lowest first."""
-
-    __slots__ = ("value", "bits")
-
-    def __init__(self):
-        self.value = self.bits = 0
-
-    def put(self, value: int, bits: int) -> None:
-        if self.bits:
-            self.value |= value << self.bits
-        else:
-            self.value = value
-        self.bits += bits
-
-    def take(self, bits: int) -> int:
-        value = self.value
-        if bits == self.bits:
-            self.value = self.bits = 0
-            return value
-        self.value >>= bits
-        self.bits -= bits
-        return value & ((1 << bits) - 1)
-
-    def drain(self) -> int:
-        value = self.value
-        self.value = self.bits = 0
-        return value
-
-
-class _Map:
-    """out = sum_i col[i](z) * in_i over aligned stripes, with the product's carry.
-
-    A decode step's map (``step`` set) then drops the step's shift, bits
-    that must be zero, and divides by its feedback: each stripe but the
-    last goes through :func:`~sxor.gf2poly._div_low`, carrying the
-    division's state in ``rest``, and the last, which holds every bit
-    from z**length up, is one :func:`~sxor.gf2poly.exact_div_low`; the
-    stripes before it reach no bit at or above z**length, since the
-    sources' last stripe is the final one.  A failure is kept in
-    ``error`` and the map runs on, so that a network reports the failure
-    of its first step, as a one-stripe run does.
-    """
-
-    __slots__ = ("col", "inputs", "outputs", "carry", "step", "drop", "length", "left", "rest",
-                 "error")
-
-    def __init__(self, col, inputs, step=None, length=0):
-        self.col = col
-        self.inputs = inputs
-        self.outputs = []
-        self.carry = self.rest = 0
-        self.step = step
-        self.drop = step.shift if step else 0
-        self.length = self.left = length
-        self.error = None
-
-    def run(self, final: bool) -> None:
-        if final:
-            xs, n = [q.drain() for q in self.inputs], 0
-        else:
-            n = min(q.bits for q in self.inputs)
-            if not n:
-                return
-            xs = [q.take(n) for q in self.inputs]
-        acc = _combine(self.col, xs)
-        if self.carry:
-            acc ^= self.carry
-            self.carry = 0
-        if not final and acc.bit_length() > n:
-            acc, self.carry = acc & ((1 << n) - 1), acc >> n
-        if self.step:
-            acc, n = self._solve(acc, n, final)
-        for q in self.outputs:
-            q.put(acc, n)
-
-    def _fail(self, message: str) -> None:
-        if self.error is None:
-            self.error = f"source {self.step.source + 1}: {message}"
-
-    def _solve(self, b: int, n: int, final: bool) -> tuple[int, int]:
-        if self.drop:
-            d = self.drop if final else min(self.drop, n)
-            if b & ((1 << d) - 1):
-                self._fail(f"combined stream has set bits below z^{self.step.shift}")
-            b >>= d
-            self.drop -= d
-            n -= d
-        if final:
-            if self.rest:
-                b ^= self.rest
-            try:
-                return exact_div_low(Poly2(b), self.step.feedback, self.left).mask, 0
-            except InconsistentDivision:
-                self._fail(f"combined stream is not its feedback times any source "
-                           f"of {self.length} bits")
-                return 0, 0
-        s = 0
-        if n:
-            s, self.rest = _div_low(b, self.step.feedback.mask, n, self.rest)
-            self.left -= n
-        return s, n
-
-
 class _Network:
-    """A fixed network of :class:`_Map` over numbered streams, fed stripe by stripe.
+    """A fixed network of maps over numbered streams; a :class:`_Run` runs it.
 
-    Streams 0..inputs-1 are fed by :meth:`push`; each map added makes the
-    next stream.  Maps run in the order they were added, which must read
-    every stream after the map that makes it.
+    Streams 0..inputs-1 are the inputs, and each map added makes the next
+    stream: out = sum_i col[i](z) * in_i, and for a decode step's map
+    (``step`` set) that stream less the step's shift of low bits, which
+    must be zero, divided exactly by its feedback.  A map reads each
+    input stream through a queue of its own, since a dropped shift sets
+    streams some bits apart.  Maps run in the order they were added,
+    which must read every stream after the map that makes it.
     """
 
     def __init__(self, inputs: int):
-        self.fanout = [[] for _ in range(inputs)]  # per stream: the queues reading it
-        self.maps = []
+        self.readers = [[] for _ in range(inputs)]  # per stream: the queues reading it
+        self.maps = []  # per map: (column, queues it reads, queues reading it, step)
+        self.queues = 0
 
-    def read(self, stream: int) -> _Queue:
-        q = _Queue()
-        self.fanout[stream].append(q)
-        return q
+    def read(self, stream: int) -> int:
+        self.readers[stream].append(self.queues)
+        self.queues += 1
+        return self.queues - 1
 
-    def add(self, col, streams, step=None, length=0) -> int:
-        m = _Map(tuple(col), [self.read(x) for x in streams], step, length)
-        self.maps.append(m)
-        self.fanout.append(m.outputs)
-        return len(self.fanout) - 1
+    def add(self, col, streams, step: DecodeStep | None = None) -> int:
+        reads = [self.read(x) for x in streams]
+        self.readers.append([])
+        self.maps.append((tuple(col), reads, self.readers[-1], step))
+        return len(self.readers) - 1
+
+
+class _Run:
+    """One pass of streams through a :class:`_Network`, fed stripe by stripe.
+
+    Per queue, the bits its map has not read yet, lowest first.  Per map,
+    the carry of its product (fewer bits than its column's degree) and,
+    for a decode step, [shift bits still to drop, source bits still to
+    come, the division's carry], and its first failure.  Every stripe but the
+    last goes through :func:`~sxor.gf2poly._div_low`; the last holds every
+    bit from z**length up and is one :func:`~sxor.gf2poly.exact_div_low`.
+    A failed step keeps its message and the run goes on, so that the run
+    reports its first failed step, as a one-stripe run does.
+    """
+
+    def __init__(self, net: _Network, length: int = 0):
+        self.net = net
+        self.length = length
+        self.value = [0] * net.queues
+        self.bits = [0] * net.queues
+        self.carry = [0] * len(net.maps)
+        self.solve = [[step.shift, length, 0] if step else None for *_, step in net.maps]
+        self.failed = {}  # message per failed map
+
+    def put(self, q: int, value: int, bits: int) -> None:
+        if self.bits[q]:
+            self.value[q] |= value << self.bits[q]
+        else:
+            self.value[q] = value
+        self.bits[q] += bits
+
+    def take(self, q: int, bits: int) -> int:
+        value = self.value[q]
+        if bits == self.bits[q]:
+            self.value[q] = self.bits[q] = 0
+            return value
+        self.value[q] >>= bits
+        self.bits[q] -= bits
+        return value & ((1 << bits) - 1)
+
+    def drain(self, q: int) -> int:
+        value = self.value[q]
+        self.value[q] = self.bits[q] = 0
+        return value
 
     def push(self, chunks: Sequence[int], bits: int, final: bool = False) -> None:
         """Feed the next ``bits`` bits of each input stream, or with ``final`` all the rest.
 
         The stripes before the final one must hold only bits below
-        z**length of the sources.
-
-        After the final stripe, raises :class:`InconsistentDivision` for
-        the first decode step that failed.
+        z**length of the sources.  After the final stripe, raises
+        :class:`InconsistentDivision` for the first decode step that
+        failed.
         """
-        for value, queues in zip(chunks, self.fanout):
+        value, held, carry, put = self.value, self.bits, self.carry, self.put
+        for v, queues in zip(chunks, self.net.readers):
             for q in queues:
-                q.put(value, bits)
-        for m in self.maps:
-            m.run(final)
+                put(q, v, bits)
+        for m, (col, reads, outs, step) in enumerate(self.net.maps):
+            if final:
+                xs = [value[q] for q in reads]
+                for q in reads:
+                    value[q] = 0  # let go of the stream here, not when the run ends
+                n = 0
+            else:
+                n = min(held[q] for q in reads)
+                if not n:
+                    continue
+                xs = [self.take(q, n) for q in reads]
+            acc = _combine(col, xs)
+            if carry[m]:
+                acc ^= carry[m]
+                carry[m] = 0
+            if not final and acc.bit_length() > n:
+                acc, carry[m] = acc & ((1 << n) - 1), acc >> n
+            if step:
+                acc, n = self._solve(m, step, acc, n, final)
+            for q in outs:
+                put(q, acc, n)
+        if final and self.failed:
+            raise InconsistentDivision(self.failed[min(self.failed)])
+
+    def _solve(self, m: int, step: DecodeStep, b: int, n: int, final: bool) -> tuple[int, int]:
+        state = self.solve[m]
+        drop, left, rest = state
+        if drop:
+            d = drop if final else min(drop, n)
+            if b & ((1 << d) - 1):
+                self.failed.setdefault(m, f"source {step.source + 1}: combined stream has set "
+                                          f"bits below z^{step.shift}")
+            b >>= d
+            state[0] = drop - d
+            n -= d
         if final:
-            for m in self.maps:
-                if m.error:
-                    raise InconsistentDivision(m.error)
+            if rest:
+                b ^= rest
+            try:
+                return exact_div_low(Poly2(b), step.feedback, left).mask, 0
+            except InconsistentDivision:
+                self.failed.setdefault(m, f"source {step.source + 1}: combined stream is not its "
+                                          f"feedback times any source of {self.length} bits")
+                return 0, 0
+        s = 0
+        if n:
+            s, state[2] = _div_low(b, step.feedback.mask, n, rest)
+            state[1] = left - n
+        return s, n
 
 
-def _encoder(mat: GenMatrix) -> tuple[_Network, list[_Queue]]:
-    # One map per packet over the K sources; the queues read the payloads.
+@lru_cache(maxsize=256)
+def _encoder(mat: GenMatrix) -> tuple[_Network, list[int]]:
+    # One map per packet over the sources its column holds (source 1 times
+    # 0 for an all-zero column); the queues read the payloads.
     net = _Network(mat.spec.k)
-    return net, [net.read(net.add(col, range(mat.spec.k))) for col in zip(*mat._masks)]
+    outs = []
+    for col in zip(*mat._masks):
+        rows = [i for i, e in enumerate(col) if e] or [0]
+        outs.append(net.read(net.add((col[i] for i in rows), rows)))
+    return net, outs
 
 
-def _decoder(kern: MapKernel, length: int) -> tuple[_Network, list[_Queue]]:
-    # The kernel's plan as a network over the K payloads, in survivor order:
+def _decoder(steps: Sequence[DecodeStep]) -> tuple[_Network, list[int]]:
+    # A kernel's plan as a network over the K payloads, in survivor order:
     # each residual update is a new stream, and each step's map reads the
     # residuals of its column.  The queues read the sources.
-    k = len(kern.steps)
+    k = len(steps)
     net = _Network(k)
     res = list(range(k))
     src = [0] * k
-    for step in kern.steps:
+    for step in steps:
         for r, coeffs, which in step.update:
             res[r] = net.add((1, *coeffs), [res[r], *(src[i] for i in which)])
         rows = [r for r, e in enumerate(step.column) if e]
-        src[step.source] = net.add((step.column[r] for r in rows), (res[r] for r in rows),
-                                   step, length)
+        src[step.source] = net.add((step.column[r] for r in rows), (res[r] for r in rows), step)
     return net, [net.read(x) for x in src]
 
 
-def _run(net: _Network, outs: list[_Queue], values: Sequence[int], length: int,
+def _run(network: tuple[_Network, list[int]], values: Sequence[int], length: int,
          width: int = 0) -> list[int]:
     # Whole in-memory streams through a network, in stripes of ``width``
     # bits of the ``length``-bit sources (one stripe when width is 0).
+    net, outs = network
+    run = _Run(net, length)
     if width:
         stripes = (length - 1) // width
         mask = (1 << width) - 1
         for t in range(stripes):
-            net.push([v >> (t * width) & mask for v in values], width)
+            run.push([v >> (t * width) & mask for v in values], width)
         values = [v >> (stripes * width) for v in values]
-    net.push(values, 0, final=True)
-    return [q.drain() for q in outs]
+    run.push(values, 0, final=True)
+    return [run.drain(q) for q in outs]
 
 
 class DecodeStep(NamedTuple):
@@ -466,6 +458,8 @@ class MapKernel:
     shift: int
     feedback: Poly2
     steps: tuple[DecodeStep, ...]
+    # The steps as the stripe core's network, and the queues reading the sources.
+    network: tuple[_Network, list[int]] = field(repr=False, compare=False)
 
 
 def _plan(det: int, adj: tuple) -> list[tuple[int, int, int, tuple[int, ...], bool]]:
@@ -555,7 +549,7 @@ def _map_kernel(mat: GenMatrix, survivors: tuple[int, ...]) -> MapKernel:
                   for (c, shift, f, col, _), update in zip(plan, updates))
     det, adj = cancel_common_factor(det, adj)
     shift, feedback = split_shift(det)
-    return MapKernel(det, adj, shift, feedback, steps)
+    return MapKernel(det, adj, shift, feedback, steps, _decoder(steps))
 
 
 def map_kernel(mat: GenMatrix, survivors: Sequence[int]) -> MapKernel:
@@ -620,8 +614,7 @@ def map_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     integrity with an outer checksum when that matters.
     """
     length, masks, idx = _check_packets(mat, packets)
-    net, outs = _decoder(map_kernel(mat, idx), length)
-    return [Poly2(s) for s in _run(net, outs, [masks[p] for p in idx], length)]
+    return [Poly2(s) for s in _run(map_kernel(mat, idx).network, [masks[p] for p in idx], length)]
 
 
 def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
@@ -919,6 +912,7 @@ def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[PathO
     over = mat.column_overheads()
     heads = [_header_bytes(mat.spec, j + 1, length, length + w) for j, w in enumerate(over)]
     net, outs = _encoder(mat)
+    run = _Run(net, length)
     stripe = _STRIPE // 8
     stripes = (chunk - 1) // stripe
     with ExitStack() as stack:
@@ -932,9 +926,9 @@ def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[PathO
             for i in range(mat.spec.k):
                 src.seek(i * chunk + t * stripe)
                 pieces.append(int.from_bytes(src.read(width), "little"))
-            net.push(pieces, 8 * width, final)
+            run.push(pieces, 8 * width, final)
             for fh, q, w in zip(files, outs, over):
-                fh.write(q.drain().to_bytes(width + (w + 7) // 8 if final else width, "little"))
+                fh.write(run.drain(q).to_bytes(width + (w + 7) // 8 if final else width, "little"))
 
 
 def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
@@ -970,7 +964,8 @@ def _decode_files(mat: GenMatrix, packets: Sequence[tuple[BinaryIO, _Header]], d
     stripes complete, and an error is raised only after the last one.
     """
     length, idx = _check_headers(mat, [head for _, head in packets])
-    net, outs = _decoder(map_kernel(mat, idx), length)
+    net, outs = map_kernel(mat, idx).network
+    run = _Run(net, length)
     files = {head.index: fh for fh, head in packets}
     files = [files[p] for p in idx]
     chunk, stripe = length // 8, _STRIPE // 8
@@ -978,13 +973,13 @@ def _decode_files(mat: GenMatrix, packets: Sequence[tuple[BinaryIO, _Header]], d
     done = [0] * len(outs)  # bytes of each source taken so far
     for t in range(stripes + 1):
         final = t == stripes
-        net.push([int.from_bytes(fh.read() if final else fh.read(stripe), "little") for fh in files],
+        run.push([int.from_bytes(fh.read() if final else fh.read(stripe), "little") for fh in files],
                  _STRIPE, final)
         for c, q in enumerate(outs):
-            nbytes = chunk - done[c] if final else q.bits // 8
+            nbytes = chunk - done[c] if final else run.bits[q] // 8
             if not nbytes:
                 continue
-            data = (q.drain() if final else q.take(8 * nbytes)).to_bytes(nbytes, "little")
+            data = (run.drain(q) if final else run.take(q, 8 * nbytes)).to_bytes(nbytes, "little")
             at = c * chunk + done[c]
             done[c] += nbytes
             if at < size:

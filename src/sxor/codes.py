@@ -175,7 +175,7 @@ class GenMatrix:
     kernels can be memoized per (matrix, survivor set).
     """
 
-    __slots__ = ("spec", "_masks", "_overheads")
+    __slots__ = ("spec", "_masks", "_overheads", "_metric_values")
 
     def __init__(self, spec: CodeSpec, entries: Iterable[Iterable[PolyLike]]):
         # An int is its own mask; anything else goes through Poly2's checks.
@@ -196,6 +196,7 @@ class GenMatrix:
         self.spec = spec
         self._masks = grid
         self._overheads: tuple[int, ...] | None = None
+        self._metric_values: Metrics | None = None
 
     @property
     def entries(self) -> tuple[tuple[Poly2, ...], ...]:
@@ -221,7 +222,9 @@ class GenMatrix:
         column's total term count: combining T shifted streams takes T - 1
         XOR passes regardless of packet length.
         """
-        return _metrics(self._masks)
+        if self._metric_values is None:
+            self._metric_values = _metrics(self._masks)
+        return self._metric_values
 
     def check_survivors(self, survivors: Iterable[int]) -> tuple[int, ...]:
         """The one survivor-set check: K distinct packet indices in 1..N.

@@ -11,7 +11,7 @@ from functools import reduce
 from itertools import combinations
 
 from sxor import codec
-from sxor.codec import _check_packets, _combine, _decoder, _run, encode, map_decode, map_kernel
+from sxor.codec import _check_packets, _combine, _run, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks, exact_div_low,
                           split_shift)
@@ -44,9 +44,8 @@ def one_shot_decode(mat, packets):
 def striped_decode(mat, packets, width=3):
     # map_decode's network, run over 3-bit stripes of the 8-bit sources.
     length, masks, idx = _check_packets(mat, packets)
-    net, outs = _decoder(map_kernel(mat, idx), length)
     try:
-        return _run(net, outs, [masks[p] for p in idx], length, width)
+        return _run(map_kernel(mat, idx).network, [masks[p] for p in idx], length, width)
     except InconsistentDivision:
         return InconsistentDivision
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from sxor.codec import _check_packets, _decoder, _encoder, _run, encode, map_kernel
+from sxor.codec import _check_packets, _encoder, _run, encode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import InconsistentDivision, Poly2
 
@@ -37,15 +37,13 @@ def test_every_matrix_has_sets_with_shifted_steps():
 
 
 def encode_payloads(mat, sources, length, width):
-    net, outs = _encoder(mat)
-    return _run(net, outs, sources, length, width)
+    return _run(_encoder(mat), sources, length, width)
 
 
 def decode(mat, packets, width):
     length, masks, idx = _check_packets(mat, packets)
-    net, outs = _decoder(map_kernel(mat, idx), length)
     try:
-        return _run(net, outs, [masks[p] for p in idx], length, width)
+        return _run(map_kernel(mat, idx).network, [masks[p] for p in idx], length, width)
     except InconsistentDivision as exc:
         return str(exc)
 
