@@ -146,7 +146,7 @@ _PAD_BITS = "payload has set bits beyond its stated length"
 
 
 def _check_fields(index: int, source_len: int, bit_len: int, spec: CodeSpec) -> None:
-    # A packet's rules for its header fields, for Packet and the header parser.
+    # A packet's rules for its header fields, for Packet and _open_packet.
     if not 1 <= index <= spec.n:
         raise ValueError(f"packet index {index} outside 1..{spec.n}")
     if source_len < 1:
@@ -371,19 +371,27 @@ class _Run:
 @lru_cache(maxsize=256)
 def _encoder(mat: GenMatrix) -> tuple[_Network, list[int]]:
     # One map per packet over the sources its column holds (source 1 times
-    # 0 for an all-zero column); the queues read the payloads.
+    # 0 for an all-zero column); a column that is 1 for one source reads
+    # that source.  The queues read the payloads.
     net = _Network(mat.spec.k)
     outs = []
     for col in zip(*mat._masks):
         rows = [i for i, e in enumerate(col) if e] or [0]
-        outs.append(net.read(net.add((col[i] for i in rows), rows)))
+        if len(rows) == 1 and col[rows[0]] == 1:
+            outs.append(net.read(rows[0]))
+        else:
+            outs.append(net.read(net.add((col[i] for i in rows), rows)))
     return net, outs
 
 
 def _decoder(steps: Sequence[DecodeStep]) -> tuple[_Network, list[int]]:
     # A kernel's plan as a network over the K payloads, in survivor order:
     # each residual update is a new stream, and each step's map reads the
-    # residuals of its column.  The queues read the sources.
+    # residuals of its column.  A step whose column is 1 on one untouched
+    # payload, with shift 0 and feedback 1, reads that payload: then the
+    # payload's generator column is 1 for that source alone, so it has no
+    # overhead and holds no bit at or above z**L for the division by 1 to
+    # catch.  The queues read the sources.
     k = len(steps)
     net = _Network(k)
     res = list(range(k))
@@ -392,7 +400,13 @@ def _decoder(steps: Sequence[DecodeStep]) -> tuple[_Network, list[int]]:
         for r, coeffs, which in step.update:
             res[r] = net.add((1, *coeffs), [res[r], *(src[i] for i in which)])
         rows = [r for r, e in enumerate(step.column) if e]
-        src[step.source] = net.add((step.column[r] for r in rows), (res[r] for r in rows), step)
+        r = rows[0]
+        if (rows == [r] and res[r] == r and step.column[r] == 1 and not step.shift
+                and step.feedback.mask == 1):
+            src[step.source] = r
+        else:
+            src[step.source] = net.add((step.column[r] for r in rows), (res[r] for r in rows),
+                                       step)
     return net, [net.read(x) for x in src]
 
 
@@ -438,7 +452,9 @@ class MapKernel:
     ``combine`` is the (content-reduced) adjugate B and ``det`` the
     matching determinant d = z**shift * feedback with feedback(0) = 1:
     c_I * B = d * s.  ``steps`` is the plan :func:`map_decode` runs, one
-    :class:`DecodeStep` per source.
+    :class:`DecodeStep` per source, and ``network`` the same plan as the
+    stripe core's network, built once with the kernel, with the queues
+    that read the sources.
 
     A step's column is column ``source``, in lowest terms, of the
     adjugate of some system seen while planning: the survivor set less
@@ -458,7 +474,6 @@ class MapKernel:
     shift: int
     feedback: Poly2
     steps: tuple[DecodeStep, ...]
-    # The steps as the stripe core's network, and the queues reading the sources.
     network: tuple[_Network, list[int]] = field(repr=False, compare=False)
 
 
@@ -827,7 +842,8 @@ def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int) -> 
 
 
 def _parse_header(data: bytes) -> _Header:
-    # The header at the start of data, checked as Packet checks its fields.
+    # The header at the start of data; Packet and _open_packet check the
+    # index and lengths.
     if len(data) < _HEAD.size:
         raise PacketFormatError("truncated header")
     magic, version, kind_code, m, g, k, n, index, x_len = _HEAD.unpack_from(data, 0)
@@ -849,7 +865,6 @@ def _parse_header(data: bytes) -> _Header:
     source_len, bit_len = _LENS.unpack_from(data, off)
     try:
         spec = CodeSpec(KINDS[kind_code], k, n, m, Poly2(g), x)
-        _check_fields(index, source_len, bit_len, spec)
     except ValueError as exc:
         raise PacketFormatError(str(exc)) from None
     return _Header(index, spec, source_len, bit_len, off + _LENS.size)
@@ -939,6 +954,10 @@ def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
         if len(data) == _HEAD.size:
             data += fh.read(2 * _HEAD.unpack(data)[-1] + _LENS.size)
         head = _parse_header(data)
+        try:
+            _check_fields(head.index, head.source_len, head.bit_len, head.spec)
+        except ValueError as exc:
+            raise PacketFormatError(str(exc)) from None
         nbytes = (head.bit_len + 7) // 8
         size = os.fstat(fh.fileno()).st_size
         if size != head.offset + nbytes:
