@@ -39,9 +39,10 @@ import sys
 import tempfile
 from contextlib import ExitStack
 from pathlib import Path
+from typing import BinaryIO, Sequence
 
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
-from .codec import _decode_files, _encode_file, _open_packet
+from .codec import _Run, _check_headers, _encoder, _header_bytes, _open_packet, map_kernel
 # The library's whole-packet I/O; the CLI streams instead, but
 # perfbench/tracing.py still wraps these names here.
 from .codec import read_packet, write_packet  # noqa: F401
@@ -53,6 +54,12 @@ from .gf2poly import Poly2
 __all__ = ["main"]
 
 _PACKET_SUFFIX = re.compile(r"\.p(\d+)\.sxp$")
+
+# Bits per stripe of each stream that encode and decode run through the
+# codec's stripe core (64 KiB).  On CLI decodes of 16 MiB files,
+# 2**18..2**20 were within noise of each other and 2**21 up to 1.2x
+# slower; peak RSS rose with the width (CHANGES.md).
+_STRIPE = 1 << 19
 
 # Most bytes a sidecar may hold.  The longest one encode writes, at K = 32
 # with a 20-digit len, a 32-bit g and 32 five-digit x positions, is under 300.
@@ -116,6 +123,69 @@ def cmd_encode(args) -> int:
     (out_dir / f"{stem}.sxmeta").write_text(meta + "\n", encoding="ascii")
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
     return 0
+
+
+def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[Path]) -> None:
+    """Encode the first ``size`` bytes of ``src`` into one packet file per path in ``dests``.
+
+    The bytes split into K sources of ceil(size / K) bytes, the last
+    zero-padded.  Every header is formed before the first file is
+    opened, so a header field overflow writes nothing.
+    """
+    chunk = -(-size // mat.spec.k)
+    length = 8 * chunk
+    over = mat.column_overheads()
+    heads = [_header_bytes(mat.spec, j + 1, length, length + w) for j, w in enumerate(over)]
+    net, outs = _encoder(mat)
+    run = _Run(net, length)
+    stripe = _STRIPE // 8
+    stripes = (chunk - 1) // stripe
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(d, "wb")) for d in dests]
+        for fh, head in zip(files, heads):
+            fh.write(head)
+        for t in range(stripes + 1):
+            final = t == stripes
+            width = chunk - t * stripe if final else stripe
+            pieces = []
+            for i in range(mat.spec.k):
+                src.seek(i * chunk + t * stripe)
+                pieces.append(int.from_bytes(src.read(width), "little"))
+            run.push(pieces, 8 * width, final)
+            for fh, q, w in zip(files, outs, over):
+                fh.write(run.drain(q).to_bytes(width + (w + 7) // 8 if final else width, "little"))
+
+
+def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> None:
+    """Decode the (file, header) pairs of ``codec._open_packet`` into ``dest``'s first ``size`` bytes.
+
+    The same checks, kernel and stripe core as ``codec.map_decode``;
+    source c fills bytes c * L/8 up to (c + 1) * L/8 of the output, as far
+    as ``size`` reaches, and L must be whole bytes.  Bytes are written as
+    stripes complete, and an error is raised only after the last one.
+    """
+    length, idx = _check_headers(mat, [head for _, head in packets])
+    net, outs = map_kernel(mat, idx).network
+    run = _Run(net, length)
+    files = {head.index: fh for fh, head in packets}
+    files = [files[p] for p in idx]
+    chunk, stripe = length // 8, _STRIPE // 8
+    stripes = (chunk - 1) // stripe
+    done = [0] * len(outs)  # bytes of each source taken so far
+    for t in range(stripes + 1):
+        final = t == stripes
+        run.push([int.from_bytes(fh.read() if final else fh.read(stripe), "little") for fh in files],
+                 _STRIPE, final)
+        for c, q in enumerate(outs):
+            nbytes = chunk - done[c] if final else run.bits[q] // 8
+            if not nbytes:
+                continue
+            data = (run.drain(q) if final else run.take(q, 8 * nbytes)).to_bytes(nbytes, "little")
+            at = c * chunk + done[c]
+            done[c] += nbytes
+            if at < size:
+                dest.seek(at)
+                dest.write(data[:size - at])
 
 
 def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | None:

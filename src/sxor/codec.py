@@ -57,7 +57,6 @@ import io
 import os
 import struct
 from array import array
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -213,41 +212,24 @@ def encode(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -> list[Pac
 
 
 # -- the stripe core -----------------------------------------------------------
-#
-# Encoding and MAP decoding are fixed networks of linear maps over bit
-# streams.  Each map is a Horner combine of a column of polynomials over
-# its input streams; a decode step's map then drops its shift's
-# known-zero low bits and divides exactly by its feedback, low bits
-# first.  A bit of any output depends only on input bits at or below it,
-# so a network runs on stripes of its inputs, each map carrying across
-# stripes only its product's carry (fewer bits than its column's degree)
-# and its division's (fewer than its feedback's).  A dropped shift just
-# relabels the stream, so a map's inputs may run some bits apart; every
-# input it reads has its own queue, and the map takes from each, per
-# stripe, as many bits as all of them hold.  One stripe of the whole
-# stream is the in-memory case.
-
-# Bits per stripe of each stream the CLI runs (64 KiB).  On CLI decodes
-# of 16 MiB files, 2**18..2**20 were within noise of each other and
-# 2**21 up to 1.2x slower; peak RSS rose with the width (CHANGES.md).
-_STRIPE = 1 << 19
 
 
 class _Network:
     """A fixed network of maps over numbered streams; a :class:`_Run` runs it.
 
     Streams 0..inputs-1 are the inputs, and each map added makes the next
-    stream: out = sum_i col[i](z) * in_i, and for a decode step's map
-    (``step`` set) that stream less the step's shift of low bits, which
-    must be zero, divided exactly by its feedback.  A map reads each
-    input stream through a queue of its own, since a dropped shift sets
-    streams some bits apart.  Maps run in the order they were added,
-    which must read every stream after the map that makes it.
+    stream: the Horner combine sum_i col[i](z) * in_i, which for a decode
+    step's map (``step`` set) then drops the step's shift of low bits,
+    which must be zero, and divides exactly by its feedback.  A map reads
+    each input through a queue of its own, as a dropped shift sets
+    streams some bits apart, and takes per stripe as many bits as all its
+    queues hold.  Maps run in the order they were added.
     """
 
     def __init__(self, inputs: int):
         self.readers = [[] for _ in range(inputs)]  # per stream: the queues reading it
         self.maps = []  # per map: (column, queues it reads, queues reading it, step)
+        self.steps = []  # (map, step) per decode step's map
         self.queues = 0
 
     def read(self, stream: int) -> int:
@@ -257,6 +239,8 @@ class _Network:
 
     def add(self, col, streams, step: DecodeStep | None = None) -> int:
         reads = [self.read(x) for x in streams]
+        if step:
+            self.steps.append((len(self.maps), step))
         self.readers.append([])
         self.maps.append((tuple(col), reads, self.readers[-1], step))
         return len(self.readers) - 1
@@ -266,13 +250,13 @@ class _Run:
     """One pass of streams through a :class:`_Network`, fed stripe by stripe.
 
     Per queue, the bits its map has not read yet, lowest first.  Per map,
-    the carry of its product (fewer bits than its column's degree) and,
-    for a decode step, [shift bits still to drop, source bits still to
-    come, the division's carry], and its first failure.  Every stripe but the
-    last goes through :func:`~sxor.gf2poly._div_low`; the last holds every
-    bit from z**length up and is one :func:`~sxor.gf2poly.exact_div_low`.
-    A failed step keeps its message and the run goes on, so that the run
-    reports its first failed step, as a one-stripe run does.
+    its product's carry and, for a decode step, [shift bits still to
+    drop, source bits still to come, the division's carry].  Every stripe
+    but the last is divided by :func:`~sxor.gf2poly._div_low`; the last
+    holds every bit from z**length up and is one
+    :func:`~sxor.gf2poly.exact_div_low`.  A failed step's message is kept
+    and the run goes on, so that it reports its first failed step, as a
+    one-stripe run does.
     """
 
     def __init__(self, net: _Network, length: int = 0):
@@ -281,7 +265,7 @@ class _Run:
         self.value = [0] * net.queues
         self.bits = [0] * net.queues
         self.carry = [0] * len(net.maps)
-        self.solve = [[step.shift, length, 0] if step else None for *_, step in net.maps]
+        self.solve = {m: [step.shift, length, 0] for m, step in net.steps}
         self.failed = {}  # message per failed map
 
     def put(self, q: int, value: int, bits: int) -> None:
@@ -410,18 +394,10 @@ def _decoder(steps: Sequence[DecodeStep]) -> tuple[_Network, list[int]]:
     return net, [net.read(x) for x in src]
 
 
-def _run(network: tuple[_Network, list[int]], values: Sequence[int], length: int,
-         width: int = 0) -> list[int]:
-    # Whole in-memory streams through a network, in stripes of ``width``
-    # bits of the ``length``-bit sources (one stripe when width is 0).
+def _run(network: tuple[_Network, list[int]], values: Sequence[int], length: int) -> list[int]:
+    # Whole in-memory streams through a network, as one stripe.
     net, outs = network
     run = _Run(net, length)
-    if width:
-        stripes = (length - 1) // width
-        mask = (1 << width) - 1
-        for t in range(stripes):
-            run.push([v >> (t * width) & mask for v in values], width)
-        values = [v >> (stripes * width) for v in values]
     run.push(values, 0, final=True)
     return [run.drain(q) for q in outs]
 
@@ -908,44 +884,6 @@ def read_packet(src: PathOrFile) -> Packet:
         return packet_from_bytes(fh.read())
 
 
-# -- packet files, stripe by stripe -------------------------------------------
-#
-# The CLI's files go through the stripe core _STRIPE bits at a time, so
-# its memory does not grow with the file.  They hold the bytes that
-# write_packet writes and read_packet reads.
-
-
-def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[PathOrFile]) -> None:
-    """Encode the first ``size`` bytes of ``src`` into one packet file per path in ``dests``.
-
-    The bytes split into K sources of ceil(size / K) bytes, the last
-    zero-padded.  Every header is formed before the first file is
-    opened, so a header field overflow writes nothing.
-    """
-    chunk = -(-size // mat.spec.k)
-    length = 8 * chunk
-    over = mat.column_overheads()
-    heads = [_header_bytes(mat.spec, j + 1, length, length + w) for j, w in enumerate(over)]
-    net, outs = _encoder(mat)
-    run = _Run(net, length)
-    stripe = _STRIPE // 8
-    stripes = (chunk - 1) // stripe
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(d, "wb")) for d in dests]
-        for fh, head in zip(files, heads):
-            fh.write(head)
-        for t in range(stripes + 1):
-            final = t == stripes
-            width = chunk - t * stripe if final else stripe
-            pieces = []
-            for i in range(mat.spec.k):
-                src.seek(i * chunk + t * stripe)
-                pieces.append(int.from_bytes(src.read(width), "little"))
-            run.push(pieces, 8 * width, final)
-            for fh, q, w in zip(files, outs, over):
-                fh.write(run.drain(q).to_bytes(width + (w + 7) // 8 if final else width, "little"))
-
-
 def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
     """Open a packet file at its payload, checked as :func:`packet_from_bytes` checks it."""
     fh = open(path, "rb")
@@ -971,36 +909,3 @@ def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
     except BaseException:
         fh.close()
         raise
-
-
-def _decode_files(mat: GenMatrix, packets: Sequence[tuple[BinaryIO, _Header]], dest: BinaryIO,
-                  size: int) -> None:
-    """Decode packet files from :func:`_open_packet` into the first ``size`` bytes of ``dest``.
-
-    The same checks, kernel and stripe core as :func:`map_decode`; source
-    c fills bytes c * L/8 up to (c + 1) * L/8 of the output, as far as
-    ``size`` reaches, and L must be whole bytes.  Bytes are written as
-    stripes complete, and an error is raised only after the last one.
-    """
-    length, idx = _check_headers(mat, [head for _, head in packets])
-    net, outs = map_kernel(mat, idx).network
-    run = _Run(net, length)
-    files = {head.index: fh for fh, head in packets}
-    files = [files[p] for p in idx]
-    chunk, stripe = length // 8, _STRIPE // 8
-    stripes = (chunk - 1) // stripe
-    done = [0] * len(outs)  # bytes of each source taken so far
-    for t in range(stripes + 1):
-        final = t == stripes
-        run.push([int.from_bytes(fh.read() if final else fh.read(stripe), "little") for fh in files],
-                 _STRIPE, final)
-        for c, q in enumerate(outs):
-            nbytes = chunk - done[c] if final else run.bits[q] // 8
-            if not nbytes:
-                continue
-            data = (run.drain(q) if final else run.take(q, 8 * nbytes)).to_bytes(nbytes, "little")
-            at = c * chunk + done[c]
-            done[c] += nbytes
-            if at < size:
-                dest.seek(at)
-                dest.write(data[:size - at])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sxor import codec
+from sxor import cli
 from sxor.analysis import MAX_CLASSIFY_TUPLES, MAX_CLASSIFY_WORK
 from sxor.cli import _build_parser, _resolve_matrix, main
 from sxor.codec import encode, packet_to_bytes, read_packet, write_packet
@@ -250,7 +250,7 @@ def test_explicit_kind_must_match_matrix(tmp_path, capsys):
 def test_a_fault_in_the_last_stripe_leaves_out_untouched(tmp_path, capsys):
     # Three stripes per source; the flipped bit is the last payload bit of
     # a parity packet, so only the last stripe of its division sees it.
-    data = bytes(range(256)) * (3 * (2 * codec._STRIPE // 8 + 100) // 256)
+    data = bytes(range(256)) * (3 * (2 * cli._STRIPE // 8 + 100) // 256)
     src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "5"])
     parity = packet_path(out, "data.bin", 4)
     head = read_packet(parity)
@@ -277,7 +277,7 @@ def test_a_fault_in_the_last_stripe_leaves_out_untouched(tmp_path, capsys):
 def test_striped_files_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
     # With stripes of a few bytes, files span many stripes: packets are
     # packet_to_bytes of the library's encode, and every set restores.
-    monkeypatch.setattr(codec, "_STRIPE", stripe)
+    monkeypatch.setattr(cli, "_STRIPE", stripe)
     mfile = tmp_path / "wide.sxorgen"
     mfile.write_text("sxorgen v1 kind=user K=2 N=3 m=0 g=0x0\n"
                      f"{1 << 70:x},{1 << 72 | 1:x},1\n0,{1 << 66:x},3\n")

@@ -11,7 +11,7 @@ from functools import reduce
 from itertools import combinations
 
 from sxor import codec
-from sxor.codec import _check_packets, _combine, _run, encode, map_decode, map_kernel
+from sxor.codec import _Run, _check_packets, _combine, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks, exact_div_low,
                           split_shift)
@@ -44,10 +44,17 @@ def one_shot_decode(mat, packets):
 def striped_decode(mat, packets, width=3):
     # map_decode's network, run over 3-bit stripes of the 8-bit sources.
     length, masks, idx = _check_packets(mat, packets)
+    net, outs = map_kernel(mat, idx).network
+    run = _Run(net, length)
+    stripes = (length - 1) // width
+    payloads = [masks[p] for p in idx]
     try:
-        return _run(map_kernel(mat, idx).network, [masks[p] for p in idx], length, width)
+        for t in range(stripes):
+            run.push([v >> (t * width) & ((1 << width) - 1) for v in payloads], width)
+        run.push([v >> (stripes * width) for v in payloads], 0, final=True)
     except InconsistentDivision:
         return InconsistentDivision
+    return [run.drain(q) for q in outs]
 
 
 def taps(feedback):
