@@ -153,7 +153,7 @@ def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[Path]
                 pieces.append(int.from_bytes(src.read(width), "little"))
             run.push(pieces, 8 * width, final)
             for fh, q, w in zip(files, outs, over):
-                fh.write(run.drain(q).to_bytes(width + (w + 7) // 8 if final else width, "little"))
+                fh.write(run.take(q).to_bytes(width + (w + 7) // 8 if final else width, "little"))
 
 
 def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> None:
@@ -180,7 +180,7 @@ def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size
             nbytes = chunk - done[c] if final else run.bits[q] // 8
             if not nbytes:
                 continue
-            data = (run.drain(q) if final else run.take(q, 8 * nbytes)).to_bytes(nbytes, "little")
+            data = run.take(q, None if final else 8 * nbytes).to_bytes(nbytes, "little")
             at = c * chunk + done[c]
             done[c] += nbytes
             if at < size:

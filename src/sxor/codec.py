@@ -229,7 +229,6 @@ class _Network:
     def __init__(self, inputs: int):
         self.readers = [[] for _ in range(inputs)]  # per stream: the queues reading it
         self.maps = []  # per map: (column, queues it reads, queues reading it, step)
-        self.steps = []  # (map, step) per decode step's map
         self.queues = 0
 
     def read(self, stream: int) -> int:
@@ -239,8 +238,6 @@ class _Network:
 
     def add(self, col, streams, step: DecodeStep | None = None) -> int:
         reads = [self.read(x) for x in streams]
-        if step:
-            self.steps.append((len(self.maps), step))
         self.readers.append([])
         self.maps.append((tuple(col), reads, self.readers[-1], step))
         return len(self.readers) - 1
@@ -265,7 +262,7 @@ class _Run:
         self.value = [0] * net.queues
         self.bits = [0] * net.queues
         self.carry = [0] * len(net.maps)
-        self.solve = {m: [step.shift, length, 0] for m, step in net.steps}
+        self.solve = {m: [step.shift, length, 0] for m, (*_, step) in enumerate(net.maps) if step}
         self.failed = {}  # message per failed map
 
     def put(self, q: int, value: int, bits: int) -> None:
@@ -275,19 +272,15 @@ class _Run:
             self.value[q] = value
         self.bits[q] += bits
 
-    def take(self, q: int, bits: int) -> int:
+    def take(self, q: int, bits: int | None = None) -> int:
+        # The lowest ``bits`` bits of queue q, or all it holds.
         value = self.value[q]
-        if bits == self.bits[q]:
+        if bits is None or bits == self.bits[q]:
             self.value[q] = self.bits[q] = 0
             return value
         self.value[q] >>= bits
         self.bits[q] -= bits
         return value & ((1 << bits) - 1)
-
-    def drain(self, q: int) -> int:
-        value = self.value[q]
-        self.value[q] = self.bits[q] = 0
-        return value
 
     def push(self, chunks: Sequence[int], bits: int, final: bool = False) -> None:
         """Feed the next ``bits`` bits of each input stream, or with ``final`` all the rest.
@@ -297,21 +290,15 @@ class _Run:
         :class:`InconsistentDivision` for the first decode step that
         failed.
         """
-        value, held, carry, put = self.value, self.bits, self.carry, self.put
+        carry, put, take = self.carry, self.put, self.take
         for v, queues in zip(chunks, self.net.readers):
             for q in queues:
                 put(q, v, bits)
         for m, (col, reads, outs, step) in enumerate(self.net.maps):
-            if final:
-                xs = [value[q] for q in reads]
-                for q in reads:
-                    value[q] = 0  # let go of the stream here, not when the run ends
-                n = 0
-            else:
-                n = min(held[q] for q in reads)
-                if not n:
-                    continue
-                xs = [self.take(q, n) for q in reads]
+            n = 0 if final else min(self.bits[q] for q in reads)
+            if not (n or final):
+                continue
+            xs = [take(q, n or None) for q in reads]
             acc = _combine(col, xs)
             if carry[m]:
                 acc ^= carry[m]
@@ -399,7 +386,7 @@ def _run(network: tuple[_Network, list[int]], values: Sequence[int], length: int
     net, outs = network
     run = _Run(net, length)
     run.push(values, 0, final=True)
-    return [run.drain(q) for q in outs]
+    return [run.take(q) for q in outs]
 
 
 class DecodeStep(NamedTuple):

@@ -54,7 +54,7 @@ def striped_decode(mat, packets, width=3):
         run.push([v >> (stripes * width) for v in payloads], 0, final=True)
     except InconsistentDivision:
         return InconsistentDivision
-    return [run.drain(q) for q in outs]
+    return [run.take(q) for q in outs]
 
 
 def taps(feedback):

@@ -45,7 +45,7 @@ def run_striped(network, values, length, width):
     for t in range(stripes):
         run.push([v >> (t * width) & ((1 << width) - 1) for v in values], width)
     run.push([v >> (stripes * width) for v in values], 0, final=True)
-    return [run.drain(q) for q in outs]
+    return [run.take(q) for q in outs]
 
 
 def encode_payloads(mat, sources, length, width):
