@@ -18,7 +18,8 @@ Encode and decode stream their files through the codec's stripe core,
 the file; the packets are the bytes ``write_packet`` writes.  Decode
 reads each packet header once, writes the restored bytes to a new file
 next to --out and renames it onto --out only once every division has
-checked out, so a failed decode leaves --out as it was.
+checked out, so a failed decode leaves --out as it was.  An existing
+--out must be a regular file; the new one takes its permission bits.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
@@ -35,6 +36,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 from contextlib import ExitStack
@@ -46,8 +48,8 @@ from .codec import _Run, _check_headers, _encoder, _header_bytes, _open_packet, 
 # The library's whole-packet I/O; the CLI streams instead, but
 # perfbench/tracing.py still wraps these names here.
 from .codec import read_packet, write_packet  # noqa: F401
-from .codes import (CodeSpec, GenMatrix, MatrixFormatError, format_fields, load_matrix,
-                    matrix_for_spec, parse_fields, save_matrix)
+from .codes import (_FIELDS_LIMIT, CodeSpec, GenMatrix, MatrixFormatError, format_fields,
+                    load_matrix, matrix_for_spec, parse_fields, save_matrix)
 from .gf2m import FieldCtx, default_modulus
 from .gf2poly import Poly2
 
@@ -60,10 +62,6 @@ _PACKET_SUFFIX = re.compile(r"\.p(\d+)\.sxp$")
 # 2**18..2**20 were within noise of each other and 2**21 up to 1.2x
 # slower; peak RSS rose with the width (CHANGES.md).
 _STRIPE = 1 << 19
-
-# Most bytes a sidecar may hold.  The longest one encode writes, at K = 32
-# with a 20-digit len, a 32-bit g and 32 five-digit x positions, is under 300.
-_SIDECAR_LIMIT = 1024
 
 
 class _UsageError(Exception):
@@ -198,9 +196,9 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | Non
     if not sidecar.exists():
         return None
     with open(sidecar, "rb") as fh:
-        data = fh.read(_SIDECAR_LIMIT + 1)
-    if len(data) > _SIDECAR_LIMIT:
-        raise ValueError(f"sidecar {sidecar}: larger than the limit of {_SIDECAR_LIMIT} bytes")
+        data = fh.read(_FIELDS_LIMIT + 1)
+    if len(data) > _FIELDS_LIMIT:
+        raise ValueError(f"sidecar {sidecar}: larger than the limit of {_FIELDS_LIMIT} bytes")
     try:
         first, *rest = data.decode("ascii").splitlines() or [""]
         for line, text in enumerate(rest, start=2):
@@ -264,15 +262,24 @@ def _decode(args, packets) -> None:
         raise ValueError(f"{len_source} {total_len} exceeds decoded size {spec.k * chunk}")
 
     # Decode into a new file next to --out, and put it in place only once
-    # every division has checked out.
+    # every division has checked out.  Renaming onto a device, FIFO or
+    # directory would replace it, so --out must be a regular file if it
+    # exists; the new file keeps its permission bits.
     out = Path(args.out)
+    try:
+        mode = out.stat().st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask  # what open(args.out, "wb") would have made
+    else:
+        if not stat.S_ISREG(mode):
+            raise ValueError(f"--out {args.out} exists and is not a regular file")
     fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=f".{out.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             _decode_files(mat, packets, fh, total_len)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # what open(args.out, "wb") would have made
+        os.chmod(tmp, mode & 0o777)
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)

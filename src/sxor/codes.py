@@ -391,6 +391,13 @@ def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike =
 # Fields after "sxorgen v1" may appear in any order; whitespace between
 # fields is free-form.  x appears exactly when kind=systematic.
 
+# Most characters read for one line of format_fields text: a matrix
+# header (before K and N are known) or a .sxmeta sidecar.  The longest
+# either can be, at K = 32 with a 20-digit len, a 32-bit g and 32
+# five-digit x positions, is under 300.
+_FIELDS_LIMIT = 1024
+
+
 def format_fields(fields: dict) -> str:
     """``key=value`` text of named fields, such as :meth:`CodeSpec.fields`
     or a :class:`Metrics` as ``_asdict()``.
@@ -509,12 +516,6 @@ def save_matrix(mat: GenMatrix, dest: PathOrFile) -> None:
             fh.write(text)
 
 
-# Most characters load_matrix reads for a header line, before it knows K
-# and N.  The longest one save_matrix writes, at K = 32 with a 32-bit g
-# and 32 five-digit x positions, is under 300.
-_HEADER_LIMIT = 1024
-
-
 def _rows_limit(k: int, n: int) -> int:
     # Most characters the entry rows of a valid K x N matrix file take:
     # per entry, "0x" and the hex digits of MAX_KERNEL_BITS // K bits,
@@ -529,24 +530,31 @@ def load_matrix(src: PathOrFile) -> GenMatrix:
     whose rows hold more characters than a valid K x N matrix can take
     (``_rows_limit``) is refused once that many are read, as is one with
     a row past the K-th, so a malformed file costs bounded time and
-    memory.
+    memory.  The budget allows each entry two characters beyond the
+    widest one :func:`save_matrix` writes; within it, the result is that
+    of :func:`parse_matrix` on the whole text, but a file padded further
+    (leading zeros, spaces, blank lines) is refused here.
     """
     if not hasattr(src, "read"):
         with open(src, "r", encoding="ascii") as fh:
             return load_matrix(fh)
-    header = src.readline(_HEADER_LIMIT + 1)
-    if len(header) > _HEADER_LIMIT:
-        raise MatrixFormatError(f"header is longer than {_HEADER_LIMIT} characters", 1)
+    first = src.readline(_FIELDS_LIMIT + 1)
+    if len(first) > _FIELDS_LIMIT:
+        raise MatrixFormatError(f"header is longer than {_FIELDS_LIMIT} characters", 1)
+    # Lines as parse_matrix's splitlines() cuts them, which also ends a
+    # line at characters readline() reads through, such as \x1c.
+    header, *rest = first.splitlines() or [""]
     spec = _matrix_spec(header)
     limit = _rows_limit(spec.k, spec.n)
 
     def lines():
+        yield from rest
         left = limit
         while line := src.readline(left + 1):
             left -= len(line)
             if left < 0:
                 raise MatrixFormatError(f"the rows hold more than {limit} characters, "
                                         f"the most that K={spec.k} N={spec.n} entries take", 2)
-            yield line
+            yield from line.splitlines()
 
     return _matrix_rows(spec, lines())

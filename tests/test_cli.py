@@ -5,6 +5,7 @@ import json
 import os
 import shlex
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -271,6 +272,37 @@ def test_a_fault_in_the_last_stripe_leaves_out_untouched(tmp_path, capsys):
     parity.write_bytes(packet_to_bytes(head))
     assert run(["decode", *packs, "--out", str(restored)]) == 0
     assert restored.read_bytes() == data
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_decode_refuses_an_out_that_is_not_a_regular_file(tmp_path, capsys):
+    # Renaming the restore onto a FIFO or a directory would replace it.
+    data = b"only regular files are replaced" * 3
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
+    fifo, folder = tmp_path / "fifo", tmp_path / "folder"
+    os.mkfifo(fifo)
+    folder.mkdir()
+    (tmp_path / "to-fifo").symlink_to(fifo)
+    before = sorted(tmp_path.iterdir())
+    for target in (fifo, folder, tmp_path / "to-fifo"):
+        assert run(["decode", *packs, "--out", str(target)]) == 1
+        assert "is not a regular file" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert stat.S_ISFIFO(fifo.lstat().st_mode) and folder.is_dir()
+    assert (tmp_path / "to-fifo").is_symlink()
+
+
+def test_decode_keeps_the_mode_of_an_existing_out(tmp_path):
+    data = b"mode bits survive the rename" * 3
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
+    packs = [str(packet_path(out, "data.bin", i)) for i in (2, 4, 6)]
+    restored = tmp_path / "r.bin"
+    restored.write_bytes(b"older")
+    restored.chmod(0o640)
+    assert run(["decode", *packs, "--out", str(restored)]) == 0
+    assert restored.read_bytes() == data
+    assert stat.S_IMODE(restored.stat().st_mode) == 0o640
 
 
 @pytest.mark.parametrize("stripe", [8, 24, 64])

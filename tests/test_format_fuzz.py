@@ -5,7 +5,8 @@ Real packets, matrix files and sidecars are damaged in 1-3 places (or
 truncated); the parsers, and ``load_matrix`` reading a matrix from a
 file object, must either return a value or raise their own format
 error, never any other exception, and each call must finish
-within a fixed time bound.  ``sxor decode`` next to a damaged sidecar
+within a fixed time bound.  ``load_matrix`` must return what
+``parse_matrix`` returns on every text within its budget.  ``sxor decode`` next to a damaged sidecar
 must exit 0, 1 or 2 without a traceback.
 """
 
@@ -21,9 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from sxor.cli import main
 from sxor.codec import Packet, PacketFormatError, encode, packet_from_bytes, packet_to_bytes
-from sxor.codes import (CodeSpec, GenMatrix, MatrixFormatError, build_sxor, build_systematic_sxor,
-                        builtin_zd_k3, format_fields, format_matrix, load_matrix, parse_fields,
-                        parse_matrix)
+from sxor.codes import (_FIELDS_LIMIT, CodeSpec, GenMatrix, MatrixFormatError, _rows_limit,
+                        build_sxor, build_systematic_sxor, builtin_zd_k3, format_fields,
+                        format_matrix, load_matrix, parse_fields, parse_matrix)
 
 # Fixed examples, no deadline and no example database, so the suite stays
 # short and leaves no .hypothesis/ directory behind.
@@ -91,14 +92,30 @@ def load_text(text):
     return load_matrix(io.StringIO(text))
 
 
-@PROPERTY
-@given(damaged(TEXTS, TEXT_UNITS), st.sampled_from([parse_matrix, load_text]))
-def test_damaged_matrix_text_parses_or_raises_matrix_format_error(text, parse):
+def parsed(parse, text):
     try:
-        mat = timed(parse, text, PARSE_SECONDS)
+        return timed(parse, text, PARSE_SECONDS)
     except MatrixFormatError:
+        return None
+
+
+@PROPERTY
+@given(damaged(TEXTS, TEXT_UNITS))
+@example(TEXTS[0].replace("\n", "\x1c", 2))  # a line end only splitlines() sees
+@example(TEXTS[0].replace(",", ",0000", 1) + "\n" * 1000)  # past the budget
+def test_damaged_matrix_text_parses_or_raises_matrix_format_error(text):
+    # Both parsers read every text: load_matrix returns what parse_matrix
+    # returns unless the text is past its budget, where it may refuse.
+    mat, loaded = parsed(parse_matrix, text), parsed(load_text, text)
+    if mat is None:
+        assert loaded is None
         return
     assert isinstance(mat, GenMatrix)
+    header, _, rows = text.partition("\n")
+    if len(header) < _FIELDS_LIMIT and len(rows) <= _rows_limit(mat.spec.k, mat.spec.n):
+        assert loaded == mat
+    else:
+        assert loaded in (None, mat)
 
 
 def parse_sidecar(text):

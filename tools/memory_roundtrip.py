@@ -1,14 +1,13 @@
 """Check that `sxor encode` and `sxor decode` peak RSS does not grow with the file.
 
-    PYTHONPATH=src python tools/memory_roundtrip.py [--sizes 16,64] [--dir DIR]
+    PYTHONPATH=src python tools/memory_roundtrip.py [--dir DIR]
 
-For each code below and each size (MiB), this writes a seeded random
+For each code below and each of SIZES (MiB), this writes a seeded random
 file, encodes it with `python -m sxor encode`, loses the listed packets,
 decodes the rest with `python -m sxor decode`, and compares the restore
 with the input byte for byte.  Each child's peak RSS is its `ru_maxrss`
 from `os.wait4`.  The check fails when a restore differs, a child fails,
-or a child's peak at the largest size is more than 1.1 times its peak at
-the smallest.  This process holds 1 MiB at a time, so that it stays
+or a child's peak at 64 MiB is more than 1.1 times its peak at 16 MiB.  This process holds 1 MiB at a time, so that it stays
 below the children it measures.
 """
 
@@ -24,6 +23,7 @@ import time
 from pathlib import Path
 
 MIB = 1 << 20
+SIZES = (16, 64)  # MiB; a peak at the second may be at most RATIO times one at the first
 RATIO = 1.1
 
 # (kind, K, N, lost packets): the codes of the README's memory figures.
@@ -55,17 +55,15 @@ def same_bytes(a: Path, b: Path) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", default="16,64", help="file sizes in MiB, smallest first")
     parser.add_argument("--dir", help="work directory (default: a new temporary one)")
     args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
     with tempfile.TemporaryDirectory(dir=args.dir) as tmp:
         work = Path(tmp)
         peaks: dict[tuple[str, str, int], float] = {}
         failed = False
         for kind, k, n, lost in CASES:
             code = f"{kind} {k}/{n}"
-            for size in sizes:
+            for size in SIZES:
                 src = work / "object.bin"
                 rng = random.Random(size)
                 with src.open("wb") as fh:
@@ -89,10 +87,10 @@ def main(argv=None) -> int:
                 for f in (src, restored, *packets.iterdir()):
                     f.unlink()
             for op in ("encode", "decode"):
-                small, large = peaks[code, op, sizes[0]], peaks[code, op, sizes[-1]]
+                small, large = (peaks[code, op, size] for size in SIZES)
                 if large > RATIO * small:
-                    print(f"{code}: {op} peak {large:.1f} MiB at {sizes[-1]} MiB is over "
-                          f"{RATIO} x {small:.1f} MiB at {sizes[0]} MiB")
+                    print(f"{code}: {op} peak {large:.1f} MiB at {SIZES[1]} MiB is over "
+                          f"{RATIO} x {small:.1f} MiB at {SIZES[0]} MiB")
                     failed = True
     return 1 if failed else 0
 
