@@ -44,7 +44,8 @@ from pathlib import Path
 from typing import BinaryIO, Sequence
 
 from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
-from .codec import _Run, _check_headers, _encoder, _header_bytes, _open_packet, map_kernel
+from .codec import (PacketFormatError, _Run, _check_headers, _encoder, _header_bytes, _open_packet,
+                    map_kernel)
 # The library's whole-packet I/O; the CLI streams instead, but
 # perfbench/tracing.py still wraps these names here.
 from .codec import read_packet, write_packet  # noqa: F401
@@ -128,14 +129,14 @@ def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[Path]
 
     The bytes split into K sources of ceil(size / K) bytes, the last
     zero-padded.  Every header is formed before the first file is
-    opened, so a header field overflow writes nothing.
+    opened, so a header field overflow writes nothing.  ``src`` must
+    still hold ``size`` bytes: a shorter read raises ``ValueError``.
     """
     chunk = -(-size // mat.spec.k)
     length = 8 * chunk
     over = mat.column_overheads()
     heads = [_header_bytes(mat.spec, j + 1, length, length + w) for j, w in enumerate(over)]
-    net, outs = _encoder(mat)
-    run = _Run(net, length)
+    run = _Run(_encoder(mat), length)
     stripe = _STRIPE // 8
     stripes = (chunk - 1) // stripe
     with ExitStack() as stack:
@@ -147,11 +148,13 @@ def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[Path]
             width = chunk - t * stripe if final else stripe
             pieces = []
             for i in range(mat.spec.k):
-                src.seek(i * chunk + t * stripe)
-                pieces.append(int.from_bytes(src.read(width), "little"))
+                at = i * chunk + t * stripe
+                src.seek(at)
+                pieces.append(_read_int(src, min(width, max(size - at, 0)), f"input file {src.name}",
+                                        ValueError))
             run.push(pieces, 8 * width, final)
-            for fh, q, w in zip(files, outs, over):
-                fh.write(run.take(q).to_bytes(width + (w + 7) // 8 if final else width, "little"))
+            for j, (fh, w) in enumerate(zip(files, over)):
+                fh.write(run.take(j).to_bytes(width + (w + 7) // 8 if final else width, "little"))
 
 
 def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> None:
@@ -159,31 +162,43 @@ def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size
 
     The same checks, kernel and stripe core as ``codec.map_decode``;
     source c fills bytes c * L/8 up to (c + 1) * L/8 of the output, as far
-    as ``size`` reaches, and L must be whole bytes.  Bytes are written as
-    stripes complete, and an error is raised only after the last one.
+    as ``size`` reaches, and L must be whole bytes.  Each payload is read
+    to exactly the length its header states, and a file that has since
+    become shorter raises :class:`~sxor.codec.PacketFormatError` naming
+    the packet.  Bytes are written as stripes complete, and a decode
+    error is raised only after the last one.
     """
     length, idx = _check_headers(mat, [head for _, head in packets])
-    net, outs = map_kernel(mat, idx).network
-    run = _Run(net, length)
-    files = {head.index: fh for fh, head in packets}
-    files = [files[p] for p in idx]
+    run = _Run(map_kernel(mat, idx).network, length)
+    files = sorted(packets, key=lambda packet: packet[1].index)  # in survivor order
     chunk, stripe = length // 8, _STRIPE // 8
     stripes = (chunk - 1) // stripe
-    done = [0] * len(outs)  # bytes of each source taken so far
+    done = [0] * mat.spec.k  # bytes of each source taken so far
     for t in range(stripes + 1):
         final = t == stripes
-        run.push([int.from_bytes(fh.read() if final else fh.read(stripe), "little") for fh in files],
-                 _STRIPE, final)
-        for c, q in enumerate(outs):
-            nbytes = chunk - done[c] if final else run.bits[q] // 8
+        run.push([_read_int(fh, (head.bit_len + 7) // 8 - t * stripe if final else stripe,
+                            f"packet {head.index} ({fh.name})", PacketFormatError)
+                  for fh, head in files], _STRIPE, final)
+        for c in range(mat.spec.k):
+            nbytes = chunk - done[c] if final else run.bits[c] // 8
             if not nbytes:
                 continue
-            data = run.take(q, None if final else 8 * nbytes).to_bytes(nbytes, "little")
+            data = run.take(c, None if final else 8 * nbytes).to_bytes(nbytes, "little")
             at = c * chunk + done[c]
             done[c] += nbytes
             if at < size:
                 dest.seek(at)
                 dest.write(data[:size - at])
+
+
+def _read_int(fh: BinaryIO, size: int, what: str, error: type[ValueError]) -> int:
+    # The next ``size`` bytes of fh, little-endian.  A file shorter than it
+    # was when opened and checked raises ``error``, naming ``what``.
+    data = fh.read(size)
+    if len(data) != size:
+        raise error(f"{what} ended early: read {len(data)} of {size} bytes at offset "
+                    f"{fh.tell() - len(data)}")
+    return int.from_bytes(data, "little")
 
 
 def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | None:

@@ -25,13 +25,15 @@ garbage; a division by 1 returns the dividend itself once no bit sits
 at or above z**L.
 
 Encoding and MAP decoding run on one stripe core: a network of these
-combines, shift drops and divisions over bit streams.  Every output bit
-depends only on input bits at or below it, so the network can run on
-stripes of its streams, each map carrying across stripes only its
-product's carry, its division's state and the few bits by which a
-dropped shift sets its inputs apart.  The library runs one stripe of the
-whole stream; ``sxor encode`` and ``sxor decode`` stream their files in
-2**19-bit stripes, so their memory does not grow with the file.
+combines and divisions over bit streams.  Every output bit depends only
+on input bits at or below it, so the network can run on stripes of its
+streams, each map carrying across stripes only its product's carry and
+its division's carry.  No stream drops a step's shift: it keeps those
+zero bits as a delay, a map over streams of unequal delays raises its
+column entries to line them up, and only the outputs drop theirs.  The
+library runs one stripe of the whole stream; ``sxor encode`` and
+``sxor decode`` stream their files in 2**19-bit stripes, so their memory
+does not grow with the file.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
 single power of z) and runs in time linear in L.  While some survivor
@@ -66,9 +68,9 @@ from typing import BinaryIO, NamedTuple, Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
 from .gf2m import PolyLike, _as_poly
-from .gf2poly import (InconsistentDivision, Poly2, _div_low, _divmod_masks, _exponents, _gcd_masks,
-                      exact_div_low, split_shift)
-from .polymat import PolyMatrix, cancel_common_factor
+from .gf2poly import (InconsistentDivision, Poly2, _div_low, _divmod_masks, _gcd_masks, exact_div_low,
+                      split_shift)
+from .polymat import PolyMatrix, _bareiss_step, cancel_common_factor
 
 __all__ = [
     "Packet",
@@ -219,38 +221,37 @@ class _Network:
 
     Streams 0..inputs-1 are the inputs, and each map added makes the next
     stream: the Horner combine sum_i col[i](z) * in_i, which for a decode
-    step's map (``step`` set) then drops the step's shift of low bits,
-    which must be zero, and divides exactly by its feedback.  A map reads
-    each input through a queue of its own, as a dropped shift sets
-    streams some bits apart, and takes per stripe as many bits as all its
-    queues hold.  Maps run in the order they were added.
+    step's map (``step`` set) must hold only zero bits below its delay and
+    is then divided exactly by the step's feedback.  No stream is cut:
+    each keeps its ``delay``, the zero bits it starts with, which is 0 for
+    an input and for a map the largest delay of its inputs, plus a step's
+    shift.  A map raises each column entry by the amount its input's delay
+    falls short of that largest one, so every stream of a stripe spans the
+    same bits.  Only the ``outs``, the streams a run hands back, drop
+    their delay.  Maps run in the order they were added.
     """
 
     def __init__(self, inputs: int):
-        self.readers = [[] for _ in range(inputs)]  # per stream: the queues reading it
-        self.maps = []  # per map: (column, queues it reads, queues reading it, step)
-        self.queues = 0
-
-    def read(self, stream: int) -> int:
-        self.readers[stream].append(self.queues)
-        self.queues += 1
-        return self.queues - 1
+        self.delays = [0] * inputs  # per stream
+        self.maps = []  # per map: (column, streams it reads, step)
+        self.outs = []
 
     def add(self, col, streams, step: DecodeStep | None = None) -> int:
-        reads = [self.read(x) for x in streams]
-        self.readers.append([])
-        self.maps.append((tuple(col), reads, self.readers[-1], step))
-        return len(self.readers) - 1
+        streams = tuple(streams)
+        delays = [self.delays[x] for x in streams]
+        delay = max(delays)
+        self.maps.append((tuple(e << delay - d for e, d in zip(col, delays)), streams, step))
+        self.delays.append(delay + step.shift if step else delay)
+        return len(self.delays) - 1
 
 
 class _Run:
     """One pass of streams through a :class:`_Network`, fed stripe by stripe.
 
-    Per queue, the bits its map has not read yet, lowest first.  Per map,
-    its product's carry and, for a decode step, [shift bits still to
-    drop, source bits still to come, the division's carry].  Every stripe
-    but the last is divided by :func:`~sxor.gf2poly._div_low`; the last
-    holds every bit from z**length up and is one
+    Per map, its product's carry and, for a decode step, its division's
+    carry; per output, the bits not taken yet, lowest first.  Every
+    stripe but the last is divided by :func:`~sxor.gf2poly._div_low`; the
+    last holds every bit from the stripe's start up and is one
     :func:`~sxor.gf2poly.exact_div_low`.  A failed step's message is kept
     and the run goes on, so that it reports its first failed step, as a
     one-stripe run does.
@@ -259,110 +260,99 @@ class _Run:
     def __init__(self, net: _Network, length: int = 0):
         self.net = net
         self.length = length
-        self.value = [0] * net.queues
-        self.bits = [0] * net.queues
+        self.done = 0  # bits of each stream fed so far
         self.carry = [0] * len(net.maps)
-        self.solve = {m: [step.shift, length, 0] for m, (*_, step) in enumerate(net.maps) if step}
+        self.rest = [0] * len(net.maps)
+        self.value = [0] * len(net.outs)
+        self.bits = [0] * len(net.outs)
         self.failed = {}  # message per failed map
 
-    def put(self, q: int, value: int, bits: int) -> None:
-        if self.bits[q]:
-            self.value[q] |= value << self.bits[q]
-        else:
-            self.value[q] = value
-        self.bits[q] += bits
-
-    def take(self, q: int, bits: int | None = None) -> int:
-        # The lowest ``bits`` bits of queue q, or all it holds.
-        value = self.value[q]
-        if bits is None or bits == self.bits[q]:
-            self.value[q] = self.bits[q] = 0
+    def take(self, out: int, bits: int | None = None) -> int:
+        # The lowest ``bits`` untaken bits of output ``out``, or all of them.
+        value = self.value[out]
+        if bits is None or bits == self.bits[out]:
+            self.value[out] = self.bits[out] = 0
             return value
-        self.value[q] >>= bits
-        self.bits[q] -= bits
+        self.value[out] >>= bits
+        self.bits[out] -= bits
         return value & ((1 << bits) - 1)
 
     def push(self, chunks: Sequence[int], bits: int, final: bool = False) -> None:
         """Feed the next ``bits`` bits of each input stream, or with ``final`` all the rest.
 
         The stripes before the final one must hold only bits below
-        z**length of the sources.  After the final stripe, raises
+        z**length of the sources.  After the final stripe, which leaves
+        each output to be taken whole, raises
         :class:`InconsistentDivision` for the first decode step that
         failed.
         """
-        carry, put, take = self.carry, self.put, self.take
-        for v, queues in zip(chunks, self.net.readers):
-            for q in queues:
-                put(q, v, bits)
-        for m, (col, reads, outs, step) in enumerate(self.net.maps):
-            n = 0 if final else min(self.bits[q] for q in reads)
-            if not (n or final):
-                continue
-            xs = [take(q, n or None) for q in reads]
-            acc = _combine(col, xs)
+        net, carry, done = self.net, self.carry, self.done
+        streams = list(chunks)
+        k = len(streams)
+        for m, (col, reads, step) in enumerate(net.maps):
+            acc = _combine(col, [streams[x] for x in reads])
             if carry[m]:
                 acc ^= carry[m]
                 carry[m] = 0
-            if not final and acc.bit_length() > n:
-                acc, carry[m] = acc & ((1 << n) - 1), acc >> n
+            if not final and acc.bit_length() > bits:
+                acc, carry[m] = acc & ((1 << bits) - 1), acc >> bits
             if step:
-                acc, n = self._solve(m, step, acc, n, final)
-            for q in outs:
-                put(q, acc, n)
+                acc = self._solve(m, step, net.delays[k + m] - done, acc, bits, final)
+            streams.append(acc)
+        for out, x in enumerate(net.outs):
+            value, drop = streams[x], max(net.delays[x] - done, 0)
+            if drop:
+                drop = drop if final else min(drop, bits)
+                value >>= drop
+            if self.bits[out]:
+                value = self.value[out] | value << self.bits[out]
+            self.value[out] = value
+            if not final:
+                self.bits[out] += bits - drop
+        self.done += bits
         if final and self.failed:
             raise InconsistentDivision(self.failed[min(self.failed)])
 
-    def _solve(self, m: int, step: DecodeStep, b: int, n: int, final: bool) -> tuple[int, int]:
-        state = self.solve[m]
-        drop, left, rest = state
-        if drop:
-            d = drop if final else min(drop, n)
-            if b & ((1 << d) - 1):
-                self.failed.setdefault(m, f"source {step.source + 1}: combined stream has set "
-                                          f"bits below z^{step.shift}")
-            b >>= d
-            state[0] = drop - d
-            n -= d
-        if final:
-            if rest:
-                b ^= rest
-            try:
-                return exact_div_low(Poly2(b), step.feedback, left).mask, 0
-            except InconsistentDivision:
-                self.failed.setdefault(m, f"source {step.source + 1}: combined stream is not its "
-                                          f"feedback times any source of {self.length} bits")
-                return 0, 0
-        s = 0
-        if n:
-            s, state[2] = _div_low(b, step.feedback.mask, n, rest)
-            state[1] = left - n
-        return s, n
+    def _solve(self, m: int, step: DecodeStep, low: int, b: int, bits: int, final: bool) -> int:
+        # Step m's quotient over this stripe, whose lowest ``low`` bits are
+        # the last of the step's delay and must be zero.
+        if low > 0 and b & ((1 << (low if final else min(low, bits))) - 1):
+            self.failed.setdefault(m, f"source {step.source + 1}: combined stream has set "
+                                      f"bits below z^{step.shift}")
+        if not final:
+            s, self.rest[m] = _div_low(b, step.feedback.mask, bits, self.rest[m])
+            return s
+        try:
+            return exact_div_low(Poly2(b ^ self.rest[m]), step.feedback, self.length + low).mask
+        except InconsistentDivision:
+            self.failed.setdefault(m, f"source {step.source + 1}: combined stream is not its "
+                                      f"feedback times any source of {self.length} bits")
+            return 0
 
 
 @lru_cache(maxsize=256)
-def _encoder(mat: GenMatrix) -> tuple[_Network, list[int]]:
+def _encoder(mat: GenMatrix) -> _Network:
     # One map per packet over the sources its column holds (source 1 times
-    # 0 for an all-zero column); a column that is 1 for one source reads
-    # that source.  The queues read the payloads.
+    # 0 for an all-zero column); a column that is 1 for one source outputs
+    # that source.  The outputs are the payloads.
     net = _Network(mat.spec.k)
-    outs = []
     for col in zip(*mat._masks):
         rows = [i for i, e in enumerate(col) if e] or [0]
         if len(rows) == 1 and col[rows[0]] == 1:
-            outs.append(net.read(rows[0]))
+            net.outs.append(rows[0])
         else:
-            outs.append(net.read(net.add((col[i] for i in rows), rows)))
-    return net, outs
+            net.outs.append(net.add((col[i] for i in rows), rows))
+    return net
 
 
-def _decoder(steps: Sequence[DecodeStep]) -> tuple[_Network, list[int]]:
+def _decoder(steps: Sequence[DecodeStep]) -> _Network:
     # A kernel's plan as a network over the K payloads, in survivor order:
     # each residual update is a new stream, and each step's map reads the
     # residuals of its column.  A step whose column is 1 on one untouched
-    # payload, with shift 0 and feedback 1, reads that payload: then the
+    # payload, with shift 0 and feedback 1, outputs that payload: then the
     # payload's generator column is 1 for that source alone, so it has no
     # overhead and holds no bit at or above z**L for the division by 1 to
-    # catch.  The queues read the sources.
+    # catch.  The outputs are the sources.
     k = len(steps)
     net = _Network(k)
     res = list(range(k))
@@ -378,15 +368,15 @@ def _decoder(steps: Sequence[DecodeStep]) -> tuple[_Network, list[int]]:
         else:
             src[step.source] = net.add((step.column[r] for r in rows), (res[r] for r in rows),
                                        step)
-    return net, [net.read(x) for x in src]
+    net.outs = src
+    return net
 
 
-def _run(network: tuple[_Network, list[int]], values: Sequence[int], length: int) -> list[int]:
+def _run(net: _Network, values: Sequence[int], length: int) -> list[int]:
     # Whole in-memory streams through a network, as one stripe.
-    net, outs = network
     run = _Run(net, length)
     run.push(values, 0, final=True)
-    return [run.take(q) for q in outs]
+    return [run.take(out) for out in range(len(net.outs))]
 
 
 class DecodeStep(NamedTuple):
@@ -416,8 +406,8 @@ class MapKernel:
     matching determinant d = z**shift * feedback with feedback(0) = 1:
     c_I * B = d * s.  ``steps`` is the plan :func:`map_decode` runs, one
     :class:`DecodeStep` per source, and ``network`` the same plan as the
-    stripe core's network, built once with the kernel, with the queues
-    that read the sources.
+    stripe core's network, built once with the kernel, whose outputs are
+    the sources.
 
     A step's column is column ``source``, in lowest terms, of the
     adjugate of some system seen while planning: the survivor set less
@@ -437,7 +427,7 @@ class MapKernel:
     shift: int
     feedback: Poly2
     steps: tuple[DecodeStep, ...]
-    network: tuple[_Network, list[int]] = field(repr=False, compare=False)
+    network: _Network = field(repr=False, compare=False)
 
 
 def _plan(det: int, adj: tuple) -> list[tuple[int, int, int, tuple[int, ...], bool]]:
@@ -483,19 +473,8 @@ def _plan(det: int, adj: tuple) -> list[tuple[int, int, int, tuple[int, ...], bo
             return order
         p = min((p for p in packets if b[p][c]), key=lambda p: b[p][c].bit_count())
         packets.remove(p)
-        pivot, row = b[p][c], b[p]
-        pivot_exps = _exponents(pivot)
-        for q in packets:
-            bq = b[q]
-            f_exps = _exponents(bq[c])
-            for e in sources:
-                x, y, num = bq[e], row[e], 0
-                for t in pivot_exps:
-                    num ^= x << t
-                for t in f_exps:
-                    num ^= y << t
-                bq[e] = _divmod_masks(num, det)[0]
-        det = pivot
+        _bareiss_step([b[q] for q in packets], b[p], c, sources, det)
+        det = b[p][c]
 
 
 @lru_cache(maxsize=256)

@@ -232,24 +232,8 @@ class PolyMatrix:
                 return Poly2(0), PolyMatrix._of([[e & ((1 << d) - 1) for e in row]
                                                  for row in shifted.det_adjugate()[1]._masks])
             aug[k], aug[p] = aug[p], aug[k]
-            top = aug[k]
-            pivot = top[k]
-            # Each product is a sum of shifts by the exponents of the pivot
-            # and of the row's entry f, listed once per stage and row.
-            pivot_exps = _exponents(pivot)
-            for i, row in enumerate(aug):
-                if i != k:
-                    f_exps = _exponents(row[k])
-                    new = row[:k + 1]
-                    for a, b in zip(row[k + 1:], top[k + 1:]):
-                        num = 0
-                        for t in pivot_exps:
-                            num ^= a << t
-                        for t in f_exps:
-                            num ^= b << t
-                        new.append(_divmod_masks(num, prev)[0])
-                    aug[i] = new
-            prev = pivot
+            _bareiss_step(aug[:k] + aug[k + 1:], aug[k], k, range(k + 1, 2 * n), prev)
+            prev = aug[k][k]
         return Poly2(prev), PolyMatrix._of([row[n:] for row in aug])
 
     def __eq__(self, other: object) -> bool:
@@ -262,6 +246,27 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols})"
+
+
+def _bareiss_step(rows: Iterable[list[int]], top: Sequence[int], col: int, cols: Iterable[int],
+                  prev: int) -> None:
+    """One fraction-free elimination step on pivot ``top[col]``, in place.
+
+    Sets row[e] = (row[e] * top[col] + top[e] * row[col]) / prev for every
+    row of ``rows`` and every e in ``cols``; the caller ensures each
+    division is exact.  Each product is a sum of shifts by the exponents
+    of the pivot and of the row's entry, listed once per row.
+    """
+    pivot_exps = _exponents(top[col])
+    for row in rows:
+        f_exps = _exponents(row[col])
+        for e in cols:
+            x, y, num = row[e], top[e], 0
+            for t in pivot_exps:
+                num ^= x << t
+            for t in f_exps:
+                num ^= y << t
+            row[e] = _divmod_masks(num, prev)[0] if prev != 1 else num
 
 
 def cancel_common_factor(det: Poly2, adj: PolyMatrix) -> tuple[Poly2, PolyMatrix]:

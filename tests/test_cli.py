@@ -353,6 +353,61 @@ def test_decode_checks_payload_bytes_before_decoding(tmp_path, capsys):
         assert not restored.exists()
 
 
+@pytest.mark.parametrize("change, survivors", [(-100, (1, 2, 3)), (-100, (1, 4, 5)),
+                                               (10, (1, 2, 3)), (10, (1, 4, 5))])
+def test_decode_reads_exactly_the_payload_its_header_states(tmp_path, monkeypatch, capsys,
+                                                            change, survivors):
+    # Packet 1 loses its last 100 bytes, or gains 10, after it was opened
+    # and checked: a short payload fails naming the packet and leaves no
+    # --out, and bytes past the stated payload are not read.
+    data = bytes(range(256)) * 1172
+    src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "5"])
+    target = packet_path(out, "data.bin", 1)
+    size = target.stat().st_size
+    opened = cli._open_packet
+
+    def open_then_change(path):
+        fh, head = opened(path)
+        if Path(path) == target:
+            if change < 0:
+                os.truncate(target, size + change)
+            else:
+                with open(target, "ab") as fa:
+                    fa.write(bytes(range(1, change + 1)))
+        return fh, head
+
+    monkeypatch.setattr(cli, "_open_packet", open_then_change)
+    restored = tmp_path / "r.bin"
+    before = sorted(tmp_path.iterdir())
+    code = run(["decode", *(str(packet_path(out, "data.bin", i)) for i in survivors),
+                "--out", str(restored)])
+    if change < 0:
+        assert code == 1
+        assert f"error: packet 1 ({target}) ended early" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+    else:
+        assert code == 0
+        assert restored.read_bytes() == data
+
+
+def test_encode_of_an_input_that_shrinks_fails_naming_it(tmp_path, monkeypatch, capsys):
+    data = bytes(range(256)) * 1172
+    src = tmp_path / "data.bin"
+    src.write_bytes(data)
+    encode_file = cli._encode_file
+
+    def shrink_then_encode(mat, fh, size, dests):
+        os.truncate(src, size - 100)
+        return encode_file(mat, fh, size, dests)
+
+    monkeypatch.setattr(cli, "_encode_file", shrink_then_encode)
+    out = tmp_path / "shards"
+    assert run(["encode", "--kind", "systematic", "--k", "3", "--n", "5", str(src),
+                "--out-dir", str(out)]) == 1
+    assert f"error: input file {src} ended early" in capsys.readouterr().err
+    assert not (out / "data.bin.sxmeta").exists()
+
+
 def test_decode_wrong_packet_count(tmp_path):
     data = b"shortfall" * 4
     src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])

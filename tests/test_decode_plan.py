@@ -44,7 +44,7 @@ def one_shot_decode(mat, packets):
 def striped_decode(mat, packets, width=3):
     # map_decode's network, run over 3-bit stripes of the 8-bit sources.
     length, masks, idx = _check_packets(mat, packets)
-    net, outs = map_kernel(mat, idx).network
+    net = map_kernel(mat, idx).network
     run = _Run(net, length)
     stripes = (length - 1) // width
     payloads = [masks[p] for p in idx]
@@ -54,7 +54,7 @@ def striped_decode(mat, packets, width=3):
         run.push([v >> (stripes * width) for v in payloads], 0, final=True)
     except InconsistentDivision:
         return InconsistentDivision
-    return [run.take(q) for q in outs]
+    return [run.take(c) for c in range(len(net.outs))]
 
 
 def taps(feedback):

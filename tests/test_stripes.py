@@ -3,6 +3,8 @@
 A network run over stripes of 8 to 64 bits must give what one stripe of
 the whole stream gives: the same packet payloads on encoding, and on
 decoding the same sources or the same error, named by the same source.
+Between stripes, a run holds no more bits than its network's entry
+degrees and feedbacks bound, however many stripes it has run.
 """
 
 import pytest
@@ -11,6 +13,7 @@ pytest.importorskip("hypothesis")
 
 from dataclasses import replace
 from itertools import combinations
+from random import Random
 
 from hypothesis import given, settings, strategies as st
 
@@ -36,16 +39,15 @@ def test_every_matrix_has_sets_with_shifted_steps():
     assert max(step.shift for idx in SHIFTED[-1] for step in map_kernel(MATS[-1], idx).steps) > 64
 
 
-def run_striped(network, values, length, width):
+def run_striped(net, values, length, width):
     # A network run over width-bit stripes of the length-bit sources, as
     # the CLI runs its files.
-    net, outs = network
     run = _Run(net, length)
     stripes = (length - 1) // width
     for t in range(stripes):
         run.push([v >> (t * width) & ((1 << width) - 1) for v in values], width)
     run.push([v >> (stripes * width) for v in values], 0, final=True)
-    return [run.take(q) for q in outs]
+    return [run.take(c) for c in range(len(net.outs))]
 
 
 def encode_payloads(mat, sources, length, width):
@@ -92,3 +94,39 @@ def test_striped_runs_match_one_stripe(case, data):
         bit = data.draw(st.integers(0, p.bit_len - 1))
         chosen[i] = replace(p, bits=Poly2(p.bits.mask ^ 1 << bit))
         assert decode(mat, chosen, width) == decode(mat, chosen)
+
+
+def held_bits_bound(net, width):
+    # A map's product carry is below its largest column entry, a step's
+    # division carry below its feedback's degree, and an output holds at
+    # most one stripe until it is taken.
+    return (sum(max(col).bit_length() - 1 for col, _, _ in net.maps)
+            + sum(step.feedback.mask.bit_length() - 1 for *_, step in net.maps if step)
+            + width * len(net.outs))
+
+
+@pytest.mark.parametrize("m", range(len(MATS)))
+def test_run_state_stays_bounded_over_many_stripes(m):
+    mat, width, stripes = MATS[m], 8, 120
+    length = width * stripes + 5
+    rng = Random(m)
+    sources = [rng.getrandbits(length) for _ in range(mat.spec.k)]
+    packets = encode(mat, sources, length)
+    nets = [("encode", _encoder(mat), sources, [p.bits.mask for p in packets])]
+    for idx in combinations(range(1, mat.spec.n + 1), mat.spec.k):
+        nets.append((idx, map_kernel(mat, idx).network, [packets[i - 1].bits.mask for i in idx],
+                     sources))
+    for name, net, values, want in nets:
+        run = _Run(net, length)
+        bound = held_bits_bound(net, width)
+        got, at = [0] * len(net.outs), [0] * len(net.outs)
+        for t in range(stripes):
+            run.push([v >> (t * width) & 0xFF for v in values], width)
+            held = (sum(c.bit_length() for c in run.carry) + sum(r.bit_length() for r in run.rest)
+                    + sum(run.bits))
+            assert held <= bound, (name, t)
+            for c, n in enumerate(run.bits):
+                got[c] |= run.take(c) << at[c]
+                at[c] += n
+        run.push([v >> (stripes * width) for v in values], 0, final=True)
+        assert [g | run.take(c) << at[c] for c, g in enumerate(got)] == want
