@@ -15,7 +15,9 @@ sets that check lists as failing.
 
 Encode and decode stream their files through the codec's stripe core,
 2**19 bits of each source at a time, so their memory does not grow with
-the file; the packets are the bytes ``write_packet`` writes.  Decode
+the file; the packets are the bytes ``write_packet`` writes.  Both read
+exactly the bytes they sized from the input or the packet headers, so a
+file that has become shorter since is an error naming it.  Decode
 reads each packet header once, writes the restored bytes to a new file
 next to --out and renames it onto --out only once every division has
 checked out, so a failed decode leaves --out as it was.  An existing

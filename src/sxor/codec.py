@@ -319,11 +319,12 @@ class _Run:
         if low > 0 and b & ((1 << (low if final else min(low, bits))) - 1):
             self.failed.setdefault(m, f"source {step.source + 1}: combined stream has set "
                                       f"bits below z^{step.shift}")
+        rest = self.rest[m]
         if not final:
-            s, self.rest[m] = _div_low(b, step.feedback.mask, bits, self.rest[m])
+            s, self.rest[m] = _div_low(b, step.feedback.mask, bits, rest)
             return s
         try:
-            return exact_div_low(Poly2(b ^ self.rest[m]), step.feedback, self.length + low).mask
+            return exact_div_low(Poly2(b ^ rest if rest else b), step.feedback, self.length + low).mask
         except InconsistentDivision:
             self.failed.setdefault(m, f"source {step.source + 1}: combined stream is not its "
                                       f"feedback times any source of {self.length} bits")
