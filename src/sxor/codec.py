@@ -314,8 +314,9 @@ class _Run:
             raise InconsistentDivision(self.failed[min(self.failed)])
 
     def _solve(self, m: int, step: DecodeStep, low: int, b: int, bits: int, final: bool) -> int:
-        # Step m's quotient over this stripe, whose lowest ``low`` bits are
-        # the last of the step's delay and must be zero.
+        # Step m's quotient over this stripe.  ``low`` is the step's delay
+        # less the bits fed before the stripe: that many of its lowest bits
+        # must be zero, and the quotient has length + low bits still to come.
         if low > 0 and b & ((1 << (low if final else min(low, bits))) - 1):
             self.failed.setdefault(m, f"source {step.source + 1}: combined stream has set "
                                       f"bits below z^{step.shift}")
