@@ -15,13 +15,23 @@ sets that check lists as failing.
 
 Encode and decode stream their files through the codec's stripe core,
 2**19 bits of each source at a time, so their memory does not grow with
-the file; the packets are the bytes ``write_packet`` writes.  Both read
-exactly the bytes they sized from the input or the packet headers, so a
-file that has become shorter since is an error naming it.  Decode
-reads each packet header once, writes the restored bytes to a new file
-next to --out and renames it onto --out only once every division has
-checked out, so a failed decode leaves --out as it was.  An existing
---out must be a regular file; the new one takes its permission bits.
+the file; the packets are the bytes ``write_packet`` writes.  A stream
+that passes through unchanged is copied as the bytes read: encode
+writes each packet whose column is 1 for one source from that source's
+bytes, and decode writes each source whose packet survived from its
+payload bytes.  Only the streams some combine or division reads become
+ints, so a decode from the K packets a systematic code holds verbatim
+is a plain copy.  Both read exactly the bytes they sized from the input
+or the packet headers, so a file that has become shorter since is an
+error naming it.  A packet whose header fails a check is named by its
+path.  Each command writes new files next to the ones it replaces and
+renames them into place only once it has written the last stripe (for
+decode, once every division has checked out), so a failed run leaves
+the packets, sidecar or --out as they were.  A path replaced must be a
+regular file, and the new file takes its permission bits, else 0666
+less the umask.  Encode and decode import neither ``sxor.analysis`` nor
+``json``: the first loads only for analyze --compare and classify, the
+second only for the commands with --format.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
@@ -35,17 +45,15 @@ table entry for the smallest degree that fits N.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import stat
 import sys
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
-from .analysis import comparison_report, emit_comparison, emit_report, enumerate_classes
 from .codec import (PacketFormatError, _Run, _check_headers, _encoder, _header_bytes, _open_packet,
                     map_kernel)
 # The library's whole-packet I/O; the CLI streams instead, but
@@ -119,44 +127,49 @@ def cmd_encode(args) -> int:
         if not size:
             raise _UsageError(f"input file {args.input} is empty")
         out_dir.mkdir(parents=True, exist_ok=True)
-        _encode_file(mat, fh, size, [out_dir / f"{stem}.p{j}.sxp" for j in range(1, mat.spec.n + 1)])
-    meta = format_fields({"len": size, **mat.spec.fields()})
-    (out_dir / f"{stem}.sxmeta").write_text(meta + "\n", encoding="ascii")
+        paths = [out_dir / f"{stem}.p{j}.sxp" for j in range(1, mat.spec.n + 1)]
+        paths.append(out_dir / f"{stem}.sxmeta")
+        with _replacing(paths, list(map(str, paths))) as files:
+            _encode_file(mat, fh, size, files[:-1])
+            meta = format_fields({"len": size, **mat.spec.fields()})
+            files[-1].write(meta.encode("ascii") + b"\n")
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
     return 0
 
 
-def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[Path]) -> None:
-    """Encode the first ``size`` bytes of ``src`` into one packet file per path in ``dests``.
+def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[BinaryIO]) -> None:
+    """Encode the first ``size`` bytes of ``src`` into one packet per binary file in ``dests``.
 
     The bytes split into K sources of ceil(size / K) bytes, the last
-    zero-padded.  Every header is formed before the first file is
-    opened, so a header field overflow writes nothing.  ``src`` must
-    still hold ``size`` bytes: a shorter read raises ``ValueError``.
+    zero-padded.  A packet whose column is 1 for one source is that
+    source's bytes as read; a source that no other column holds is never
+    made an int.  ``src`` must still hold ``size`` bytes: a shorter read
+    raises ``ValueError``.
     """
-    chunk = -(-size // mat.spec.k)
+    k = mat.spec.k
+    chunk = -(-size // k)
     length = 8 * chunk
     over = mat.column_overheads()
-    heads = [_header_bytes(mat.spec, j + 1, length, length + w) for j, w in enumerate(over)]
-    run = _Run(_encoder(mat), length)
+    net = _encoder(mat)
+    run = _Run(net, length, [j for j, x in enumerate(net.outs) if x >= k])
     stripe = _STRIPE // 8
     stripes = (chunk - 1) // stripe
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(d, "wb")) for d in dests]
-        for fh, head in zip(files, heads):
-            fh.write(head)
-        for t in range(stripes + 1):
-            final = t == stripes
-            width = chunk - t * stripe if final else stripe
-            pieces = []
-            for i in range(mat.spec.k):
-                at = i * chunk + t * stripe
-                src.seek(at)
-                pieces.append(_read_int(src, min(width, max(size - at, 0)), f"input file {src.name}",
-                                        ValueError))
-            run.push(pieces, 8 * width, final)
-            for j, (fh, w) in enumerate(zip(files, over)):
-                fh.write(run.take(j).to_bytes(width + (w + 7) // 8 if final else width, "little"))
+    for j, (fh, w) in enumerate(zip(dests, over), 1):
+        fh.write(_header_bytes(mat.spec, j, length, length + w))
+    for t in range(stripes + 1):
+        final = t == stripes
+        width = chunk - t * stripe if final else stripe
+        pieces = []
+        for i in range(k):
+            at = i * chunk + t * stripe
+            src.seek(at)
+            data = _read(src, min(width, max(size - at, 0)), f"input file {src.name}", ValueError)
+            pieces.append(data.ljust(width, b"\0"))
+        run.push([int.from_bytes(data, "little") if i in net.read else None
+                  for i, data in enumerate(pieces)], 8 * width, final)
+        for j, (fh, x, w) in enumerate(zip(dests, net.outs, over)):
+            fh.write(pieces[x] if x < k else
+                     run.take(j).to_bytes(width + (w + 7) // 8 if final else width, "little"))
 
 
 def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> None:
@@ -164,43 +177,95 @@ def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size
 
     The same checks, kernel and stripe core as ``codec.map_decode``;
     source c fills bytes c * L/8 up to (c + 1) * L/8 of the output, as far
-    as ``size`` reaches, and L must be whole bytes.  Each payload is read
+    as ``size`` reaches, and L must be whole bytes.  A source whose
+    packet survived verbatim is copied as read, and a payload that no
+    step reads is never made an int.  Each payload is read
     to exactly the length its header states, and a file that has since
     become shorter raises :class:`~sxor.codec.PacketFormatError` naming
     the packet.  Bytes are written as stripes complete, and a decode
     error is raised only after the last one.
     """
     length, idx = _check_headers(mat, [head for _, head in packets])
-    run = _Run(map_kernel(mat, idx).network, length)
+    k = mat.spec.k
+    net = map_kernel(mat, idx).network
+    run = _Run(net, length, [c for c, x in enumerate(net.outs) if x >= k])
     files = sorted(packets, key=lambda packet: packet[1].index)  # in survivor order
     chunk, stripe = length // 8, _STRIPE // 8
     stripes = (chunk - 1) // stripe
-    done = [0] * mat.spec.k  # bytes of each source taken so far
+    done = [0] * k  # bytes of each source taken so far
     for t in range(stripes + 1):
         final = t == stripes
-        run.push([_read_int(fh, (head.bit_len + 7) // 8 - t * stripe if final else stripe,
-                            f"packet {head.index} ({fh.name})", PacketFormatError)
-                  for fh, head in files], _STRIPE, final)
-        for c in range(mat.spec.k):
-            nbytes = chunk - done[c] if final else run.bits[c] // 8
-            if not nbytes:
-                continue
-            data = run.take(c, None if final else 8 * nbytes).to_bytes(nbytes, "little")
+        pieces = [_read(fh, (head.bit_len + 7) // 8 - t * stripe if final else stripe,
+                        f"packet {head.index} ({fh.name})", PacketFormatError)
+                  for fh, head in files]
+        run.push([int.from_bytes(data, "little") if r in net.read else None
+                  for r, data in enumerate(pieces)], _STRIPE, final)
+        for c, x in enumerate(net.outs):
+            if x < k:
+                data = pieces[x]
+            else:
+                nbytes = chunk - done[c] if final else run.bits[c] // 8
+                if not nbytes:
+                    continue
+                data = run.take(c, None if final else 8 * nbytes).to_bytes(nbytes, "little")
             at = c * chunk + done[c]
-            done[c] += nbytes
+            done[c] += len(data)
             if at < size:
                 dest.seek(at)
                 dest.write(data[:size - at])
 
 
-def _read_int(fh: BinaryIO, size: int, what: str, error: type[ValueError]) -> int:
-    # The next ``size`` bytes of fh, little-endian.  A file shorter than it
-    # was when opened and checked raises ``error``, naming ``what``.
+def _read(fh: BinaryIO, size: int, what: str, error: type[ValueError]) -> bytes:
+    # The next ``size`` bytes of fh.  A file shorter than it was when opened
+    # and checked raises ``error``, naming ``what``.
     data = fh.read(size)
     if len(data) != size:
         raise error(f"{what} ended early: read {len(data)} of {size} bytes at offset "
                     f"{fh.tell() - len(data)}")
-    return int.from_bytes(data, "little")
+    return data
+
+
+@contextmanager
+def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[BinaryIO]]:
+    """New binary files, renamed onto ``paths`` only once the block ends without error.
+
+    Each is made in its path's directory and takes the permission bits of
+    the file it replaces, else 0666 less the umask, as ``open(path, "wb")``
+    gives a new file.  Renaming onto a device, FIFO or directory would
+    replace it, so a path that exists must be a regular file; ``labels``
+    name the paths in that error.  On any error every new file is removed,
+    so the paths are left as they were.
+    """
+    modes = []
+    for path, label in zip(paths, labels):
+        try:
+            mode = path.stat().st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            if not stat.S_ISREG(mode):
+                raise ValueError(f"{label} exists and is not a regular file")
+        modes.append(mode & 0o777)
+    temps = []
+    try:
+        with ExitStack() as stack:
+            files = []
+            for path in paths:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+                temps.append(tmp)
+                files.append(stack.enter_context(os.fdopen(fd, "wb")))
+            yield files
+        for tmp, mode in zip(temps, modes):
+            os.chmod(tmp, mode)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with suppress(FileNotFoundError):  # already renamed into place
+                os.unlink(tmp)
+        raise
 
 
 def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | None:
@@ -279,33 +344,16 @@ def _decode(args, packets) -> None:
         raise ValueError(f"{len_source} {total_len} exceeds decoded size {spec.k * chunk}")
 
     # Decode into a new file next to --out, and put it in place only once
-    # every division has checked out.  Renaming onto a device, FIFO or
-    # directory would replace it, so --out must be a regular file if it
-    # exists; the new file keeps its permission bits.
-    out = Path(args.out)
-    try:
-        mode = out.stat().st_mode
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask  # what open(args.out, "wb") would have made
-    else:
-        if not stat.S_ISREG(mode):
-            raise ValueError(f"--out {args.out} exists and is not a regular file")
-    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=f".{out.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            _decode_files(mat, packets, fh, total_len)
-        os.chmod(tmp, mode & 0o777)
-        os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    # every division has checked out.
+    with _replacing([Path(args.out)], [f"--out {args.out}"]) as (fh,):
+        _decode_files(mat, packets, fh, total_len)
     print(f"restored {total_len} bytes to {args.out}")
 
 
 def _emit(fmt: str, doc: dict, text: str) -> int:
     # The one printer of every command with --format: doc is the JSON form.
+    import json  # here, so that encode and decode do not load it
+
     print(json.dumps(doc, indent=2) + "\n" if fmt == "json" else text, end="")
     return 0
 
@@ -322,6 +370,8 @@ def cmd_analyze(args) -> int:
                 raise _UsageError(f"--{flag} cannot be combined with --compare")
         n = args.n if args.n is not None else 7
         ks = tuple(k for k in range(2, 7) if k <= n)
+        from .analysis import comparison_report, emit_comparison
+
         report = comparison_report(n, ks)
         return _emit(args.format, report.to_json_dict(), emit_comparison(report))
     mat = _resolve_matrix(args)
@@ -331,6 +381,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .analysis import emit_report, enumerate_classes
+
     report = enumerate_classes(args.k, args.n, _resolve_g(args, args.n))
     return _emit(args.format, report.to_json_dict(), emit_report(report))
 

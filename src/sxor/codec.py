@@ -228,16 +228,20 @@ class _Network:
     shift.  A map raises each column entry by the amount its input's delay
     falls short of that largest one, so every stream of a stripe spans the
     same bits.  Only the ``outs``, the streams a run hands back, drop
-    their delay.  Maps run in the order they were added.
+    their delay.  Maps run in the order they were added.  ``read`` holds
+    the streams some map reads: an input outside it only passes through
+    to the outputs that are that input as fed.
     """
 
     def __init__(self, inputs: int):
         self.delays = [0] * inputs  # per stream
         self.maps = []  # per map: (column, streams it reads, step)
         self.outs = []
+        self.read = set()
 
     def add(self, col, streams, step: DecodeStep | None = None) -> int:
         streams = tuple(streams)
+        self.read.update(streams)
         delays = [self.delays[x] for x in streams]
         delay = max(delays)
         self.maps.append((tuple(e << delay - d for e, d in zip(col, delays)), streams, step))
@@ -254,12 +258,15 @@ class _Run:
     last holds every bit from the stripe's start up and is one
     :func:`~sxor.gf2poly.exact_div_low`.  A failed step's message is kept
     and the run goes on, so that it reports its first failed step, as a
-    one-stripe run does.
+    one-stripe run does.  ``outs`` names the outputs the run keeps for
+    :meth:`take`, all of them by default; a caller that keeps the inputs
+    it feeds leaves out the outputs that are inputs.
     """
 
-    def __init__(self, net: _Network, length: int = 0):
+    def __init__(self, net: _Network, length: int = 0, outs: Sequence[int] | None = None):
         self.net = net
         self.length = length
+        self.outs = range(len(net.outs)) if outs is None else outs
         self.done = 0  # bits of each stream fed so far
         self.carry = [0] * len(net.maps)
         self.rest = [0] * len(net.maps)
@@ -281,8 +288,9 @@ class _Run:
         """Feed the next ``bits`` bits of each input stream, or with ``final`` all the rest.
 
         The stripes before the final one must hold only bits below
-        z**length of the sources.  After the final stripe, which leaves
-        each output to be taken whole, raises
+        z**length of the sources.  An input that no map reads and no kept
+        output is may be fed as None.  After the final stripe, which
+        leaves each output to be taken whole, raises
         :class:`InconsistentDivision` for the first decode step that
         failed.
         """
@@ -299,7 +307,8 @@ class _Run:
             if step:
                 acc = self._solve(m, step, net.delays[k + m] - done, acc, bits, final)
             streams.append(acc)
-        for out, x in enumerate(net.outs):
+        for out in self.outs:
+            x = net.outs[out]
             value, drop = streams[x], max(net.delays[x] - done, 0)
             if drop:
                 drop = drop if final else min(drop, bits)
@@ -526,7 +535,7 @@ def _check_headers(mat: GenMatrix, packets) -> tuple[int, tuple[int, ...]]:
     # index, spec, source_len and bit_len); returns (L, sorted survivor
     # indices).
     for p in packets:
-        if p.spec != mat.spec:
+        if p.spec is not mat.spec and p.spec != mat.spec:
             raise ValueError(f"packet {p.index} belongs to a different code")
     idx = mat.check_survivors(p.index for p in packets)
     lengths = {p.source_len for p in packets}
@@ -774,6 +783,12 @@ class _Header(NamedTuple):
 
 
 def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int) -> bytes:
+    return _header_prefix(spec, index) + _LENS.pack(source_len, bit_len)
+
+
+@lru_cache(maxsize=256)
+def _header_prefix(spec: CodeSpec, index: int) -> bytes:
+    # The header up to the length fields, packed once per (code, packet).
     for field, value, bits in (("m", spec.m, 8), ("g", spec.g.mask, 32), ("N", spec.n, 16)):
         if value >> bits:
             raise ValueError(f"{field}={value} exceeds {(1 << bits) - 1}, "
@@ -781,8 +796,19 @@ def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int) -> 
     x = spec.x if spec.x is not None else ()
     head = _HEAD.pack(_MAGIC, _VERSION, KIND_CODES[spec.kind], spec.m, spec.g.mask,
                       spec.k, spec.n, index, len(x))
-    xs = struct.pack(f"<{len(x)}H", *x) if x else b""
-    return head + xs + _LENS.pack(source_len, bit_len)
+    return head + struct.pack(f"<{len(x)}H", *x)
+
+
+@lru_cache(maxsize=64)
+def _header_spec(kind_code: int, k: int, n: int, m: int, g: int,
+                 x: tuple[int, ...] | None) -> CodeSpec:
+    # The validated spec of a header's raw code fields, built once per
+    # code: every packet of one code shares it.  A spec that fails
+    # validation is not cached, so it fails alike on every parse.
+    try:
+        return CodeSpec(KINDS[kind_code], k, n, m, Poly2(g), x)
+    except ValueError as exc:
+        raise PacketFormatError(str(exc)) from None
 
 
 def _parse_header(data: bytes) -> _Header:
@@ -807,11 +833,8 @@ def _parse_header(data: bytes) -> _Header:
     if len(data) < off + _LENS.size:
         raise PacketFormatError("truncated length fields")
     source_len, bit_len = _LENS.unpack_from(data, off)
-    try:
-        spec = CodeSpec(KINDS[kind_code], k, n, m, Poly2(g), x)
-    except ValueError as exc:
-        raise PacketFormatError(str(exc)) from None
-    return _Header(index, spec, source_len, bit_len, off + _LENS.size)
+    return _Header(index, _header_spec(kind_code, k, n, m, g, x), source_len, bit_len,
+                   off + _LENS.size)
 
 
 def packet_to_bytes(packet: Packet) -> bytes:
@@ -853,17 +876,18 @@ def read_packet(src: PathOrFile) -> Packet:
 
 
 def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
-    """Open a packet file at its payload, checked as :func:`packet_from_bytes` checks it."""
+    """Open a packet file at its payload, checked as :func:`packet_from_bytes` checks it.
+
+    A check that fails raises :class:`PacketFormatError` with the path
+    before :func:`packet_from_bytes`'s message.
+    """
     fh = open(path, "rb")
     try:
         data = fh.read(_HEAD.size)
         if len(data) == _HEAD.size:
             data += fh.read(2 * _HEAD.unpack(data)[-1] + _LENS.size)
         head = _parse_header(data)
-        try:
-            _check_fields(head.index, head.source_len, head.bit_len, head.spec)
-        except ValueError as exc:
-            raise PacketFormatError(str(exc)) from None
+        _check_fields(head.index, head.source_len, head.bit_len, head.spec)
         nbytes = (head.bit_len + 7) // 8
         size = os.fstat(fh.fileno()).st_size
         if size != head.offset + nbytes:
@@ -874,6 +898,9 @@ def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
                 raise PacketFormatError(_PAD_BITS)
             fh.seek(head.offset)
         return fh, head
+    except ValueError as exc:  # PacketFormatError, or a field _check_fields refuses
+        fh.close()
+        raise PacketFormatError(f"{path}: {exc}") from None
     except BaseException:
         fh.close()
         raise

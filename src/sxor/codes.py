@@ -175,7 +175,7 @@ class GenMatrix:
     kernels can be memoized per (matrix, survivor set).
     """
 
-    __slots__ = ("spec", "_masks", "_overheads", "_metric_values")
+    __slots__ = ("spec", "_masks", "_overheads", "_metric_values", "_hash")
 
     def __init__(self, spec: CodeSpec, entries: Iterable[Iterable[PolyLike]]):
         # An int is its own mask; anything else goes through Poly2's checks.
@@ -197,6 +197,7 @@ class GenMatrix:
         self._masks = grid
         self._overheads: tuple[int, ...] | None = None
         self._metric_values: Metrics | None = None
+        self._hash: int | None = None
 
     @property
     def entries(self) -> tuple[tuple[Poly2, ...], ...]:
@@ -287,7 +288,10 @@ class GenMatrix:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.spec, self._masks))
+        # Every kernel memo lookup hashes the matrix; the grid does not change.
+        if self._hash is None:
+            self._hash = hash((self.spec, self._masks))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GenMatrix({self.spec.kind}, K={self.spec.k}, N={self.spec.n})"

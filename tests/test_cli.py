@@ -331,6 +331,53 @@ def test_striped_files_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
             assert restored.read_bytes() == data, (flags, idx)
 
 
+@pytest.mark.parametrize("stripe", [8, 24, 1 << 19])
+def test_verbatim_streams_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
+    # Unit columns are written from the source bytes as read, and a source
+    # whose packet survived is copied; the last source is short, and the
+    # sources are no whole number of stripes.  A decode from the packets
+    # at x makes no int at all.
+    monkeypatch.setattr(cli, "_STRIPE", stripe)
+    pushed = []
+
+    class Run(cli._Run):
+        def push(self, chunks, bits, final=False):
+            pushed.append(list(chunks))
+            super().push(chunks, bits, final)
+
+    monkeypatch.setattr(cli, "_Run", Run)
+    flags = ["--kind", "systematic", "--k", "3", "--n", "7", "--x", "2,4,5"]
+    data = bytes(range(3, 256)) * 3 + b"!"  # 760 bytes: sources of 254, 254 and 252
+    src, out = encode_file(tmp_path, data, flags)
+    mat = _resolve_matrix(_build_parser().parse_args(["encode", *flags, "x"]))
+    sources = [int.from_bytes(data[i * 254:(i + 1) * 254], "little") for i in range(3)]
+    for p in encode(mat, sources, 8 * 254):
+        assert packet_path(out, "data.bin", p.index).read_bytes() == packet_to_bytes(p)
+    restored = tmp_path / "r.bin"
+    for survivors in ((2, 4, 5), (1, 3, 6), (3, 6, 7), (2, 6, 7), (1, 4, 7)):
+        pushed.clear()
+        packs = [str(packet_path(out, "data.bin", i)) for i in survivors]
+        assert run(["decode", *packs, "--out", str(restored)]) == 0
+        assert restored.read_bytes() == data, survivors
+        assert (survivors == (2, 4, 5)) == all(c is None for chunks in pushed for c in chunks)
+
+
+def test_header_errors_name_the_packet_file(tmp_path, capsys):
+    data = bytes(range(200)) * 3
+    src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "5"])
+    packs = [packet_path(out, "data.bin", i) for i in (1, 2, 4)]
+    bad_magic = packs[1]
+    bad_magic.write_bytes(b"XXXX" + bad_magic.read_bytes()[4:])
+    short = tmp_path / "short.sxp"
+    short.write_bytes(packs[0].read_bytes()[:10])
+    restored = tmp_path / "r.bin"
+    for files, message in ((packs, f"error: {bad_magic}: bad magic b'XXXX'"),
+                           ([short, *packs[2:]], f"error: {short}: truncated header")):
+        assert run(["decode", *map(str, files), "--out", str(restored)]) == 1
+        assert message in capsys.readouterr().err
+        assert not restored.exists()
+
+
 def test_decode_checks_payload_bytes_before_decoding(tmp_path, capsys):
     # A set pad bit past the payload's stated length, and a payload one
     # byte short, fail as read_packet fails on them.
@@ -391,21 +438,27 @@ def test_decode_reads_exactly_the_payload_its_header_states(tmp_path, monkeypatc
 
 
 def test_encode_of_an_input_that_shrinks_fails_naming_it(tmp_path, monkeypatch, capsys):
+    # The failed encode writes nothing: packets of the same name from an
+    # earlier encode stay as they were, and no new file is left behind.
+    flags = ["--kind", "systematic", "--k", "3", "--n", "5"]
+    src, out = encode_file(tmp_path, b"an earlier object" * 9, flags)
+    (out / "data.bin.sxmeta").unlink()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert {stat.S_IMODE(f.stat().st_mode) for f in out.iterdir()} == {0o666 & ~umask}
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
     data = bytes(range(256)) * 1172
-    src = tmp_path / "data.bin"
     src.write_bytes(data)
-    encode_file = cli._encode_file
+    encode_stream = cli._encode_file
 
     def shrink_then_encode(mat, fh, size, dests):
         os.truncate(src, size - 100)
-        return encode_file(mat, fh, size, dests)
+        return encode_stream(mat, fh, size, dests)
 
     monkeypatch.setattr(cli, "_encode_file", shrink_then_encode)
-    out = tmp_path / "shards"
-    assert run(["encode", "--kind", "systematic", "--k", "3", "--n", "5", str(src),
-                "--out-dir", str(out)]) == 1
+    assert run(["encode", *flags, str(src), "--out-dir", str(out)]) == 1
     assert f"error: input file {src} ended early" in capsys.readouterr().err
-    assert not (out / "data.bin.sxmeta").exists()
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
 def test_decode_wrong_packet_count(tmp_path):

@@ -9,7 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from sxor.codec import (NotMonomialMatrix, Packet, PacketFormatError, SingularSubmatrix,
-                        TrailingBits, ZigzagStuck, encode, encode_xor_count, map_decode,
+                        TrailingBits, ZigzagStuck, _header_spec, encode, encode_xor_count, map_decode,
                         map_kernel, packet_from_bytes, packet_to_bytes, read_packet,
                         write_packet, zigzag_decode, zigzag_schedule)
 from sxor.codes import (MAX_K, CodeSpec, build_sxor, build_systematic_sxor, builtin_zd_k3,
@@ -456,6 +456,64 @@ def test_packet_from_bytes_does_not_rewalk_the_field():
     for _ in range(20):
         packet_from_bytes(blob)
     assert time.perf_counter() - start < 0.05
+
+
+def test_parsed_packets_of_one_code_share_one_spec():
+    mat = build_systematic_sxor(3, 7, G1, (2, 4, 5))
+    blobs = [packet_to_bytes(p) for p in encode(mat, [5, 6, 7], 12)]
+    first, second = packet_from_bytes(blobs[0]), packet_from_bytes(blobs[6])
+    assert first.spec == second.spec == mat.spec
+    assert first.spec is second.spec  # validated once for the code
+    assert map_decode(mat, [packet_from_bytes(blobs[i]) for i in (0, 2, 6)]) == list(map(Poly2, (5, 6, 7)))
+
+
+def test_invalid_header_specs_fail_alike_on_every_parse():
+    # A spec that fails validation is not cached: every parse of the
+    # header checks it again and raises the same message.
+    sxor_blob = packet_to_bytes(encode(build_sxor(3, 7, G1), [1, 2, 3], 8)[0])
+    sys_blob = packet_to_bytes(encode(build_systematic_sxor(3, 7, G1, (1, 3, 4)), [1, 2, 3], 8)[0])
+    x_at = struct.calcsize("<4sBBBIHHHH")
+    cases = [(sxor_blob[:7] + struct.pack("<I", 0b1001) + sxor_blob[11:],
+              "not a primitive polynomial"),  # z^3 + 1
+             (sys_blob[:x_at] + struct.pack("<3H", 1, 3, 3) + sys_blob[x_at + 6:],
+              "x must be 3 distinct packet indices"),
+             (sys_blob[:x_at] + struct.pack("<3H", 1, 3, 8) + sys_blob[x_at + 6:],
+              "x must be 3 distinct packet indices")]
+    for blob, message in cases:
+        cached = _header_spec.cache_info().currsize
+        errors = []
+        for _ in range(3):
+            with pytest.raises(PacketFormatError, match=message) as info:
+                packet_from_bytes(blob)
+            errors.append(str(info.value))
+        assert len(set(errors)) == 1
+        assert _header_spec.cache_info().currsize == cached
+
+
+def test_header_spec_cache_stays_bounded():
+    size = _header_spec.cache_info().maxsize
+    blob = bytearray(packet_to_bytes(encode(user_matrix([[1, 1]]), [1], 8)[0]))
+    for k, n in combinations(range(1, 30), 2):  # 406 codes, each header valid
+        struct.pack_into("<HH", blob, 11, k, n)
+        assert packet_from_bytes(bytes(blob)).spec == CodeSpec("user", k, n)
+    assert _header_spec.cache_info().currsize <= size
+
+
+def test_packet_to_bytes_matches_the_format():
+    # The header laid out field by field as the format comment gives it,
+    # for every kind; a second call, served from the header cache, agrees.
+    mats = [build_sxor(3, 7, G1), builtin_zd_k3(), TOY,
+            *(build_systematic_sxor(3, 7, G1, x) for x in ((1, 2, 3), (2, 4, 5)))]
+    for mat in mats:
+        spec = mat.spec
+        x = spec.x or ()
+        for p in encode(mat, range(5, 5 + spec.k), 11):
+            want = (struct.pack("<4sBBBIHHHH", b"SXP1", 1, ("user", "sxor", "systematic", "zd3")
+                                .index(spec.kind), spec.m, spec.g.mask, spec.k, spec.n, p.index,
+                                len(x))
+                    + struct.pack(f"<{len(x)}H", *x) + struct.pack("<QQ", 11, p.bit_len)
+                    + p.bits.mask.to_bytes((p.bit_len + 7) // 8, "little"))
+            assert packet_to_bytes(p) == packet_to_bytes(p) == want, (spec, p.index)
 
 
 def test_packet_file_io(tmp_path):

@@ -29,3 +29,27 @@ def test_import_loads_only_the_standard_library():
     assert "sxor" in loaded
     outside = [name for name in loaded if name != "sxor" and name not in sys.stdlib_module_names]
     assert not outside, f"importing sxor loaded modules outside the standard library: {outside}"
+
+
+CODEC_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from sxor.cli import main
+work = sys.argv[2]
+with open(work + "/obj.bin", "wb") as fh:
+    fh.write(bytes(range(256)) * 40)
+packets = [f"{work}/obj.bin.p{i}.sxp" for i in (1, 3, 4, 5)]
+codes = (main(["encode", "--kind", "systematic", "--k", "4", "--n", "6", work + "/obj.bin",
+               "--out-dir", work]),
+         main(["decode", *packets, "--out", work + "/back.bin"]))
+print(codes, "sxor.analysis" in sys.modules, "json" in sys.modules)
+"""
+
+
+def test_encode_and_decode_load_neither_analysis_nor_json(tmp_path):
+    src = str(Path(sxor.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-S", "-E", "-c", CODEC_PROBE, src, str(tmp_path)],
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split("\n")[-2] == "(0, 0) False False"
+    assert (tmp_path / "back.bin").read_bytes() == bytes(range(256)) * 40
