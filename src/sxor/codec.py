@@ -533,10 +533,14 @@ def map_kernel(mat: GenMatrix, survivors: Sequence[int]) -> MapKernel:
 def _check_headers(mat: GenMatrix, packets) -> tuple[int, tuple[int, ...]]:
     # Shared decoder-side validation of packet headers (anything with
     # index, spec, source_len and bit_len); returns (L, sorted survivor
-    # indices).
+    # indices).  Parsed packets of one code share one interned spec, not
+    # the matrix's own, so each distinct spec object is compared once.
+    same = {id(mat.spec)}
     for p in packets:
-        if p.spec is not mat.spec and p.spec != mat.spec:
-            raise ValueError(f"packet {p.index} belongs to a different code")
+        if id(p.spec) not in same:
+            if p.spec != mat.spec:
+                raise ValueError(f"packet {p.index} belongs to a different code")
+            same.add(id(p.spec))
     idx = mat.check_survivors(p.index for p in packets)
     lengths = {p.source_len for p in packets}
     if len(lengths) != 1:

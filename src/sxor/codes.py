@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import comb
 
 from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables
@@ -67,8 +67,10 @@ MAX_K = 32
 # about 2 s; a user matrix at the limit takes as long (README).
 MAX_KERNEL_BITS = MAX_K * 16
 
-# Most column subsets check_suboptimal walks, the sum of C(N, j) for
-# j = 1..K: (6, 31) walks 942,648 in about 3 s and 35 MiB (README).
+# Most column subsets check_suboptimal may walk, counted as the sum of
+# C(N, j) for j = 1..K, which is what it walks with no unit column; unit
+# columns only shrink the walk.  (6, 31) counts 942,648 and takes up to
+# 2.5 s and 34 MiB (README).
 MAX_CHECK_SUBSETS = 1_000_000
 
 # Entries of the fixed 3 x 6 zigzag-decodable code, as coefficient masks.
@@ -166,6 +168,32 @@ def _metrics(masks: Sequence[Sequence[int]]) -> Metrics:
     return Metrics(max(over), sum(over), alpha)
 
 
+def _unit_columns(rows: list[list[int]]) -> dict[int, int]:
+    """The pivot step of :meth:`GenMatrix.check_suboptimal`, on a mask
+    grid it changes in place; returns {column: row} of its unit columns,
+    those with one nonzero entry.
+
+    While some column's nonzero entries are all 1 and one of them lies
+    in a row that no unit column holds, that row is added to the other
+    rows where the column has a 1, which makes it a unit column.  Adding
+    a row to another leaves every K-subset's determinant as it was and
+    makes no entry wider, and the row added is zero in every unit column,
+    so those stay unit columns.  An sxor code's all-ones column 0 becomes
+    one; a systematic code's unit columns already hold every row.
+    """
+    while True:
+        nonzero = [[r for r, row in enumerate(rows) if row[c]] for c in range(len(rows[0]))]
+        units = {c: rs[0] for c, rs in enumerate(nonzero) if len(rs) == 1}
+        pivot = next(((c, p) for c, rs in enumerate(nonzero) if all(rows[r][c] == 1 for r in rs)
+                      for p in rs if p not in units.values()), None)
+        if pivot is None:
+            return units
+        c, p = pivot
+        for r in nonzero[c]:
+            if r != p:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[p])]
+
+
 class GenMatrix:
     """A K x N generator matrix tied to its :class:`CodeSpec`.
 
@@ -243,9 +271,22 @@ class GenMatrix:
         """MDS check: (True, []) when every K-subset of packets decodes.
 
         Returns (False, failing_subsets) otherwise, with each failing
-        subset a sorted 1-based tuple whose submatrix determinant is zero.
-        Raises ValueError, before walking any subset, when the walk would
-        visit more than ``MAX_CHECK_SUBSETS`` column subsets.
+        subset a sorted 1-based tuple whose submatrix determinant is
+        zero, in ``combinations`` order.  Raises ValueError, before
+        walking any subset, when the sum of C(N, j) for j = 1..K exceeds
+        ``MAX_CHECK_SUBSETS``.
+
+        The walk first makes unit columns (one nonzero entry) by row
+        additions, which change no K-subset's determinant
+        (:func:`_unit_columns`).  A K-subset's determinant is then the
+        product of its unit entries times the minor of its other columns
+        on the rows its unit columns leave, or zero when two of its unit
+        columns hold one row.  Only those minors are computed, level by
+        level by first-row expansion, taking the rows that unit columns
+        hold first.  A systematic code's unit columns hold every row, so
+        its walk has C(N, K) minors, each a product per column that is
+        not a unit column; with no unit column the walk covers every
+        j-subset of columns, j = 1..K, with a product per column.
         """
         k, n = self.spec.k, self.spec.n
         if k > n:
@@ -254,33 +295,74 @@ class GenMatrix:
         if subsets > MAX_CHECK_SUBSETS:
             raise ValueError(f"checking K={k} of N={n} walks {subsets} column subsets, "
                              f"over the check limit of {MAX_CHECK_SUBSETS}")
-        # level maps each j-subset of columns (a bit set) to the determinant
-        # of the last j rows on those columns.  Level j comes from level
-        # j - 1 by first-row expansion (signs vanish over GF(2)), each
-        # product formed inline as one shift per exponent of the entry,
-        # and level K is checked as it is computed, never stored.
+        rows = [list(row) for row in self._masks]
+        units = _unit_columns(rows)
+        held = sorted(set(units.values()))
+        free = [r for r in range(k) if r not in units.values()]
+        others = [c for c in range(n) if c not in units]
+        # A minor's key is its column bit set plus, shifted past the N
+        # column bits, the set of held rows it spans; it spans every free
+        # row.  A minor comes from those one row and one column smaller
+        # by expansion along its first row (signs vanish over GF(2)),
+        # each product formed inline as one shift per exponent of the
+        # entry.  With no unit column the keys are the column bit sets.
         level = {0: 1}
 
-        def expand(r):
-            # (key, det) of every (K - r)-subset, in combinations order.
-            terms = [(1 << c, [t for t in range(e.bit_length()) if e >> t & 1])
-                     for c, e in enumerate(self._masks[r])]
-            for subset in combinations(terms, k - r):
-                key = 0
-                for bit, _ in subset:
-                    key |= bit
-                acc = 0
-                for bit, exps in subset:
-                    sub = level[key ^ bit]
-                    for t in exps:
-                        acc ^= sub << t
-                yield key, acc
+        def expand(r, rbit, hkeys, size):
+            # (key, det) of the minors on row r, the held rows of each
+            # key in hkeys and every free row, for each size-subset of
+            # the other columns.
+            terms = [(1 << c, [t for t in range(rows[r][c].bit_length()) if rows[r][c] >> t & 1])
+                     for c in others]
+            for hkey in hkeys:
+                for subset in combinations(terms, size):
+                    key = hkey
+                    for bit, _ in subset:
+                        key |= bit
+                    acc = 0
+                    for bit, exps in subset:
+                        sub = level[key ^ bit]
+                        for t in exps:
+                            acc ^= sub << t
+                    yield key | rbit, acc
 
-        for r in range(k - 1, 0, -1):
-            level = dict(expand(r))
-        failing = [tuple(c + 1 for c in cols)
-                   for cols, (_, det) in zip(combinations(range(n), k), expand(0)) if not det]
-        return (not failing, failing)
+        # The minors of K-subsets are those on every free row (level
+        # len(free)) and those on every free row and t held rows, for
+        # each t (level len(free) + t); a level below them holds the
+        # minors on the last j free rows.  Each level is a list of
+        # expand calls, and a minor on held rows expands along the first,
+        # h, so the rest lie after h.  A level whose size exceeds the
+        # other columns is empty, as is every level above it.
+        levels = [[(r, 0, (0,), j)] for j, r in enumerate(reversed(free), start=1)]
+        levels += [[(h, 1 << (n + h), (sum(1 << (n + g) for g in rest)
+                                       for rest in combinations(held[i + 1:], t - 1)),
+                     len(free) + t) for i, h in enumerate(held)]
+                   for t in range(1, min(len(held), len(others) - len(free)) + 1)]
+        # No level reads the last level's minors or those on the first
+        # held row, so they are checked as they are computed, never stored.
+        unread = 1 << (n + held[0]) if held else None
+        zeros = []
+        for j, calls in enumerate(levels, start=1):
+            kept = {}
+            for call in calls:
+                if j < len(levels) and call[1] != unread:
+                    kept.update(expand(*call))
+                else:
+                    zeros += [key for key, det in expand(*call) if not det]
+            if j >= len(free):
+                zeros += [key for key, det in kept.items() if not det]
+            level = kept
+        failing = []
+        by_row = {h: [c for c in units if units[c] == h] for h in held}
+        for key in zeros:
+            cols = [c for c in others if key >> c & 1]
+            picks = [by_row[h] for h in held if not key >> (n + h) & 1]
+            failing += [tuple(sorted(cols + list(pick))) for pick in product(*picks)]
+        if len(held) < len(units):  # some row holds two unit columns
+            failing += [sub for sub in combinations(range(n), k)
+                        if len({units[c] for c in sub if c in units}) < sum(c in units for c in sub)]
+        failing.sort()
+        return (not failing, [tuple(c + 1 for c in sub) for sub in failing])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GenMatrix):
@@ -461,7 +543,19 @@ def parse_matrix(text: str) -> GenMatrix:
     return _matrix_rows(_matrix_spec(lines[0] if lines else ""), iter(lines[1:]))
 
 
+def _ascii_line(line: str, lineno: int) -> str:
+    # load_matrix reads a file as ASCII with surrogateescape, so a byte b
+    # over 0x7f arrives as chr(0xDC00 + b): name it and its line.
+    if not line.isascii():
+        for col, ch in enumerate(line, start=1):
+            if "\udc80" <= ch <= "\udcff":
+                raise MatrixFormatError(f"non-ASCII byte {ord(ch) - 0xDC00:#04x} "
+                                        f"at column {col}", lineno)
+    return line
+
+
 def _matrix_spec(header: str) -> CodeSpec:
+    header = _ascii_line(header, 1)
     if not header.strip():
         raise MatrixFormatError("missing header", 1)
     fields = header.split()
@@ -477,7 +571,7 @@ def _matrix_rows(spec: CodeSpec, lines: Iterable[str]) -> GenMatrix:
     body = []
     lineno = 1
     for lineno, line in enumerate(lines, start=2):
-        if line.strip():
+        if _ascii_line(line, lineno).strip():
             if len(body) == k:
                 raise MatrixFormatError(f"expected {k} entry rows, found more", lineno)
             body.append((lineno, line))
@@ -540,7 +634,7 @@ def load_matrix(src: PathOrFile) -> GenMatrix:
     (leading zeros, spaces, blank lines) is refused here.
     """
     if not hasattr(src, "read"):
-        with open(src, "r", encoding="ascii") as fh:
+        with open(src, "r", encoding="ascii", errors="surrogateescape") as fh:
             return load_matrix(fh)
     first = src.readline(_FIELDS_LIMIT + 1)
     if len(first) > _FIELDS_LIMIT:

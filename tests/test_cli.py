@@ -731,6 +731,14 @@ def test_matrix_load_bad_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_matrix_file_with_a_non_ascii_byte_is_refused_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.sxorgen"
+    bad.write_bytes(b"sxorgen v1 kind=user K=2 N=3 m=0 g=0x0\n1,1,0\n0,\xff,1\n")
+    for args in (["matrix", "load", str(bad)], ["check", "--matrix", str(bad)]):
+        assert run(args) == 1
+        assert "error: line 3: non-ASCII byte 0xff at column 3\n" in capsys.readouterr().err
+
+
 def test_floods_of_matrix_text_are_refused_at_once(tmp_path):
     # Under a 1 x 1 header: 3 MiB of rows, refused after the second, and
     # one 16 MiB row, refused after 133 characters of it; and a 16 MiB

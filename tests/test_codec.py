@@ -9,9 +9,10 @@ from itertools import combinations, product
 import pytest
 
 from sxor.codec import (NotMonomialMatrix, Packet, PacketFormatError, SingularSubmatrix,
-                        TrailingBits, ZigzagStuck, _header_spec, encode, encode_xor_count, map_decode,
-                        map_kernel, packet_from_bytes, packet_to_bytes, read_packet,
-                        write_packet, zigzag_decode, zigzag_schedule)
+                        TrailingBits, ZigzagStuck, _check_headers, _header_spec, encode,
+                        encode_xor_count, map_decode, map_kernel, packet_from_bytes,
+                        packet_to_bytes, read_packet, write_packet, zigzag_decode,
+                        zigzag_schedule)
 from sxor.codes import (MAX_K, CodeSpec, build_sxor, build_systematic_sxor, builtin_zd_k3,
                         user_matrix)
 from sxor.gf2poly import InconsistentDivision, Poly2
@@ -465,6 +466,19 @@ def test_parsed_packets_of_one_code_share_one_spec():
     assert first.spec == second.spec == mat.spec
     assert first.spec is second.spec  # validated once for the code
     assert map_decode(mat, [packet_from_bytes(blobs[i]) for i in (0, 2, 6)]) == list(map(Poly2, (5, 6, 7)))
+
+
+def test_parsed_packets_compare_their_shared_spec_once(monkeypatch):
+    mat = build_systematic_sxor(5, 7, G1, range(1, 6))
+    packets = [packet_from_bytes(packet_to_bytes(p)) for p in encode(mat, [1, 2, 3, 4, 5], 12)[2:]]
+    other = packet_from_bytes(packet_to_bytes(encode(build_sxor(5, 7, G1), [1, 2, 3, 4, 5], 12)[0]))
+    calls = []
+    eq = CodeSpec.__eq__
+    monkeypatch.setattr(CodeSpec, "__eq__", lambda a, b: calls.append(b) or eq(a, b))
+    assert _check_headers(mat, packets) == (12, (3, 4, 5, 6, 7))
+    assert len(calls) == 1  # one interned spec, not one compare per packet
+    with pytest.raises(ValueError, match="packet 1 belongs to a different code"):
+        _check_headers(mat, packets[:4] + [other])
 
 
 def test_invalid_header_specs_fail_alike_on_every_parse():

@@ -3,9 +3,9 @@ and the .sxmeta sidecar's key=value line.
 
 Real packets, matrix files and sidecars are damaged in 1-3 places (or
 truncated); the parsers, and ``load_matrix`` reading a matrix from a
-file object, must either return a value or raise their own format
-error, never any other exception, and each call must finish
-within a fixed time bound.  ``load_matrix`` must return what
+file object or from a file's damaged bytes, must either return a value
+or raise their own format error, never any other exception, and each
+call must finish within a fixed time bound.  ``load_matrix`` must return what
 ``parse_matrix`` returns on every text within its budget.  ``sxor decode`` next to a damaged sidecar
 must exit 0, 1 or 2 without a traceback.
 """
@@ -99,23 +99,41 @@ def parsed(parse, text):
         return None
 
 
+def agrees_with_parse_matrix(text, loaded):
+    # load_matrix returns what parse_matrix returns on the same text
+    # unless the text is past its budget, where it may refuse.
+    mat = parsed(parse_matrix, text)
+    if mat is None:
+        return loaded is None
+    assert isinstance(mat, GenMatrix)
+    header, _, rows = text.partition("\n")
+    if len(header) < _FIELDS_LIMIT and len(rows) <= _rows_limit(mat.spec.k, mat.spec.n):
+        return loaded == mat
+    return loaded in (None, mat)
+
+
 @PROPERTY
 @given(damaged(TEXTS, TEXT_UNITS))
 @example(TEXTS[0].replace("\n", "\x1c", 2))  # a line end only splitlines() sees
 @example(TEXTS[0].replace(",", ",0000", 1) + "\n" * 1000)  # past the budget
 def test_damaged_matrix_text_parses_or_raises_matrix_format_error(text):
-    # Both parsers read every text: load_matrix returns what parse_matrix
-    # returns unless the text is past its budget, where it may refuse.
-    mat, loaded = parsed(parse_matrix, text), parsed(load_text, text)
-    if mat is None:
-        assert loaded is None
-        return
-    assert isinstance(mat, GenMatrix)
-    header, _, rows = text.partition("\n")
-    if len(header) < _FIELDS_LIMIT and len(rows) <= _rows_limit(mat.spec.k, mat.spec.n):
-        assert loaded == mat
-    else:
-        assert loaded in (None, mat)
+    assert agrees_with_parse_matrix(text, parsed(load_text, text))
+
+
+@pytest.fixture(scope="module")
+def matrix_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrix") / "damaged.sxorgen"
+
+
+@PROPERTY
+@given(damaged([text.encode("ascii") for text in TEXTS], st.binary(min_size=1, max_size=1)))
+@example(TEXTS[0].encode("ascii").replace(b"1,", b"\xff,", 1))  # a byte no ASCII text holds
+def test_damaged_matrix_file_loads_or_raises_matrix_format_error(matrix_file, data):
+    # A file's bytes over 0x7f read as the lone surrogates U+DC80..U+DCFF,
+    # which parse_matrix refuses too, naming the byte and its line.
+    matrix_file.write_bytes(data)
+    loaded = parsed(load_matrix, matrix_file)
+    assert agrees_with_parse_matrix(data.decode("ascii", "surrogateescape"), loaded)
 
 
 def parse_sidecar(text):

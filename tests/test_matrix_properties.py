@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sxor.codes import format_matrix, parse_matrix, user_matrix
 from sxor.gf2poly import Poly2, gcd
@@ -123,11 +123,47 @@ def check_grids(draw):
     return grid
 
 
-@PROPERTY
-@given(check_grids())
-def test_check_suboptimal_matches_minor_expansion(grid):
+def check_by_minors(grid):
     k, n = len(grid), len(grid[0])
     cols = [[Poly2(row[j]) for row in grid] for j in range(n)]
     failing = [tuple(j + 1 for j in sub) for sub in combinations(range(n), k)
                if not det_by_minors([[cols[j][i] for j in sub] for i in range(k)])]
-    assert user_matrix(grid).check_suboptimal() == (not failing, failing)
+    return (not failing, failing)
+
+
+@PROPERTY
+@given(check_grids())
+def test_check_suboptimal_matches_minor_expansion(grid):
+    assert user_matrix(grid).check_suboptimal() == check_by_minors(grid)
+
+
+@st.composite
+def unit_column_grids(draw):
+    # Columns for each part of the walk: unit columns e_i * z^t, on rows
+    # drawn from a set that may leave rows unheld and often puts two on
+    # one row; columns of 0s and 1s, which the pivot step can turn into
+    # unit columns; zero columns; and columns of any entries.
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 8))
+    held = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    grid = [[0] * n for _ in range(k)]
+    for c in range(n):
+        kind = draw(st.sampled_from(["unit", "ones", "zero", "any"]))
+        if kind == "unit":
+            grid[draw(st.sampled_from(held))][c] = 1 << draw(st.integers(0, 3))
+        elif kind != "zero":
+            top = 1 if kind == "ones" else 15
+            for row in grid:
+                row[c] = draw(st.integers(0, top))
+    return grid
+
+
+@PROPERTY
+@given(unit_column_grids())
+@example([[1, 0, 0, 1, 1, 1],
+          [0, 1, 0, 1, 1, 2],
+          [0, 0, 1, 1, 2, 3]])  # systematic-shaped [I | P], P with singular minors
+@example([[1, 1, 0],
+          [0, 0, 1]])  # two unit columns on row 1
+def test_check_suboptimal_of_unit_columns_matches_minor_expansion(grid):
+    assert user_matrix(grid).check_suboptimal() == check_by_minors(grid)
