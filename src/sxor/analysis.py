@@ -46,7 +46,6 @@ __all__ = [
     "emit_report",
     "comparison_report",
     "emit_comparison",
-    "zd_max_overhead",
     "ZD_N7_REFERENCE",
 ]
 
@@ -224,13 +223,6 @@ ZD_N7_REFERENCE: dict[int, Metrics] = {
 # Published totals for the Vandermonde construction at N = 7; kept so the
 # comparison emitter can flag any disagreement with recomputed values.
 _SXOR_N7_PUBLISHED_LSUM: dict[int, int] = {2: 10, 3: 11, 4: 12, 5: 12, 6: 12}
-
-
-def zd_max_overhead(k: int) -> int:
-    """Published worst-case overhead for zigzag-decodable codes at N = 2K."""
-    if k < 2:
-        raise ValueError("zigzag-decodable reference values start at K = 2")
-    return {2: 1, 3: 1, 4: 3}.get(k, k * (k - 1) // 2)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ ints, so a decode from the K packets a systematic code holds verbatim
 is a plain copy.  Both read exactly the bytes they sized from the input
 or the packet headers, so a file that has become shorter since is an
 error naming it.  A packet whose header fails a check is named by its
-path.  Each command writes new files next to the ones it replaces and
+path, as is a matrix file whose text fails one; a --matrix that does not
+match the packet headers names the fields that differ, as the sidecar's
+check does.  Each command writes new files next to the ones it replaces and
 renames them into place only once it has written the last stripe (for
 decode, once every division has checked out), so a failed run leaves
 the packets, sidecar or --out as they were.  A path replaced must be a
@@ -90,6 +92,19 @@ def _parse_x(text: str) -> tuple[int, ...]:
         raise _UsageError(f"--x must be comma-separated integers, got {text!r}") from None
 
 
+def _load_matrix(path: str) -> GenMatrix:
+    # load_matrix, with an error in the file's text naming the file.
+    try:
+        return load_matrix(path)
+    except MatrixFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _differing(spec: CodeSpec, other: CodeSpec) -> str:
+    # The fields in which two specs differ, in header order.
+    return ", ".join(key for key, v in spec.fields().items() if other.fields()[key] != v)
+
+
 def _resolve_matrix(args) -> GenMatrix:
     fixed = "--matrix" if args.matrix else "--kind zd3" if args.kind == "zd3" else None
     if fixed:
@@ -97,7 +112,7 @@ def _resolve_matrix(args) -> GenMatrix:
             if getattr(args, flag) is not None:
                 raise _UsageError(f"--{flag} cannot be combined with {fixed}")
         if args.matrix:
-            mat = load_matrix(args.matrix)
+            mat = _load_matrix(args.matrix)
             if args.kind not in (None, "user", mat.spec.kind):
                 raise _UsageError(f"--kind {args.kind} does not match {args.matrix}, "
                                   f"which holds a {mat.spec.kind} code")
@@ -314,9 +329,10 @@ def _decode(args, packets) -> None:
     if total_len is not None and total_len < 0:
         raise _UsageError(f"--length must not be negative, got {total_len}")
     if args.matrix:
-        mat = load_matrix(args.matrix)
+        mat = _load_matrix(args.matrix)
         if mat.spec != spec:
-            raise ValueError("--matrix does not match the packet headers")
+            raise ValueError("--matrix does not match the packet headers: "
+                             f"{args.matrix} differs in {_differing(spec, mat.spec)}")
     else:
         mat = matrix_for_spec(spec)
         if mat is None:
@@ -326,9 +342,8 @@ def _decode(args, packets) -> None:
     if found is not None:
         sidecar, sidecar_spec, sidecar_len = found
         if sidecar_spec != spec:
-            diff = [key for key, v in spec.fields().items() if sidecar_spec.fields()[key] != v]
             raise ValueError("sidecar metadata does not match the packet headers: "
-                             f"{sidecar} differs in {', '.join(diff)}")
+                             f"{sidecar} differs in {_differing(spec, sidecar_spec)}")
         if total_len is None and sidecar_len is not None:
             if not sidecar_len.isdecimal():  # the file was read as ASCII
                 raise ValueError(f"sidecar {sidecar}: len={sidecar_len!r} "
@@ -402,7 +417,7 @@ def cmd_matrix_print(args) -> int:
 
 
 def cmd_matrix_load(args) -> int:
-    print(_code_lines(load_matrix(args.file)), end="")
+    print(_code_lines(_load_matrix(args.file)), end="")
     return 0
 
 

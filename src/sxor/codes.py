@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb
 
 from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables
@@ -170,8 +170,8 @@ def _metrics(masks: Sequence[Sequence[int]]) -> Metrics:
 
 def _unit_columns(rows: list[list[int]]) -> dict[int, int]:
     """The pivot step of :meth:`GenMatrix.check_suboptimal`, on a mask
-    grid it changes in place; returns {column: row} of its unit columns,
-    those with one nonzero entry.
+    grid it changes in place; returns {row: column} of the first unit
+    column, one with one nonzero entry, that each held row has.
 
     While some column's nonzero entries are all 1 and one of them lies
     in a row that no unit column holds, that row is added to the other
@@ -183,9 +183,12 @@ def _unit_columns(rows: list[list[int]]) -> dict[int, int]:
     """
     while True:
         nonzero = [[r for r, row in enumerate(rows) if row[c]] for c in range(len(rows[0]))]
-        units = {c: rs[0] for c, rs in enumerate(nonzero) if len(rs) == 1}
+        units = {}
+        for c, rs in enumerate(nonzero):
+            if len(rs) == 1:
+                units.setdefault(rs[0], c)
         pivot = next(((c, p) for c, rs in enumerate(nonzero) if all(rows[r][c] == 1 for r in rs)
-                      for p in rs if p not in units.values()), None)
+                      for p in rs if p not in units), None)
         if pivot is None:
             return units
         c, p = pivot
@@ -232,12 +235,6 @@ class GenMatrix:
         """The entries as :class:`Poly2`; they are stored as masks."""
         return tuple(tuple(Poly2(e) for e in row) for row in self._masks)
 
-    def column(self, j: int) -> tuple[Poly2, ...]:
-        """Entries of packet j's column (j is 1-based)."""
-        if not 1 <= j <= self.spec.n:
-            raise ValueError(f"packet index {j} outside 1..{self.spec.n}")
-        return tuple(Poly2(row[j - 1]) for row in self._masks)
-
     def column_overheads(self) -> tuple[int, ...]:
         """Extra bits per packet: max entry degree of each column, left to right."""
         if self._overheads is None:
@@ -278,15 +275,18 @@ class GenMatrix:
 
         The walk first makes unit columns (one nonzero entry) by row
         additions, which change no K-subset's determinant
-        (:func:`_unit_columns`).  A K-subset's determinant is then the
-        product of its unit entries times the minor of its other columns
-        on the rows its unit columns leave, or zero when two of its unit
-        columns hold one row.  Only those minors are computed, level by
-        level by first-row expansion, taking the rows that unit columns
-        hold first.  A systematic code's unit columns hold every row, so
-        its walk has C(N, K) minors, each a product per column that is
-        not a unit column; with no unit column the walk covers every
-        j-subset of columns, j = 1..K, with a product per column.
+        (:func:`_unit_columns`), and keeps the first unit column of each
+        row it holds.  A K-subset's determinant is then the product of
+        its kept unit entries times the minor of its other columns on the
+        rows those leave.  Another unit column on a held row is one of
+        the other columns: in a subset that keeps the row's unit column
+        it is zero on every row of the minor, so the minor is zero, as
+        the determinant is.  Only those minors are computed, level by
+        level by first-row expansion, taking the held rows first.  A
+        systematic code's unit columns hold every row, so its walk has
+        C(N, K) minors, each a product per column that is not a unit
+        column; with no unit column the walk covers every j-subset of
+        columns, j = 1..K, with a product per column.
         """
         k, n = self.spec.k, self.spec.n
         if k > n:
@@ -297,9 +297,9 @@ class GenMatrix:
                              f"over the check limit of {MAX_CHECK_SUBSETS}")
         rows = [list(row) for row in self._masks]
         units = _unit_columns(rows)
-        held = sorted(set(units.values()))
-        free = [r for r in range(k) if r not in units.values()]
-        others = [c for c in range(n) if c not in units]
+        held = sorted(units)
+        free = [r for r in range(k) if r not in units]
+        others = [c for c in range(n) if c not in units.values()]
         # A minor's key is its column bit set plus, shifted past the N
         # column bits, the set of held rows it spans; it spans every free
         # row.  A minor comes from those one row and one column smaller
@@ -352,16 +352,9 @@ class GenMatrix:
             if j >= len(free):
                 zeros += [key for key, det in kept.items() if not det]
             level = kept
-        failing = []
-        by_row = {h: [c for c in units if units[c] == h] for h in held}
-        for key in zeros:
-            cols = [c for c in others if key >> c & 1]
-            picks = [by_row[h] for h in held if not key >> (n + h) & 1]
-            failing += [tuple(sorted(cols + list(pick))) for pick in product(*picks)]
-        if len(held) < len(units):  # some row holds two unit columns
-            failing += [sub for sub in combinations(range(n), k)
-                        if len({units[c] for c in sub if c in units}) < sum(c in units for c in sub)]
-        failing.sort()
+        failing = sorted(sorted([c for c in others if key >> c & 1]
+                                + [units[h] for h in held if not key >> (n + h) & 1])
+                         for key in zeros)
         return (not failing, [tuple(c + 1 for c in sub) for sub in failing])
 
     def __eq__(self, other: object) -> bool:

@@ -170,13 +170,6 @@ class FieldCtx:
         """Size of the multiplicative group, 2**m - 1."""
         return (1 << self.m) - 1
 
-    def elem(self, value: PolyLike) -> "FieldElem":
-        """Wrap a polynomial (reduced mod g) as a field element."""
-        v = _as_poly(value).mask
-        if v.bit_length() > self.m:
-            v = _divmod_masks(v, self.g.mask)[1]
-        return FieldElem(self, v)
-
     @property
     def zero(self) -> "FieldElem":
         return FieldElem(self, 0)
@@ -252,12 +245,6 @@ class FieldElem:
     def inverse(self) -> "FieldElem":
         """Multiplicative inverse via a**(2**m - 2); zero is rejected."""
         return self ** -1
-
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        self._check(other)
-        return self * other.inverse()
 
     def __bool__(self) -> bool:
         return bool(self._mask)

@@ -7,11 +7,11 @@ both XOR, and Python's arbitrary-precision ints make every bulk operation
 word-parallel, which is what keeps packet-sized operands (megabits) cheap
 without any external dependency.
 
-:class:`Poly2` wraps a mask and overloads the ring operators.  Shifting by
-``<<`` and ``>>`` multiplies and floor-divides by powers of z.  Two text
-forms are supported and round-trip losslessly: a human-readable sum of
-terms such as ``"z^3+z+1"`` and a bare hex mask such as ``"b"`` for the
-same polynomial (least significant bit = constant term).
+:class:`Poly2` wraps a mask with addition, multiplication and divmod.  It
+reads a bare hex mask such as ``"b"`` (least significant bit = constant
+term) and renders that form or a sum of terms such as ``"z^3+z+1"``, the
+form error messages use.  Shifts and gcds are mask helpers
+(``mask << t``, :func:`_gcd_masks`).
 
 The module-level helpers cover the operations that do not belong to a
 single ring element: :func:`exact_div_low` recovers s from b = h*s working
@@ -19,9 +19,8 @@ from the lowest-order coefficient up (the workhorse of the exact decoder;
 it keeps the taps of h as a short list of exponents, so only the shifted
 copies of s are megabit-sized, and ends on fixed-size chunks; it is the
 last stripe of :func:`_div_low`, which divides one stripe of a longer
-dividend and carries the product's high bits into the next),
-:func:`split_shift` factors out the largest power of z, and :func:`gcd`
-is the Euclidean algorithm.
+dividend and carries the product's high bits into the next), and
+:func:`split_shift` factors out the largest power of z.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "InconsistentDivision",
     "exact_div_low",
     "split_shift",
-    "gcd",
 ]
 
 
@@ -106,36 +104,6 @@ class Poly2:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str) -> "Poly2":
-        """Parse a sum of terms like ``"z^3+z+1"`` (whitespace ignored).
-
-        Accepted terms are ``0``, ``1``, ``z`` and ``z^<k>`` with k >= 0.
-        Repeated terms cancel, as addition over GF(2) demands.
-        """
-        compact = "".join(text.split())
-        if not compact:
-            raise ValueError("empty polynomial text")
-        mask = 0
-        for term in compact.split("+"):
-            if term == "0":
-                continue
-            if term == "1":
-                mask ^= 1
-            elif term == "z":
-                mask ^= 2
-            elif term.startswith("z^"):
-                try:
-                    k = int(term[2:], 10)
-                except ValueError:
-                    raise ValueError(f"bad polynomial term {term!r}") from None
-                if k < 0:
-                    raise ValueError(f"bad polynomial term {term!r}")
-                mask ^= 1 << k
-            else:
-                raise ValueError(f"bad polynomial term {term!r}")
-        return cls(mask)
-
-    @classmethod
     def from_hex(cls, text: str) -> "Poly2":
         """Parse a bare hex coefficient mask (``"b"`` -> z^3+z+1)."""
         s = text.strip()
@@ -161,16 +129,6 @@ class Poly2:
             raise ValueError("zero polynomial has no degree")
         return self.mask.bit_length() - 1
 
-    def coeff(self, k: int) -> int:
-        """Coefficient of z**k as 0 or 1."""
-        if k < 0:
-            raise ValueError("negative exponent")
-        return (self.mask >> k) & 1
-
-    def term_count(self) -> int:
-        """Number of nonzero terms (popcount of the mask)."""
-        return self.mask.bit_count()
-
     def __bool__(self) -> bool:
         return bool(self.mask)
 
@@ -188,18 +146,6 @@ class Poly2:
             return NotImplemented
         return Poly2(_mul_masks(self.mask, other.mask))
 
-    def __lshift__(self, k: int) -> "Poly2":
-        """Multiply by z**k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return Poly2(self.mask << k)
-
-    def __rshift__(self, k: int) -> "Poly2":
-        """Floor-divide by z**k (low coefficients are dropped)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return Poly2(self.mask >> k)
-
     def __divmod__(self, other: "Poly2") -> tuple["Poly2", "Poly2"]:
         if not isinstance(other, Poly2):
             return NotImplemented
@@ -207,24 +153,6 @@ class Poly2:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _divmod_masks(self.mask, other.mask)
         return Poly2(q), Poly2(r)
-
-    def __floordiv__(self, other: "Poly2") -> "Poly2":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly2") -> "Poly2":
-        return divmod(self, other)[1]
-
-    def __pow__(self, n: int) -> "Poly2":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = Poly2(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- comparisons and rendering ----------------------------------------
 
@@ -373,11 +301,3 @@ def split_shift(p: Poly2) -> tuple[int, Poly2]:
     t = (p.mask & -p.mask).bit_length() - 1
     return t, Poly2(p.mask >> t)
 
-
-def gcd(a: Poly2, b: Poly2) -> Poly2:
-    """Greatest common divisor by the Euclidean algorithm.
-
-    Over GF(2) every nonzero polynomial is monic, so no normalization step
-    is needed.  gcd(0, 0) is 0 by convention.
-    """
-    return Poly2(_gcd_masks(a.mask, b.mask))

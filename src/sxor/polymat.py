@@ -147,10 +147,6 @@ class FieldMatrix:
                     aug[r] = [a ^ _mulmod(f, b, g, m) for a, b in zip(aug[r], aug[col])]
         return FieldMatrix._of(self.ctx, [row[n:] for row in aug])
 
-    def to_poly(self) -> "PolyMatrix":
-        """Reinterpret the reduced representatives as GF(2)[z] polynomials."""
-        return PolyMatrix._of(self._masks)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldMatrix):
             return self.ctx == other.ctx and self._masks == other._masks

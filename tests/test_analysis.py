@@ -10,8 +10,7 @@ import pytest
 from sxor import polymat
 from sxor.analysis import (MAX_CLASSIFY_TUPLES, ZD_N7_REFERENCE, ClassReport, CodeClass,
                            best_systematic, comparison_report, emit_comparison, emit_report,
-                           enumerate_classes, matrices_equivalent, shift_sequence,
-                           zd_max_overhead)
+                           enumerate_classes, matrices_equivalent, shift_sequence)
 from sxor.codes import GenMatrix, Metrics, build_systematic_sxor, user_matrix
 from sxor.gf2poly import Poly2
 from sxor.polymat import FieldMatrix
@@ -232,12 +231,6 @@ def test_zd_reference_values():
         5: Metrics(3, 6, 8),
         6: Metrics(3, 3, 5),
     }
-
-
-def test_zd_max_overhead_table():
-    assert [zd_max_overhead(k) for k in (2, 3, 4, 5, 6, 7)] == [1, 1, 3, 10, 15, 21]
-    with pytest.raises(ValueError):
-        zd_max_overhead(1)
 
 
 def test_comparison_report_values():

@@ -478,18 +478,27 @@ def test_decode_detects_corruption(tmp_path):
     assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
 
 
-def test_decode_without_sidecar_needs_length(tmp_path):
+def test_decode_without_sidecar_needs_length(tmp_path, capsys):
     data = b"where did the sidecar go" * 3
     src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
     moved = tmp_path / "moved"
     moved.mkdir()
     for i in (1, 2, 3):
         shutil.copy(packet_path(out, "data.bin", i), moved)
-    packs = [str(moved / f"data.bin.p{i}.sxp") for i in (1, 2, 3)]
-    restored = tmp_path / "r.bin"
-    assert run(["decode", *packs, "--out", str(restored)]) == 2
-    assert run(["decode", *packs, "--out", str(restored), "--length", str(len(data))]) == 0
-    assert restored.read_bytes() == data
+    # Moved away from the sidecar, or renamed without the .pN.sxp suffix
+    # that names it.
+    for i in (4, 5, 6):
+        shutil.copy(packet_path(out, "data.bin", i), out / f"part{i}")
+    for packs in ([str(moved / f"data.bin.p{i}.sxp") for i in (1, 2, 3)],
+                  [str(out / f"part{i}") for i in (4, 5, 6)]):
+        restored = tmp_path / "r.bin"
+        assert run(["decode", *packs, "--out", str(restored)]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: original length unknown: no sidecar found, pass --length\n"
+        assert not restored.exists()
+        assert run(["decode", *packs, "--out", str(restored), "--length", str(len(data))]) == 0
+        assert restored.read_bytes() == data
+        restored.unlink()
 
 
 def test_decode_length_override_truncates(tmp_path):
@@ -705,6 +714,9 @@ def test_check_reports_failing_subsets(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sub-optimal: false" in out
     assert "failing: 1,2" in out
+    bad.write_text("sxorgen v1 kind=user K=3 N=2 m=0 g=0x0\n1,0\n0,1\n1,1\n")
+    assert run(["check", "--matrix", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: more sources than packets can never be MDS\n"
 
 
 def test_matrix_print_and_load(tmp_path, capsys):
@@ -726,17 +738,44 @@ def test_matrix_print_and_load(tmp_path, capsys):
 
 def test_matrix_load_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.sxorgen"
-    bad.write_text("not a matrix\n")
-    assert run(["matrix", "load", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for text, message in (("not a matrix\n", "line 1, field 1: expected 'sxorgen v1' header"),
+                          ("sxorgen v1 kind=user K=1 N=2 m=-1 g=0x0\n1,1\n",
+                           "line 1: m must be nonnegative")):
+        bad.write_text(text)
+        assert run(["matrix", "load", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_matrix_file_with_a_non_ascii_byte_is_refused_naming_it(tmp_path, capsys):
     bad = tmp_path / "bad.sxorgen"
     bad.write_bytes(b"sxorgen v1 kind=user K=2 N=3 m=0 g=0x0\n1,1,0\n0,\xff,1\n")
-    for args in (["matrix", "load", str(bad)], ["check", "--matrix", str(bad)]):
+    src, out = encode_file(tmp_path, b"abcd", ["--kind", "sxor", "--k", "2", "--n", "3"])
+    packs = [str(packet_path(out, "data.bin", i)) for i in (2, 3)]
+    for args in (["matrix", "load", str(bad)], ["check", "--matrix", str(bad)],
+                 ["analyze", "--matrix", str(bad)],
+                 ["decode", *packs, "--matrix", str(bad), "--out", str(tmp_path / "r.bin")]):
         assert run(args) == 1
-        assert "error: line 3: non-ASCII byte 0xff at column 3\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: non-ASCII byte 0xff at column 3\n", (args, err)
+    assert not (tmp_path / "r.bin").exists()
+
+
+def test_decode_names_the_fields_a_matrix_file_differs_in(tmp_path, capsys):
+    data = b"which matrix was it" * 3
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
+    mfile = tmp_path / "m.sxorgen"
+    restored = tmp_path / "r.bin"
+    for code, fields in ((["--k", "4", "--n", "7"], "K"), (["--k", "3", "--n", "7", "--g", "0xd"], "g"),
+                         (["--k", "3", "--n", "5"], "N")):
+        assert run(["matrix", "print", "--kind", "sxor", *code, "--out", str(mfile)]) == 0
+        assert run(["decode", *packs, "--matrix", str(mfile), "--out", str(restored)]) == 1
+        assert capsys.readouterr().err == ("error: --matrix does not match the packet headers: "
+                                           f"{mfile} differs in {fields}\n")
+    assert not restored.exists()
+    assert run(["matrix", "print", "--kind", "sxor", "--k", "3", "--n", "7", "--out", str(mfile)]) == 0
+    assert run(["decode", *packs, "--matrix", str(mfile), "--out", str(restored)]) == 0
+    assert restored.read_bytes() == data
 
 
 def test_floods_of_matrix_text_are_refused_at_once(tmp_path):
@@ -773,6 +812,16 @@ def test_floods_of_matrix_text_are_refused_at_once(tmp_path):
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
+    src = tmp_path / "x.bin"
+    src.write_bytes(b"xx")
+    encode_to = [str(src), "--out-dir", str(tmp_path)]
+    for args, message in (
+            (["--kind", "systematic", "--k", "3", "--n", "7", "--x", "1,a,3"],
+             "--x must be comma-separated integers, got '1,a,3'"),
+            (["--kind", "sxor", "--k", "3"], "kind sxor needs --k and --n (or --matrix)")):
+        assert run(["encode", *args, *encode_to]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not list(tmp_path.rglob("*.sxp"))
     assert run([]) == 2
     assert run(["decode"]) == 2  # missing --out and packets
     assert run(["decode", "a.p1.sxp", "--out", "r.bin", "--decoder", "zigzag"]) == 2  # no such option

@@ -58,7 +58,7 @@ def striped_decode(mat, packets, width=3):
 
 
 def taps(feedback):
-    return feedback.term_count() - 1
+    return feedback.mask.bit_count() - 1
 
 
 def test_the_plan_never_divides_by_more_taps_than_one_shot_columns():

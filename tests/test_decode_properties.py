@@ -36,7 +36,7 @@ def global_kernel_decode(mat, packets):
             b += kern.combine.entries[r][c] * Poly2(masks[p])
         if b.mask & ((1 << kern.shift) - 1):
             raise InconsistentDivision(f"source {c + 1}: set bits below z^{kern.shift}")
-        sources.append(exact_div_low(b >> kern.shift, kern.feedback, length))
+        sources.append(exact_div_low(Poly2(b.mask >> kern.shift), kern.feedback, length))
     return sources
 
 
