@@ -82,7 +82,12 @@ class _UsageError(Exception):
 
 
 def _resolve_g(args, n: int) -> Poly2:
-    return Poly2.from_hex(args.g) if args.g else default_modulus(n.bit_length())
+    if not args.g:
+        return default_modulus(n.bit_length())
+    try:
+        return Poly2.from_hex(args.g)
+    except ValueError:
+        raise _UsageError(f"--g must be a hex mask, got {args.g!r}") from None
 
 
 def _parse_x(text: str) -> tuple[int, ...]:

@@ -26,13 +26,14 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from math import comb
 
-from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables
-from .gf2poly import Poly2
+from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables, is_primitive
+from .gf2poly import Poly2, _divmod_masks
 from .polymat import PolyMatrix, _check_shape
 
 __all__ = [
@@ -69,8 +70,10 @@ MAX_KERNEL_BITS = MAX_K * 16
 
 # Most column subsets check_suboptimal may walk, counted as the sum of
 # C(N, j) for j = 1..K, which is what it walks with no unit column; unit
-# columns only shrink the walk.  (6, 31) counts 942,648 and takes up to
-# 2.5 s and 34 MiB (README).
+# columns only shrink the walk.  (6, 31) counts 942,648; an sxor or
+# systematic code there is checked in GF(2^5) in up to 1.8 s and 29 MiB,
+# and a matrix that falls back to GF(2)[z] took up to 2.3 s and 37 MiB
+# (README).
 MAX_CHECK_SUBSETS = 1_000_000
 
 # Entries of the fixed 3 x 6 zigzag-decodable code, as coefficient masks.
@@ -197,6 +200,111 @@ def _unit_columns(rows: list[list[int]]) -> dict[int, int]:
                 rows[r] = [a ^ b for a, b in zip(rows[r], rows[p])]
 
 
+def _zero_minors(rows: list[list[int]], units: dict[int, int], n: int, minors, one: int,
+                 zero: int) -> Iterator[list[int]]:
+    """The level walk of :meth:`GenMatrix.check_suboptimal`: yields, as a
+    sorted list of 0-based columns, each K-subset whose minor on the rows
+    its unit columns leave is ``zero``, as the minors are computed.
+
+    ``rows`` and ``units`` are as :func:`_unit_columns` leaves them, with
+    the entries in the form the product kernel ``minors`` reads
+    (:func:`_exact_minors` or :func:`_field_minors`), and ``one`` is the
+    empty minor's value in that form.
+    """
+    k = len(rows)
+    held = sorted(units)
+    free = [r for r in range(k) if r not in units]
+    others = [c for c in range(n) if c not in units.values()]
+    # A minor's key is its column bit set plus, shifted past the N column
+    # bits, the set of held rows it spans; it spans every free row.  A
+    # minor comes from those one row and one column smaller by expansion
+    # along its first row (signs vanish over GF(2)).  With no unit column
+    # the keys are the column bit sets.  The minors of K-subsets are those
+    # on every free row (level len(free)) and those on every free row and
+    # t held rows, for each t (level len(free) + t); a level below them
+    # holds the minors on the last j free rows.  Each level is a list of
+    # kernel calls, and a minor on held rows expands along the first, h,
+    # so the rest lie after h.  A level whose size exceeds the other
+    # columns is empty, as is every level above it.
+    levels = [[(r, 0, (0,), j)] for j, r in enumerate(reversed(free), start=1)]
+    levels += [[(h, 1 << (n + h), (sum(1 << (n + g) for g in rest)
+                                   for rest in combinations(held[i + 1:], t - 1)),
+                 len(free) + t) for i, h in enumerate(held)]
+               for t in range(1, min(len(held), len(others) - len(free)) + 1)]
+    # No level reads the last level's minors or those on the first held
+    # row, so they are checked as they are computed, never stored.
+    unread = 1 << (n + held[0]) if held else None
+
+    def subset(key):
+        # The K-subset's columns: its other columns, and the unit columns
+        # of the held rows its minor leaves.
+        return sorted([c for c in others if key >> c & 1]
+                      + [units[h] for h in held if not key >> (n + h) & 1])
+
+    level = {0: one}
+    for j, calls in enumerate(levels, start=1):
+        kept = {}
+        for r, rbit, hkeys, size in calls:
+            dets = minors(level, rows[r], others, rbit, hkeys, size)
+            if j < len(levels) and rbit != unread:
+                kept.update(dets)
+            else:
+                yield from (subset(key) for key, det in dets if det == zero)
+        if j >= len(free):
+            yield from (subset(key) for key, det in kept.items() if det == zero)
+        level = kept
+
+
+def _exact_minors(level, row, others, rbit, hkeys, size):
+    # The walk's product kernel over GF(2)[z]: (key, det) of the minors on
+    # row r (entries ``row``, bit ``rbit``), the held rows of each key in
+    # hkeys and every free row, for each size-subset of the other columns,
+    # each product formed inline as one shift per exponent of the entry.
+    terms = [(1 << c, [t for t in range(row[c].bit_length()) if row[c] >> t & 1])
+             for c in others]
+    for hkey in hkeys:
+        for subset in combinations(terms, size):
+            key = hkey
+            for bit, _ in subset:
+                key |= bit
+            acc = 0
+            for bit, exps in subset:
+                sub = level[key ^ bit]
+                for t in exps:
+                    acc ^= sub << t
+            yield key | rbit, acc
+
+
+def _field_minors(exp, log, level, row, others, rbit, hkeys, size):
+    # The kernel of _exact_minors over GF(2**m), with entries and minors
+    # held as discrete logs (:func:`_walk_tables`): each product is one
+    # addition and one lookup.
+    terms = [(1 << c, row[c]) for c in others]
+    for hkey in hkeys:
+        for subset in combinations(terms, size):
+            key = hkey
+            for bit, _ in subset:
+                key |= bit
+            acc = 0
+            for bit, lg in subset:
+                acc ^= exp[level[key ^ bit] + lg]
+            yield key | rbit, log[acc]
+
+
+@lru_cache(maxsize=4)
+def _walk_tables(g: int, m: int) -> tuple[list[int], list[int]]:
+    # (exp, log) lists for _field_minors in the field of the primitive
+    # modulus g of degree m, built on the first check there.  log[v] is
+    # log_z(v), and log[0] is the zero log 2 * (2**m - 1); exp[i] is
+    # z**i for every sum of two logs, and 0 for every sum holding the
+    # zero log.  Lists index faster than arrays (sxor 8/15 checked in
+    # 13.2 ms against 15.3) but hold an int object per item: 6.5 MiB at
+    # m = 16, built in about 11 ms, hence the small cache.
+    exp, _, log = _zech_tables(g, m)
+    zero = 2 * len(exp)
+    return list(exp) * 2 + [0] * (zero + 1), [zero, *log[1:]]
+
+
 class GenMatrix:
     """A K x N generator matrix tied to its :class:`CodeSpec`.
 
@@ -282,13 +390,27 @@ class GenMatrix:
         the other columns: in a subset that keeps the row's unit column
         it is zero on every row of the minor, so the minor is zero, as
         the determinant is.  Only those minors are computed, level by
-        level by first-row expansion, taking the held rows first.  A
-        systematic code's unit columns hold every row, so its walk has
-        C(N, K) minors, each a product per column that is not a unit
-        column; with no unit column the walk covers every j-subset of
-        columns, j = 1..K, with a product per column.
+        level by first-row expansion, taking the held rows first
+        (:func:`_zero_minors`).  A systematic code's unit columns hold
+        every row, so its walk has C(N, K) minors, each a product per
+        column that is not a unit column; with no unit column the walk
+        covers every j-subset of columns, j = 1..K, with a product per
+        column.
+
+        When the spec's g is primitive of degree m <= 16, as for every
+        sxor and systematic code, the walk runs first over GF(2**m), on
+        the entries reduced mod g, with each product one addition of
+        discrete logs and one table lookup (:func:`_field_minors`).
+        Reduction mod g is a ring homomorphism, so a minor nonzero there
+        is nonzero in GF(2)[z], and the kept unit entries are nonzero
+        polynomials: if no minor is zero the code is MDS.  A constructed
+        code is Vandermonde, or V_x**-1 * V, over GF(2**m) and always
+        passes there.  At the first zero, or with no field, the walk runs
+        over GF(2)[z] (:func:`_exact_minors`) and gives the answer, so a
+        matrix that is MDS only in GF(2)[z] costs at most both walks.
         """
-        k, n = self.spec.k, self.spec.n
+        spec = self.spec
+        k, n = spec.k, spec.n
         if k > n:
             raise ValueError("more sources than packets can never be MDS")
         subsets = sum(comb(n, j) for j in range(1, k + 1))
@@ -297,64 +419,17 @@ class GenMatrix:
                              f"over the check limit of {MAX_CHECK_SUBSETS}")
         rows = [list(row) for row in self._masks]
         units = _unit_columns(rows)
-        held = sorted(units)
-        free = [r for r in range(k) if r not in units]
-        others = [c for c in range(n) if c not in units.values()]
-        # A minor's key is its column bit set plus, shifted past the N
-        # column bits, the set of held rows it spans; it spans every free
-        # row.  A minor comes from those one row and one column smaller
-        # by expansion along its first row (signs vanish over GF(2)),
-        # each product formed inline as one shift per exponent of the
-        # entry.  With no unit column the keys are the column bit sets.
-        level = {0: 1}
-
-        def expand(r, rbit, hkeys, size):
-            # (key, det) of the minors on row r, the held rows of each
-            # key in hkeys and every free row, for each size-subset of
-            # the other columns.
-            terms = [(1 << c, [t for t in range(rows[r][c].bit_length()) if rows[r][c] >> t & 1])
-                     for c in others]
-            for hkey in hkeys:
-                for subset in combinations(terms, size):
-                    key = hkey
-                    for bit, _ in subset:
-                        key |= bit
-                    acc = 0
-                    for bit, exps in subset:
-                        sub = level[key ^ bit]
-                        for t in exps:
-                            acc ^= sub << t
-                    yield key | rbit, acc
-
-        # The minors of K-subsets are those on every free row (level
-        # len(free)) and those on every free row and t held rows, for
-        # each t (level len(free) + t); a level below them holds the
-        # minors on the last j free rows.  Each level is a list of
-        # expand calls, and a minor on held rows expands along the first,
-        # h, so the rest lie after h.  A level whose size exceeds the
-        # other columns is empty, as is every level above it.
-        levels = [[(r, 0, (0,), j)] for j, r in enumerate(reversed(free), start=1)]
-        levels += [[(h, 1 << (n + h), (sum(1 << (n + g) for g in rest)
-                                       for rest in combinations(held[i + 1:], t - 1)),
-                     len(free) + t) for i, h in enumerate(held)]
-                   for t in range(1, min(len(held), len(others) - len(free)) + 1)]
-        # No level reads the last level's minors or those on the first
-        # held row, so they are checked as they are computed, never stored.
-        unread = 1 << (n + held[0]) if held else None
-        zeros = []
-        for j, calls in enumerate(levels, start=1):
-            kept = {}
-            for call in calls:
-                if j < len(levels) and call[1] != unread:
-                    kept.update(expand(*call))
-                else:
-                    zeros += [key for key, det in expand(*call) if not det]
-            if j >= len(free):
-                zeros += [key for key, det in kept.items() if not det]
-            level = kept
-        failing = sorted(sorted([c for c in others if key >> c & 1]
-                                + [units[h] for h in held if not key >> (n + h) & 1])
-                         for key in zeros)
+        g, m = spec.g.mask, spec.m
+        # CodeSpec has checked the field of every sxor and systematic spec.
+        if spec.kind in ("sxor", "systematic") or 1 <= m <= 16 and is_primitive(g, m):
+            exp, log = _walk_tables(g, m)
+            logs = [[log[_divmod_masks(e, g)[1]] for e in row] for row in rows]
+            # The field walk stops at its first zero minor and is dropped,
+            # with its levels, before the GF(2)[z] walk starts.
+            if next(_zero_minors(logs, units, n, partial(_field_minors, exp, log), 0, log[0]),
+                    None) is None:
+                return True, []
+        failing = sorted(_zero_minors(rows, units, n, _exact_minors, 1, 0))
         return (not failing, [tuple(c + 1 for c in sub) for sub in failing])
 
     def __eq__(self, other: object) -> bool:
@@ -415,7 +490,7 @@ def _systematic(g: int, m: int, n: int, x: Sequence[int]) -> list[list[int]]:
     product; classify calls this once per class.  The modulus g of degree
     m must be primitive and x valid for N = n: the caller checks both.
     """
-    exp, zech = _zech_tables(g, m)
+    exp, zech, _ = _zech_tables(g, m)
     order = len(exp)
     ps = [j - 1 for j in x]
     # logs[r][c] = log(z**c + z**p_r).  c - p_r lies strictly between

@@ -12,9 +12,10 @@ u16 N and bounds that check.  The arithmetic is two int-mask helpers,
 Because z is primitive, every nonzero element is a power of z, and a sum
 of two powers is z**p + z**q = z**(p + Z(q - p)), where Z(k) = log_z(1 +
 z**k) is Zech's logarithm (Huber, *Some comments on Zech's logarithms*,
-IEEE Trans. IT 36(4), 1990).  :func:`_zech_tables` holds z**i and Z(k) per
-field, so products and quotients of such sums are additions of
-exponents; the systematic construction in :mod:`sxor.codes` runs on them.
+IEEE Trans. IT 36(4), 1990).  :func:`_zech_tables` holds z**i, Z(k) and log_z
+per field, so products and quotients of such sums are additions of
+exponents; the systematic construction and the MDS check in
+:mod:`sxor.codes` run on them.
 """
 
 from __future__ import annotations
@@ -121,13 +122,14 @@ def _powmod(a: int, e: int, g: int, m: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _zech_tables(g: int, m: int) -> tuple[array, array]:
-    # (exp, zech) for the field of the primitive modulus g of degree m,
-    # both of length 2**m - 1: exp[i] = z**i and zech[k] = Z(k) =
-    # log_z(1 + z**k).  zech[0] would be log 0, which does not exist; it
-    # holds 0.  Unsigned 16-bit items fit every m <= 16, where the two
-    # tables take 256 KiB and about 30 ms to build (README).  Every caller
-    # shares the cached arrays, so none may write to them.
+def _zech_tables(g: int, m: int) -> tuple[array, array, array]:
+    # (exp, zech, log) for the field of the primitive modulus g of degree
+    # m: exp[i] = z**i and zech[k] = Z(k) = log_z(1 + z**k) for i, k <
+    # 2**m - 1, and log[v] = log_z(v) for 0 < v < 2**m.  zech[0] and
+    # log[0] would be log 0, which does not exist; they hold 0.  Unsigned
+    # 16-bit items fit every m <= 16, where the three tables take 384 KiB
+    # and about 35 ms to build (README).  Every caller shares the cached
+    # arrays, so none may write to them.
     order = (1 << m) - 1
     exp = array("H", bytes(2 * order))
     log = array("H", bytes(2 << m))
@@ -138,7 +140,7 @@ def _zech_tables(g: int, m: int) -> tuple[array, array]:
         v <<= 1
         if v >> m:
             v ^= g
-    return exp, array("H", (log[e ^ 1] for e in exp))
+    return exp, array("H", (log[e ^ 1] for e in exp)), log
 
 
 class FieldCtx:

@@ -831,6 +831,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["classify"], ["check", "--kind", "sxor"]])
+def test_malformed_g_is_a_usage_error(command, capsys):
+    # A --g that is not a hex mask is a bad invocation; a hex mask that is
+    # not a primitive modulus is a runtime error.
+    for g, code, err in (("zz", 2, "usage error: --g must be a hex mask, got 'zz'\n"),
+                         ("0x", 2, "usage error: --g must be a hex mask, got '0x'\n"),
+                         ("0x9", 1, "error: z^3+1 is not a primitive polynomial of degree 3\n")):
+        assert run([*command, "--k", "3", "--n", "7", "--g", g]) == code
+        assert capsys.readouterr().err == err
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -5,7 +5,7 @@ The oracles read the entries one Poly2 at a time, so they share no code
 with the mask-grid readers they check.
 """
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 
 import pytest
@@ -14,7 +14,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
-from sxor.codes import format_matrix, parse_matrix, user_matrix
+from sxor import codes, default_modulus
+from sxor.codes import (build_sxor, build_systematic_sxor, format_matrix, parse_matrix,
+                        user_matrix)
 from sxor.gf2poly import Poly2, _gcd_masks
 from sxor.polymat import PolyMatrix, cancel_common_factor
 
@@ -124,10 +126,24 @@ def check_grids(draw):
 
 
 def check_by_minors(grid):
+    # Every K-subset's determinant by Laplace expansion along the first
+    # row, as det_by_minors, but each minor (a column tuple on the last
+    # rows) is expanded once, so a failing example shrinks in seconds.
     k, n = len(grid), len(grid[0])
-    cols = [[Poly2(row[j]) for row in grid] for j in range(n)]
-    failing = [tuple(j + 1 for j in sub) for sub in combinations(range(n), k)
-               if not det_by_minors([[cols[j][i] for j in sub] for i in range(k)])]
+    rows = [[Poly2(e) for e in row] for row in grid]
+
+    @cache
+    def det(cols):
+        if not cols:
+            return Poly2(1)
+        row = rows[k - len(cols)]
+        total = Poly2(0)
+        for i, c in enumerate(cols):
+            if row[c]:
+                total = total + row[c] * det(cols[:i] + cols[i + 1:])
+        return total
+
+    failing = [tuple(j + 1 for j in sub) for sub in combinations(range(n), k) if not det(sub)]
     return (not failing, failing)
 
 
@@ -167,3 +183,44 @@ def unit_column_grids(draw):
           [0, 0, 1]])  # two unit columns on row 1
 def test_check_suboptimal_of_unit_columns_matches_minor_expansion(grid):
     assert user_matrix(grid).check_suboptimal() == check_by_minors(grid)
+
+
+@st.composite
+def field_grids(draw):
+    # Grids checked in GF(8), g = z^3 + z + 1: entries up to 15 are often
+    # wider than m = 3, and some vanish mod g, as does a planted unit
+    # column's entry 0xb; repeated columns fail every subset holding both.
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 8))
+    grid = draw(st.lists(st.lists(st.integers(0, 15), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=3)):  # planted unit columns
+        for row in grid:
+            row[c] = 0
+        grid[draw(st.integers(0, k - 1))][c] = draw(st.sampled_from([1, 2, 8, 0xb]))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2)):
+        for row in grid:
+            row[dst] = row[src]
+    return grid
+
+
+@PROPERTY
+@given(field_grids())
+@example([[2, 1],
+          [3, 4]])  # det = g: zero in GF(8), so the answer comes from GF(2)[z]
+def test_check_suboptimal_in_a_field_matches_minor_expansion(grid):
+    assert user_matrix(grid, 3, 0xb).check_suboptimal() == check_by_minors(grid)
+
+
+@pytest.mark.parametrize("k, n", [(3, 7), (4, 15), (8, 15)])
+def test_built_codes_are_certified_in_their_field(k, n, monkeypatch):
+    # Each constructed code reduces mod g to an MDS matrix over GF(2^m),
+    # so the field walk finds no zero minor and never falls back.
+    def exact_walk(*args):
+        raise AssertionError("check_suboptimal reached the GF(2)[z] walk")
+
+    monkeypatch.setattr(codes, "_exact_minors", exact_walk)
+    g = default_modulus(n.bit_length())
+    for mat in (build_sxor(k, n, g), build_systematic_sxor(k, n, g, range(1, k + 1))):
+        assert mat.check_suboptimal() == (True, [])
