@@ -69,10 +69,12 @@ MAX_K = 32
 MAX_KERNEL_BITS = MAX_K * 16
 
 # Most column subsets check_suboptimal may walk, counted as the sum of
-# C(N, j) for j = 1..K, which is what it walks with no unit column; unit
-# columns only shrink the walk.  (6, 31) counts 942,648; an sxor or
-# systematic code there is checked in GF(2^5) in up to 1.8 s and 29 MiB,
-# and a matrix that falls back to GF(2)[z] took up to 2.3 s and 37 MiB
+# C(N, j) for j = 1..K, which is what its walk over GF(2)[z] covers with
+# no unit column; unit columns only shrink that walk.  The walk in
+# GF(2^m) has C(N, K) - 1 minors, but a matrix it rejects falls back to
+# the one over GF(2)[z], which this bounds.  (6, 31) counts 942,648; an
+# sxor or systematic code there is checked in GF(2^5) in up to 1.8 s and
+# 27 MiB, and a matrix that falls back took up to 2.8 s and 34 MiB
 # (README).
 MAX_CHECK_SUBSETS = 1_000_000
 
@@ -172,9 +174,10 @@ def _metrics(masks: Sequence[Sequence[int]]) -> Metrics:
 
 
 def _unit_columns(rows: list[list[int]]) -> dict[int, int]:
-    """The pivot step of :meth:`GenMatrix.check_suboptimal`, on a mask
-    grid it changes in place; returns {row: column} of the first unit
-    column, one with one nonzero entry, that each held row has.
+    """The pivot step of :meth:`GenMatrix.check_suboptimal`'s walk over
+    GF(2)[z], on a mask grid it changes in place; returns {row: column}
+    of the first unit column, one with one nonzero entry, that each held
+    row has.  (The field walk pivots with :func:`_field_pivots`.)
 
     While some column's nonzero entries are all 1 and one of them lies
     in a row that no unit column holds, that row is added to the other
@@ -200,16 +203,45 @@ def _unit_columns(rows: list[list[int]]) -> dict[int, int]:
                 rows[r] = [a ^ b for a, b in zip(rows[r], rows[p])]
 
 
+def _field_pivots(rows: list[list[int]], exp: list[int], log: list[int]) -> dict[int, int] | None:
+    """Gauss-Jordan elimination over GF(2**m) on a grid of discrete logs
+    (:func:`_walk_tables`), in place: the field walk's pivot step.
+
+    Each row in turn takes its first nonzero column as its pivot and is
+    scaled so the pivot is 1; each other row nonzero in that column then
+    has the row, times that entry, added to it.  Returns {row: pivot
+    column}, a unit column for every row.  Row operations multiply every
+    K-subset's determinant by one nonzero constant, so they leave each
+    zero or not.  Returns None, with the grid part reduced, when some row
+    becomes zero: the field rank is below K and every minor is zero.
+    """
+    zero = log[0]
+    units = {}
+    for p, row in enumerate(rows):
+        c = next((c for c, lg in enumerate(row) if lg != zero), None)
+        if c is None:
+            return None
+        inv = -row[c] % (zero // 2)
+        rows[p] = row = [log[exp[lg + inv]] for lg in row]
+        for r, other in enumerate(rows):
+            lead = other[c]
+            if r != p and lead != zero:
+                rows[r] = [log[exp[a] ^ exp[lead + b]] for a, b in zip(other, row)]
+        units[p] = c
+    return units
+
+
 def _zero_minors(rows: list[list[int]], units: dict[int, int], n: int, minors, one: int,
                  zero: int) -> Iterator[list[int]]:
     """The level walk of :meth:`GenMatrix.check_suboptimal`: yields, as a
     sorted list of 0-based columns, each K-subset whose minor on the rows
     its unit columns leave is ``zero``, as the minors are computed.
 
-    ``rows`` and ``units`` are as :func:`_unit_columns` leaves them, with
-    the entries in the form the product kernel ``minors`` reads
-    (:func:`_exact_minors` or :func:`_field_minors`), and ``one`` is the
-    empty minor's value in that form.
+    ``rows`` and ``units`` are as :func:`_unit_columns` or
+    :func:`_field_pivots` leaves them, with the entries in the form the
+    product kernel ``minors`` reads (:func:`_exact_minors` or
+    :func:`_field_minors`), and ``one`` is the empty minor's value in
+    that form.
     """
     k = len(rows)
     held = sorted(units)
@@ -381,33 +413,35 @@ class GenMatrix:
         walking any subset, when the sum of C(N, j) for j = 1..K exceeds
         ``MAX_CHECK_SUBSETS``.
 
-        The walk first makes unit columns (one nonzero entry) by row
-        additions, which change no K-subset's determinant
-        (:func:`_unit_columns`), and keeps the first unit column of each
-        row it holds.  A K-subset's determinant is then the product of
-        its kept unit entries times the minor of its other columns on the
-        rows those leave.  Another unit column on a held row is one of
-        the other columns: in a subset that keeps the row's unit column
-        it is zero on every row of the minor, so the minor is zero, as
-        the determinant is.  Only those minors are computed, level by
-        level by first-row expansion, taking the held rows first
-        (:func:`_zero_minors`).  A systematic code's unit columns hold
-        every row, so its walk has C(N, K) minors, each a product per
-        column that is not a unit column; with no unit column the walk
-        covers every j-subset of columns, j = 1..K, with a product per
-        column.
+        Each walk first makes unit columns (one nonzero entry) by row
+        operations, which leave every K-subset's determinant zero or not,
+        and keeps one unit column of each row it holds.  A K-subset's
+        determinant is then the product of its kept unit entries times
+        the minor of its other columns on the rows those leave.  Another
+        unit column on a held row is one of the other columns: in a
+        subset that keeps the row's unit column it is zero on every row
+        of the minor, so the minor is zero, as the determinant is.  Only
+        those minors are computed, level by level by first-row
+        expansion, taking the held rows first (:func:`_zero_minors`).
+        When unit columns hold every row the walk has C(N, K) - 1 minors,
+        each a product per column that is not a unit column; with no
+        unit column it covers every j-subset of columns, j = 1..K, with a
+        product per column.
 
         When the spec's g is primitive of degree m <= 16, as for every
         sxor and systematic code, the walk runs first over GF(2**m), on
         the entries reduced mod g, with each product one addition of
         discrete logs and one table lookup (:func:`_field_minors`).
-        Reduction mod g is a ring homomorphism, so a minor nonzero there
-        is nonzero in GF(2)[z], and the kept unit entries are nonzero
-        polynomials: if no minor is zero the code is MDS.  A constructed
-        code is Vandermonde, or V_x**-1 * V, over GF(2**m) and always
-        passes there.  At the first zero, or with no field, the walk runs
-        over GF(2)[z] (:func:`_exact_minors`) and gives the answer, so a
-        matrix that is MDS only in GF(2)[z] costs at most both walks.
+        There Gauss-Jordan elimination (:func:`_field_pivots`) gives every
+        row a unit column, so the walk has C(N, K) - 1 minors.  Reduction mod g is a ring homomorphism, so a
+        K-subset's determinant nonzero there is nonzero in GF(2)[z]: if
+        no minor is zero the code is MDS.  A constructed code is
+        Vandermonde, or V_x**-1 * V, over GF(2**m) and always passes
+        there.  At the first zero, when the field rank is below K, or
+        with no field, the walk runs over GF(2)[z] on the unit columns
+        that row additions make (:func:`_unit_columns`,
+        :func:`_exact_minors`) and gives the answer, so a matrix that is
+        MDS only in GF(2)[z] costs at most both walks.
         """
         spec = self.spec
         k, n = spec.k, spec.n
@@ -417,18 +451,19 @@ class GenMatrix:
         if subsets > MAX_CHECK_SUBSETS:
             raise ValueError(f"checking K={k} of N={n} walks {subsets} column subsets, "
                              f"over the check limit of {MAX_CHECK_SUBSETS}")
-        rows = [list(row) for row in self._masks]
-        units = _unit_columns(rows)
         g, m = spec.g.mask, spec.m
         # CodeSpec has checked the field of every sxor and systematic spec.
         if spec.kind in ("sxor", "systematic") or 1 <= m <= 16 and is_primitive(g, m):
             exp, log = _walk_tables(g, m)
-            logs = [[log[_divmod_masks(e, g)[1]] for e in row] for row in rows]
+            logs = [[log[_divmod_masks(e, g)[1]] for e in row] for row in self._masks]
+            units = _field_pivots(logs, exp, log)
             # The field walk stops at its first zero minor and is dropped,
             # with its levels, before the GF(2)[z] walk starts.
-            if next(_zero_minors(logs, units, n, partial(_field_minors, exp, log), 0, log[0]),
-                    None) is None:
+            if units is not None and next(_zero_minors(
+                    logs, units, n, partial(_field_minors, exp, log), 0, log[0]), None) is None:
                 return True, []
+        rows = [list(row) for row in self._masks]
+        units = _unit_columns(rows)
         failing = sorted(_zero_minors(rows, units, n, _exact_minors, 1, 0))
         return (not failing, [tuple(c + 1 for c in sub) for sub in failing])
 

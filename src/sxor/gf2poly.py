@@ -105,17 +105,16 @@ class Poly2:
 
     @classmethod
     def from_hex(cls, text: str) -> "Poly2":
-        """Parse a bare hex coefficient mask (``"b"`` -> z^3+z+1)."""
+        """Parse a bare hex coefficient mask (``"b"`` -> z^3+z+1): hex
+        digits after an optional ``0x``, with no sign or underscore."""
         s = text.strip()
         if s.lower().startswith("0x"):
             s = s[2:]
         if not s:
             raise ValueError("empty hex mask")
-        try:
-            mask = int(s, 16)
-        except ValueError:
-            raise ValueError(f"bad hex mask {text!r}") from None
-        return cls(mask)
+        if s.strip("0123456789abcdefABCDEF"):
+            raise ValueError(f"bad hex mask {text!r}")
+        return cls(int(s, 16))
 
     # -- basic queries ---------------------------------------------------
 

@@ -837,6 +837,7 @@ def test_malformed_g_is_a_usage_error(command, capsys):
     # not a primitive modulus is a runtime error.
     for g, code, err in (("zz", 2, "usage error: --g must be a hex mask, got 'zz'\n"),
                          ("0x", 2, "usage error: --g must be a hex mask, got '0x'\n"),
+                         ("+b", 2, "usage error: --g must be a hex mask, got '+b'\n"),
                          ("0x9", 1, "error: z^3+1 is not a primitive polynomial of degree 3\n")):
         assert run([*command, "--k", "3", "--n", "7", "--g", g]) == code
         assert capsys.readouterr().err == err

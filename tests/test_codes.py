@@ -298,6 +298,18 @@ def test_load_rejects_unreduced_entry_for_constructed_kind():
     assert mat.metrics().l_max == 3
 
 
+def test_load_rejects_signed_and_underscored_entries():
+    # An entry, like the header's g, is a bare hex mask: '+1' is not 1
+    # and 'b_1' is not 0xb1.
+    for rows, line, col in (("1,0\n+1,1\n", 3, 1), ("1,b_1\n0,1\n", 2, 2)):
+        text = f"sxorgen v1 kind=user K=2 N=2 m=0 g=0x0\n{rows}"
+        with pytest.raises(MatrixFormatError, match="bad hex mask") as exc:
+            load_matrix(io.StringIO(text))
+        assert (exc.value.line, exc.value.col) == (line, col)
+    with pytest.raises(MatrixFormatError, match=re.escape("line 1: bad hex mask '+b'")):
+        load_matrix(io.StringIO("sxorgen v1 kind=user K=1 N=1 m=3 g=+b\n1\n"))
+
+
 def test_load_fixed_zigzag_grid_as_user_matrix():
     rows = "\n".join(",".join(format(v, "x") for v in row) for row in ZD3)
     mat = parse_matrix(f"sxorgen v1 kind=user K=3 N=6 m=0 g=0x0\n{rows}\n")

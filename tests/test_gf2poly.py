@@ -147,7 +147,7 @@ def test_hex_round_trip():
 
 
 def test_parse_errors():
-    for bad in ["", "   ", "0x", "zz", "-1"]:
+    for bad in ["", "   ", "0x", "zz", "-1", "+b", "-b", "b_1", "0x_1", "0x 1", "0x0x1"]:
         with pytest.raises(ValueError):
             Poly2.from_hex(bad)
 

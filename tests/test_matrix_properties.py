@@ -7,6 +7,7 @@ with the mask-grid readers they check.
 
 from functools import cache, reduce
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -125,10 +126,11 @@ def check_grids(draw):
     return grid
 
 
-def check_by_minors(grid):
+def check_by_minors(grid, g=None):
     # Every K-subset's determinant by Laplace expansion along the first
     # row, as det_by_minors, but each minor (a column tuple on the last
     # rows) is expanded once, so a failing example shrinks in seconds.
+    # With a modulus g each determinant is read mod g, as in GF(2^m).
     k, n = len(grid), len(grid[0])
     rows = [[Poly2(e) for e in row] for row in grid]
 
@@ -143,7 +145,8 @@ def check_by_minors(grid):
                 total = total + row[c] * det(cols[:i] + cols[i + 1:])
         return total
 
-    failing = [tuple(j + 1 for j in sub) for sub in combinations(range(n), k) if not det(sub)]
+    failing = [tuple(j + 1 for j in sub) for sub in combinations(range(n), k)
+               if not (divmod(det(sub), g)[1] if g else det(sub))]
     return (not failing, failing)
 
 
@@ -209,8 +212,50 @@ def field_grids(draw):
 @given(field_grids())
 @example([[2, 1],
           [3, 4]])  # det = g: zero in GF(8), so the answer comes from GF(2)[z]
+@example([[0xb, 1],
+          [0, 0xb]])  # field rank 1, det = g^2 in GF(2)[z]
 def test_check_suboptimal_in_a_field_matches_minor_expansion(grid):
     assert user_matrix(grid, 3, 0xb).check_suboptimal() == check_by_minors(grid)
+
+
+@st.composite
+def field_rank_grids(draw):
+    # field_grids, often with one row made zero mod g, or equal mod g to
+    # another row or to the sum of two, so the field rank falls below K.
+    grid = draw(field_grids())
+    k, n = len(grid), len(grid[0])
+    dst = draw(st.integers(0, k - 1))
+    srcs = draw(st.lists(st.sampled_from([r for r in range(k) if r != dst] or [dst]),
+                         max_size=2, unique=True))
+    if dst not in srcs and draw(st.booleans()):
+        grid[dst] = [0] * n
+        for src in srcs:
+            grid[dst] = [a ^ b for a, b in zip(grid[dst], grid[src])]
+        grid[dst] = [e ^ draw(st.sampled_from([0, 0xb])) for e in grid[dst]]
+    return grid
+
+
+@PROPERTY
+@given(field_rank_grids())
+@example([[0xb, 1],
+          [0, 0xb]])  # field rank 1
+def test_field_pivots_keep_each_minor_zero_or_not(grid):
+    # Gauss-Jordan elimination in GF(8) on the log grid: every K-subset's
+    # determinant is zero there after it exactly when it was before, and
+    # it reports rank < K (None) exactly when every K-subset's is zero.
+    k, n = len(grid), len(grid[0])
+    g = Poly2(0xb)
+    exp, log = codes._walk_tables(g.mask, 3)
+    logs = [[log[divmod(Poly2(e), g)[1].mask] for e in row] for row in grid]
+    units = codes._field_pivots(logs, exp, log)
+    after = [[exp[lg] for lg in row] for row in logs]
+    zero_before = check_by_minors(grid, g)[1]
+    assert check_by_minors(after, g)[1] == zero_before
+    assert (units is None) == (len(zero_before) == comb(n, k))
+    if units is not None:
+        assert sorted(units) == list(range(k))
+        for r, c in units.items():
+            assert [row[c] for row in after] == [int(i == r) for i in range(k)]
 
 
 @pytest.mark.parametrize("k, n", [(3, 7), (4, 15), (8, 15)])
@@ -224,3 +269,25 @@ def test_built_codes_are_certified_in_their_field(k, n, monkeypatch):
     g = default_modulus(n.bit_length())
     for mat in (build_sxor(k, n, g), build_systematic_sxor(k, n, g, range(1, k + 1))):
         assert mat.check_suboptimal() == (True, [])
+
+
+@pytest.mark.parametrize("kind, k, minors", [("sxor", 8, 6434), ("systematic", 8, 6434),
+                                             ("sxor", 10, 3002)])
+def test_field_walk_has_one_minor_per_k_subset(kind, k, minors, monkeypatch):
+    # Elimination gives every row a unit column, so the field walk
+    # computes the minor of every K-subset but the unit columns' own:
+    # C(15, K) - 1 of them, for sxor as for systematic codes.
+    walked = [0]
+    field_minors = codes._field_minors
+
+    def counting(*args):
+        for item in field_minors(*args):
+            walked[0] += 1
+            yield item
+
+    monkeypatch.setattr(codes, "_field_minors", counting)
+    g = default_modulus(4)
+    mat = (build_sxor(k, 15, g) if kind == "sxor"
+           else build_systematic_sxor(k, 15, g, range(1, k + 1)))
+    assert mat.check_suboptimal() == (True, [])
+    assert walked[0] == minors == comb(15, k) - 1
