@@ -68,8 +68,8 @@ from typing import BinaryIO, NamedTuple, Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
 from .gf2m import PolyLike, _as_poly
-from .gf2poly import (InconsistentDivision, Poly2, _div_low, _divmod_masks, _gcd_masks, exact_div_low,
-                      split_shift)
+from .gf2poly import (InconsistentDivision, Poly2, _div_low, _divmod_masks, _exponents, _gcd_masks,
+                      exact_div_low, split_shift)
 from .polymat import PolyMatrix, _bareiss_step, cancel_common_factor
 
 __all__ = [
@@ -129,6 +129,11 @@ class Packet:
     it was encoded for, and ``bit_len`` the formal payload length
     L + l_index; high zero coefficients are significant on the wire, so
     bit_len is carried explicitly rather than recovered from bits.
+
+    ``Packet(...)`` and ``dataclasses.replace`` check every field.  The
+    packets :func:`encode` builds, and those :func:`packet_from_bytes`
+    parses once it has checked their header and pad bits, skip the
+    second check.
     """
 
     index: int
@@ -142,52 +147,55 @@ class Packet:
         if self.bits.mask.bit_length() > self.bit_len:
             raise ValueError(_PAD_BITS)
 
+    @classmethod
+    def _of(cls, index: int, bits: Poly2, source_len: int, bit_len: int, spec: CodeSpec) -> "Packet":
+        # A packet whose fields the codec built itself or has just checked.
+        packet = cls.__new__(cls)
+        packet.__dict__.update(index=index, bits=bits, source_len=source_len, bit_len=bit_len, spec=spec)
+        return packet
+
 
 _PAD_BITS = "payload has set bits beyond its stated length"
 
 
-def _check_fields(index: int, source_len: int, bit_len: int, spec: CodeSpec) -> None:
-    # A packet's rules for its header fields, for Packet and _open_packet.
+def _check_fields(index: int, source_len: int, bit_len: int, spec: CodeSpec,
+                  error: type[ValueError] = ValueError) -> None:
+    # A packet's rules for its header fields, for Packet, packet_from_bytes
+    # and _open_packet; a broken rule raises ``error``.
     if not 1 <= index <= spec.n:
-        raise ValueError(f"packet index {index} outside 1..{spec.n}")
+        raise error(f"packet index {index} outside 1..{spec.n}")
     if source_len < 1:
-        raise ValueError("source length must be positive")
+        raise error("source length must be positive")
     if bit_len < source_len:
-        raise ValueError("payload length cannot be shorter than the source length")
+        raise error("payload length cannot be shorter than the source length")
 
 
-def _coerce_sources(sources: Sequence[PolyLike], k: int, length: int) -> list[int]:
-    srcs = [_as_poly(s).mask for s in sources]
-    if len(srcs) != k:
-        raise ValueError(f"expected {k} sources, got {len(srcs)}")
-    if length < 1:
-        raise ValueError("source length must be positive")
-    for i, s in enumerate(srcs):
-        if s.bit_length() > length:
-            raise ValueError(f"source {i + 1} exceeds the stated length of {length} bits")
-    return srcs
+def _horner(col: Sequence[int], streams: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """sum_i col[i](z) * streams[i] as Horner's rule over col's exponents, for :func:`_combine`.
 
-
-def _combine(col: Sequence[int], streams: Sequence[int]) -> int:
-    """sum_i col[i](z) * streams[i], by Horner's rule over col's exponents.
-
-    Highest exponent first: XOR in the streams carrying it, then shift by
-    the gap to the next, so z**37 + 1 costs two shifts, not 38.  A column
-    whose only term is z**0 returns its stream itself.
+    Highest exponent first: one (stream, shift) pair per stream carrying
+    it, to be XORed in, and after the last of them the shift down to the
+    next exponent, or to z**0 after the lowest; every other shift is 0.
+    So z**37 + 1 costs two shifts, not 38, and an all-zero column has no
+    pairs.
     """
-    exps = reduce(or_, col, 0)
-    if not exps:
-        return 0
+    exps = _exponents(reduce(or_, col, 0))[::-1]
+    plan = []
+    for t, low in zip(exps, exps[1:] + [0]):
+        plan += [(x, 0) for e, x in zip(col, streams) if e >> t & 1]
+        plan[-1] = (plan[-1][0], t - low)
+    return tuple(plan)
+
+
+def _combine(plan: Sequence[tuple[int, int]], streams: Sequence[int]) -> int:
+    # A plan of _horner over the streams it names.  A plan of one stream
+    # at shift 0 returns that stream itself: x << 0 and x ^ 0 copy x.
     acc = None
-    while True:
-        t = exps.bit_length() - 1
-        for e, x in zip(col, streams):
-            if e >> t & 1:
-                acc = x if acc is None else acc ^ x
-        exps ^= 1 << t
-        if not exps:
-            return acc << t if t else acc  # x << 0 copies x
-        acc <<= t - exps.bit_length() + 1
+    for x, shift in plan:
+        acc = streams[x] if acc is None else acc ^ streams[x]
+        if shift:
+            acc <<= shift
+    return 0 if acc is None else acc
 
 
 def encode_xor_count(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -> tuple[list[Packet], int]:
@@ -197,9 +205,17 @@ def encode_xor_count(mat: GenMatrix, sources: Sequence[PolyLike], length: int) -
     count charges one XOR per term beyond the first, independent of L,
     matching the alpha metric exactly.
     """
-    srcs = _coerce_sources(sources, mat.spec.k, length)
+    srcs = [s if type(s) is int and s >= 0 else _as_poly(s).mask for s in sources]
+    if len(srcs) != mat.spec.k:
+        raise ValueError(f"expected {mat.spec.k} sources, got {len(srcs)}")
+    if length < 1:
+        raise ValueError("source length must be positive")
+    for i, s in enumerate(srcs):
+        if s.bit_length() > length:
+            raise ValueError(f"source {i + 1} exceeds the stated length of {length} bits")
+    # The packets are built trusted: their fields and payload widths follow from these checks.
     over = mat.column_overheads()
-    packets = [Packet(j + 1, Poly2(c), length, length + over[j], mat.spec)
+    packets = [Packet._of(j + 1, Poly2(c), length, length + over[j], mat.spec)
                for j, c in enumerate(_run(_encoder(mat), srcs, length))]
     return packets, mat.metrics().alpha
 
@@ -220,7 +236,8 @@ class _Network:
     """A fixed network of maps over numbered streams; a :class:`_Run` runs it.
 
     Streams 0..inputs-1 are the inputs, and each map added makes the next
-    stream: the Horner combine sum_i col[i](z) * in_i, which for a decode
+    stream: the Horner combine sum_i col[i](z) * in_i (its plan of shifts
+    and XORs is made once, by :func:`_horner`), which for a decode
     step's map (``step`` set) must hold only zero bits below its delay and
     is then divided exactly by the step's feedback.  No stream is cut:
     each keeps its ``delay``, the zero bits it starts with, which is 0 for
@@ -235,7 +252,7 @@ class _Network:
 
     def __init__(self, inputs: int):
         self.delays = [0] * inputs  # per stream
-        self.maps = []  # per map: (column, streams it reads, step)
+        self.maps = []  # per map: (column, its Horner plan over the streams read, step)
         self.outs = []
         self.read = set()
 
@@ -244,7 +261,8 @@ class _Network:
         self.read.update(streams)
         delays = [self.delays[x] for x in streams]
         delay = max(delays)
-        self.maps.append((tuple(e << delay - d for e, d in zip(col, delays)), streams, step))
+        col = tuple(e << delay - d for e, d in zip(col, delays))
+        self.maps.append((col, _horner(col, streams), step))
         self.delays.append(delay + step.shift if step else delay)
         return len(self.delays) - 1
 
@@ -260,7 +278,10 @@ class _Run:
     and the run goes on, so that it reports its first failed step, as a
     one-stripe run does.  ``outs`` names the outputs the run keeps for
     :meth:`take`, all of them by default; a caller that keeps the inputs
-    it feeds leaves out the outputs that are inputs.
+    it feeds leaves out the outputs that are inputs.  A run fed its whole
+    streams as one final stripe, as the library's are, reads no carry and
+    keeps no count of untaken bits: ``value`` then holds every output
+    whole, less its delay.
     """
 
     def __init__(self, net: _Network, length: int = 0, outs: Sequence[int] | None = None):
@@ -297,9 +318,9 @@ class _Run:
         net, carry, done = self.net, self.carry, self.done
         streams = list(chunks)
         k = len(streams)
-        for m, (col, reads, step) in enumerate(net.maps):
-            acc = _combine(col, [streams[x] for x in reads])
-            if carry[m]:
+        for m, (_, plan, step) in enumerate(net.maps):
+            acc = _combine(plan, streams)
+            if done and carry[m]:  # only a stripe after the first has a carry in
                 acc ^= carry[m]
                 carry[m] = 0
             if not final and acc.bit_length() > bits:
@@ -307,17 +328,17 @@ class _Run:
             if step:
                 acc = self._solve(m, step, net.delays[k + m] - done, acc, bits, final)
             streams.append(acc)
-        for out in self.outs:
-            x = net.outs[out]
-            value, drop = streams[x], max(net.delays[x] - done, 0)
-            if drop:
+        if final and not done:  # one stripe: each output is whole, less its delay
+            self.value = [streams[x] >> net.delays[x] if net.delays[x] else streams[x] for x in net.outs]
+        else:
+            for out in self.outs:
+                x = net.outs[out]
+                drop = max(net.delays[x] - done, 0)  # the output's delay bits left to drop
                 drop = drop if final else min(drop, bits)
-                value >>= drop
-            if self.bits[out]:
-                value = self.value[out] | value << self.bits[out]
-            self.value[out] = value
-            if not final:
-                self.bits[out] += bits - drop
+                value = streams[x] >> drop if drop else streams[x]
+                self.value[out] = self.value[out] | value << self.bits[out] if self.bits[out] else value
+                if not final:
+                    self.bits[out] += bits - drop
         self.done += bits
         if final and self.failed:
             raise InconsistentDivision(self.failed[min(self.failed)])
@@ -384,10 +405,11 @@ def _decoder(steps: Sequence[DecodeStep]) -> _Network:
 
 
 def _run(net: _Network, values: Sequence[int], length: int) -> list[int]:
-    # Whole in-memory streams through a network, as one stripe.
+    # Whole in-memory streams through a network, as one stripe, whose
+    # outputs are then whole.
     run = _Run(net, length)
     run.push(values, 0, final=True)
-    return [run.take(out) for out in range(len(net.outs))]
+    return run.value
 
 
 class DecodeStep(NamedTuple):
@@ -541,17 +563,15 @@ def _check_headers(mat: GenMatrix, packets) -> tuple[int, tuple[int, ...]]:
             if p.spec != mat.spec:
                 raise ValueError(f"packet {p.index} belongs to a different code")
             same.add(id(p.spec))
-    idx = mat.check_survivors(p.index for p in packets)
+    idx = mat.check_survivors([p.index for p in packets])
     lengths = {p.source_len for p in packets}
     if len(lengths) != 1:
         raise ValueError(f"packets disagree on source length: {sorted(lengths)}")
     length = lengths.pop()
     over = mat.column_overheads()
     for p in packets:
-        allowed = length + over[p.index - 1]
-        if p.bit_len > allowed:  # the payload stays within bit_len
-            raise TrailingBits(
-                f"packet {p.index} carries more than {allowed} bits")
+        if p.bit_len > length + over[p.index - 1]:  # the payload stays within bit_len
+            raise TrailingBits(f"packet {p.index} carries more than {length + over[p.index - 1]} bits")
     return length, idx
 
 
@@ -613,15 +633,6 @@ def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
 
 _TO_BITS = bytes.maketrans(b"01", b"\0\1")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _mask_to_bits(mask: int, width: int) -> bytearray:
-    # Byte k of the result is bit k of mask.
-    return bytearray(format(mask, f"0{width}b")[::-1], "ascii").translate(_TO_BITS)
-
-
-def _bits_to_mask(bits: bytearray) -> int:
-    return int(bits.translate(_TO_DIGITS)[::-1], 2)
 
 
 def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: list | None):
@@ -748,12 +759,14 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     residuals = work
     if live:
         over = mat.column_overheads()
-        bufs = [_mask_to_bits(w, length + over[p - 1]) for p, w in zip(idx, work)]
+        # Byte k of each buffer is bit k of its survivor's residual.
+        bufs = [bytearray(format(w, f"0{length + over[p - 1]}b")[::-1], "ascii").translate(_TO_BITS)
+                for p, w in zip(idx, work)]
         done, values = _peel_bits(cover, hits, length, live, bufs, None)
         if done != len(live) * length:
             raise ZigzagStuck((k - len(live)) * length + done, k * length)
         for row in live:
-            sources[row] = _bits_to_mask(values[row])
+            sources[row] = int(values[row].translate(_TO_DIGITS)[::-1], 2)
         residuals = [1 in buf for buf in bufs]
     for p, rest in zip(idx, residuals):
         if rest:
@@ -786,8 +799,16 @@ class _Header(NamedTuple):
     offset: int
 
 
+def _too_wide(field: str, value: int, bits: int) -> ValueError:
+    return ValueError(f"{field}={value} exceeds {(1 << bits) - 1}, the limit of its {bits}-bit header field")
+
+
 def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int) -> bytes:
-    return _header_prefix(spec, index) + _LENS.pack(source_len, bit_len)
+    head = _header_prefix(spec, index)
+    if (source_len | bit_len) >> 64:  # both are positive: Packet checks them
+        field, value = ("L", source_len) if source_len >> 64 else ("payload_bits", bit_len)
+        raise _too_wide(field, value, 64)
+    return head + _LENS.pack(source_len, bit_len)
 
 
 @lru_cache(maxsize=256)
@@ -795,8 +816,7 @@ def _header_prefix(spec: CodeSpec, index: int) -> bytes:
     # The header up to the length fields, packed once per (code, packet).
     for field, value, bits in (("m", spec.m, 8), ("g", spec.g.mask, 32), ("N", spec.n, 16)):
         if value >> bits:
-            raise ValueError(f"{field}={value} exceeds {(1 << bits) - 1}, "
-                             f"the limit of its {bits}-bit header field")
+            raise _too_wide(field, value, bits)
     x = spec.x if spec.x is not None else ()
     head = _HEAD.pack(_MAGIC, _VERSION, KIND_CODES[spec.kind], spec.m, spec.g.mask,
                       spec.k, spec.n, index, len(x))
@@ -804,20 +824,21 @@ def _header_prefix(spec: CodeSpec, index: int) -> bytes:
 
 
 @lru_cache(maxsize=64)
-def _header_spec(kind_code: int, k: int, n: int, m: int, g: int,
-                 x: tuple[int, ...] | None) -> CodeSpec:
-    # The validated spec of a header's raw code fields, built once per
-    # code: every packet of one code shares it.  A spec that fails
-    # validation is not cached, so it fails alike on every parse.
+def _header_spec(kind_code: int, k: int, n: int, m: int, g: int, x: bytes) -> CodeSpec:
+    # The validated spec of a header's raw code fields, x as its u16
+    # bytes, built once per code: every packet of one code shares it.  A
+    # spec that fails validation is not cached, so it fails alike on
+    # every parse.
     try:
-        return CodeSpec(KINDS[kind_code], k, n, m, Poly2(g), x)
+        return CodeSpec(KINDS[kind_code], k, n, m, Poly2(g),
+                        struct.unpack(f"<{len(x) // 2}H", x) if x else None)
     except ValueError as exc:
         raise PacketFormatError(str(exc)) from None
 
 
-def _parse_header(data: bytes) -> _Header:
-    # The header at the start of data; Packet and _open_packet check the
-    # index and lengths.
+def _parse_header(data: bytes) -> tuple[int, CodeSpec, int, int, int]:
+    # The fields of the header at the start of data, in _Header's order;
+    # packet_from_bytes and _open_packet check the index and lengths.
     if len(data) < _HEAD.size:
         raise PacketFormatError("truncated header")
     magic, version, kind_code, m, g, k, n, index, x_len = _HEAD.unpack_from(data, 0)
@@ -827,18 +848,14 @@ def _parse_header(data: bytes) -> _Header:
         raise PacketFormatError(f"unsupported version {version}")
     if kind_code >= len(KINDS):
         raise PacketFormatError(f"unknown kind code {kind_code}")
-    off = _HEAD.size
-    x = None
-    if x_len:
-        if len(data) < off + 2 * x_len:
-            raise PacketFormatError("truncated x positions")
-        x = struct.unpack_from(f"<{x_len}H", data, off)
-        off += 2 * x_len
+    off = _HEAD.size + 2 * x_len
+    if len(data) < off:
+        raise PacketFormatError("truncated x positions")
     if len(data) < off + _LENS.size:
         raise PacketFormatError("truncated length fields")
     source_len, bit_len = _LENS.unpack_from(data, off)
-    return _Header(index, _header_spec(kind_code, k, n, m, g, x), source_len, bit_len,
-                   off + _LENS.size)
+    return (index, _header_spec(kind_code, k, n, m, g, bytes(data[_HEAD.size:off])), source_len,
+            bit_len, off + _LENS.size)
 
 
 def packet_to_bytes(packet: Packet) -> bytes:
@@ -847,15 +864,14 @@ def packet_to_bytes(packet: Packet) -> bytes:
 
 
 def packet_from_bytes(data: bytes) -> Packet:
-    head = _parse_header(data)
-    nbytes = (head.bit_len + 7) // 8
-    if len(data) != head.offset + nbytes:
-        raise PacketFormatError(f"payload is {len(data) - head.offset} bytes, expected {nbytes}")
-    try:
-        return Packet(head.index, Poly2(int.from_bytes(data[head.offset:], "little")),
-                      head.source_len, head.bit_len, head.spec)
-    except ValueError as exc:
-        raise PacketFormatError(str(exc)) from None
+    index, spec, source_len, bit_len, offset = _parse_header(data)
+    nbytes = (bit_len + 7) // 8
+    if len(data) != offset + nbytes:
+        raise PacketFormatError(f"payload is {len(data) - offset} bytes, expected {nbytes}")
+    _check_fields(index, source_len, bit_len, spec, PacketFormatError)
+    if bit_len % 8 and data[-1] >> bit_len % 8:
+        raise PacketFormatError(_PAD_BITS)
+    return Packet._of(index, Poly2(int.from_bytes(data[offset:], "little")), source_len, bit_len, spec)
 
 
 PathOrFile = Union[str, os.PathLike, io.IOBase]
@@ -890,7 +906,7 @@ def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
         data = fh.read(_HEAD.size)
         if len(data) == _HEAD.size:
             data += fh.read(2 * _HEAD.unpack(data)[-1] + _LENS.size)
-        head = _parse_header(data)
+        head = _Header(*_parse_header(data))
         _check_fields(head.index, head.source_len, head.bit_len, head.spec)
         nbytes = (head.bit_len + 7) // 8
         size = os.fstat(fh.fileno()).st_size

@@ -17,9 +17,10 @@ The module-level helpers cover the operations that do not belong to a
 single ring element: :func:`exact_div_low` recovers s from b = h*s working
 from the lowest-order coefficient up (the workhorse of the exact decoder;
 it keeps the taps of h as a short list of exponents, so only the shifted
-copies of s are megabit-sized, and ends on fixed-size chunks; it is the
-last stripe of :func:`_div_low`, which divides one stripe of a longer
-dividend and carries the product's high bits into the next), and
+copies of s are megabit-sized, and ends on fixed-size chunks when s is
+wider than 64 of them; it is the last stripe of :func:`_div_low`, which
+divides one stripe of a longer dividend and carries the product's high
+bits into the next), and
 :func:`split_shift` factors out the largest power of z.
 """
 
@@ -33,9 +34,16 @@ __all__ = [
 ]
 
 
-# Tap stride at which exact_div_low stops doubling.  At 13.4 Mbit (2-vCPU
-# Xeon, Python 3.11.7) 2**11..2**13 were within 8% of the best, and 2**9
-# and 2**18 1.3-1.5x slower (see CHANGES.md).
+# Tap stride at which _div_low stops doubling and runs its chunk stage,
+# on operands of more than 64 chunks (2**18 bits); narrower operands
+# double to the end.  Measured on a 2-vCPU Xeon with Python 3.11.7 (see
+# CHANGES.md), over 2**9..2**14: at 13.4 Mbit 2**12 was the best or within
+# 12% of it for taps z, z + z^2 and z + z^3, and 2**9 1.6-2.6x slower; at
+# the CLI's 2**19-bit stripes 2**11 and 2**12 were within 7% of each other
+# for two and three taps.  Doubling to the end beat the chunk stage by
+# 1.0-1.7x from 6,560 to 104,856 bits (library objects of 4-64 KiB) and
+# was 0.98-1.6x as fast at 2**19 bits, but the stripes keep the chunk
+# stage, which won by 1.5x at 13.4 Mbit with two taps.
 _CHUNK = 1 << 12
 
 
@@ -95,7 +103,7 @@ class Poly2:
     __slots__ = ("mask",)
 
     def __init__(self, mask: int = 0):
-        if not isinstance(mask, int) or isinstance(mask, bool):
+        if type(mask) is not int and (not isinstance(mask, int) or isinstance(mask, bool)):
             raise TypeError(f"coefficient mask must be an int, not {type(mask).__name__}")
         if mask < 0:
             raise ValueError("coefficient mask must be nonnegative")
@@ -235,10 +243,13 @@ def _div_low(b: int, h: int, width: int, carry: int = 0) -> tuple[int, int]:
     fast.  The taps of e are kept as a list of exponents below
     ``width``; squaring e multiplies each by 2 (z**t -> z**2t), so a
     round touches no large int beyond the shifted copies of s.  The
-    doubling stops at the chunk size C = 2**r: then s = s_r + e(z**C) * s,
-    which runs on C-bit chunks as chunk[j] ^= chunk[j - t] per tap t of
-    e, lowest first, so log2(C) rounds, not log2(width), touch the whole
-    operand.  The result is bit-identical to the naive recursion.
+    doubling runs until no tap is left below ``width`` on operands of at
+    most 64 chunks, and otherwise stops at the chunk size C = 2**r: then
+    s = s_r + e(z**C) * s, which runs on C-bit chunks as chunk[j] ^=
+    chunk[j - t] per tap t of e, lowest first, so log2(C) rounds, not
+    log2(width), touch the whole operand.  The result is bit-identical to
+    the naive recursion.  The rule depends on ``width`` alone: see
+    ``_CHUNK``.
     """
     if h == 1 and b.bit_length() <= width:
         return b, 0  # carry is 0 too: h = 1 leaves none
@@ -249,7 +260,8 @@ def _div_low(b: int, h: int, width: int, carry: int = 0) -> tuple[int, int]:
         s &= (1 << width) - 1
     taps = [t for t in _exponents(h ^ 1) if t < width]
     stride = 1
-    while taps and stride < _CHUNK:  # bits past width never reach lower ones: cut once
+    # Bits past width never reach lower ones: they are cut once, below.
+    while taps and (stride < _CHUNK or width <= 64 * _CHUNK):
         acc = s
         for t in taps:
             acc ^= s << (t * stride)

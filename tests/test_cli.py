@@ -6,6 +6,7 @@ import os
 import shlex
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 import time
@@ -375,6 +376,30 @@ def test_header_errors_name_the_packet_file(tmp_path, capsys):
                            ([short, *packs[2:]], f"error: {short}: truncated header")):
         assert run(["decode", *map(str, files), "--out", str(restored)]) == 1
         assert message in capsys.readouterr().err
+        assert not restored.exists()
+
+
+def test_decode_names_the_packet_whose_header_breaks_a_field_rule(tmp_path, capsys):
+    # _open_packet checks the fields packet_from_bytes checks: index 0 and
+    # N + 1, L = 0, and payload_bits below L, each with a payload of the
+    # stated length, fail with the field's message after the packet's path.
+    data = b"header fields" * 7
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
+    target = packet_path(out, "data.bin", 5)
+    blob = target.read_bytes()
+    index, x_len, length, bits = struct.unpack_from("<HHQQ", blob, 15)
+    assert (index, x_len) == (5, 0)
+    packs = [str(packet_path(out, "data.bin", i)) for i in (2, 5, 7)]
+    restored = tmp_path / "r.bin"
+    for fields, message in (((0, length, bits), "packet index 0 outside 1..7"),
+                            ((8, length, bits), "packet index 8 outside 1..7"),
+                            ((5, 0, bits), "source length must be positive"),
+                            ((5, length, length - 1),
+                             "payload length cannot be shorter than the source length")):
+        target.write_bytes(blob[:15] + struct.pack("<HHQQ", fields[0], 0, *fields[1:])
+                           + blob[35:35 + (fields[2] + 7) // 8])
+        assert run(["decode", *packs, "--out", str(restored)]) == 1
+        assert f"error: {target}: {message}\n" in capsys.readouterr().err
         assert not restored.exists()
 
 

@@ -449,6 +449,37 @@ def test_packet_to_bytes_rejects_wide_modulus():
             packet_to_bytes(packet)
 
 
+def test_packet_to_bytes_rejects_lengths_past_their_u64_fields():
+    # L and payload_bits are u64 header fields: overflow names the field,
+    # not struct.error.
+    spec = TOY.spec
+    for packet, field in ((Packet(1, Poly2(1), 2**64, 2**64, spec), "L"),
+                          (Packet(1, Poly2(1), 4, 2**64, spec), "payload_bits")):
+        with pytest.raises(ValueError, match=f"^{field}={2**64} exceeds {2**64 - 1}, "
+                                             "the limit of its 64-bit header field$"):
+            packet_to_bytes(packet)
+
+
+def test_packet_from_bytes_checks_the_header_fields():
+    # Parsed packets skip Packet's own checks, so packet_from_bytes makes
+    # them: index 0 and N + 1, L = 0, and payload_bits below L, each with a
+    # payload of the stated length, fail with the field's message.
+    packet = encode(build_sxor(3, 7, G1), [1, 2, 3], 20)[4]
+    blob = packet_to_bytes(packet)
+    assert packet_from_bytes(blob) == packet
+    index, x_len, length, bits = struct.unpack_from("<HHQQ", blob, 15)
+    assert (index, x_len) == (5, 0)
+    for fields, message in (((0, length, bits), "packet index 0 outside 1..7"),
+                            ((8, length, bits), "packet index 8 outside 1..7"),
+                            ((5, 0, bits), "source length must be positive"),
+                            ((5, length, length - 1),
+                             "payload length cannot be shorter than the source length")):
+        crafted = (blob[:15] + struct.pack("<HHQQ", fields[0], 0, *fields[1:])
+                   + blob[35:35 + (fields[2] + 7) // 8])
+        with pytest.raises(PacketFormatError, match=f"^{message}$"):
+            packet_from_bytes(crafted)
+
+
 def test_packet_from_bytes_does_not_rewalk_the_field():
     # Every header re-validates its modulus; at m = 16 that must not cost
     # a 65535-step walk per packet.

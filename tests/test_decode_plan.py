@@ -11,7 +11,7 @@ from functools import reduce
 from itertools import combinations
 
 from sxor import codec
-from sxor.codec import _Run, _check_packets, _combine, encode, map_decode, map_kernel
+from sxor.codec import _Run, _check_packets, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks, exact_div_low,
                           split_shift)
@@ -34,7 +34,7 @@ def one_shot_decode(mat, packets):
     payloads = [masks[p] for p in idx]
     sources = []
     for shift, feedback, col in one_shot_columns(mat, idx):
-        b = _combine(col, payloads)
+        b = sum((Poly2(e) * Poly2(x) for e, x in zip(col, payloads)), Poly2(0)).mask
         if b & ((1 << shift) - 1):
             raise InconsistentDivision("set bits below the shift")
         sources.append(exact_div_low(Poly2(b >> shift), feedback, length))

@@ -15,11 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from sxor.codec import _check_packets, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3
-from sxor.gf2poly import _CHUNK, InconsistentDivision, Poly2, exact_div_low
+from sxor.gf2poly import InconsistentDivision, Poly2, exact_div_low
 
 # Fixed examples, no deadline and no example database, so the suite stays
 # short and leaves no .hypothesis/ directory behind.
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+# The division's chunk size while the decode properties run: small
+# enough that short sources reach both the chunk stage (past 64 chunks)
+# and the doubling that runs to the end below it.
+CHUNK = 16
 
 G3 = 0xB
 MATS = [build_sxor(3, 7, G3), build_sxor(4, 7, G3), build_systematic_sxor(4, 7, G3, (1, 2, 3, 4)),
@@ -44,8 +49,10 @@ def global_kernel_decode(mat, packets):
 def decode_cases(draw):
     mat = draw(st.sampled_from(MATS))
     k, n = mat.spec.k, mat.spec.n
-    # Lengths past the division's chunk size run its chunk stage too.
-    length = draw(st.integers(1, 48) | st.integers(_CHUNK + 1, 3 * _CHUNK))
+    # Lengths of one to three chunks double past the chunk size; lengths
+    # past 64 chunks run the division's chunk stage.
+    length = draw(st.integers(1, 48) | st.integers(CHUNK + 1, 3 * CHUNK)
+                  | st.integers(64 * CHUNK + 1, 66 * CHUNK))
     sources = draw(st.lists(st.integers(0, (1 << length) - 1), min_size=k, max_size=k))
     survivors = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
     packets = [p for p in encode(mat, sources, length) if p.index in survivors]
@@ -65,11 +72,16 @@ def outcome(decode, mat, packets):
         return type(exc)
 
 
-@PROPERTY
-@given(decode_cases())
-def test_map_decode_matches_the_global_kernel_decoder(case):
-    mat, sources, packets, flipped = case
-    got = outcome(map_decode, mat, packets)
-    assert got == outcome(global_kernel_decode, mat, packets)
-    if not flipped:
-        assert got == sources
+def test_map_decode_matches_the_global_kernel_decoder(division_paths):
+    @PROPERTY
+    @given(decode_cases())
+    def check(case):
+        mat, sources, packets, flipped = case
+        got = outcome(map_decode, mat, packets)
+        assert got == outcome(global_kernel_decode, mat, packets)
+        if not flipped:
+            assert got == sources
+
+    ran = division_paths(CHUNK)
+    check()
+    assert ran["chunk stage"] and ran["doubled"], ran

@@ -7,6 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from sxor.gf2poly import _CHUNK, InconsistentDivision, Poly2, _gcd_masks, exact_div_low, split_shift
 
+# The division's chunk size while the chunked-division property runs:
+# small enough that short operands reach both the chunk stage (past 64
+# chunks) and the doubling that runs to the end below it.
+CHUNK = 16
+
 # Fixed examples, no deadline and no example database, so the suite stays
 # short and leaves no .hypothesis/ directory behind.
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -270,18 +275,19 @@ def div_low_bits(b, h, out_len):
 
 @st.composite
 def chunked_divisions(draw):
-    # Output lengths around 0 and each multiple of the chunk size up to 4C,
-    # where the division switches from doubling rounds to whole chunks.
-    out_len = max(0, draw(st.sampled_from([0, 1, 2, 3, 4]).map(lambda j: j * _CHUNK))
+    # Output lengths around 0, each multiple of the chunk size up to 4C,
+    # where the doubling reaches the chunk size, and 64C to 66C, where the
+    # division switches from doubling to the end to whole chunks.
+    out_len = max(0, draw(st.sampled_from([0, 1, 2, 3, 4, 64, 65, 66]).map(lambda j: j * CHUNK))
                   + draw(st.integers(-2, 2)))
     shape = draw(st.sampled_from(["tap 1", "higher taps", "taps >= out_len"]))
     if shape == "tap 1":
         taps = [1, *draw(st.lists(st.integers(2, 24), max_size=3))]
     elif shape == "higher taps":  # a first chunk tap of 2 or more, or none at all
-        tap = st.integers(2, 4) | st.integers(_CHUNK // 2, 2 * _CHUNK)
+        tap = st.integers(2, 4) | st.integers(CHUNK // 2, 2 * CHUNK)
         taps = draw(st.lists(tap, min_size=1, max_size=3))
     else:
-        taps = draw(st.lists(st.integers(max(out_len, 1), out_len + _CHUNK), min_size=1, max_size=2))
+        taps = draw(st.lists(st.integers(max(out_len, 1), out_len + CHUNK), min_size=1, max_size=2))
     h = 1
     for d in taps:
         h |= 1 << d
@@ -292,16 +298,33 @@ def chunked_divisions(draw):
     return b, h, out_len
 
 
-@PROPERTY
-@given(chunked_divisions())
-def test_exact_div_matches_the_per_bit_oracle(case):
-    b, h, out_len = case
-    want = div_low_bits(b, h, out_len)
-    if want is None:
-        with pytest.raises(InconsistentDivision):
-            exact_div_low(Poly2(b), Poly2(h), out_len)
-    else:
-        assert exact_div_low(Poly2(b), Poly2(h), out_len).mask == want
+def test_exact_div_matches_the_per_bit_oracle(division_paths):
+    @PROPERTY
+    @given(chunked_divisions())
+    def check(case):
+        b, h, out_len = case
+        want = div_low_bits(b, h, out_len)
+        if want is None:
+            with pytest.raises(InconsistentDivision):
+                exact_div_low(Poly2(b), Poly2(h), out_len)
+        else:
+            assert exact_div_low(Poly2(b), Poly2(h), out_len).mask == want
+
+    ran = division_paths(CHUNK)
+    check()
+    assert ran["chunk stage"] and ran["doubled"], ran
+
+
+@pytest.mark.parametrize("chunks, stage", [(64, False), (65, True)])
+def test_division_runs_the_chunk_stage_only_past_64_chunks(division_paths, chunks, stage):
+    # At the real chunk size: 64 chunks (2**18 bits) double to the end, 65
+    # run the chunk stage.  h * s is reproduced only by s itself.
+    ran = division_paths(_CHUNK)
+    rng = random.Random(chunks)
+    for h in (0b11, 0b111, 1 | 1 << 5 | 1 << 9000):
+        s = Poly2(rng.getrandbits(chunks * _CHUNK))
+        assert exact_div_low(s * Poly2(h), Poly2(h), chunks * _CHUNK) == s
+    assert ran == ({"chunk stage": 3} if stage else {"doubled": 3})
 
 
 def test_split_reconstruction_random():
