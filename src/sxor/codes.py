@@ -28,9 +28,12 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from functools import lru_cache, partial
-from itertools import chain, combinations
+from array import array
+from bisect import bisect_right
+from functools import lru_cache, partial, reduce
+from itertools import chain, combinations, compress, count, repeat
 from math import comb
+from operator import add, mul, xor
 
 from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables, is_primitive
 from .gf2poly import Poly2, _divmod_masks
@@ -73,9 +76,9 @@ MAX_KERNEL_BITS = MAX_K * 16
 # no unit column; unit columns only shrink that walk.  The walk in
 # GF(2^m) has C(N, K) - 1 minors, but a matrix it rejects falls back to
 # the one over GF(2)[z], which this bounds.  (6, 31) counts 942,648; an
-# sxor or systematic code there is checked in GF(2^5) in up to 1.8 s and
-# 27 MiB, and a matrix that falls back took up to 2.8 s and 34 MiB
-# (README).
+# sxor or systematic code there is checked in GF(2^5) in up to 0.51 s
+# and 18.6 MiB, and a matrix that falls back took up to 2.0 s and
+# 31 MiB (README).
 MAX_CHECK_SUBSETS = 1_000_000
 
 # Entries of the fixed 3 x 6 zigzag-decodable code, as coefficient masks.
@@ -132,6 +135,13 @@ class CodeSpec:
             raise ValueError("zd3 is fixed at K=3, N=6 with no field")
         if self.kind == "user" and self.m < 0:
             raise ValueError("m must be nonnegative")
+        # Every packet header hashes its spec (codec._header_prefix's cache
+        # key), so the fields' hash is taken once; it is the hash the
+        # dataclass would compute.
+        object.__setattr__(self, "_hash", hash((self.kind, self.k, self.n, self.m, self.g, self.x)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def fields(self) -> dict:
         """The spec as named fields in header order: kind K N m g x.
@@ -231,7 +241,48 @@ def _field_pivots(rows: list[list[int]], exp: list[int], log: list[int]) -> dict
     return units
 
 
-def _zero_minors(rows: list[list[int]], units: dict[int, int], n: int, minors, one: int,
+def _lane_tables(m: int, s: int, idx: list, col: list, lazy: bool = False) -> tuple[list, list]:
+    """The index tables of level s of :func:`_zero_minors`, built from
+    those of level s - 1 (``idx`` and ``col``, empty at level 0).
+
+    A level's lanes are the s-subsets of m columns in colex order.  For
+    each position p < s, ``idx[p]`` holds per lane the lane of level
+    s - 1 that the subset less its p-th column is, and ``col[p]`` that
+    column.  The subsets whose largest column is c are one block, those
+    of level s - 1 below c with c added: C(c, s - 1) lanes.  So per
+    block a table is the first C(c, s - 1) entries of the one below,
+    offset by C(c, s - 1) in ``idx``; at the last position it is those
+    lanes in order and c.  A table is bytes when its entries fit one,
+    else a 32-bit array; ``lazy`` gives one-shot iterators instead,
+    which store nothing.
+    """
+    blocks = [comb(c, s - 1) for c in range(s - 1, m)]
+    cuts = [slice(size) for size in blocks]
+    lanes = comb(m, s - 1)
+
+    def pack(parts, bound):
+        parts = chain.from_iterable(parts)
+        return parts if lazy else bytes(parts) if bound <= 256 else array("I", parts)
+
+    return ([pack(map(map, [size.__add__ for size in blocks], map(t.__getitem__, cuts)), lanes)
+             for t in idx] + [pack(map(range, blocks), lanes)],
+            [pack(map(t.__getitem__, cuts), m) for t in col]
+            + [pack(map(repeat, range(s - 1, m), blocks), m)])
+
+
+def _colex(lane: int, s: int, ranks: list[list[int]]) -> list[int]:
+    # The columns of lane ``lane`` of an s-subset level, largest first, in
+    # the combinatorial number system: a lane is the sum of C(c, t) over
+    # its t-th smallest column c, and ranks[t][c] = C(c, t).
+    cols, c = [], len(ranks[0])
+    for t in range(s, 0, -1):
+        c = bisect_right(ranks[t], lane, 0, c) - 1
+        lane -= ranks[t][c]
+        cols.append(c)
+    return cols
+
+
+def _zero_minors(rows: list[list[int]], units: dict[int, int], n: int, combine, one,
                  zero: int) -> Iterator[list[int]]:
     """The level walk of :meth:`GenMatrix.check_suboptimal`: yields, as a
     sorted list of 0-based columns, each K-subset whose minor on the rows
@@ -239,102 +290,101 @@ def _zero_minors(rows: list[list[int]], units: dict[int, int], n: int, minors, o
 
     ``rows`` and ``units`` are as :func:`_unit_columns` or
     :func:`_field_pivots` leaves them, with the entries in the form the
-    product kernel ``minors`` reads (:func:`_exact_minors` or
-    :func:`_field_minors`), and ``one`` is the empty minor's value in
-    that form.
+    kernel ``combine`` reads (:func:`_exact_minors`, :func:`_field_minors`
+    or :func:`_byte_minors`), and ``one`` is level 0: the empty minor's
+    value alone in the kernel's lane type, list or bytes.
     """
     k = len(rows)
     held = sorted(units)
     free = [r for r in range(k) if r not in units]
     others = [c for c in range(n) if c not in units.values()]
-    # A minor's key is its column bit set plus, shifted past the N column
-    # bits, the set of held rows it spans; it spans every free row.  A
-    # minor comes from those one row and one column smaller by expansion
-    # along its first row (signs vanish over GF(2)).  With no unit column
-    # the keys are the column bit sets.  The minors of K-subsets are those
-    # on every free row (level len(free)) and those on every free row and
-    # t held rows, for each t (level len(free) + t); a level below them
-    # holds the minors on the last j free rows.  Each level is a list of
-    # kernel calls, and a minor on held rows expands along the first, h,
-    # so the rest lie after h.  A level whose size exceeds the other
-    # columns is empty, as is every level above it.
-    levels = [[(r, 0, (0,), j)] for j, r in enumerate(reversed(free), start=1)]
-    levels += [[(h, 1 << (n + h), (sum(1 << (n + g) for g in rest)
-                                   for rest in combinations(held[i + 1:], t - 1)),
-                 len(free) + t) for i, h in enumerate(held)]
-               for t in range(1, min(len(held), len(others) - len(free)) + 1)]
-    # No level reads the last level's minors or those on the first held
-    # row, so they are checked as they are computed, never stored.
-    unread = 1 << (n + held[0]) if held else None
-
-    def subset(key):
-        # The K-subset's columns: its other columns, and the unit columns
-        # of the held rows its minor leaves.
-        return sorted([c for c in others if key >> c & 1]
-                      + [units[h] for h in held if not key >> (n + h) & 1])
-
-    level = {0: one}
-    for j, calls in enumerate(levels, start=1):
+    rows = [[row[c] for c in others] for row in rows]
+    f, m = len(free), len(others)
+    # Level s holds the minors on s rows, one vector per row set with a
+    # lane per s-subset of the other columns (_lane_tables).  A minor
+    # comes from those one row and one column smaller by expansion along
+    # its first row (signs vanish over GF(2)): per position p of the
+    # subset, the kernel gathers the minors of the row set less that row
+    # through idx[p] and the row's entries through col[p].  Levels up to
+    # len(free) hold the last s free rows; each level above adds one held
+    # row, first, so its vectors are keyed by the bit set (over held) of
+    # the held rows they span.  The minors of K-subsets are those on every
+    # free row.  No level reads the top level or the minors on the first
+    # held row, so those are checked as computed, never stored, and the
+    # top level's tables and vectors stay lazy.
+    top = f + min(len(held), m - f)
+    level, idx, col = {0: one}, [], []
+    for s in range(1, top + 1):
+        last = s == top
+        if not last:
+            idx, col = _lane_tables(m, s, idx, col)
+        sets = [(free[-s], 0, 0)] if s <= f else [
+            (held[i], 1 << i, sum(rest)) for i in range(len(held))
+            for rest in combinations([1 << j for j in range(i + 1, len(held))], s - f - 1)]
         kept = {}
-        for r, rbit, hkeys, size in calls:
-            dets = minors(level, rows[r], others, rbit, hkeys, size)
-            if j < len(levels) and rbit != unread:
-                kept.update(dets)
-            else:
-                yield from (subset(key) for key, det in dets if det == zero)
-        if j >= len(free):
-            yield from (subset(key) for key, det in kept.items() if det == zero)
+        for r, bit, rest in sets:
+            vec = combine(rows[r], level[rest], *(_lane_tables(m, s, idx, col, True) if last
+                                                  else (idx, col)))
+            if not last:
+                vec = type(one)(vec)
+                if bit != 1:
+                    kept[bit | rest] = vec
+            if s >= f and (last or zero in vec):
+                ranks = None
+                for lane in compress(count(), map(zero.__eq__, vec)):
+                    ranks = ranks or [[comb(c, t) for c in range(m)] for t in range(s + 1)]
+                    yield sorted([others[c] for c in _colex(lane, s, ranks)] + [
+                        units[h] for j, h in enumerate(held) if not (bit | rest) >> j & 1])
         level = kept
 
 
-def _exact_minors(level, row, others, rbit, hkeys, size):
-    # The walk's product kernel over GF(2)[z]: (key, det) of the minors on
-    # row r (entries ``row``, bit ``rbit``), the held rows of each key in
-    # hkeys and every free row, for each size-subset of the other columns,
-    # each product formed inline as one shift per exponent of the entry.
-    terms = [(1 << c, [t for t in range(row[c].bit_length()) if row[c] >> t & 1])
-             for c in others]
-    for hkey in hkeys:
-        for subset in combinations(terms, size):
-            key = hkey
-            for bit, _ in subset:
-                key |= bit
-            acc = 0
-            for bit, exps in subset:
-                sub = level[key ^ bit]
-                for t in exps:
-                    acc ^= sub << t
-            yield key | rbit, acc
+def _exact_minors(parity, row, parent, idx, col):
+    # The walk's kernel over GF(2)[z]: one row set's minors, lazily, with
+    # entries and minors spread (check_suboptimal), so each product is
+    # one int multiplication and the parity mask ends the sum mod 2.
+    return map(parity.__and__, reduce(partial(map, add), (
+        map(mul, map(row.__getitem__, cp), map(parent.__getitem__, ip))
+        for ip, cp in zip(idx, col))))
 
 
-def _field_minors(exp, log, level, row, others, rbit, hkeys, size):
-    # The kernel of _exact_minors over GF(2**m), with entries and minors
-    # held as discrete logs (:func:`_walk_tables`): each product is one
-    # addition and one lookup.
-    terms = [(1 << c, row[c]) for c in others]
-    for hkey in hkeys:
-        for subset in combinations(terms, size):
-            key = hkey
-            for bit, _ in subset:
-                key |= bit
-            acc = 0
-            for bit, lg in subset:
-                acc ^= exp[level[key ^ bit] + lg]
-            yield key | rbit, log[acc]
+def _field_minors(exp, log, row, parent, idx, col):
+    # The kernel over GF(2**m) in list lanes, entries and minors held as
+    # discrete logs (_walk_tables): each product is an addition and a
+    # lookup.
+    return map(log.__getitem__, reduce(partial(map, xor), (
+        map(exp.__getitem__, map(add, map(row.__getitem__, cp), map(parent.__getitem__, ip)))
+        for ip, cp in zip(idx, col))))
+
+
+def _byte_minors(exp, log, row, parent, idx, col):
+    # _field_minors in byte lanes, m <= 6: a vector is bytes, one log per
+    # lane.  Gathers are translates when the table is bytes; two logs sum
+    # to at most 4 * (2**m - 1) < 256, so one big-int addition adds every
+    # lane at once, and translates through exp and log close each step.
+    page = parent.ljust(256, b"\0") if len(parent) <= 256 else list(parent)  # lists index faster
+    ents = bytes(row).ljust(256, b"\0")
+    acc = 0
+    for ip, cp in zip(idx, col):
+        src = ip.translate(page) if type(ip) is bytes else bytes(map(page.__getitem__, ip))
+        ent = cp.translate(ents) if type(cp) is bytes else bytes(map(row.__getitem__, cp))
+        acc ^= int.from_bytes((int.from_bytes(src, "little") + int.from_bytes(ent, "little"))
+                              .to_bytes(len(src), "little").translate(exp), "little")
+    return acc.to_bytes(len(src), "little").translate(log)
 
 
 @lru_cache(maxsize=4)
-def _walk_tables(g: int, m: int) -> tuple[list[int], list[int]]:
-    # (exp, log) lists for _field_minors in the field of the primitive
-    # modulus g of degree m, built on the first check there.  log[v] is
-    # log_z(v), and log[0] is the zero log 2 * (2**m - 1); exp[i] is
-    # z**i for every sum of two logs, and 0 for every sum holding the
-    # zero log.  Lists index faster than arrays (sxor 8/15 checked in
-    # 13.2 ms against 15.3) but hold an int object per item: 6.5 MiB at
-    # m = 16, built in about 11 ms, hence the small cache.
+def _walk_tables(g: int, m: int) -> tuple[Sequence[int], Sequence[int]]:
+    # (exp, log) for the field walk in the field of the primitive modulus
+    # g of degree m, built on the first check there.  log[v] is log_z(v),
+    # and log[0] is the zero log 2 * (2**m - 1); exp[i] is z**i for every
+    # sum of two logs, and 0 for every sum holding the zero log.  Up to
+    # m = 6 they are 256 bytes each, the translate tables of
+    # _byte_minors; above, lists (6.5 MiB at m = 16, built in about
+    # 11 ms), hence the small cache.
     exp, _, log = _zech_tables(g, m)
     zero = 2 * len(exp)
-    return list(exp) * 2 + [0] * (zero + 1), [zero, *log[1:]]
+    exp, log = list(exp) * 2 + [0] * (zero + 1), [zero, *log[1:]]
+    return (bytes(exp).ljust(256, b"\0"), bytes(log).ljust(256, b"\0")) if m <= 6 else (exp, log)
 
 
 class GenMatrix:
@@ -423,23 +473,30 @@ class GenMatrix:
         of the minor, so the minor is zero, as the determinant is.  Only
         those minors are computed, level by level by first-row
         expansion, taking the held rows first (:func:`_zero_minors`).
-        When unit columns hold every row the walk has C(N, K) - 1 minors,
-        each a product per column that is not a unit column; with no
-        unit column it covers every j-subset of columns, j = 1..K, with a
-        product per column.
+        Each level is one vector per row set, a lane per column subset,
+        and each expansion position adds one pass of C-level operations
+        over it, not a Python step per minor.  When unit columns hold
+        every row the walk has C(N, K) - 1 minors, each a product per
+        column that is not a unit column; with no unit column it covers
+        every j-subset of columns, j = 1..K, with a product per column.
 
         When the spec's g is primitive of degree m <= 16, as for every
         sxor and systematic code, the walk runs first over GF(2**m), on
-        the entries reduced mod g, with each product one addition of
-        discrete logs and one table lookup (:func:`_field_minors`).
-        There Gauss-Jordan elimination (:func:`_field_pivots`) gives every
-        row a unit column, so the walk has C(N, K) - 1 minors.  Reduction mod g is a ring homomorphism, so a
-        K-subset's determinant nonzero there is nonzero in GF(2)[z]: if
-        no minor is zero the code is MDS.  A constructed code is
-        Vandermonde, or V_x**-1 * V, over GF(2**m) and always passes
-        there.  At the first zero, when the field rank is below K, or
-        with no field, the walk runs over GF(2)[z] on the unit columns
-        that row additions make (:func:`_unit_columns`,
+        the entries reduced mod g and held as discrete logs.  There
+        Gauss-Jordan elimination (:func:`_field_pivots`) gives every row
+        a unit column, [I | P] up to column order, so the walk has
+        C(N, K) - 1 minors: those of P.  When K > N - K it walks those of
+        P's transpose instead, the dual code [P^T | I], which is MDS
+        exactly when this one is: fewer row sets, longer lanes.  For
+        m <= 6 lanes are bytes and a product pass is a few translates and
+        one big-int addition (:func:`_byte_minors`); above, lists
+        (:func:`_field_minors`).  Reduction mod g is a ring
+        homomorphism, so a K-subset's determinant nonzero there is
+        nonzero in GF(2)[z]: if no minor is zero the code is MDS.  A
+        constructed code is Vandermonde, or V_x**-1 * V, over GF(2**m)
+        and always passes there.  At the first zero, when the field rank
+        is below K, or with no field, the walk runs over GF(2)[z] on the
+        unit columns that row additions make (:func:`_unit_columns`,
         :func:`_exact_minors`) and gives the answer, so a matrix that is
         MDS only in GF(2)[z] costs at most both walks.
         """
@@ -457,14 +514,28 @@ class GenMatrix:
             exp, log = _walk_tables(g, m)
             logs = [[log[_divmod_masks(e, g)[1]] for e in row] for row in self._masks]
             units = _field_pivots(logs, exp, log)
+            if units is not None and 2 * k > n:  # walk the dual code [P^T | I] instead
+                logs = [[row[c] for row in logs] for c in range(n) if c not in units.values()]
+                units = {r: k + r for r in range(n - k)}
+            kernel, one = (_byte_minors, b"\0") if type(exp) is bytes else (_field_minors, [0])
             # The field walk stops at its first zero minor and is dropped,
             # with its levels, before the GF(2)[z] walk starts.
             if units is not None and next(_zero_minors(
-                    logs, units, n, partial(_field_minors, exp, log), 0, log[0]), None) is None:
+                    logs, units, n, partial(kernel, exp, log), one, log[0]), None) is None:
                 return True, []
         rows = [list(row) for row in self._masks]
         units = _unit_columns(rows)
-        failing = sorted(_zero_minors(rows, units, n, _exact_minors, 1, 0))
+        # Spread entries: coefficient t of a polynomial fills hex digits
+        # d*t to d*t + d - 1.  A minor has degree below K * w, w the widest
+        # entry's bits, and each coefficient sums at most K * w terms
+        # before the kernel's parity mask, fewer than d digits hold, so
+        # int multiplication and addition never carry between them.
+        slots = k * max(map(max, rows)).bit_length() + 1
+        d = slots.bit_length() // 4 + 1
+        spread = {ord("0"): "0" * d, ord("1"): "0" * (d - 1) + "1"}
+        rows = [[int(format(e, "b").translate(spread), 16) for e in row] for row in rows]
+        parity = int(spread[ord("1")] * slots, 16)  # the low bit of each coefficient
+        failing = sorted(_zero_minors(rows, units, n, partial(_exact_minors, parity), [1], 0))
         return (not failing, [tuple(c + 1 for c in sub) for sub in failing])
 
     def __eq__(self, other: object) -> bool:

@@ -1,5 +1,6 @@
 """Tests for the code constructions, metrics and matrix serialization."""
 
+import dataclasses
 import io
 import re
 from itertools import combinations, permutations
@@ -179,6 +180,21 @@ def test_code_spec_validation():
     CodeSpec("user", MAX_K, MAX_K)
     with pytest.raises(ValueError, match=f"K={MAX_K + 1} exceeds the limit of {MAX_K}"):
         CodeSpec("sxor", MAX_K + 1, 65535, 16, Poly2(0x1100B))  # refused before the field is built
+
+
+def test_code_spec_hash_is_kept_and_follows_the_fields():
+    g = Poly2(G1)
+    spec = CodeSpec("systematic", 3, 7, 3, g, (1, 3, 4))
+    twin = CodeSpec("systematic", 3, 7, 3, Poly2(G1), (1, 3, 4))
+    assert spec == twin and hash(spec) == hash(twin) == hash(("systematic", 3, 7, 3, g, (1, 3, 4)))
+    assert repr(spec) == repr(twin) == (f"CodeSpec(kind='systematic', k=3, n=7, m=3, g={g!r}, "
+                                        "x=(1, 3, 4))")
+    assert [f.name for f in dataclasses.fields(spec)] == ["kind", "k", "n", "m", "g", "x"]
+    moved = dataclasses.replace(spec, x=(2, 3, 4))
+    assert moved != spec and hash(moved) == hash(("systematic", 3, 7, 3, g, (2, 3, 4)))
+    table = {spec: "a", moved: "b"}
+    assert table[twin] == "a" and table[dataclasses.replace(twin, x=(2, 3, 4))] == "b"
+    assert dataclasses.replace(moved, x=(1, 3, 4)) in table and table[spec] == "a"
 
 
 def test_gen_matrix_shape_and_reduction():

@@ -5,9 +5,11 @@ The oracles read the entries one Poly2 at a time, so they share no code
 with the mask-grid readers they check.
 """
 
-from functools import cache, reduce
+import random
+from functools import cache, partial, reduce
 from itertools import combinations
 from math import comb
+from operator import xor
 
 import pytest
 
@@ -152,6 +154,11 @@ def check_by_minors(grid, g=None):
 
 @PROPERTY
 @given(check_grids())
+@example([[15, 15, 13, 15, 14, 15, 15],
+          [13, 7, 14, 7, 15, 11, 11],
+          [7, 15, 14, 13, 11, 11, 14],
+          [7, 7, 15, 13, 15, 13, 14],
+          [11, 15, 15, 13, 13, 15, 14]])  # a spread coefficient sums past 15 terms
 def test_check_suboptimal_matches_minor_expansion(grid):
     assert user_matrix(grid).check_suboptimal() == check_by_minors(grid)
 
@@ -278,16 +285,81 @@ def test_field_walk_has_one_minor_per_k_subset(kind, k, minors, monkeypatch):
     # computes the minor of every K-subset but the unit columns' own:
     # C(15, K) - 1 of them, for sxor as for systematic codes.
     walked = [0]
-    field_minors = codes._field_minors
+    byte_minors = codes._byte_minors  # GF(16) has byte lanes: one byte per minor
 
     def counting(*args):
-        for item in field_minors(*args):
-            walked[0] += 1
-            yield item
+        vec = byte_minors(*args)
+        walked[0] += len(vec)
+        return vec
 
-    monkeypatch.setattr(codes, "_field_minors", counting)
+    monkeypatch.setattr(codes, "_byte_minors", counting)
     g = default_modulus(4)
     mat = (build_sxor(k, 15, g) if kind == "sxor"
            else build_systematic_sxor(k, 15, g, range(1, k + 1)))
     assert mat.check_suboptimal() == (True, [])
     assert walked[0] == minors == comb(15, k) - 1
+
+
+# GF(8), GF(16) and GF(32) walk in byte lanes, GF(128) in list lanes.
+WALK_FIELDS = ((3, 0xB), (4, 0x13), (5, 0x25), (7, 0x83))
+
+
+def planted_grid(m, g, k, n, level, rows, cols, p, order):
+    # [I | P] with the columns reordered, after making the minor of P on
+    # t rows and t columns zero: its last column is the sum of the others
+    # there (for t = 1, a zero entry).  t is 1, min(K, N - K), the top
+    # level, or a level in between.
+    size = min(k, n - k)
+    t = {"first": 1, "middle": (size + 1) // 2, "top": size}[level]
+    for r in rows[:t]:
+        p[r][cols[t - 1]] = reduce(xor, (p[r][c] for c in cols[:t - 1]), 0)
+    grid = [[int(i == r) for i in range(k)] + p[r] for r in range(k)]
+    return m, g, [[row[c] for c in order] for row in grid]
+
+
+@st.composite
+def planted_grids(draw):
+    m, g = draw(st.sampled_from(WALK_FIELDS))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, k + 6))
+    p = [[draw(st.integers(1, (1 << m) - 1)) for _ in range(n - k)] for _ in range(k)]
+    return planted_grid(m, g, k, n, draw(st.sampled_from(["first", "middle", "top"])),
+                        draw(st.permutations(range(k))), draw(st.permutations(range(n - k))),
+                        p, draw(st.permutations(range(n))))
+
+
+def wide_grid(m, g, level, seed):
+    # K = 5, N = 17: level 5 reads parent vectors of C(12, 4) = 495
+    # lanes, past the 256 a translate gathers from.
+    rng = random.Random(seed)
+    p = [[rng.randrange(1, 1 << m) for _ in range(12)] for _ in range(5)]
+    return planted_grid(m, g, 5, 17, level, rng.sample(range(5), 5), rng.sample(range(12), 12),
+                        p, rng.sample(range(17), 17))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(planted_grids())
+@example(wide_grid(5, 0x25, "top", 1))
+@example(wide_grid(7, 0x83, "middle", 2))
+@example(wide_grid(5, 0x25, "first", 3))
+def test_level_walk_matches_minor_expansion(case):
+    # The field walk run to the end yields exactly the K-subsets whose
+    # determinant is zero mod g; and check_suboptimal, with that field,
+    # with the non-primitive g = z^4 + z^3 + z^2 + z + 1 and with none,
+    # gives the answer of GF(2)[z], also after row additions that leave
+    # rows with no unit column.
+    m, g, grid = case
+    k, n = len(grid), len(grid[0])
+    exp, log = codes._walk_tables(g, m)
+    logs = [[log[divmod(Poly2(e), Poly2(g))[1].mask] for e in row] for row in grid]
+    units = codes._field_pivots(logs, exp, log)
+    kernel, one = (codes._byte_minors, b"\0") if m <= 6 else (codes._field_minors, [0])
+    walked = codes._zero_minors(logs, units, n, partial(kernel, exp, log), one, log[0])
+    assert sorted(tuple(c + 1 for c in sub) for sub in walked) == check_by_minors(grid, Poly2(g))[1]
+    expected = check_by_minors(grid)
+    for mat in (user_matrix(grid, m, g), user_matrix(grid, 4, 0x1F), user_matrix(grid)):
+        assert mat.check_suboptimal() == expected
+    mixed = [list(row) for row in grid]
+    for r in range(1, k):
+        mixed[r] = [a ^ b for a, b in zip(mixed[r], mixed[r - 1])]
+    assert user_matrix(mixed).check_suboptimal() == check_by_minors(mixed)
