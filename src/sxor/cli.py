@@ -13,9 +13,11 @@ and rejects it unless its code matches the packet headers.  Decode
 always uses the exact (MAP) decoder, so it refuses exactly the survivor
 sets that check lists as failing.
 
-Encode and decode stream their files through the codec's stripe core,
-2**19 bits of each source at a time, so their memory does not grow with
-the file; the packets are the bytes ``write_packet`` writes.  A stream
+Encode and decode stream their files through the codec's file driver
+(``codec._encode_file`` and ``codec._decode_files``), 2**19 bits of each
+source at a time, so their memory does not grow with the file; the
+packets are the bytes ``write_packet`` writes.  This module keeps the
+arguments, the sidecar and the replacing of files.  A stream
 that passes through unchanged is copied as the bytes read: encode
 writes each packet whose column is 1 for one source from that source's
 bytes, and decode writes each source whose packet survived from its
@@ -31,9 +33,11 @@ renames them into place only once it has written the last stripe (for
 decode, once every division has checked out), so a failed run leaves
 the packets, sidecar or --out as they were.  A path replaced must be a
 regular file, and the new file takes its permission bits, else 0666
-less the umask.  Encode and decode import neither ``sxor.analysis`` nor
-``json``: the first loads only for analyze --compare and classify, the
-second only for the commands with --format.
+less the umask.  An encode that would keep more files open than the
+open-file limit allows names the files it needs and, where the platform
+has one, the soft limit.  Encode and decode import neither
+``sxor.analysis`` nor ``json``: the first loads only for analyze
+--compare and classify, the second only for the commands with --format.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
@@ -47,6 +51,7 @@ table entry for the smallest degree that fits N.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import stat
@@ -56,8 +61,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
-from .codec import (PacketFormatError, _Run, _check_headers, _encoder, _header_bytes, _open_packet,
-                    map_kernel)
+from .codec import _decode_files, _encode_file, _open_packet
 # The library's whole-packet I/O; the CLI streams instead, but
 # perfbench/tracing.py still wraps these names here.
 from .codec import read_packet, write_packet  # noqa: F401
@@ -69,12 +73,6 @@ from .gf2poly import Poly2
 __all__ = ["main"]
 
 _PACKET_SUFFIX = re.compile(r"\.p(\d+)\.sxp$")
-
-# Bits per stripe of each stream that encode and decode run through the
-# codec's stripe core (64 KiB).  On CLI decodes of 16 MiB files,
-# 2**18..2**20 were within noise of each other and 2**21 up to 1.2x
-# slower; peak RSS rose with the width (CHANGES.md).
-_STRIPE = 1 << 19
 
 
 class _UsageError(Exception):
@@ -149,100 +147,23 @@ def cmd_encode(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = [out_dir / f"{stem}.p{j}.sxp" for j in range(1, mat.spec.n + 1)]
         paths.append(out_dir / f"{stem}.sxmeta")
-        with _replacing(paths, list(map(str, paths))) as files:
-            _encode_file(mat, fh, size, files[:-1])
-            meta = format_fields({"len": size, **mat.spec.fields()})
-            files[-1].write(meta.encode("ascii") + b"\n")
+        try:
+            with _replacing(paths, list(map(str, paths))) as files:
+                _encode_file(mat, fh, size, files[:-1])
+                meta = format_fields({"len": size, **mat.spec.fields()})
+                files[-1].write(meta.encode("ascii") + b"\n")
+        except OSError as exc:
+            if exc.errno != errno.EMFILE:
+                raise
+            limit = ""
+            with suppress(ImportError):  # no resource module off Unix
+                import resource
+
+                limit = f" (soft RLIMIT_NOFILE {resource.getrlimit(resource.RLIMIT_NOFILE)[0]})"
+            raise OSError(f"encode keeps {len(paths)} files open at once, {mat.spec.n} packets and "
+                          f"the sidecar, more than the open-file limit{limit} allows") from None
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
     return 0
-
-
-def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[BinaryIO]) -> None:
-    """Encode the first ``size`` bytes of ``src`` into one packet per binary file in ``dests``.
-
-    The bytes split into K sources of ceil(size / K) bytes, the last
-    zero-padded.  A packet whose column is 1 for one source is that
-    source's bytes as read; a source that no other column holds is never
-    made an int.  ``src`` must still hold ``size`` bytes: a shorter read
-    raises ``ValueError``.
-    """
-    k = mat.spec.k
-    chunk = -(-size // k)
-    length = 8 * chunk
-    over = mat.column_overheads()
-    net = _encoder(mat)
-    run = _Run(net, length, [j for j, x in enumerate(net.outs) if x >= k])
-    stripe = _STRIPE // 8
-    stripes = (chunk - 1) // stripe
-    for j, (fh, w) in enumerate(zip(dests, over), 1):
-        fh.write(_header_bytes(mat.spec, j, length, length + w))
-    for t in range(stripes + 1):
-        final = t == stripes
-        width = chunk - t * stripe if final else stripe
-        pieces = []
-        for i in range(k):
-            at = i * chunk + t * stripe
-            src.seek(at)
-            data = _read(src, min(width, max(size - at, 0)), f"input file {src.name}", ValueError)
-            pieces.append(data.ljust(width, b"\0"))
-        run.push([int.from_bytes(data, "little") if i in net.read else None
-                  for i, data in enumerate(pieces)], 8 * width, final)
-        for j, (fh, x, w) in enumerate(zip(dests, net.outs, over)):
-            fh.write(pieces[x] if x < k else
-                     run.take(j).to_bytes(width + (w + 7) // 8 if final else width, "little"))
-
-
-def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> None:
-    """Decode the (file, header) pairs of ``codec._open_packet`` into ``dest``'s first ``size`` bytes.
-
-    The same checks, kernel and stripe core as ``codec.map_decode``;
-    source c fills bytes c * L/8 up to (c + 1) * L/8 of the output, as far
-    as ``size`` reaches, and L must be whole bytes.  A source whose
-    packet survived verbatim is copied as read, and a payload that no
-    step reads is never made an int.  Each payload is read
-    to exactly the length its header states, and a file that has since
-    become shorter raises :class:`~sxor.codec.PacketFormatError` naming
-    the packet.  Bytes are written as stripes complete, and a decode
-    error is raised only after the last one.
-    """
-    length, idx = _check_headers(mat, [head for _, head in packets])
-    k = mat.spec.k
-    net = map_kernel(mat, idx).network
-    run = _Run(net, length, [c for c, x in enumerate(net.outs) if x >= k])
-    files = sorted(packets, key=lambda packet: packet[1].index)  # in survivor order
-    chunk, stripe = length // 8, _STRIPE // 8
-    stripes = (chunk - 1) // stripe
-    done = [0] * k  # bytes of each source taken so far
-    for t in range(stripes + 1):
-        final = t == stripes
-        pieces = [_read(fh, (head.bit_len + 7) // 8 - t * stripe if final else stripe,
-                        f"packet {head.index} ({fh.name})", PacketFormatError)
-                  for fh, head in files]
-        run.push([int.from_bytes(data, "little") if r in net.read else None
-                  for r, data in enumerate(pieces)], _STRIPE, final)
-        for c, x in enumerate(net.outs):
-            if x < k:
-                data = pieces[x]
-            else:
-                nbytes = chunk - done[c] if final else run.bits[c] // 8
-                if not nbytes:
-                    continue
-                data = run.take(c, None if final else 8 * nbytes).to_bytes(nbytes, "little")
-            at = c * chunk + done[c]
-            done[c] += len(data)
-            if at < size:
-                dest.seek(at)
-                dest.write(data[:size - at])
-
-
-def _read(fh: BinaryIO, size: int, what: str, error: type[ValueError]) -> bytes:
-    # The next ``size`` bytes of fh.  A file shorter than it was when opened
-    # and checked raises ``error``, naming ``what``.
-    data = fh.read(size)
-    if len(data) != size:
-        raise error(f"{what} ended early: read {len(data)} of {size} bytes at offset "
-                    f"{fh.tell() - len(data)}")
-    return data
 
 
 @contextmanager

@@ -31,8 +31,11 @@ streams, each map carrying across stripes only its product's carry and
 its division's carry.  No stream drops a step's shift: it keeps those
 zero bits as a delay, a map over streams of unequal delays raises its
 column entries to line them up, and only the outputs drop theirs.  The
-library runs one stripe of the whole stream; ``sxor encode`` and
-``sxor decode`` stream their files in 2**19-bit stripes, so their memory
+library runs one stripe of the whole stream.  The file driver here,
+``_stream`` under ``_encode_file`` and ``_decode_files``, runs the files
+of ``sxor encode`` and ``sxor decode`` in 2**19-bit stripes.  Between
+stripes the run holds only its carries, and the driver, per output, the
+fewer than 8 bits past its last whole byte written, so their memory
 does not grow with the file.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
@@ -64,7 +67,7 @@ from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import or_
-from typing import BinaryIO, NamedTuple, Sequence, Union
+from typing import BinaryIO, Callable, NamedTuple, Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
 from .gf2m import PolyLike, _as_poly
@@ -271,49 +274,32 @@ class _Run:
     """One pass of streams through a :class:`_Network`, fed stripe by stripe.
 
     Per map, its product's carry and, for a decode step, its division's
-    carry; per output, the bits not taken yet, lowest first.  Every
-    stripe but the last is divided by :func:`~sxor.gf2poly._div_low`; the
-    last holds every bit from the stripe's start up and is one
-    :func:`~sxor.gf2poly.exact_div_low`.  A failed step's message is kept
-    and the run goes on, so that it reports its first failed step, as a
-    one-stripe run does.  ``outs`` names the outputs the run keeps for
-    :meth:`take`, all of them by default; a caller that keeps the inputs
-    it feeds leaves out the outputs that are inputs.  A run fed its whole
-    streams as one final stripe, as the library's are, reads no carry and
-    keeps no count of untaken bits: ``value`` then holds every output
-    whole, less its delay.
+    carry: a run keeps nothing else between stripes, and hands each
+    stripe's outputs back.  Every stripe but the last is divided by
+    :func:`~sxor.gf2poly._div_low`; the last holds every bit from the
+    stripe's start up and is one :func:`~sxor.gf2poly.exact_div_low`.  A
+    failed step's message is kept and the run goes on, so that it
+    reports its first failed step, as a one-stripe run does.
     """
 
-    def __init__(self, net: _Network, length: int = 0, outs: Sequence[int] | None = None):
+    def __init__(self, net: _Network, length: int = 0):
         self.net = net
         self.length = length
-        self.outs = range(len(net.outs)) if outs is None else outs
         self.done = 0  # bits of each stream fed so far
         self.carry = [0] * len(net.maps)
         self.rest = [0] * len(net.maps)
-        self.value = [0] * len(net.outs)
-        self.bits = [0] * len(net.outs)
         self.failed = {}  # message per failed map
 
-    def take(self, out: int, bits: int | None = None) -> int:
-        # The lowest ``bits`` untaken bits of output ``out``, or all of them.
-        value = self.value[out]
-        if bits is None or bits == self.bits[out]:
-            self.value[out] = self.bits[out] = 0
-            return value
-        self.value[out] >>= bits
-        self.bits[out] -= bits
-        return value & ((1 << bits) - 1)
-
-    def push(self, chunks: Sequence[int], bits: int, final: bool = False) -> None:
+    def push(self, chunks: Sequence[int], bits: int, final: bool = False) -> list[int]:
         """Feed the next ``bits`` bits of each input stream, or with ``final`` all the rest.
 
-        The stripes before the final one must hold only bits below
-        z**length of the sources.  An input that no map reads and no kept
-        output is may be fed as None.  After the final stripe, which
-        leaves each output to be taken whole, raises
-        :class:`InconsistentDivision` for the first decode step that
-        failed.
+        Returns each output's bits of the stripe, lowest first, less the
+        part of its delay that falls in the stripe.  The stripes before
+        the final one must hold only bits below z**length of the sources.
+        An input that no map reads may be fed as None, and is then
+        returned as None for the outputs that are that input.  The final
+        stripe raises :class:`InconsistentDivision` for the first decode
+        step that failed.
         """
         net, carry, done = self.net, self.carry, self.done
         streams = list(chunks)
@@ -328,20 +314,13 @@ class _Run:
             if step:
                 acc = self._solve(m, step, net.delays[k + m] - done, acc, bits, final)
             streams.append(acc)
-        if final and not done:  # one stripe: each output is whole, less its delay
-            self.value = [streams[x] >> net.delays[x] if net.delays[x] else streams[x] for x in net.outs]
-        else:
-            for out in self.outs:
-                x = net.outs[out]
-                drop = max(net.delays[x] - done, 0)  # the output's delay bits left to drop
-                drop = drop if final else min(drop, bits)
-                value = streams[x] >> drop if drop else streams[x]
-                self.value[out] = self.value[out] | value << self.bits[out] if self.bits[out] else value
-                if not final:
-                    self.bits[out] += bits - drop
         self.done += bits
         if final and self.failed:
             raise InconsistentDivision(self.failed[min(self.failed)])
+        # Before the final stripe every stream holds at most ``bits`` bits,
+        # so a delay past the stripe's end leaves 0.
+        delays = net.delays
+        return [streams[x] >> delays[x] - done if delays[x] > done else streams[x] for x in net.outs]
 
     def _solve(self, m: int, step: DecodeStep, low: int, b: int, bits: int, final: bool) -> int:
         # Step m's quotient over this stripe.  ``low`` is the step's delay
@@ -407,9 +386,118 @@ def _decoder(steps: Sequence[DecodeStep]) -> _Network:
 def _run(net: _Network, values: Sequence[int], length: int) -> list[int]:
     # Whole in-memory streams through a network, as one stripe, whose
     # outputs are then whole.
+    return _Run(net, length).push(values, 0, final=True)
+
+
+# Bits per stripe of each stream that _stream runs through the stripe
+# core (64 KiB).  On CLI decodes of 16 MiB files, 2**18..2**20 were
+# within noise of each other and 2**21 up to 1.2x slower; peak RSS rose
+# with the width (CHANGES.md).
+_STRIPE = 1 << 19
+
+
+def _stream(net: _Network, length: int, in_sizes: Sequence[int], out_sizes: Sequence[int],
+            read: Callable[[int, int, int], bytes],
+            write: Callable[[int, int, bytes], None]) -> None:
+    """Run byte streams through a network, ``_STRIPE`` bits of each input at a time.
+
+    Input i holds ``in_sizes[i]`` bytes, and ``read(i, at, n)`` returns
+    its n bytes from byte ``at`` on; output j holds ``out_sizes[j]``
+    bytes, and ``write(j, at, data)`` takes its bytes from byte ``at``
+    on.  ``length``, the sources' length in bits, is a whole number of
+    bytes.  An output that is an input is written as the bytes read, and
+    an input that no map reads is never made an int.  Between stripes
+    the run holds its carries, and the driver, per output, the fewer
+    than 8 bits past its last whole byte written.  A failed division is
+    raised after the last stripe's reads, before its writes.
+    """
     run = _Run(net, length)
-    run.push(values, 0, final=True)
-    return run.value
+    k, stripe = len(in_sizes), _STRIPE // 8
+    stripes = (length - 1) // _STRIPE
+    held = [0] * len(net.outs)  # per output: its bits past the last whole byte written
+    for t in range(stripes + 1):
+        final, at = t == stripes, t * stripe
+        pieces = [read(i, at, size - at if final else stripe) for i, size in enumerate(in_sizes)]
+        outs = run.push([int.from_bytes(data, "little") if i in net.read else None
+                         for i, data in enumerate(pieces)], _STRIPE, final)
+        for j, x in enumerate(net.outs):
+            if x < k:  # an input, as read
+                write(j, at, pieces[x])
+            else:
+                start = max(8 * at - net.delays[x], 0)  # the output's bits before the stripe
+                end = 8 * out_sizes[j] if final else max(8 * at + _STRIPE - net.delays[x], 0)
+                data = (outs[j] << start % 8 | held[j] if start % 8 else outs[j]).to_bytes(
+                    (end + 7) // 8 - start // 8, "little")
+                if end % 8:
+                    data, held[j] = data[:-1], data[-1]
+                write(j, start // 8, data)
+            outs[j] = None  # each int goes once it is written, not at the next stripe
+
+
+def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[BinaryIO]) -> None:
+    """Encode the first ``size`` bytes of ``src`` into one packet per binary file in ``dests``.
+
+    The bytes split into K sources of ceil(size / K) bytes, the last
+    zero-padded.  A packet whose column is 1 for one source is that
+    source's bytes as read; a source that no other column holds is never
+    made an int.  ``src`` must still hold ``size`` bytes: a shorter read
+    raises ``ValueError``.
+    """
+    k = mat.spec.k
+    chunk = -(-size // k)
+    over = mat.column_overheads()
+    for j, (fh, w) in enumerate(zip(dests, over), 1):
+        fh.write(_header_bytes(mat.spec, j, 8 * chunk, 8 * chunk + w))
+
+    def read(i: int, at: int, n: int) -> bytes:
+        at += i * chunk
+        src.seek(at)
+        data = _read(src, min(n, max(size - at, 0)), f"input file {src.name}", ValueError)
+        return data.ljust(n, b"\0")
+
+    _stream(_encoder(mat), 8 * chunk, [chunk] * k, [chunk + (w + 7) // 8 for w in over], read,
+            lambda j, at, data: dests[j].write(data))
+
+
+def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> None:
+    """Decode the (file, header) pairs of :func:`_open_packet` into ``dest``'s first ``size`` bytes.
+
+    The same checks, kernel and stripe core as :func:`map_decode`;
+    source c fills bytes c * L/8 up to (c + 1) * L/8 of the output, as far
+    as ``size`` reaches, and L must be whole bytes.  A source whose
+    packet survived verbatim is copied as read, and a payload that no
+    step reads is never made an int.  Each payload is read
+    to exactly the length its header states, and a file that has since
+    become shorter raises :class:`PacketFormatError` naming
+    the packet.  Bytes are written as stripes complete, and a decode
+    error is raised only after the last one.
+    """
+    length, idx = _check_headers(mat, [head for _, head in packets])
+    files = sorted(packets, key=lambda packet: packet[1].index)  # in survivor order
+    chunk = length // 8
+
+    def read(r: int, at: int, n: int) -> bytes:
+        fh, head = files[r]
+        return _read(fh, n, f"packet {head.index} ({fh.name})", PacketFormatError)
+
+    def write(c: int, at: int, data: bytes) -> None:
+        at += c * chunk
+        if at < size:
+            dest.seek(at)
+            dest.write(data[:size - at])
+
+    _stream(map_kernel(mat, idx).network, length, [(head.bit_len + 7) // 8 for _, head in files],
+            [chunk] * mat.spec.k, read, write)
+
+
+def _read(fh: BinaryIO, size: int, what: str, error: type[ValueError]) -> bytes:
+    # The next ``size`` bytes of fh.  A file shorter than it was when opened
+    # and checked raises ``error``, naming ``what``.
+    data = fh.read(size)
+    if len(data) != size:
+        raise error(f"{what} ended early: read {len(data)} of {size} bytes at offset "
+                    f"{fh.tell() - len(data)}")
+    return data
 
 
 class DecodeStep(NamedTuple):
@@ -814,7 +902,8 @@ def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int) -> 
 @lru_cache(maxsize=256)
 def _header_prefix(spec: CodeSpec, index: int) -> bytes:
     # The header up to the length fields, packed once per (code, packet).
-    for field, value, bits in (("m", spec.m, 8), ("g", spec.g.mask, 32), ("N", spec.n, 16)):
+    # CodeSpec keeps K, N and so the index and x within their u16 fields.
+    for field, value, bits in (("m", spec.m, 8), ("g", spec.g.mask, 32)):
         if value >> bits:
             raise _too_wide(field, value, bits)
     x = spec.x if spec.x is not None else ()
@@ -863,14 +952,23 @@ def packet_to_bytes(packet: Packet) -> bytes:
     return head + packet.bits.mask.to_bytes((packet.bit_len + 7) // 8, "little")
 
 
-def packet_from_bytes(data: bytes) -> Packet:
-    index, spec, source_len, bit_len, offset = _parse_header(data)
+def _check_payload(size: int, last_byte: Callable[[], int], index: int, spec: CodeSpec,
+                   source_len: int, bit_len: int, offset: int) -> None:
+    # The payload rules of both packet readers, for a packet of ``size``
+    # bytes with the header fields of _parse_header, in this order: the
+    # payload's size, the header's fields, then the pad bits of the
+    # payload's last byte, which ``last_byte()`` reads.
     nbytes = (bit_len + 7) // 8
-    if len(data) != offset + nbytes:
-        raise PacketFormatError(f"payload is {len(data) - offset} bytes, expected {nbytes}")
+    if size != offset + nbytes:
+        raise PacketFormatError(f"payload is {size - offset} bytes, expected {nbytes}")
     _check_fields(index, source_len, bit_len, spec, PacketFormatError)
-    if bit_len % 8 and data[-1] >> bit_len % 8:
+    if bit_len % 8 and last_byte() >> bit_len % 8:
         raise PacketFormatError(_PAD_BITS)
+
+
+def packet_from_bytes(data: bytes) -> Packet:
+    index, spec, source_len, bit_len, offset = head = _parse_header(data)
+    _check_payload(len(data), lambda: data[-1], *head)
     return Packet._of(index, Poly2(int.from_bytes(data[offset:], "little")), source_len, bit_len, spec)
 
 
@@ -902,23 +1000,20 @@ def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
     before :func:`packet_from_bytes`'s message.
     """
     fh = open(path, "rb")
+
+    def last_byte() -> int:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1)[0]
+
     try:
         data = fh.read(_HEAD.size)
         if len(data) == _HEAD.size:
             data += fh.read(2 * _HEAD.unpack(data)[-1] + _LENS.size)
         head = _Header(*_parse_header(data))
-        _check_fields(head.index, head.source_len, head.bit_len, head.spec)
-        nbytes = (head.bit_len + 7) // 8
-        size = os.fstat(fh.fileno()).st_size
-        if size != head.offset + nbytes:
-            raise PacketFormatError(f"payload is {size - head.offset} bytes, expected {nbytes}")
-        if head.bit_len % 8:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1)[0] >> head.bit_len % 8:
-                raise PacketFormatError(_PAD_BITS)
-            fh.seek(head.offset)
+        _check_payload(os.fstat(fh.fileno()).st_size, last_byte, *head)
+        fh.seek(head.offset)
         return fh, head
-    except ValueError as exc:  # PacketFormatError, or a field _check_fields refuses
+    except PacketFormatError as exc:
         fh.close()
         raise PacketFormatError(f"{path}: {exc}") from None
     except BaseException:

@@ -104,7 +104,7 @@ class CodeSpec:
     1-based tuple of systematic packet positions and exists only for the
     systematic kind.  For kinds that do not use a field (zd3, and user
     matrices unless declared otherwise) m may be 0 and g zero.  K is at
-    most ``MAX_K``.
+    most ``MAX_K`` and N at most 65535, the packets a header can name.
     """
 
     kind: str
@@ -121,6 +121,8 @@ class CodeSpec:
             raise ValueError("K and N must be positive")
         if self.k > MAX_K:
             raise ValueError(f"K={self.k} exceeds the limit of {MAX_K} source packets")
+        if self.n > 0xFFFF:  # the most packets a header's u16 packet index can name
+            raise ValueError(f"N={self.n} exceeds 65535, the limit of its 16-bit header field")
         if self.kind in ("sxor", "systematic"):
             FieldCtx(self.g, self.m)  # ValueError unless g is primitive, deg g = m <= 16
             if not self.k <= self.n <= (1 << self.m) - 1:

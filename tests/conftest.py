@@ -1,10 +1,33 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 from collections import Counter
 
 import pytest
 
-from sxor import gf2poly
+from sxor import codec, gf2poly
+
+
+def run_striped(net, values, length, width, between=None):
+    """The whole outputs of a stripe-core network run over ``width``-bit stripes of ``values``.
+
+    The inputs are fed as ``codec._stream`` feeds its files, but at any
+    width, and each output is joined from its stripes: a stripe's bits
+    start where the output's bits before the stripe end, its delay
+    dropped.  ``between(run)`` is called after every stripe but the
+    last.  A failed division raises as ``codec._Run.push`` raises it.
+    """
+    run = codec._Run(net, length)
+    stripes = (length - 1) // width
+    got = [0] * len(net.outs)
+    for t in range(stripes + 1):
+        final = t == stripes
+        outs = run.push([v >> t * width if final else v >> t * width & ((1 << width) - 1)
+                         for v in values], width, final)
+        for j, x in enumerate(net.outs):
+            got[j] |= outs[j] << max(t * width - net.delays[x], 0)
+        if between and not final:
+            between(run)
+    return got
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sxor import cli
+from sxor import cli, codec
 from sxor.analysis import MAX_CLASSIFY_TUPLES, MAX_CLASSIFY_WORK
 from sxor.cli import _build_parser, _resolve_matrix, main
 from sxor.codec import encode, packet_to_bytes, read_packet, write_packet
@@ -252,7 +252,7 @@ def test_explicit_kind_must_match_matrix(tmp_path, capsys):
 def test_a_fault_in_the_last_stripe_leaves_out_untouched(tmp_path, capsys):
     # Three stripes per source; the flipped bit is the last payload bit of
     # a parity packet, so only the last stripe of its division sees it.
-    data = bytes(range(256)) * (3 * (2 * cli._STRIPE // 8 + 100) // 256)
+    data = bytes(range(256)) * (3 * (2 * codec._STRIPE // 8 + 100) // 256)
     src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "5"])
     parity = packet_path(out, "data.bin", 4)
     head = read_packet(parity)
@@ -310,7 +310,7 @@ def test_decode_keeps_the_mode_of_an_existing_out(tmp_path):
 def test_striped_files_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
     # With stripes of a few bytes, files span many stripes: packets are
     # packet_to_bytes of the library's encode, and every set restores.
-    monkeypatch.setattr(cli, "_STRIPE", stripe)
+    monkeypatch.setattr(codec, "_STRIPE", stripe)
     mfile = tmp_path / "wide.sxorgen"
     mfile.write_text("sxorgen v1 kind=user K=2 N=3 m=0 g=0x0\n"
                      f"{1 << 70:x},{1 << 72 | 1:x},1\n0,{1 << 66:x},3\n")
@@ -338,15 +338,15 @@ def test_verbatim_streams_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
     # whose packet survived is copied; the last source is short, and the
     # sources are no whole number of stripes.  A decode from the packets
     # at x makes no int at all.
-    monkeypatch.setattr(cli, "_STRIPE", stripe)
+    monkeypatch.setattr(codec, "_STRIPE", stripe)
     pushed = []
 
-    class Run(cli._Run):
+    class Run(codec._Run):
         def push(self, chunks, bits, final=False):
             pushed.append(list(chunks))
-            super().push(chunks, bits, final)
+            return super().push(chunks, bits, final)
 
-    monkeypatch.setattr(cli, "_Run", Run)
+    monkeypatch.setattr(codec, "_Run", Run)
     flags = ["--kind", "systematic", "--k", "3", "--n", "7", "--x", "2,4,5"]
     data = bytes(range(3, 256)) * 3 + b"!"  # 760 bytes: sources of 254, 254 and 252
     src, out = encode_file(tmp_path, data, flags)
@@ -484,6 +484,28 @@ def test_encode_of_an_input_that_shrinks_fails_naming_it(tmp_path, monkeypatch, 
     assert run(["encode", *flags, str(src), "--out-dir", str(out)]) == 1
     assert f"error: input file {src} ended early" in capsys.readouterr().err
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_encode_past_the_open_file_limit_names_it(tmp_path):
+    # A child lowers its own soft limit to 64 open files, fewer than the
+    # 100 packets and the sidecar that encode keeps open: it exits 1
+    # naming both figures and leaves no temp file behind.
+    pytest.importorskip("resource")
+    src = tmp_path / "object.bin"
+    src.write_bytes(bytes(range(256)) * 4)
+    out = tmp_path / "packets"
+    probe = ("import resource, sys\n"
+             "from sxor.cli import main\n"
+             "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+             "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, "encode", "--kind", "sxor", "--k", "2",
+                           "--n", "100", str(src), "--out-dir", str(out)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: encode keeps 101 files open at once, 100 packets and the "
+                           "sidecar, more than the open-file limit (soft RLIMIT_NOFILE 64) allows\n")
+    assert list(out.iterdir()) == []
 
 
 def test_decode_wrong_packet_count(tmp_path):

@@ -441,12 +441,21 @@ def test_packet_to_bytes_rejects_wide_modulus():
     p = encode(mat, [1], 4)[0]
     with pytest.raises(ValueError):
         packet_to_bytes(p)
-    # m, K and N are u8/u16 header fields: overflow names the field, not struct.error.
+    # m is a u8 header field: overflow names the field, not struct.error.
     wide_m = encode(user_matrix([[1, 1]], m=256), [1], 4)[0]
-    wide_n = Packet(1, Poly2(1), 4, 4, CodeSpec("user", 1, 65536))
-    for packet, field in ((wide_m, "m=256"), (wide_n, "N=65536")):
-        with pytest.raises(ValueError, match=field):
-            packet_to_bytes(packet)
+    with pytest.raises(ValueError, match="m=256"):
+        packet_to_bytes(wide_m)
+
+
+def test_packet_headers_name_up_to_65535_packets():
+    # N and the packet index are u16 header fields; CodeSpec refuses an N
+    # past them, so no such packet is built.
+    packet = Packet(65535, Poly2(5), 3, 3, CodeSpec("user", 1, 65535))
+    blob = packet_to_bytes(packet)
+    assert struct.unpack_from("<HH", blob, 13) == (65535, 65535)
+    assert packet_from_bytes(blob) == packet
+    with pytest.raises(ValueError, match="^N=65536 exceeds 65535"):
+        Packet(65536, Poly2(5), 3, 3, CodeSpec("user", 1, 65536))
 
 
 def test_packet_to_bytes_rejects_lengths_past_their_u64_fields():

@@ -182,6 +182,23 @@ def test_code_spec_validation():
         CodeSpec("sxor", MAX_K + 1, 65535, 16, Poly2(0x1100B))  # refused before the field is built
 
 
+def test_n_is_at_most_the_packets_a_header_can_name(tmp_path):
+    # A header's u16 fields name at most 65535 packets.  A matrix file past
+    # that is refused at its header line, before any row is read.
+    CodeSpec("user", 1, 65535)
+    with pytest.raises(ValueError, match="^N=65536 exceeds 65535, the limit of its 16-bit header field$"):
+        CodeSpec("user", 1, 65536)
+    path = tmp_path / "wide.sxorgen"
+    for n in (65535, 65536):
+        path.write_text(f"sxorgen v1 kind=user K=1 N={n} m=0 g=0x0\n" + ",".join(["1"] * n) + "\n")
+        if n == 65535:
+            assert load_matrix(path).spec == CodeSpec("user", 1, n)
+            continue
+        with pytest.raises(MatrixFormatError, match="N=65536 exceeds 65535") as exc:
+            load_matrix(path)
+        assert exc.value.line == 1
+
+
 def test_code_spec_hash_is_kept_and_follows_the_fields():
     g = Poly2(G1)
     spec = CodeSpec("systematic", 3, 7, 3, g, (1, 3, 4))

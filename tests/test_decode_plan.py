@@ -11,11 +11,13 @@ from functools import reduce
 from itertools import combinations
 
 from sxor import codec
-from sxor.codec import _Run, _check_packets, encode, map_decode, map_kernel
+from sxor.codec import _check_packets, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import (InconsistentDivision, Poly2, _divmod_masks, _gcd_masks, exact_div_low,
                           split_shift)
 from sxor.polymat import PolyMatrix
+
+from conftest import run_striped
 
 
 def one_shot_columns(mat, idx):
@@ -44,17 +46,10 @@ def one_shot_decode(mat, packets):
 def striped_decode(mat, packets, width=3):
     # map_decode's network, run over 3-bit stripes of the 8-bit sources.
     length, masks, idx = _check_packets(mat, packets)
-    net = map_kernel(mat, idx).network
-    run = _Run(net, length)
-    stripes = (length - 1) // width
-    payloads = [masks[p] for p in idx]
     try:
-        for t in range(stripes):
-            run.push([v >> (t * width) & ((1 << width) - 1) for v in payloads], width)
-        run.push([v >> (stripes * width) for v in payloads], 0, final=True)
+        return run_striped(map_kernel(mat, idx).network, [masks[p] for p in idx], length, width)
     except InconsistentDivision:
         return InconsistentDivision
-    return [run.take(c) for c in range(len(net.outs))]
 
 
 def taps(feedback):

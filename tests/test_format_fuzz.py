@@ -21,7 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from sxor.cli import main
-from sxor.codec import Packet, PacketFormatError, encode, packet_from_bytes, packet_to_bytes
+from sxor.codec import (Packet, PacketFormatError, _open_packet, encode, packet_from_bytes,
+                        packet_to_bytes)
 from sxor.codes import (_FIELDS_LIMIT, CodeSpec, GenMatrix, MatrixFormatError, _rows_limit,
                         build_sxor, build_systematic_sxor, builtin_zd_k3, format_fields,
                         format_matrix, load_matrix, parse_fields, parse_matrix)
@@ -52,6 +53,9 @@ SIDECARS = [format_fields({"len": 5 * mat.spec.k, **mat.spec.fields()}) + "\n"
 
 # A systematic packet relabelled as kind sxor: its x entries must be refused.
 X_ON_SXOR = PACKETS[7][:5] + bytes([1]) + PACKETS[7][6:]
+# Packet index 0 and a payload one byte short: a field rule and the
+# payload size fail together.
+INDEX_0_SHORT = PACKETS[0][:15] + bytes(2) + PACKETS[0][17:-1]
 
 
 @st.composite
@@ -86,6 +90,33 @@ def test_damaged_packet_parses_or_raises_packet_format_error(data):
     except PacketFormatError:
         return
     assert isinstance(packet, Packet)
+
+
+@pytest.fixture(scope="module")
+def packet_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("packet") / "damaged.sxp"
+
+
+@PROPERTY
+@given(damaged(PACKETS, st.binary(min_size=1, max_size=1)))
+@example(X_ON_SXOR)
+@example(INDEX_0_SHORT)
+def test_packet_file_and_bytes_readers_agree(packet_file, data):
+    # _open_packet on a file accepts exactly the blobs packet_from_bytes
+    # accepts, with the same header, and refuses the rest with the same
+    # message after the file's path.
+    packet_file.write_bytes(data)
+    try:
+        packet = packet_from_bytes(data)
+    except PacketFormatError as exc:
+        with pytest.raises(PacketFormatError) as opened:
+            _open_packet(packet_file)
+        assert str(opened.value) == f"{packet_file}: {exc}"
+        return
+    fh, head = _open_packet(packet_file)
+    with fh:
+        assert int.from_bytes(fh.read(), "little") == packet.bits.mask
+    assert head[:4] == (packet.index, packet.spec, packet.source_len, packet.bit_len)
 
 
 def load_text(text):

@@ -3,8 +3,9 @@
 A network run over stripes of 8 to 64 bits must give what one stripe of
 the whole stream gives: the same packet payloads on encoding, and on
 decoding the same sources or the same error, named by the same source.
-Between stripes, a run holds no more bits than its network's entry
-degrees and feedbacks bound, however many stripes it has run.
+Between stripes, a run holds only its carries, no more bits than its
+network's entry degrees and feedbacks bound, and the file driver fewer
+than 8 bits per output, however many stripes they have run.
 """
 
 import pytest
@@ -17,9 +18,12 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from sxor.codec import _Run, _check_packets, _encoder, encode, map_decode, map_kernel
+from sxor import codec
+from sxor.codec import _check_packets, _encoder, encode, map_decode, map_kernel
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import InconsistentDivision, Poly2
+
+from conftest import run_striped
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
@@ -37,17 +41,6 @@ SHIFTED = [[idx for idx in combinations(range(1, mat.spec.n + 1), mat.spec.k)
 def test_every_matrix_has_sets_with_shifted_steps():
     assert all(SHIFTED)
     assert max(step.shift for idx in SHIFTED[-1] for step in map_kernel(MATS[-1], idx).steps) > 64
-
-
-def run_striped(net, values, length, width):
-    # A network run over width-bit stripes of the length-bit sources, as
-    # the CLI runs its files.
-    run = _Run(net, length)
-    stripes = (length - 1) // width
-    for t in range(stripes):
-        run.push([v >> (t * width) & ((1 << width) - 1) for v in values], width)
-    run.push([v >> (stripes * width) for v in values], 0, final=True)
-    return [run.take(c) for c in range(len(net.outs))]
 
 
 def encode_payloads(mat, sources, length, width):
@@ -96,37 +89,53 @@ def test_striped_runs_match_one_stripe(case, data):
         assert decode(mat, chosen, width) == decode(mat, chosen)
 
 
-def held_bits_bound(net, width):
-    # A map's product carry is below its largest column entry, a step's
-    # division carry below its feedback's degree, and an output holds at
-    # most one stripe until it is taken.
+def carry_bits_bound(net):
+    # A map's product carry is below its largest column entry, and a
+    # step's division carry below its feedback's degree.
     return (sum(max(col).bit_length() - 1 for col, _, _ in net.maps)
-            + sum(step.feedback.mask.bit_length() - 1 for *_, step in net.maps if step)
-            + width * len(net.outs))
+            + sum(step.feedback.mask.bit_length() - 1 for *_, step in net.maps if step))
 
 
 @pytest.mark.parametrize("m", range(len(MATS)))
-def test_run_state_stays_bounded_over_many_stripes(m):
-    mat, width, stripes = MATS[m], 8, 120
-    length = width * stripes + 5
+def test_run_state_stays_bounded_over_many_stripes(m, monkeypatch):
+    # 121 byte-wide stripes, through the shared helper and through the
+    # file driver, whose per-output bits are those produced less those
+    # written as whole bytes.
+    mat, stripes = MATS[m], 121
+    length = 8 * stripes
+    monkeypatch.setattr(codec, "_STRIPE", 8)
     rng = Random(m)
     sources = [rng.getrandbits(length) for _ in range(mat.spec.k)]
     packets = encode(mat, sources, length)
-    nets = [("encode", _encoder(mat), sources, [p.bits.mask for p in packets])]
+    payloads = [(p.bits.mask, p.bit_len) for p in packets]
+    nets = [("encode", _encoder(mat), [(s, length) for s in sources], payloads)]
     for idx in combinations(range(1, mat.spec.n + 1), mat.spec.k):
-        nets.append((idx, map_kernel(mat, idx).network, [packets[i - 1].bits.mask for i in idx],
-                     sources))
-    for name, net, values, want in nets:
-        run = _Run(net, length)
-        bound = held_bits_bound(net, width)
-        got, at = [0] * len(net.outs), [0] * len(net.outs)
-        for t in range(stripes):
-            run.push([v >> (t * width) & 0xFF for v in values], width)
-            held = (sum(c.bit_length() for c in run.carry) + sum(r.bit_length() for r in run.rest)
-                    + sum(run.bits))
-            assert held <= bound, (name, t)
-            for c, n in enumerate(run.bits):
-                got[c] |= run.take(c) << at[c]
-                at[c] += n
-        run.push([v >> (stripes * width) for v in values], 0, final=True)
-        assert [g | run.take(c) << at[c] for c, g in enumerate(got)] == want
+        nets.append((idx, map_kernel(mat, idx).network, [payloads[i - 1] for i in idx],
+                     [(s, length) for s in sources]))
+    for name, net, ins, outs in nets:
+        bound = carry_bits_bound(net)
+        want = [v for v, _ in outs]
+
+        def between(run):
+            assert set(vars(run)) == {"net", "length", "done", "carry", "rest", "failed"}
+            held = sum(c.bit_length() for c in run.carry) + sum(r.bit_length() for r in run.rest)
+            assert held <= bound, (name, run.done)
+
+        assert run_striped(net, [v for v, _ in ins], length, 8, between) == want
+
+        files = [v.to_bytes((bits + 7) // 8, "little") for v, bits in ins]
+        written = [bytearray() for _ in outs]
+
+        def read(i, at, n):
+            if i == 0 and at:  # between stripes: 8 * at bits of each input are in
+                for j, x in enumerate(net.outs):
+                    assert 0 <= max(8 * at - net.delays[x], 0) - 8 * len(written[j]) < 8, (name, at)
+            return files[i][at:at + n]
+
+        def write(j, at, data):
+            assert at == len(written[j])
+            written[j] += data
+
+        codec._stream(net, length, [len(f) for f in files], [(bits + 7) // 8 for _, bits in outs],
+                      read, write)
+        assert [int.from_bytes(w, "little") for w in written] == want, name
