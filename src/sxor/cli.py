@@ -35,7 +35,8 @@ the packets, sidecar or --out as they were.  A path replaced must be a
 regular file, and the new file takes its permission bits, else 0666
 less the umask.  An encode that would keep more files open than the
 open-file limit allows names the files it needs and, where the platform
-has one, the soft limit.  Encode and decode import neither
+has one, the soft limit; when the files alone exceed that limit, it says
+so before it opens any of them.  Encode and decode import neither
 ``sxor.analysis`` nor ``json``: the first loads only for analyze
 --compare and classify, the second only for the commands with --format.
 
@@ -147,7 +148,14 @@ def cmd_encode(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = [out_dir / f"{stem}.p{j}.sxp" for j in range(1, mat.spec.n + 1)]
         paths.append(out_dir / f"{stem}.sxmeta")
+        soft = None
+        with suppress(ImportError):  # no resource module off Unix
+            import resource
+
+            soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
         try:
+            if soft is not None and 0 <= soft < len(paths):  # RLIM_INFINITY is -1 on Linux
+                raise OSError(errno.EMFILE, "")  # before any file is opened
             with _replacing(paths, list(map(str, paths))) as files:
                 _encode_file(mat, fh, size, files[:-1])
                 meta = format_fields({"len": size, **mat.spec.fields()})
@@ -155,11 +163,7 @@ def cmd_encode(args) -> int:
         except OSError as exc:
             if exc.errno != errno.EMFILE:
                 raise
-            limit = ""
-            with suppress(ImportError):  # no resource module off Unix
-                import resource
-
-                limit = f" (soft RLIMIT_NOFILE {resource.getrlimit(resource.RLIMIT_NOFILE)[0]})"
+            limit = "" if soft is None else f" (soft RLIMIT_NOFILE {soft})"
             raise OSError(f"encode keeps {len(paths)} files open at once, {mat.spec.n} packets and "
                           f"the sidecar, more than the open-file limit{limit} allows") from None
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")

@@ -42,14 +42,20 @@ Zigzag decoding applies only when A_I is monomial (every entry 0 or a
 single power of z) and runs in time linear in L.  While some survivor
 carries exactly one unresolved source, that whole source is read off it
 with one shift and cancelled from every survivor with one big-int XOR
-each.  The sources left are peeled bit by bit over packets held one byte
-per bit: read off an "exposed" packet bit covered by exactly one
-unresolved source bit and cancel that bit from every packet carrying it,
-always taking the lowest exposed position first (ties broken by packet
-order), the textbook left-to-right elimination.  Peeling is confluent,
-so where the stages hand over changes neither the sources nor how far a
-stuck elimination gets.  Every survivor's residual (its payload with the
-recovered sources cancelled) must end at zero.
+each.  Two sources left sit on the two survivors not yet used,
+P = z**a s1 + z**b s2 and Q = z**c s1 + z**d s2, the collision pair of
+ZigZag decoding (Gollakota and Katabi, SIGCOMM 2008).  When their 2 x 2
+determinant z**(a+d) + z**(b+c) is nonzero, s1 is one exact division of
+z**d P + z**b Q and s2 one shift of P.  Any other sources left are
+peeled bit by bit over packets held one byte per bit: read off an
+"exposed" packet bit covered by exactly one unresolved source bit and
+cancel that bit from every packet carrying it, always taking the lowest
+exposed position first (ties broken by packet order), the textbook
+left-to-right elimination.  Peeling is confluent, so where the stages
+hand over changes neither the sources nor how far a stuck elimination
+gets; the division is kept only where it reaches the peel's own
+solution, and otherwise the bits are peeled.  Every survivor's residual
+(its payload with the recovered sources cancelled) must end at zero.
 
 The binary packet format is little-endian and self-describing: it embeds
 the CodeSpec so a decoder can rebuild the generator matrix from headers
@@ -808,21 +814,60 @@ def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tu
     return tuple((row, bit, idx[pi]) for row, bit, pi in trace)
 
 
+def _solve_pair(cover, live: set, work: list[int], sources: list[int], length: int) -> None:
+    """Solve the two ``live`` sources word-wide when their 2 x 2 determinant is nonzero.
+
+    They sit on the two survivors that the whole-source peel left,
+    P = z**a s1 + z**b s2 and Q = z**c s1 + z**d s2.  When a + d != b + c,
+    z**d P + z**b Q = z**e (1 + z**k) s1 with e = min(a + d, b + c) and
+    k = |a + d - b - c|, so s1 is one exact division and s2 one shift of
+    P.  Then the per-bit peel provably completes too, so on consistent
+    payloads both reach the one solution there is.  It is kept only when
+    both residuals end at zero; otherwise nothing changes, and the
+    per-bit stage reports the inconsistency as before.
+    """
+    both = [(pi, dict(col)) for pi, col in enumerate(cover) if live <= {row for row, _ in col}]
+    if len(both) != 2:
+        return
+    r1, r2 = sorted(live)
+    (p, tp), (q, tq) = both
+    a, b, c, d = tp[r1], tp[r2], tq[r1], tq[r2]
+    if a + d == b + c:
+        return
+    try:
+        s1 = exact_div_low(Poly2(((work[p] << d) ^ (work[q] << b)) >> min(a + d, b + c)),
+                           Poly2(1 | 1 << abs(a + d - b - c)), length).mask
+    except InconsistentDivision:
+        return
+    s2 = ((work[p] ^ s1 << a) >> b) & ((1 << length) - 1)
+    if work[p] == s1 << a ^ s2 << b and work[q] == s1 << c ^ s2 << d:
+        sources[r1], sources[r2] = s1, s2
+        work[p] = work[q] = 0
+        live.clear()
+
+
 def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """Recover the sources by zigzag elimination (monomial survivors only).
 
-    Sources that some survivor carries alone are peeled whole, word-wide;
-    the rest go through the per-bit elimination of :func:`zigzag_schedule`
-    (see the module docstring).  Every survivor's residual must end at
-    zero, else :class:`InconsistentDivision` names the packet, so where
-    :func:`map_decode` also applies, both accept the same inputs and
-    return bit-identical sources.
+    Three stages, each word-wide but the last (see the module docstring):
+    sources that some survivor carries alone are peeled whole; two
+    sources left whose 2 x 2 determinant is nonzero are solved by one
+    exact division (:func:`_solve_pair`); any others go through the
+    per-bit elimination of :func:`zigzag_schedule`.  Every survivor's
+    residual must end at zero, else :class:`InconsistentDivision` names
+    the packet, so where :func:`map_decode` also applies, both accept the
+    same inputs and return bit-identical sources.
 
     Memory: the per-bit stage peaks at about 5 bytes per packet bit (the
     all-parity zd3 set of a 3 MiB object: 137 MiB peak RSS, 113 MiB over
-    the process before it), so a 16 MiB object needs about 0.6 GB.  No
-    bound limits the packet length; a caller that takes packets from
-    outside bounds it itself, or decodes with :func:`map_decode`.
+    the process before it), so a 16 MiB object needs about 0.6 GB.  It
+    runs only for two sources left with a + d = b + c or for three or
+    more: of zd3's 20 sets, only the all-parity one (4, 5, 6).  On a
+    384 KiB object, set (1, 4, 5) takes 3-5 ms and +1.2 MiB by division,
+    where the per-bit stage took 2.7-2.9 s and +13.6 MiB; (4, 5, 6) takes
+    3.5-6.0 s and +14.3 MiB.  No bound limits the packet length; a caller
+    that takes packets from outside bounds it itself, or decodes with
+    :func:`map_decode`.
     """
     length, masks, idx = _check_packets(mat, packets)
     k = mat.spec.k
@@ -845,6 +890,8 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
                 peeled = True
 
     residuals = work
+    if len(live) == 2:
+        _solve_pair(cover, live, work, sources, length)
     if live:
         over = mat.column_overheads()
         # Byte k of each buffer is bit k of its survivor's residual.

@@ -514,7 +514,8 @@ class GenMatrix:
         # CodeSpec has checked the field of every sxor and systematic spec.
         if spec.kind in ("sxor", "systematic") or 1 <= m <= 16 and is_primitive(g, m):
             exp, log = _walk_tables(g, m)
-            logs = [[log[_divmod_masks(e, g)[1]] for e in row] for row in self._masks]
+            # Only a user matrix's entries can reach z**m and need reducing.
+            logs = [[log[_divmod_masks(e, g)[1] if e >> m else e] for e in row] for row in self._masks]
             units = _field_pivots(logs, exp, log)
             if units is not None and 2 * k > n:  # walk the dual code [P^T | I] instead
                 logs = [[row[c] for row in logs] for c in range(n) if c not in units.values()]

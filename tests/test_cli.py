@@ -508,6 +508,25 @@ def test_encode_past_the_open_file_limit_names_it(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_encode_checks_the_open_file_limit_before_opening_files(tmp_path, monkeypatch, capsys):
+    # 101 files against a soft limit of 64: refused before the first temp file.
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (64, 64))
+
+    def no_temp_files(*args, **kwargs):
+        pytest.fail("encode opened a temp file past the open-file limit")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", no_temp_files)
+    src = tmp_path / "object.bin"
+    src.write_bytes(bytes(range(256)))
+    out = tmp_path / "packets"
+    assert run(["encode", "--kind", "sxor", "--k", "2", "--n", "100", str(src), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: encode keeps 101 files open at once, 100 packets and the sidecar, more than "
+        "the open-file limit (soft RLIMIT_NOFILE 64) allows\n")
+    assert list(out.iterdir()) == []
+
+
 def test_decode_wrong_packet_count(tmp_path):
     data = b"shortfall" * 4
     src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])

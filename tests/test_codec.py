@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+from sxor import codec
 from sxor.codec import (NotMonomialMatrix, Packet, PacketFormatError, SingularSubmatrix,
                         TrailingBits, ZigzagStuck, _check_headers, _header_spec, encode,
                         encode_xor_count, map_decode, map_kernel, packet_from_bytes,
@@ -289,6 +290,27 @@ def test_zigzag_matches_map_on_zd_code():
             zz = zigzag_decode(mat, chosen)
             assert [s.mask for s in zz] == src
             assert zz == map_decode(mat, chosen)
+
+
+def test_zigzag_solves_two_left_sources_without_the_per_bit_stage(monkeypatch):
+    # Each zd3 set with two of the parity packets 4, 5 and 6 peels one
+    # source whole and solves the other two with one division; only the
+    # all-parity set reaches the per-bit stage.
+    def per_bit(*args):
+        raise AssertionError("per-bit stage")
+
+    monkeypatch.setattr(codec, "_peel_bits", per_bit)
+    mat = builtin_zd_k3()
+    rng = random.Random(29)
+    src = [rng.getrandbits(200) for _ in range(3)]
+    packets = by_index(encode(mat, src, 200))
+    for sub in combinations(range(1, 7), 3):
+        chosen = [packets[j] for j in sub]
+        if sub == (4, 5, 6):
+            with pytest.raises(AssertionError, match="per-bit stage"):
+                zigzag_decode(mat, chosen)
+        else:
+            assert [s.mask for s in zigzag_decode(mat, chosen)] == src
 
 
 def test_decoders_reject_the_same_corrupted_parity():

@@ -11,9 +11,12 @@ pytest.importorskip("hypothesis")
 
 from dataclasses import replace
 from heapq import heappop, heappush
+from itertools import product
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from sxor import codec
 from sxor.codec import SingularSubmatrix, ZigzagStuck, encode, map_decode, zigzag_decode, zigzag_schedule
 from sxor.codes import user_matrix
 from sxor.gf2poly import InconsistentDivision, Poly2
@@ -104,3 +107,74 @@ def test_zigzag_matches_the_quadratic_elimination(case, data):
         except SingularSubmatrix:
             continue  # zigzag can still separate short sources when det(A_I) = 0
         assert outcome(zigzag_decode, mat, payloads) == exact
+
+
+def test_two_source_peel_completes_when_the_determinant_is_nonzero():
+    # P = z^a s1 + z^b s2 and Q = z^c s1 + z^d s2: whenever a + d != b + c the
+    # per-bit peel finishes at every length, which is what lets zigzag_decode
+    # solve such a pair with one exact division instead.
+    for a, b, c, d in product(range(5), repeat=4):
+        if a + d == b + c:
+            continue
+        mat = user_matrix([[1 << a, 1 << c], [1 << b, 1 << d]])
+        for length in range(1, 13):
+            assert len(zigzag_schedule(mat, (1, 2), length)) == 2 * length
+
+
+@st.composite
+def flipped_cases(draw):
+    # K = 2..4 monomial codes, sources of up to a few hundred bits, and
+    # survivors carrying 0-3 flipped payload bits, drawn from a seeded
+    # random.Random: its spread-out shifts reach the two-source division,
+    # accepted and declined, far more often than shrink-friendly draws.
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.randint(2, 4)
+    n = rng.randint(k, k + 2)
+    rows = [[rng.choice([0, 1, 2, 4, 8, 16, 32]) for _ in range(n)] for _ in range(k)]
+    survivors = tuple(sorted(rng.sample(range(1, n + 1), k)))
+    length = rng.randint(1, 300)
+    sources = [rng.getrandbits(length) for _ in range(k)]
+    # Half the flips land in a packet's lowest bits, below most sources' shifts.
+    flips = [(rng.randrange(k), rng.randrange(rng.choice([16, 1 << 16])))
+             for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+    return user_matrix(rows), survivors, length, sources, flips
+
+
+def decoded(mat, packets):
+    try:
+        return [s.mask for s in zigzag_decode(mat, packets)]
+    except (ZigzagStuck, InconsistentDivision) as exc:
+        return type(exc), str(exc), getattr(exc, "resolved", None)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(flipped_cases())
+def test_two_source_division_matches_the_per_bit_stage(case):
+    mat, survivors, length, sources, flips = case
+    packets = encode(mat, sources, length)
+    chosen = [packets[j - 1] for j in survivors]
+    for pi, bit in flips:
+        bits = chosen[pi].bits.mask ^ (1 << bit % chosen[pi].bit_len)
+        chosen[pi] = replace(chosen[pi], bits=Poly2(bits))
+    with mock.patch.object(codec, "_solve_pair", lambda *args: None):
+        per_bit = decoded(mat, chosen)
+    assert decoded(mat, chosen) == per_bit
+
+
+def test_equal_shift_sums_stay_per_bit():
+    # a + d = b + c: det(A_I) = 0.  Sources short enough to sit on
+    # separated supports still peel bit by bit, where map_decode cannot.
+    mat = user_matrix([[1 << 8, 1 << 16], [1, 1 << 8]])
+    sources = [0xa5, 0x3c]
+    packets = encode(mat, sources, 8)
+    assert [s.mask for s in zigzag_decode(mat, packets)] == sources
+    with pytest.raises(SingularSubmatrix):
+        map_decode(mat, packets)
+    # One bit longer, the supports overlap: stuck where the per-bit peel stops.
+    packets = encode(mat, [0x1a5, 0x13c], 9)
+    with pytest.raises(ZigzagStuck) as exc:
+        zigzag_decode(mat, packets)
+    assert (exc.value.resolved, exc.value.needed) == (16, 18)
+    with pytest.raises(ZigzagStuck) as order:
+        zigzag_schedule(mat, (1, 2), 9)
+    assert order.value.resolved == 16
