@@ -6,10 +6,12 @@ files, undecodable or corrupt packets, a failed MDS check), 2 for usage
 errors (bad invocation, wrong packet count, empty input).
 
 Packets are written as ``<name>.p<i>.sxp`` next to a ``<name>.sxmeta``
-sidecar recording the original byte length and the code fields; decode
-finds the sidecar by stripping the packet suffix from the first packet
-argument, reads it with the matrix-header reader ``codes.parse_fields``
-and rejects it unless its code matches the packet headers.  Decode
+sidecar recording the original byte length, the code fields and the
+``zlib.crc32`` of the input; decode finds the sidecar by stripping the
+packet suffix from the first packet argument, reads it with the
+matrix-header reader ``codes.parse_fields``, rejects it unless its code
+matches the packet headers, and, when it takes the sidecar's length,
+checks the restored bytes against its crc32.  Decode
 always uses the exact (MAP) decoder, so it refuses exactly the survivor
 sets that check lists as failing.
 
@@ -28,15 +30,16 @@ or the packet headers, so a file that has become shorter since is an
 error naming it.  A packet whose header fails a check is named by its
 path, as is a matrix file whose text fails one; a --matrix that does not
 match the packet headers names the fields that differ, as the sidecar's
-check does.  Each command writes new files next to the ones it replaces and
-renames them into place only once it has written the last stripe (for
-decode, once every division has checked out), so a failed run leaves
-the packets, sidecar or --out as they were.  A path replaced must be a
+check does.  Each command writes new files next to the ones it replaces
+and renames them into place only once it has written the last stripe
+(for decode, once every division and the crc32 have checked out), so a
+failed run leaves the packets, sidecar or --out as they were.  A path replaced must be a
 regular file, and the new file takes its permission bits, else 0666
 less the umask.  An encode that would keep more files open than the
 open-file limit allows names the files it needs and, where the platform
 has one, the soft limit; when the files alone exceed that limit, it says
-so before it opens any of them.  Encode and decode import neither
+so before it opens any of them, and otherwise that the descriptors
+already open left too few free.  Encode and decode import neither
 ``sxor.analysis`` nor ``json``: the first loads only for analyze
 --compare and classify, the second only for the commands with --format.
 
@@ -58,6 +61,7 @@ import re
 import stat
 import sys
 import tempfile
+import zlib
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
@@ -158,14 +162,20 @@ def cmd_encode(args) -> int:
                 raise OSError(errno.EMFILE, "")  # before any file is opened
             with _replacing(paths, list(map(str, paths))) as files:
                 _encode_file(mat, fh, size, files[:-1])
-                meta = format_fields({"len": size, **mat.spec.fields()})
+                crc = f"{_crc32(fh, size):08x}"
+                meta = format_fields({"len": size, **mat.spec.fields(), "crc32": crc})
                 files[-1].write(meta.encode("ascii") + b"\n")
         except OSError as exc:
             if exc.errno != errno.EMFILE:
                 raise
-            limit = "" if soft is None else f" (soft RLIMIT_NOFILE {soft})"
+            limit = "the open-file limit"
+            if soft is not None:
+                limit += f" (soft RLIMIT_NOFILE {soft})"
+            why = (f"more than {limit} allows" if soft is None or 0 <= soft < len(paths) else
+                   f"but the descriptors already open left fewer than {len(paths)} free "
+                   f"under {limit}")
             raise OSError(f"encode keeps {len(paths)} files open at once, {mat.spec.n} packets and "
-                          f"the sidecar, more than the open-file limit{limit} allows") from None
+                          f"the sidecar, {why}") from None
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
     return 0
 
@@ -174,12 +184,13 @@ def cmd_encode(args) -> int:
 def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[BinaryIO]]:
     """New binary files, renamed onto ``paths`` only once the block ends without error.
 
-    Each is made in its path's directory and takes the permission bits of
-    the file it replaces, else 0666 less the umask, as ``open(path, "wb")``
-    gives a new file.  Renaming onto a device, FIFO or directory would
-    replace it, so a path that exists must be a regular file; ``labels``
-    name the paths in that error.  On any error every new file is removed,
-    so the paths are left as they were.
+    They are open for reading too.  Each is made in its path's directory
+    and takes the permission bits of the file it replaces, else 0666 less
+    the umask, as ``open(path, "wb")`` gives a new file.  Renaming onto a
+    device, FIFO or directory would replace it, so a path that exists
+    must be a regular file; ``labels`` name the paths in that error.  On
+    any error every new file is removed, so the paths are left as they
+    were.
     """
     modes = []
     for path, label in zip(paths, labels):
@@ -200,7 +211,7 @@ def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[Bi
             for path in paths:
                 fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
                 temps.append(tmp)
-                files.append(stack.enter_context(os.fdopen(fd, "wb")))
+                files.append(stack.enter_context(os.fdopen(fd, "w+b")))
             yield files
         for tmp, mode in zip(temps, modes):
             os.chmod(tmp, mode)
@@ -213,8 +224,17 @@ def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[Bi
         raise
 
 
-def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | None:
-    # The sidecar's spec and raw len, or None when there is no sidecar.
+def _crc32(fh: BinaryIO, size: int) -> int:
+    # zlib.crc32 of the first size bytes of fh, read 64 KiB at a time.
+    fh.seek(0)
+    crc = 0
+    while size > 0 and (data := fh.read(min(size, 1 << 16))):
+        crc, size = zlib.crc32(data, crc), size - len(data)
+    return crc
+
+
+def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, dict[str, str]] | None:
+    # The sidecar's spec and raw len and crc32, or None when there is no sidecar.
     name = first_packet.name
     m = _PACKET_SUFFIX.search(name)
     if not m:
@@ -231,13 +251,13 @@ def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, str | None] | Non
         for line, text in enumerate(rest, start=2):
             if text.strip():  # encode writes one line
                 raise MatrixFormatError("a sidecar holds one line of fields", line)
-        spec, extra = parse_fields(first.split(), ("len",))
+        spec, extra = parse_fields(first.split(), ("len", "crc32"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"sidecar {sidecar}: non-ASCII byte {exc.object[exc.start]:#04x} "
                          f"at offset {exc.start}") from None
     except MatrixFormatError as exc:
         raise ValueError(f"sidecar {sidecar}: {exc}") from None
-    return sidecar, spec, extra.get("len")
+    return sidecar, spec, extra
 
 
 def cmd_decode(args) -> int:
@@ -269,16 +289,20 @@ def _decode(args, packets) -> None:
             raise _UsageError("user-kind packets need --matrix to decode")
 
     found = _read_sidecar(Path(args.packets[0]))
+    crc = None  # the sidecar's crc32, checked only against the length it states
     if found is not None:
-        sidecar, sidecar_spec, sidecar_len = found
+        sidecar, sidecar_spec, extra = found
         if sidecar_spec != spec:
             raise ValueError("sidecar metadata does not match the packet headers: "
                              f"{sidecar} differs in {_differing(spec, sidecar_spec)}")
-        if total_len is None and sidecar_len is not None:
-            if not sidecar_len.isdecimal():  # the file was read as ASCII
-                raise ValueError(f"sidecar {sidecar}: len={sidecar_len!r} "
+        if total_len is None and "len" in extra:
+            if not extra["len"].isdecimal():  # the file was read as ASCII
+                raise ValueError(f"sidecar {sidecar}: len={extra['len']!r} "
                                  "is not a non-negative decimal integer")
-            total_len, len_source = int(sidecar_len), "sidecar length"
+            total_len, len_source = int(extra["len"]), "sidecar length"
+            crc = extra.get("crc32")
+            if crc is not None and not re.fullmatch(r"[0-9a-fA-F]{8}", crc):
+                raise ValueError(f"sidecar {sidecar}: crc32={crc!r} is not 8 hex digits")
     if total_len is None:
         raise _UsageError("original length unknown: no sidecar found, pass --length")
     bit_len = packets[0][1].source_len
@@ -289,9 +313,14 @@ def _decode(args, packets) -> None:
         raise ValueError(f"{len_source} {total_len} exceeds decoded size {spec.k * chunk}")
 
     # Decode into a new file next to --out, and put it in place only once
-    # every division has checked out.
+    # every division, and the sidecar's crc32, has checked out.
     with _replacing([Path(args.out)], [f"--out {args.out}"]) as (fh,):
         _decode_files(mat, packets, fh, total_len)
+        if crc is not None:
+            got = _crc32(fh, total_len)
+            if got != int(crc, 16):
+                raise ValueError(f"sidecar {sidecar}: crc32={crc}, but the restored bytes have "
+                                 f"crc32={got:08x}")
     print(f"restored {total_len} bytes to {args.out}")
 
 

@@ -656,8 +656,8 @@ def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike =
 
 # Most characters read for one line of format_fields text: a matrix
 # header (before K and N are known) or a .sxmeta sidecar.  The longest
-# either can be, at K = 32 with a 20-digit len, a 32-bit g and 32
-# five-digit x positions, is under 300.
+# either can be, at K = 32 with a 20-digit len, a 32-bit g, 32
+# five-digit x positions and a crc32, is under 300.
 _FIELDS_LIMIT = 1024
 
 

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import zlib
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -50,7 +51,7 @@ def test_encode_writes_packets_and_sidecar(tmp_path):
     files = sorted(p.name for p in out.iterdir())
     assert files == sorted([f"data.bin.p{i}.sxp" for i in range(1, 8)] + ["data.bin.sxmeta"])
     meta = (out / "data.bin.sxmeta").read_text()
-    assert meta == "len=12 kind=sxor K=3 N=7 m=3 g=0xb\n"
+    assert meta == "len=12 kind=sxor K=3 N=7 m=3 g=0xb crc32=9270c965\n"
     # 12 bytes split across 3 sources: L = 32 bits, plus the column overhead.
     overheads = [0, 2, 2, 2, 2, 2, 2]
     for i in range(1, 8):
@@ -487,25 +488,31 @@ def test_encode_of_an_input_that_shrinks_fails_naming_it(tmp_path, monkeypatch, 
 
 
 def test_encode_past_the_open_file_limit_names_it(tmp_path):
-    # A child lowers its own soft limit to 64 open files, fewer than the
-    # 100 packets and the sidecar that encode keeps open: it exits 1
-    # naming both figures and leaves no temp file behind.
+    # A child lowers its own soft limit to 64 open files.  100 packets and
+    # the sidecar are more than that; 50 and the sidecar are not, but 20
+    # more descriptors held open leave fewer free.  Either way it exits 1
+    # naming the figures and leaves no temp file behind.
     pytest.importorskip("resource")
     src = tmp_path / "object.bin"
     src.write_bytes(bytes(range(256)) * 4)
-    out = tmp_path / "packets"
-    probe = ("import resource, sys\n"
-             "from sxor.cli import main\n"
-             "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
-             "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
-             "sys.exit(main(sys.argv[1:]))\n")
-    proc = subprocess.run([sys.executable, "-c", probe, "encode", "--kind", "sxor", "--k", "2",
-                           "--n", "100", str(src), "--out-dir", str(out)],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.returncode == 1
-    assert proc.stderr == ("error: encode keeps 101 files open at once, 100 packets and the "
-                           "sidecar, more than the open-file limit (soft RLIMIT_NOFILE 64) allows\n")
-    assert list(out.iterdir()) == []
+    for n, held, why in (
+            (100, 0, "more than the open-file limit (soft RLIMIT_NOFILE 64) allows"),
+            (50, 20, "but the descriptors already open left fewer than 51 free under the "
+                     "open-file limit (soft RLIMIT_NOFILE 64)")):
+        out = tmp_path / f"packets{n}"
+        probe = ("import os, resource, sys\n"
+                 "from sxor.cli import main\n"
+                 "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+                 "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+                 f"held = [os.open(os.devnull, os.O_RDONLY) for _ in range({held})]\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, "encode", "--kind", "sxor", "--k", "2",
+                               "--n", str(n), str(src), "--out-dir", str(out)],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: encode keeps {n + 1} files open at once, {n} packets and "
+                               f"the sidecar, {why}\n")
+        assert list(out.iterdir()) == []
 
 
 def test_encode_checks_the_open_file_limit_before_opening_files(tmp_path, monkeypatch, capsys):
@@ -634,7 +641,8 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
             ("sxor", ("K=3", "K=3 k=3"), "data.bin.sxmeta: line 1: unknown fields ['k']"),
             ("sxor", ("len=32", "32"), "data.bin.sxmeta: line 1, field 1: expected key=value"),
             ("sxor", ("\n", "\nK=3\n"),
-             "data.bin.sxmeta: line 2: a sidecar holds one line of fields")):
+             "data.bin.sxmeta: line 2: a sidecar holds one line of fields"),
+            ("sxor", ("crc32=", "crc32=z"), "data.bin.sxmeta: crc32='z", "is not 8 hex digits")):
         src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
         sidecar = out / "data.bin.sxmeta"
         text = sidecar.read_text(encoding="ascii")
@@ -645,6 +653,34 @@ def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
         err = capsys.readouterr().err
         assert all(message in err for message in messages), err
         assert not (tmp_path / "r.bin").exists()
+
+
+def test_decode_checks_the_restored_bytes_against_the_sidecar_crc32(tmp_path, capsys):
+    # A flipped bit in a systematic packet decodes to other bytes: the
+    # sidecar's crc32 catches them, and --out stays as it was.  With
+    # --length, or with no crc32 field, the same decode is unchecked.
+    data = bytes(range(100))
+    src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "7"])
+    target = packet_path(out, "data.bin", 2)
+    p = read_packet(target)
+    write_packet(replace(p, bits=Poly2(p.bits.mask ^ 1 << 40)), target)
+    wrong = bytearray(data)
+    wrong[34 + 5] ^= 1  # source 2 starts at byte ceil(100 / 3)
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
+    restored = tmp_path / "r.bin"
+    restored.write_bytes(b"before")
+    sidecar = out / "data.bin.sxmeta"
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sidecar {sidecar}: crc32={zlib.crc32(data):08x}, "
+        f"but the restored bytes have crc32={zlib.crc32(wrong):08x}\n")
+    assert restored.read_bytes() == b"before"
+    assert run(["decode", *packs, "--out", str(restored), "--length", "100"]) == 0
+    assert restored.read_bytes() == wrong
+    sidecar.write_text(sidecar.read_text().replace(f" crc32={zlib.crc32(data):08x}", ""))
+    restored.unlink()
+    assert run(["decode", *packs, "--out", str(restored)]) == 0
+    assert restored.read_bytes() == wrong
 
 
 def test_decode_refuses_an_oversized_sidecar(tmp_path, capsys):

@@ -12,6 +12,7 @@ must exit 0, 1 or 2 without a traceback.
 
 import io
 import time
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -48,8 +49,9 @@ PACKETS = [packet_to_bytes(p) for mat in MATRICES
                                  for i in range(mat.spec.k)], 40)]
 TEXTS = [format_matrix(mat) for mat in MATRICES]
 # Sidecars as encode writes them: 5 bytes per source for the CLI fuzz below.
-SIDECARS = [format_fields({"len": 5 * mat.spec.k, **mat.spec.fields()}) + "\n"
-            for mat in MATRICES]
+SIDECARS = [format_fields({"len": 5 * mat.spec.k, **mat.spec.fields(),
+                           "crc32": f"{zlib.crc32(bytes(range(i, i + 5 * mat.spec.k))):08x}"})
+            + "\n" for i, mat in enumerate(MATRICES)]
 
 # A systematic packet relabelled as kind sxor: its x entries must be refused.
 X_ON_SXOR = PACKETS[7][:5] + bytes([1]) + PACKETS[7][6:]
@@ -168,7 +170,7 @@ def test_damaged_matrix_file_loads_or_raises_matrix_format_error(matrix_file, da
 
 
 def parse_sidecar(text):
-    return parse_fields(text.split(), ("len",))
+    return parse_fields(text.split(), ("len", "crc32"))
 
 
 @PROPERTY
@@ -179,7 +181,7 @@ def test_damaged_sidecar_line_parses_or_raises_matrix_format_error(text):
     except MatrixFormatError:
         return
     assert isinstance(spec, CodeSpec)
-    assert set(extra) <= {"len"}
+    assert set(extra) <= {"len", "crc32"}
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +219,50 @@ def test_decode_next_to_a_damaged_sidecar_exits_cleanly(encoded, data):
     assert "Traceback" not in err.getvalue()
     if code == 0:  # only a shorter len still decodes: a prefix of the original
         assert original.startswith(restored.read_bytes())
+
+
+@pytest.fixture(scope="module")
+def cli_encoded(tmp_path_factory):
+    # A 200-byte file, `sxor encode`d with each code below: its directory,
+    # K, N and bytes.
+    cases = []
+    for kind, k, n in (("systematic", 10, 14), ("sxor", 4, 7)):
+        out = tmp_path_factory.mktemp(kind)
+        src = out / "data.bin"
+        src.write_bytes(bytes(range(7, 207)))
+        with redirect_stdout(io.StringIO()):
+            assert main(["encode", "--kind", kind, "--k", str(k), "--n", str(n), str(src),
+                         "--out-dir", str(out)]) == 0
+        cases.append((out, k, n, src.read_bytes()))
+    return cases
+
+
+@PROPERTY
+@given(st.data())
+def test_a_flipped_payload_bit_never_decodes_to_other_bytes(cli_encoded, data):
+    # One payload bit flipped in any survivor: with the sidecar, decode
+    # either exits 1, leaving no --out, or restores the exact file.
+    out, k, n, original = data.draw(st.sampled_from(cli_encoded))
+    survivors = data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+    target = out / f"data.bin.p{data.draw(st.sampled_from(survivors))}.sxp"
+    fh, head = _open_packet(target)
+    fh.close()
+    bit = data.draw(st.integers(0, head.bit_len - 1))
+    clean = target.read_bytes()
+    damaged = bytearray(clean)
+    damaged[head.offset + bit // 8] ^= 1 << bit % 8
+    restored = out / "restored.bin"
+    restored.unlink(missing_ok=True)
+    err = io.StringIO()
+    target.write_bytes(damaged)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["decode", *(str(out / f"data.bin.p{j}.sxp") for j in survivors),
+                         "--out", str(restored)])
+    finally:
+        target.write_bytes(clean)
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        assert restored.read_bytes() == original
+    else:
+        assert not restored.exists()
