@@ -11,7 +11,9 @@ sidecar recording the original byte length, the code fields and the
 packet suffix from the first packet argument, reads it with the
 matrix-header reader ``codes.parse_fields``, rejects it unless its code
 matches the packet headers, and, when it takes the sidecar's length,
-checks the restored bytes against its crc32.  Decode
+checks the restored bytes against its crc32.  Both take that crc32 from
+the bytes the file driver reads or writes, so encode reads its input
+once and decode never reads its output back.  Decode
 always uses the exact (MAP) decoder, so it refuses exactly the survivor
 sets that check lists as failing.
 
@@ -35,11 +37,9 @@ and renames them into place only once it has written the last stripe
 (for decode, once every division and the crc32 have checked out), so a
 failed run leaves the packets, sidecar or --out as they were.  A path replaced must be a
 regular file, and the new file takes its permission bits, else 0666
-less the umask.  An encode that would keep more files open than the
-open-file limit allows names the files it needs and, where the platform
-has one, the soft limit; when the files alone exceed that limit, it says
-so before it opens any of them, and otherwise that the descriptors
-already open left too few free.  Encode and decode import neither
+less the umask.  Encode holds only its input open: it opens a packet
+only while it writes a stripe to it, so N is not bounded by the
+open-file limit.  Encode and decode import neither
 ``sxor.analysis`` nor ``json``: the first loads only for analyze
 --compare and classify, the second only for the commands with --format.
 
@@ -55,16 +55,14 @@ table entry for the smallest degree that fits N.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import re
 import stat
 import sys
 import tempfile
-import zlib
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .codec import _decode_files, _encode_file, _open_packet
 # The library's whole-packet I/O; the CLI streams instead, but
@@ -152,45 +150,25 @@ def cmd_encode(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = [out_dir / f"{stem}.p{j}.sxp" for j in range(1, mat.spec.n + 1)]
         paths.append(out_dir / f"{stem}.sxmeta")
-        soft = None
-        with suppress(ImportError):  # no resource module off Unix
-            import resource
-
-            soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
-        try:
-            if soft is not None and 0 <= soft < len(paths):  # RLIM_INFINITY is -1 on Linux
-                raise OSError(errno.EMFILE, "")  # before any file is opened
-            with _replacing(paths, list(map(str, paths))) as files:
-                _encode_file(mat, fh, size, files[:-1])
-                crc = f"{_crc32(fh, size):08x}"
-                meta = format_fields({"len": size, **mat.spec.fields(), "crc32": crc})
-                files[-1].write(meta.encode("ascii") + b"\n")
-        except OSError as exc:
-            if exc.errno != errno.EMFILE:
-                raise
-            limit = "the open-file limit"
-            if soft is not None:
-                limit += f" (soft RLIMIT_NOFILE {soft})"
-            why = (f"more than {limit} allows" if soft is None or 0 <= soft < len(paths) else
-                   f"but the descriptors already open left fewer than {len(paths)} free "
-                   f"under {limit}")
-            raise OSError(f"encode keeps {len(paths)} files open at once, {mat.spec.n} packets and "
-                          f"the sidecar, {why}") from None
+        with _replacing(paths, list(map(str, paths))) as temps:
+            crc = _encode_file(mat, fh, size, temps[:-1])
+            meta = format_fields({"len": size, **mat.spec.fields(), "crc32": f"{crc:08x}"})
+            Path(temps[-1]).write_bytes(meta.encode("ascii") + b"\n")
     print(f"wrote {mat.spec.n} packets and {stem}.sxmeta to {out_dir}")
     return 0
 
 
 @contextmanager
-def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[BinaryIO]]:
-    """New binary files, renamed onto ``paths`` only once the block ends without error.
+def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[str]]:
+    """Paths of new empty files, renamed onto ``paths`` only once the block ends without error.
 
-    They are open for reading too.  Each is made in its path's directory
-    and takes the permission bits of the file it replaces, else 0666 less
-    the umask, as ``open(path, "wb")`` gives a new file.  Renaming onto a
-    device, FIFO or directory would replace it, so a path that exists
-    must be a regular file; ``labels`` name the paths in that error.  On
-    any error every new file is removed, so the paths are left as they
-    were.
+    Each is made in its path's directory, and is not left open: the
+    block opens it as it needs.  Each takes the permission bits of the
+    file it replaces, else 0666 less the umask, as ``open(path, "wb")``
+    gives a new file.  Renaming onto a device, FIFO or directory would
+    replace it, so a path that exists must be a regular file; ``labels``
+    name the paths in that error.  On any error every new file is
+    removed, so the paths are left as they were.
     """
     modes = []
     for path, label in zip(paths, labels):
@@ -206,13 +184,11 @@ def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[Bi
         modes.append(mode & 0o777)
     temps = []
     try:
-        with ExitStack() as stack:
-            files = []
-            for path in paths:
-                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-                temps.append(tmp)
-                files.append(stack.enter_context(os.fdopen(fd, "w+b")))
-            yield files
+        for path in paths:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            temps.append(tmp)
+            os.close(fd)
+        yield temps
         for tmp, mode in zip(temps, modes):
             os.chmod(tmp, mode)
         for tmp, path in zip(temps, paths):
@@ -222,15 +198,6 @@ def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[Bi
             with suppress(FileNotFoundError):  # already renamed into place
                 os.unlink(tmp)
         raise
-
-
-def _crc32(fh: BinaryIO, size: int) -> int:
-    # zlib.crc32 of the first size bytes of fh, read 64 KiB at a time.
-    fh.seek(0)
-    crc = 0
-    while size > 0 and (data := fh.read(min(size, 1 << 16))):
-        crc, size = zlib.crc32(data, crc), size - len(data)
-    return crc
 
 
 def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, dict[str, str]] | None:
@@ -314,13 +281,12 @@ def _decode(args, packets) -> None:
 
     # Decode into a new file next to --out, and put it in place only once
     # every division, and the sidecar's crc32, has checked out.
-    with _replacing([Path(args.out)], [f"--out {args.out}"]) as (fh,):
-        _decode_files(mat, packets, fh, total_len)
-        if crc is not None:
-            got = _crc32(fh, total_len)
-            if got != int(crc, 16):
-                raise ValueError(f"sidecar {sidecar}: crc32={crc}, but the restored bytes have "
-                                 f"crc32={got:08x}")
+    with _replacing([Path(args.out)], [f"--out {args.out}"]) as (tmp,):
+        with open(tmp, "wb") as fh:
+            got = _decode_files(mat, packets, fh, total_len)
+        if crc is not None and got != int(crc, 16):
+            raise ValueError(f"sidecar {sidecar}: crc32={crc}, but the restored bytes have "
+                             f"crc32={got:08x}")
     print(f"restored {total_len} bytes to {args.out}")
 
 

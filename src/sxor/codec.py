@@ -67,6 +67,7 @@ from __future__ import annotations
 import io
 import os
 import struct
+import zlib
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -76,7 +77,7 @@ from operator import or_
 from typing import BinaryIO, Callable, NamedTuple, Sequence, Union
 
 from .codes import KINDS, KIND_CODES, CodeSpec, GenMatrix
-from .gf2m import PolyLike, _as_poly
+from .gf2m import PolyLike, _as_poly, _mulmod, _powmod
 from .gf2poly import (InconsistentDivision, Poly2, _div_low, _divmod_masks, _exponents, _gcd_masks,
                       exact_div_low, split_shift)
 from .polymat import PolyMatrix, _bareiss_step, cancel_common_factor
@@ -440,32 +441,43 @@ def _stream(net: _Network, length: int, in_sizes: Sequence[int], out_sizes: Sequ
             outs[j] = None  # each int goes once it is written, not at the next stripe
 
 
-def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[BinaryIO]) -> None:
-    """Encode the first ``size`` bytes of ``src`` into one packet per binary file in ``dests``.
+def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[str]) -> int:
+    """Encode the first ``size`` bytes of ``src`` into one packet per file path in ``dests``.
 
     The bytes split into K sources of ceil(size / K) bytes, the last
     zero-padded.  A packet whose column is 1 for one source is that
     source's bytes as read; a source that no other column holds is never
-    made an int.  ``src`` must still hold ``size`` bytes: a shorter read
-    raises ``ValueError``.
+    made an int.  Each path gets its header, then each stripe's bytes
+    through an ``open(path, "ab")`` of its own, so only ``src`` stays
+    open.  ``src`` is read once, and must still hold ``size`` bytes: a
+    shorter read raises ``ValueError``.  Returns ``zlib.crc32`` of the
+    ``size`` bytes, taken as they are read.
     """
     k = mat.spec.k
     chunk = -(-size // k)
     over = mat.column_overheads()
-    for j, (fh, w) in enumerate(zip(dests, over), 1):
-        fh.write(_header_bytes(mat.spec, j, 8 * chunk, 8 * chunk + w))
+    for j, (path, w) in enumerate(zip(dests, over), 1):
+        with open(path, "wb") as fh:
+            fh.write(_header_bytes(mat.spec, j, 8 * chunk, 8 * chunk + w))
+    crcs = [0] * k
 
     def read(i: int, at: int, n: int) -> bytes:
         at += i * chunk
         src.seek(at)
         data = _read(src, min(n, max(size - at, 0)), f"input file {src.name}", ValueError)
+        crcs[i] = zlib.crc32(data, crcs[i])
         return data.ljust(n, b"\0")
 
+    def write(j: int, at: int, data: bytes) -> None:
+        with open(dests[j], "ab") as fh:
+            fh.write(data)
+
     _stream(_encoder(mat), 8 * chunk, [chunk] * k, [chunk + (w + 7) // 8 for w in over], read,
-            lambda j, at, data: dests[j].write(data))
+            write)
+    return _file_crc(crcs, chunk, size)
 
 
-def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> None:
+def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> int:
     """Decode the (file, header) pairs of :func:`_open_packet` into ``dest``'s first ``size`` bytes.
 
     The same checks, kernel and stripe core as :func:`map_decode`;
@@ -476,11 +488,14 @@ def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size
     to exactly the length its header states, and a file that has since
     become shorter raises :class:`PacketFormatError` naming
     the packet.  Bytes are written as stripes complete, and a decode
-    error is raised only after the last one.
+    error is raised only after the last one.  ``dest`` is only sought
+    and written, never read.  Returns ``zlib.crc32`` of the ``size``
+    bytes, taken as they are written.
     """
     length, idx = _check_headers(mat, [head for _, head in packets])
     files = sorted(packets, key=lambda packet: packet[1].index)  # in survivor order
     chunk = length // 8
+    crcs = [0] * mat.spec.k
 
     def read(r: int, at: int, n: int) -> bytes:
         fh, head = files[r]
@@ -489,11 +504,35 @@ def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size
     def write(c: int, at: int, data: bytes) -> None:
         at += c * chunk
         if at < size:
+            data = data[:size - at]
             dest.seek(at)
-            dest.write(data[:size - at])
+            dest.write(data)
+            crcs[c] = zlib.crc32(data, crcs[c])
 
     _stream(map_kernel(mat, idx).network, length, [(head.bit_len + 7) // 8 for _, head in files],
             [chunk] * mat.spec.k, read, write)
+    return _file_crc(crcs, chunk, size)
+
+
+# The CRC-32 polynomial of zlib.crc32, z**32 + z**26 + ... + 1.
+_CRC32_POLY = 0x104C11DB7
+
+
+def _file_crc(crcs: Sequence[int], chunk: int, size: int) -> int:
+    # zlib.crc32 of a file's first size bytes from the crc32 of each
+    # chunk-byte part of it, in file order.  For parts A and B,
+    # crc32(A + B) is crc32(A) times z**(8 len(B)) mod the polynomial, plus
+    # crc32(B): the initial and final inversions cancel.  zlib keeps its
+    # register bit-reversed (bit 0 holds z**31), so the product runs on the
+    # reversed values.
+    def flip(crc: int) -> int:
+        return int(f"{crc:032b}"[::-1], 2)
+
+    total = 0
+    for i, crc in enumerate(crcs):
+        n = min(chunk, max(size - i * chunk, 0))
+        total = flip(_mulmod(flip(total), _powmod(2, 8 * n, _CRC32_POLY, 32), _CRC32_POLY, 32)) ^ crc
+    return total
 
 
 def _read(fh: BinaryIO, size: int, what: str, error: type[ValueError]) -> bytes:
@@ -728,6 +767,24 @@ def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
 _TO_BITS = bytes.maketrans(b"01", b"\0\1")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
+# Most packet bits the per-bit zigzag stage may hold, summed over the
+# survivors: about a 128 KiB zd3 object.  At the limit, zd3's all-parity
+# set (4, 5, 6) took zigzag_decode 1.2 s and 4.1 MiB over the process
+# (about 4 bytes per packet bit), and zigzag_schedule 1.7 s and 182 MiB,
+# since the order it returns holds a tuple per source bit.
+MAX_PEEL_BITS = 1 << 20
+
+
+def _bit_buffers(mat: GenMatrix, idx: tuple[int, ...], length: int, work: Sequence[int]) -> list[bytearray]:
+    # Byte k of each buffer is bit k of its survivor's residual, refused
+    # before any is made when they would pass MAX_PEEL_BITS.
+    sizes = [length + mat.column_overheads()[p - 1] for p in idx]
+    if sum(sizes) > MAX_PEEL_BITS:
+        raise ValueError(f"source length {length}: the per-bit zigzag stage would hold {sum(sizes)} "
+                         f"packet bits, more than the limit of {MAX_PEEL_BITS}")
+    return [bytearray(format(w, f"0{n}b")[::-1], "ascii").translate(_TO_BITS)
+            for w, n in zip(work, sizes)]
+
 
 def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: list | None):
     """Per-bit zigzag elimination of the unresolved source ``rows``.
@@ -798,16 +855,17 @@ def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tu
     contains each of the K * length source bits exactly once on success;
     :class:`ZigzagStuck` reports how far elimination got otherwise.
     ``survivors`` must pass :meth:`GenMatrix.check_survivors`, and their
-    entries must all be monomials (:class:`NotMonomialMatrix`).
+    entries must all be monomials (:class:`NotMonomialMatrix`).  Their
+    packets may hold at most ``MAX_PEEL_BITS`` bits together, else
+    ``ValueError``.
     """
     k = mat.spec.k
     idx = mat.check_survivors(survivors)
     if length < 1:
         raise ValueError("source length must be positive")
-    over = mat.column_overheads()
     cover, hits = _monomial_terms(mat, idx)
     trace: list[tuple[int, int, int]] = []
-    bufs = [bytearray(length + over[p - 1]) for p in idx]  # zero payloads: only the order counts
+    bufs = _bit_buffers(mat, idx, length, [0] * k)  # zero payloads: only the order counts
     done, _ = _peel_bits(cover, hits, length, range(k), bufs, trace)
     if done != k * length:
         raise ZigzagStuck(done, k * length)
@@ -858,16 +916,14 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     the packet, so where :func:`map_decode` also applies, both accept the
     same inputs and return bit-identical sources.
 
-    Memory: the per-bit stage peaks at about 5 bytes per packet bit (the
-    all-parity zd3 set of a 3 MiB object: 137 MiB peak RSS, 113 MiB over
-    the process before it), so a 16 MiB object needs about 0.6 GB.  It
+    Memory: the per-bit stage holds about 4-5 bytes per packet bit.  It
     runs only for two sources left with a + d = b + c or for three or
     more: of zd3's 20 sets, only the all-parity one (4, 5, 6).  On a
     384 KiB object, set (1, 4, 5) takes 3-5 ms and +1.2 MiB by division,
-    where the per-bit stage took 2.7-2.9 s and +13.6 MiB; (4, 5, 6) takes
-    3.5-6.0 s and +14.3 MiB.  No bound limits the packet length; a caller
-    that takes packets from outside bounds it itself, or decodes with
-    :func:`map_decode`.
+    where the per-bit stage took 2.7-2.9 s and +13.6 MiB.  A decode that
+    reaches the per-bit stage with more than ``MAX_PEEL_BITS`` packet
+    bits over its survivors raises ``ValueError`` before it holds them,
+    as :func:`zigzag_schedule` does; :func:`map_decode` has no such limit.
     """
     length, masks, idx = _check_packets(mat, packets)
     k = mat.spec.k
@@ -893,10 +949,7 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     if len(live) == 2:
         _solve_pair(cover, live, work, sources, length)
     if live:
-        over = mat.column_overheads()
-        # Byte k of each buffer is bit k of its survivor's residual.
-        bufs = [bytearray(format(w, f"0{length + over[p - 1]}b")[::-1], "ascii").translate(_TO_BITS)
-                for p, w in zip(idx, work)]
+        bufs = _bit_buffers(mat, idx, length, work)
         done, values = _peel_bits(cover, hits, length, live, bufs, None)
         if done != len(live) * length:
             raise ZigzagStuck((k - len(live)) * length + done, k * length)

@@ -61,6 +61,18 @@ def test_encode_writes_packets_and_sidecar(tmp_path):
         assert p.bit_len == 32 + overheads[i - 1]
 
 
+def test_sidecar_crc32_of_a_file_shorter_than_k(tmp_path):
+    # Five bytes over K = 8 sources of one byte: the last three are only
+    # zero padding, and the crc32 covers the file's bytes alone.
+    data = b"short"
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "8", "--n", "15"])
+    assert (out / "data.bin.sxmeta").read_text().endswith(f" crc32={zlib.crc32(data):08x}\n")
+    restored = tmp_path / "r.bin"
+    assert run(["decode", *(str(packet_path(out, "data.bin", i)) for i in range(8, 16)),
+                "--out", str(restored)]) == 0
+    assert restored.read_bytes() == data
+
+
 def test_round_trip_map_subset(tmp_path):
     data = bytes(range(251)) * 5
     src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
@@ -487,51 +499,33 @@ def test_encode_of_an_input_that_shrinks_fails_naming_it(tmp_path, monkeypatch, 
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
-def test_encode_past_the_open_file_limit_names_it(tmp_path):
-    # A child lowers its own soft limit to 64 open files.  100 packets and
-    # the sidecar are more than that; 50 and the sidecar are not, but 20
-    # more descriptors held open leave fewer free.  Either way it exits 1
-    # naming the figures and leaves no temp file behind.
+def test_encode_holds_only_its_input_open(tmp_path):
+    # A child lowers its own soft limit to 64 open files and holds 20 more
+    # descriptors: 100 packets and the sidecar still encode, since each
+    # packet is open only while a stripe is written to it, and any two of
+    # them restore the input.
     pytest.importorskip("resource")
     src = tmp_path / "object.bin"
-    src.write_bytes(bytes(range(256)) * 4)
-    for n, held, why in (
-            (100, 0, "more than the open-file limit (soft RLIMIT_NOFILE 64) allows"),
-            (50, 20, "but the descriptors already open left fewer than 51 free under the "
-                     "open-file limit (soft RLIMIT_NOFILE 64)")):
-        out = tmp_path / f"packets{n}"
-        probe = ("import os, resource, sys\n"
-                 "from sxor.cli import main\n"
-                 "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
-                 "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
-                 f"held = [os.open(os.devnull, os.O_RDONLY) for _ in range({held})]\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        proc = subprocess.run([sys.executable, "-c", probe, "encode", "--kind", "sxor", "--k", "2",
-                               "--n", str(n), str(src), "--out-dir", str(out)],
-                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
-        assert proc.returncode == 1
-        assert proc.stderr == (f"error: encode keeps {n + 1} files open at once, {n} packets and "
-                               f"the sidecar, {why}\n")
-        assert list(out.iterdir()) == []
-
-
-def test_encode_checks_the_open_file_limit_before_opening_files(tmp_path, monkeypatch, capsys):
-    # 101 files against a soft limit of 64: refused before the first temp file.
-    resource = pytest.importorskip("resource")
-    monkeypatch.setattr(resource, "getrlimit", lambda which: (64, 64))
-
-    def no_temp_files(*args, **kwargs):
-        pytest.fail("encode opened a temp file past the open-file limit")
-
-    monkeypatch.setattr(cli.tempfile, "mkstemp", no_temp_files)
-    src = tmp_path / "object.bin"
-    src.write_bytes(bytes(range(256)))
+    data = bytes(range(256)) * 4
+    src.write_bytes(data)
     out = tmp_path / "packets"
-    assert run(["encode", "--kind", "sxor", "--k", "2", "--n", "100", str(src), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: encode keeps 101 files open at once, 100 packets and the sidecar, more than "
-        "the open-file limit (soft RLIMIT_NOFILE 64) allows\n")
-    assert list(out.iterdir()) == []
+    probe = ("import os, resource, sys\n"
+             "from sxor.cli import main\n"
+             "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+             "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+             "held = [os.open(os.devnull, os.O_RDONLY) for _ in range(20)]\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, "encode", "--kind", "sxor", "--k", "2",
+                           "--n", "100", str(src), "--out-dir", str(out)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        [f"object.bin.p{j}.sxp" for j in range(1, 101)] + ["object.bin.sxmeta"])
+    restored = tmp_path / "r.bin"
+    for pair in ((1, 2), (37, 100)):
+        assert run(["decode", *(str(packet_path(out, "object.bin", j)) for j in pair),
+                    "--out", str(restored)]) == 0
+        assert restored.read_bytes() == data
 
 
 def test_decode_wrong_packet_count(tmp_path):

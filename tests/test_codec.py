@@ -313,6 +313,36 @@ def test_zigzag_solves_two_left_sources_without_the_per_bit_stage(monkeypatch):
             assert [s.mask for s in zigzag_decode(mat, chosen)] == src
 
 
+def test_the_per_bit_stage_holds_at_most_max_peel_bits(monkeypatch):
+    # zd3's all-parity set at the limit, and one bit past it: both zigzag
+    # functions refuse the longer case naming the length and the limit,
+    # before the per-bit stage runs.  Sets solved word-wide ignore it.
+    mat = builtin_zd_k3()
+    length = 200
+    held = 3 * length + sum(mat.column_overheads()[3:])
+    rng = random.Random(31)
+    src = [rng.getrandbits(length) for _ in range(3)]
+    packets = by_index(encode(mat, src, length))
+    monkeypatch.setattr(codec, "MAX_PEEL_BITS", held)
+    assert [s.mask for s in zigzag_decode(mat, [packets[j] for j in (4, 5, 6)])] == src
+    assert len(zigzag_schedule(mat, (4, 5, 6), length)) == 3 * length
+
+    def per_bit(*args):
+        raise AssertionError("per-bit stage")
+
+    monkeypatch.setattr(codec, "_peel_bits", per_bit)
+    monkeypatch.setattr(codec, "MAX_PEEL_BITS", held - 1)
+    message = (f"source length {length}: the per-bit zigzag stage would hold {held} packet "
+               f"bits, more than the limit of {held - 1}")
+    with pytest.raises(ValueError, match=message):
+        zigzag_decode(mat, [packets[j] for j in (4, 5, 6)])
+    with pytest.raises(ValueError, match=message):
+        zigzag_schedule(mat, (4, 5, 6), length)
+    monkeypatch.setattr(codec, "MAX_PEEL_BITS", 0)
+    for sub in ((1, 2, 3), (1, 4, 5), (3, 5, 6)):
+        assert [s.mask for s in zigzag_decode(mat, [packets[j] for j in sub])] == src
+
+
 def test_decoders_reject_the_same_corrupted_parity():
     mat = builtin_zd_k3()
     rng = random.Random(3)

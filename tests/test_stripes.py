@@ -5,8 +5,13 @@ the whole stream gives: the same packet payloads on encoding, and on
 decoding the same sources or the same error, named by the same source.
 Between stripes, a run holds only its carries, no more bits than its
 network's entry degrees and feedbacks bound, and the file driver fewer
-than 8 bits per output, however many stripes they have run.
+than 8 bits per output, however many stripes they have run.  The file
+driver reads each input byte once, never reads what it writes, and joins
+the crc32 of the file from those of its sources.
 """
+
+import io
+import zlib
 
 import pytest
 
@@ -19,7 +24,8 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 
 from sxor import codec
-from sxor.codec import _check_packets, _encoder, encode, map_decode, map_kernel
+from sxor.codec import (_check_packets, _decode_files, _encode_file, _encoder, _file_crc,
+                        _open_packet, encode, map_decode, map_kernel)
 from sxor.codes import build_sxor, build_systematic_sxor, builtin_zd_k3, user_matrix
 from sxor.gf2poly import InconsistentDivision, Poly2
 
@@ -139,3 +145,62 @@ def test_run_state_stays_bounded_over_many_stripes(m, monkeypatch):
         codec._stream(net, length, [len(f) for f in files], [(bits + 7) // 8 for _, bits in outs],
                       read, write)
         assert [int.from_bytes(w, "little") for w in written] == want, name
+
+
+@PROPERTY
+@given(st.binary(min_size=1, max_size=600), st.integers(1, 32))
+def test_joined_crc_is_the_crc_of_the_whole(data, k):
+    # Cut as _encode_file cuts: K parts of ceil(size / K) bytes, the
+    # trailing ones short or empty.
+    chunk = -(-len(data) // k)
+    crcs = [zlib.crc32(data[i * chunk:(i + 1) * chunk]) for i in range(k)]
+    assert _file_crc(crcs, chunk, len(data)) == zlib.crc32(data)
+
+
+class CountingReader(io.BytesIO):
+    name = "object.bin"
+    count = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.count += len(data)
+        return data
+
+
+class Sink:
+    """A file that can only be sought and written."""
+
+    def __init__(self):
+        self.data, self.at = bytearray(), 0
+
+    def seek(self, at):
+        self.at = at
+
+    def write(self, data):
+        self.data.extend(bytes(max(self.at + len(data) - len(self.data), 0)))
+        self.data[self.at:self.at + len(data)] = data
+        self.at += len(data)
+
+
+@pytest.mark.parametrize("m", range(len(MATS)))
+def test_file_driver_reads_each_byte_once_and_never_reads_its_output(m, tmp_path, monkeypatch):
+    # Byte-wide stripes; sizes that leave the last source short, and one
+    # smaller than K, which leaves trailing sources empty.
+    monkeypatch.setattr(codec, "_STRIPE", 8)
+    mat = MATS[m]
+    k = mat.spec.k
+    for size in (1, k - 1, 7 * k + 1, 50):
+        data = Random(size).randbytes(size)
+        src = CountingReader(data)
+        paths = [str(tmp_path / f"p{j}") for j in range(1, mat.spec.n + 1)]
+        assert _encode_file(mat, src, size, paths) == zlib.crc32(data)
+        assert src.count == size
+        for idx in combinations(range(1, mat.spec.n + 1), k):
+            packets = [_open_packet(paths[j - 1]) for j in idx]
+            try:
+                sink = Sink()
+                assert _decode_files(mat, packets, sink, size) == zlib.crc32(data)
+            finally:
+                for fh, _ in packets:
+                    fh.close()
+            assert bytes(sink.data) == data, (size, idx)
