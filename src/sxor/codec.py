@@ -39,23 +39,22 @@ fewer than 8 bits past its last whole byte written, so their memory
 does not grow with the file.
 
 Zigzag decoding applies only when A_I is monomial (every entry 0 or a
-single power of z) and runs in time linear in L.  While some survivor
-carries exactly one unresolved source, that whole source is read off it
-with one shift and cancelled from every survivor with one big-int XOR
-each.  Two sources left sit on the two survivors not yet used,
-P = z**a s1 + z**b s2 and Q = z**c s1 + z**d s2, the collision pair of
-ZigZag decoding (Gollakota and Katabi, SIGCOMM 2008).  When their 2 x 2
-determinant z**(a+d) + z**(b+c) is nonzero, s1 is one exact division of
-z**d P + z**b Q and s2 one shift of P.  Any other sources left are
-peeled bit by bit over packets held one byte per bit: read off an
-"exposed" packet bit covered by exactly one unresolved source bit and
-cancel that bit from every packet carrying it, always taking the lowest
-exposed position first (ties broken by packet order), the textbook
-left-to-right elimination.  Peeling is confluent, so where the stages
-hand over changes neither the sources nor how far a stuck elimination
-gets; the division is kept only where it reaches the peel's own
-solution, and otherwise the bits are peeled.  Every survivor's residual
-(its payload with the recovered sources cancelled) must end at zero.
+single power of z).  It is the per-bit peel of ZigZag decoding
+(Gollakota and Katabi, SIGCOMM 2008) over packets held one byte per bit:
+read off an "exposed" packet bit covered by exactly one unresolved
+source bit and cancel that bit from every packet carrying it, always
+taking the lowest exposed position first (ties broken by packet order),
+the textbook left-to-right elimination.  Every survivor's residual (its
+payload with the recovered sources cancelled) must end at zero.  Sets
+whose determinant the matrix alone proves nonzero skip it and run the
+MAP network instead, word-wide: peel whole sources off the monomial
+pattern while some survivor carries exactly one unresolved source; when
+none is left, or two on the two survivors left,
+P = z**a s1 + z**b s2 and Q = z**c s1 + z**d s2 with a + d != b + c,
+A_I is triangular up to order but for that 2 x 2 block, so det(A_I) is
+nonzero.  There the per-bit peel would complete too, and both decoders
+accept exactly the payloads that length-L sources reproduce, so the
+choice changes no decoded source, only a rejection's message.
 
 The binary packet format is little-endian and self-describing: it embeds
 the CodeSpec so a decoder can rebuild the generator matrix from headers
@@ -767,16 +766,21 @@ def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
 _TO_BITS = bytes.maketrans(b"01", b"\0\1")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-# Most packet bits the per-bit zigzag stage may hold, summed over the
+# Most packet bits the per-bit zigzag peel may hold, summed over the
 # survivors: about a 128 KiB zd3 object.  At the limit, zd3's all-parity
 # set (4, 5, 6) took zigzag_decode 1.2 s and 4.1 MiB over the process
-# (about 4 bytes per packet bit), and zigzag_schedule 1.7 s and 182 MiB,
-# since the order it returns holds a tuple per source bit.
+# (about 4 bytes per packet bit).
 MAX_PEEL_BITS = 1 << 20
+# Most source bits, K * L, whose order zigzag_schedule may return: it
+# holds a tuple per source bit, about 176 bytes each while the order is
+# built.  At the limit, zd3's set (4, 5, 6) (L = 21845) and an 8 x 8
+# monomial matrix (L = 8192) each raised a fresh process's peak RSS
+# (ru_maxrss) by 11.0 MiB, where 2**20 packet bits of (4, 5, 6) took 182 MiB.
+MAX_SCHEDULE_BITS = 1 << 16
 
 
 def _bit_buffers(mat: GenMatrix, idx: tuple[int, ...], length: int, work: Sequence[int]) -> list[bytearray]:
-    # Byte k of each buffer is bit k of its survivor's residual, refused
+    # Byte k of each buffer is bit k of its survivor's payload, refused
     # before any is made when they would pass MAX_PEEL_BITS.
     sizes = [length + mat.column_overheads()[p - 1] for p in idx]
     if sum(sizes) > MAX_PEEL_BITS:
@@ -786,17 +790,16 @@ def _bit_buffers(mat: GenMatrix, idx: tuple[int, ...], length: int, work: Sequen
             for w, n in zip(work, sizes)]
 
 
-def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: list | None):
-    """Per-bit zigzag elimination of the unresolved source ``rows``.
+def _peel_bits(cover, hits, length: int, bufs: list[bytearray], trace: list | None):
+    """Per-bit zigzag elimination of every source.
 
-    ``bufs[pi]`` holds survivor pi's residual, one byte per bit, with
-    every other source already cancelled; each recovered bit is read off
-    its exposing packet and XORed out of every packet that carries it, so
-    ``bufs`` ends as the residual of the whole elimination.  The lowest
-    exposed bit position is always taken first, ties broken by packet
-    order; ``trace`` (when given) receives (row, bit, pi) in that order.
-    Returns the number of bits recovered and, per row in ``rows``, its
-    bit values (None for the other rows).
+    ``bufs[pi]`` holds survivor pi's payload, one byte per bit; each
+    recovered bit is read off its exposing packet and XORed out of every
+    packet that carries it, so ``bufs`` ends as the residual of the whole
+    elimination.  The lowest exposed bit position is always taken first,
+    ties broken by packet order; ``trace`` (when given) receives (row,
+    bit, pi) in that order.  Returns the number of bits recovered and,
+    per source, its bit values.
     """
     k = len(bufs)
     # load[pi][pos] = k * n + (sum of their rows) for the n unresolved
@@ -811,9 +814,8 @@ def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: lis
     for pi, col in enumerate(cover):
         diff = array("h", bytes(2 * len(bufs[pi]) + 2))
         for row, t in col:
-            if row in rows:
-                diff[t] += k + row
-                diff[t + length] -= k + row
+            diff[t] += k + row
+            diff[t + length] -= k + row
         diff.pop()
         load = array("H", accumulate(diff))
         loads.append(load)
@@ -825,7 +827,7 @@ def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: lis
     # position into that packet bit's heap key.
     touch = [tuple((bufs[qi], loads[qi], tq, tq * k + qi) for qi, tq in hits[row])
              for row in range(k)]
-    values = [bytearray(length) if row in rows else None for row in range(k)]
+    values = [bytearray(length) for _ in range(k)]
     done = 0
     while heap:
         pos, pi = divmod(heappop(heap), k)
@@ -847,6 +849,19 @@ def _peel_bits(cover, hits, length: int, rows, bufs: list[bytearray], trace: lis
     return done, values
 
 
+def _peel(mat: GenMatrix, idx: tuple[int, ...], length: int, payloads: Sequence[int],
+          trace: list | None) -> tuple[list[bytearray], list[bytearray]]:
+    # The per-bit peel of the survivors idx, for zigzag_schedule and
+    # zigzag_decode: each source's bits and each survivor's residual.
+    k = mat.spec.k
+    cover, hits = _monomial_terms(mat, idx)
+    bufs = _bit_buffers(mat, idx, length, payloads)
+    done, values = _peel_bits(cover, hits, length, bufs, trace)
+    if done != k * length:
+        raise ZigzagStuck(done, k * length)
+    return values, bufs
+
+
 def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tuple[tuple[int, int, int], ...]:
     """Elimination order for zigzag decoding, as (source_row, bit, packet) triples.
 
@@ -855,112 +870,78 @@ def zigzag_schedule(mat: GenMatrix, survivors: Sequence[int], length: int) -> tu
     contains each of the K * length source bits exactly once on success;
     :class:`ZigzagStuck` reports how far elimination got otherwise.
     ``survivors`` must pass :meth:`GenMatrix.check_survivors`, and their
-    entries must all be monomials (:class:`NotMonomialMatrix`).  Their
-    packets may hold at most ``MAX_PEEL_BITS`` bits together, else
-    ``ValueError``.
+    entries must all be monomials (:class:`NotMonomialMatrix`).  K *
+    length may be at most ``MAX_SCHEDULE_BITS``, and their packets may
+    hold at most ``MAX_PEEL_BITS`` bits together, else ``ValueError``
+    before the order is built.
     """
     k = mat.spec.k
     idx = mat.check_survivors(survivors)
     if length < 1:
         raise ValueError("source length must be positive")
-    cover, hits = _monomial_terms(mat, idx)
+    if k * length > MAX_SCHEDULE_BITS:
+        raise ValueError(f"source length {length}: the zigzag schedule would hold {k * length} "
+                         f"source bits, more than the limit of {MAX_SCHEDULE_BITS}")
     trace: list[tuple[int, int, int]] = []
-    bufs = _bit_buffers(mat, idx, length, [0] * k)  # zero payloads: only the order counts
-    done, _ = _peel_bits(cover, hits, length, range(k), bufs, trace)
-    if done != k * length:
-        raise ZigzagStuck(done, k * length)
+    _peel(mat, idx, length, [0] * k, trace)  # zero payloads: only the order counts
     return tuple((row, bit, idx[pi]) for row, bit, pi in trace)
 
 
-def _solve_pair(cover, live: set, work: list[int], sources: list[int], length: int) -> None:
-    """Solve the two ``live`` sources word-wide when their 2 x 2 determinant is nonzero.
+def _word_wide(cover, k: int) -> bool:
+    """Whether the monomial pattern ``cover`` alone proves det(A_I) nonzero.
 
-    They sit on the two survivors that the whole-source peel left,
-    P = z**a s1 + z**b s2 and Q = z**c s1 + z**d s2.  When a + d != b + c,
-    z**d P + z**b Q = z**e (1 + z**k) s1 with e = min(a + d, b + c) and
-    k = |a + d - b - c|, so s1 is one exact division and s2 one shift of
-    P.  Then the per-bit peel provably completes too, so on consistent
-    payloads both reach the one solution there is.  It is kept only when
-    both residuals end at zero; otherwise nothing changes, and the
-    per-bit stage reports the inconsistency as before.
+    Peels whole sources, no payload: while some survivor carries exactly
+    one source not yet peeled, that source is.  True when none is left,
+    or two on the two survivors left, P = z**a s1 + z**b s2 and
+    Q = z**c s1 + z**d s2, with a + d != b + c: ordered by the peel, A_I
+    is triangular with monomials on its diagonal but for that 2 x 2
+    block, whose determinant z**(a+d) + z**(b+c) is then nonzero.
     """
-    both = [(pi, dict(col)) for pi, col in enumerate(cover) if live <= {row for row, _ in col}]
-    if len(both) != 2:
-        return
-    r1, r2 = sorted(live)
-    (p, tp), (q, tq) = both
-    a, b, c, d = tp[r1], tp[r2], tq[r1], tq[r2]
-    if a + d == b + c:
-        return
-    try:
-        s1 = exact_div_low(Poly2(((work[p] << d) ^ (work[q] << b)) >> min(a + d, b + c)),
-                           Poly2(1 | 1 << abs(a + d - b - c)), length).mask
-    except InconsistentDivision:
-        return
-    s2 = ((work[p] ^ s1 << a) >> b) & ((1 << length) - 1)
-    if work[p] == s1 << a ^ s2 << b and work[q] == s1 << c ^ s2 << d:
-        sources[r1], sources[r2] = s1, s2
-        work[p] = work[q] = 0
-        live.clear()
+    live = set(range(k))
+    peeled = True
+    while peeled:
+        peeled = False
+        for col in cover:
+            left = [row for row, _ in col if row in live]
+            if len(left) == 1:
+                live.remove(left[0])
+                peeled = True
+    if len(live) != 2:
+        return not live
+    r1, r2 = live
+    both = [dict(col) for col in cover if live <= {row for row, _ in col}]
+    return len(both) == 2 and both[0][r1] + both[1][r2] != both[0][r2] + both[1][r1]
 
 
 def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """Recover the sources by zigzag elimination (monomial survivors only).
 
-    Three stages, each word-wide but the last (see the module docstring):
-    sources that some survivor carries alone are peeled whole; two
-    sources left whose 2 x 2 determinant is nonzero are solved by one
-    exact division (:func:`_solve_pair`); any others go through the
-    per-bit elimination of :func:`zigzag_schedule`.  Every survivor's
-    residual must end at zero, else :class:`InconsistentDivision` names
-    the packet, so where :func:`map_decode` also applies, both accept the
-    same inputs and return bit-identical sources.
+    Sets whose determinant :func:`_word_wide` proves nonzero from the
+    matrix alone run the :func:`map_decode` network, word-wide; the rest
+    go through the per-bit elimination of :func:`zigzag_schedule` (see
+    the module docstring).  Both accept exactly the payloads that some
+    length-L sources reproduce, and return the same sources, so where
+    :func:`map_decode` also applies the two agree.  Other payloads raise
+    :class:`~sxor.gf2poly.InconsistentDivision`: on a word-wide set with
+    :func:`map_decode`'s message, which names a source, and otherwise
+    naming the first survivor whose residual did not end at zero.
 
-    Memory: the per-bit stage holds about 4-5 bytes per packet bit.  It
-    runs only for two sources left with a + d = b + c or for three or
-    more: of zd3's 20 sets, only the all-parity one (4, 5, 6).  On a
-    384 KiB object, set (1, 4, 5) takes 3-5 ms and +1.2 MiB by division,
-    where the per-bit stage took 2.7-2.9 s and +13.6 MiB.  A decode that
-    reaches the per-bit stage with more than ``MAX_PEEL_BITS`` packet
-    bits over its survivors raises ``ValueError`` before it holds them,
-    as :func:`zigzag_schedule` does; :func:`map_decode` has no such limit.
+    Memory: the per-bit peel holds about 4-5 bytes per packet bit.  Of
+    zd3's 20 sets, only the all-parity one (4, 5, 6) reaches it.  A
+    decode that reaches it with more than ``MAX_PEEL_BITS`` packet bits
+    over its survivors raises ``ValueError`` before it holds them, as
+    :func:`zigzag_schedule` does; word-wide sets, like
+    :func:`map_decode`, have no such limit.
     """
     length, masks, idx = _check_packets(mat, packets)
-    k = mat.spec.k
-    cover, hits = _monomial_terms(mat, idx)
-    work = [masks[p] for p in idx]
-    sources = [0] * k
-    live = set(range(k))
-    full = (1 << length) - 1
-    peeled = True
-    while peeled:
-        peeled = False
-        for pi, col in enumerate(cover):
-            left = [(row, t) for row, t in col if row in live]
-            if len(left) == 1:
-                (row, t), = left
-                s = sources[row] = (work[pi] >> t) & full
-                for qi, tq in hits[row]:
-                    work[qi] ^= s << tq
-                live.remove(row)
-                peeled = True
-
-    residuals = work
-    if len(live) == 2:
-        _solve_pair(cover, live, work, sources, length)
-    if live:
-        bufs = _bit_buffers(mat, idx, length, work)
-        done, values = _peel_bits(cover, hits, length, live, bufs, None)
-        if done != len(live) * length:
-            raise ZigzagStuck((k - len(live)) * length + done, k * length)
-        for row in live:
-            sources[row] = int(values[row].translate(_TO_DIGITS)[::-1], 2)
-        residuals = [1 in buf for buf in bufs]
-    for p, rest in zip(idx, residuals):
-        if rest:
-            raise InconsistentDivision(
-                f"packet {p}: payload does not match the recovered sources")
-    return [Poly2(s) for s in sources]
+    payloads = [masks[p] for p in idx]
+    if _word_wide(_monomial_terms(mat, idx)[0], mat.spec.k):
+        return [Poly2(s) for s in _run(map_kernel(mat, idx).network, payloads, length)]
+    values, residuals = _peel(mat, idx, length, payloads, None)
+    for p, buf in zip(idx, residuals):
+        if 1 in buf:
+            raise InconsistentDivision(f"packet {p}: payload does not match the recovered sources")
+    return [Poly2(int(bits.translate(_TO_DIGITS)[::-1], 2)) for bits in values]
 
 
 # -- binary packet format ----------------------------------------------------

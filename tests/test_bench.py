@@ -26,9 +26,12 @@ def test_record_holds_the_rows_and_provenance_under_the_next_free_number(tmp_pat
     assert list(record) == ["provenance", "sections"]
     assert record["sections"] == sections
     provenance = record["provenance"]
-    assert list(provenance) == ["git", "python", "platform", "cpu_count", "loadavg_before",
-                                "loadavg_after", "repeats"]
+    assert list(provenance) == ["git", "git_diff_sha256", "python", "platform", "cpu_count",
+                                "loadavg_before", "loadavg_after", "repeats"]
     assert provenance["git"] is None or provenance["git"]  # None off a git checkout
+    dirty = (provenance["git"] or "").endswith("-dirty")
+    assert (provenance["git_diff_sha256"] is not None) == dirty
+    assert provenance["git_diff_sha256"] is None or len(provenance["git_diff_sha256"]) == 64
     assert provenance["python"] == platform.python_version()
     assert provenance["cpu_count"] >= 1
     assert provenance["loadavg_before"] == [0.5, 0.25, 0.125]

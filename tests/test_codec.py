@@ -343,6 +343,23 @@ def test_the_per_bit_stage_holds_at_most_max_peel_bits(monkeypatch):
         assert [s.mask for s in zigzag_decode(mat, [packets[j] for j in sub])] == src
 
 
+def test_zigzag_schedule_holds_at_most_max_schedule_bits(monkeypatch):
+    # At the limit the order comes back whole; one source bit past it,
+    # ValueError names the length and the limit before any peel is run.
+    mat = builtin_zd_k3()
+    monkeypatch.setattr(codec, "MAX_SCHEDULE_BITS", 3 * 200)
+    assert len(zigzag_schedule(mat, (4, 5, 6), 200)) == 600
+
+    def peel(*args):
+        raise AssertionError("peeled")
+
+    monkeypatch.setattr(codec, "_peel", peel)
+    monkeypatch.setattr(codec, "MAX_SCHEDULE_BITS", 3 * 200 - 1)
+    with pytest.raises(ValueError, match="source length 200: the zigzag schedule would hold 600 "
+                                         "source bits, more than the limit of 599"):
+        zigzag_schedule(mat, (4, 5, 6), 200)
+
+
 def test_decoders_reject_the_same_corrupted_parity():
     mat = builtin_zd_k3()
     rng = random.Random(3)
@@ -353,8 +370,12 @@ def test_decoders_reject_the_same_corrupted_parity():
             with pytest.raises(InconsistentDivision):
                 decode(mat, [packets[1], packets[4], bad])
     bad = replace(packets[4], bits=Poly2(packets[4].bits.mask ^ 1))
-    with pytest.raises(InconsistentDivision, match="packet 4"):
-        zigzag_decode(mat, [packets[1], packets[2], bad])  # peeled whole-source only
+    chosen = [packets[1], packets[2], bad]  # a word-wide set: it runs map_decode's network
+    with pytest.raises(InconsistentDivision) as exact:
+        map_decode(mat, chosen)
+    with pytest.raises(InconsistentDivision) as zigzag:
+        zigzag_decode(mat, chosen)
+    assert str(zigzag.value) == str(exact.value)
 
 
 def test_zigzag_requires_monomial_entries():

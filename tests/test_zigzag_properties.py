@@ -11,14 +11,14 @@ pytest.importorskip("hypothesis")
 
 from dataclasses import replace
 from heapq import heappop, heappush
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from sxor import codec
 from sxor.codec import SingularSubmatrix, ZigzagStuck, encode, map_decode, zigzag_decode, zigzag_schedule
-from sxor.codes import user_matrix
+from sxor.codes import builtin_zd_k3, user_matrix
 from sxor.gf2poly import InconsistentDivision, Poly2
 
 # Fixed examples, no deadline and no example database, so the suite stays
@@ -125,8 +125,9 @@ def test_two_source_peel_completes_when_the_determinant_is_nonzero():
 def flipped_cases(draw):
     # K = 2..4 monomial codes, sources of up to a few hundred bits, and
     # survivors carrying 0-3 flipped payload bits, drawn from a seeded
-    # random.Random: its spread-out shifts reach the two-source division,
-    # accepted and declined, far more often than shrink-friendly draws.
+    # random.Random: its spread-out shifts reach two sources left after the
+    # whole-source peel, with a + d != b + c or not, far more often than
+    # shrink-friendly draws.
     rng = draw(st.randoms(use_true_random=False))
     k = rng.randint(2, 4)
     n = rng.randint(k, k + 2)
@@ -140,25 +141,59 @@ def flipped_cases(draw):
     return user_matrix(rows), survivors, length, sources, flips
 
 
-def decoded(mat, packets):
+def decoded(decode, mat, packets):
+    # The sources, or the error's type, message and progress.
     try:
-        return [s.mask for s in zigzag_decode(mat, packets)]
+        return [s.mask for s in decode(mat, packets)]
     except (ZigzagStuck, InconsistentDivision) as exc:
         return type(exc), str(exc), getattr(exc, "resolved", None)
 
 
+def unworded(result):
+    return result if isinstance(result, list) else (result[0], result[2])
+
+
 @settings(PROPERTY, max_examples=500)
 @given(flipped_cases())
-def test_two_source_division_matches_the_per_bit_stage(case):
+def test_word_wide_sets_decode_as_the_per_bit_peel(case):
     mat, survivors, length, sources, flips = case
     packets = encode(mat, sources, length)
     chosen = [packets[j - 1] for j in survivors]
     for pi, bit in flips:
         bits = chosen[pi].bits.mask ^ (1 << bit % chosen[pi].bit_len)
         chosen[pi] = replace(chosen[pi], bits=Poly2(bits))
-    with mock.patch.object(codec, "_solve_pair", lambda *args: None):
-        per_bit = decoded(mat, chosen)
-    assert decoded(mat, chosen) == per_bit
+    got = decoded(zigzag_decode, mat, chosen)
+    with mock.patch.object(codec, "_word_wide", lambda *args: False):
+        per_bit = decoded(zigzag_decode, mat, chosen)
+    assert unworded(got) == unworded(per_bit)
+    if codec._word_wide(codec._monomial_terms(mat, survivors)[0], mat.spec.k):
+        codec.map_kernel(mat, survivors)
+        assert len(zigzag_schedule(mat, survivors, length)) == mat.spec.k * length
+        assert got == decoded(map_decode, mat, chosen)
+
+
+def test_small_scope_zigzag_agrees_with_map_and_the_oracle():
+    # Every 2 x 2 matrix of entries 0, 1, z, z^2 and every zd3 set, each
+    # with every source tuple at L = 1, 2: zigzag_decode returns the
+    # sources or stalls where the quadratic elimination does, and matches
+    # map_decode wherever det(A_I) != 0.
+    cases = [(user_matrix([[a, b], [c, d]]), (1, 2)) for a, b, c, d in product((0, 1, 2, 4), repeat=4)]
+    cases += [(builtin_zd_k3(), s) for s in combinations(range(1, 7), 3)]
+    for mat, survivors in cases:
+        for length in (1, 2):
+            expected = outcome(quadratic_schedule, mat, survivors, length)
+            for sources in product(range(1 << length), repeat=mat.spec.k):
+                packets = encode(mat, sources, length)
+                chosen = [packets[j - 1] for j in survivors]
+                got = outcome(zigzag_decode, mat, chosen)
+                if expected[0] == "stuck":
+                    assert got == expected
+                else:
+                    assert [s.mask for s in got] == list(sources)
+                try:
+                    assert got == map_decode(mat, chosen)
+                except SingularSubmatrix:
+                    pass
 
 
 def test_equal_shift_sums_stay_per_bit():

@@ -10,13 +10,15 @@ case's ``rss_mib`` is the greatest of its CLI children's.  A child
 starts from its parent's peak at ``exec``, so the harness imports no
 part of sxor and holds only the rows, to stay below the children it
 measures.  The roundtrip, check and zigzag times are the least of R
-repeats; memory runs each CLI command once.
+repeats.
 
 - ``memory``: ``python -m sxor encode`` of a seeded random 16 or 64 MiB
   file, then ``decode`` of it after losing the listed packets, for
-  systematic 10/14 and sxor 4/7: each CLI child's seconds and peak RSS,
-  read as the harness reads its own children.  The case child writes
-  the file 64 KiB at a time, so that it too stays below them.
+  systematic 10/14 and sxor 4/7, each command run R times: the median of
+  its seconds (``_s``) with their least and most, and its greatest peak
+  RSS, read as the harness reads its own children.  Every restore is
+  compared with the file.  The case child writes the file 64 KiB at a
+  time, so that it too stays below them.
 - ``roundtrip``: µs per call of each stage of a library round trip with
   the systematic 5/7 code at the default modulus, per object size.  The
   object is split into K = 5 sources of ceil(size / 5) bytes, the last
@@ -39,8 +41,8 @@ repeats; memory runs each CLI command once.
 - ``zigzag``: for each of zd3's 20 survivor sets, how far one
   ``zigzag_decode`` of a 96 KiB object raised the child's peak
   (``rise_mib``), then µs per decode of a 3 KiB object.  ``stage`` is
-  ``word`` when every source is solved word-wide, ``per-bit`` when the
-  decode reaches the per-bit stage.  Each object is three seeded random
+  ``word`` when the set runs the MAP network, ``per-bit`` when the
+  decode reaches the per-bit peel.  Each object is three seeded random
   sources, encoded with zd3, as in perfbench's zigzag-zd3 workload.
 
 The harness prints one table per section, its columns the row's keys,
@@ -108,14 +110,26 @@ def memory(kind: str, k: int, n: int, lost: tuple[int, ...], mib: int, repeats: 
         with src.open("wb") as fh:
             for _ in range(mib * MIB // BLOCK):
                 fh.write(rng.randbytes(BLOCK))
-        _, encode_s, encode_rss = run(["-m", "sxor", "encode", "--kind", kind, "--k", str(k),
-                                       "--n", str(n), str(src), "--out-dir", str(packets)])
         survivors = [j for j in range(1, n + 1) if j not in lost][:k]
-        _, decode_s, decode_rss = run(["-m", "sxor", "decode", "--out", str(restored),
-                                       *(str(packets / f"object.bin.p{j}.sxp") for j in survivors)])
-        return {"code": f"{kind} {k}/{n}", "lost": ",".join(map(str, lost)), "mib": mib,
-                "encode_s": encode_s, "encode_rss_mib": encode_rss, "decode_s": decode_s,
-                "decode_rss_mib": decode_rss, "correct": filecmp.cmp(src, restored, shallow=False)}
+        commands = {"encode": ["encode", "--kind", kind, "--k", str(k), "--n", str(n), str(src),
+                               "--out-dir", str(packets)],
+                    "decode": ["decode", "--out", str(restored),
+                               *(str(packets / f"object.bin.p{j}.sxp") for j in survivors)]}
+        row, correct = {"code": f"{kind} {k}/{n}", "lost": ",".join(map(str, lost)), "mib": mib}, True
+        for op, args in commands.items():
+            seconds, rss = [], 0.0
+            for _ in range(repeats):
+                _, s, peak = run(["-m", "sxor", *args])
+                seconds.append(s)
+                rss = max(rss, peak)
+                if op == "decode":
+                    correct &= filecmp.cmp(src, restored, shallow=False)
+                    restored.unlink()
+            seconds.sort()
+            row.update({f"{op}_s": (seconds[(repeats - 1) // 2] + seconds[repeats // 2]) / 2,
+                        f"{op}_min_s": seconds[0], f"{op}_max_s": seconds[-1],
+                        f"{op}_rss_mib": rss})
+        return {**row, "correct": correct}
 
 
 def roundtrip(size: int, repeats: int) -> dict:
@@ -255,14 +269,26 @@ def peak_growth(rows: list[dict]) -> list[str]:
 
 
 def write_record(root: Path, sections: dict, repeats: int, load_before: tuple) -> Path:
-    """Write ``sections``' rows and provenance to ``root / BENCH_<n>.json``, n the next free one."""
+    """Write ``sections``' rows and provenance to ``root / BENCH_<n>.json``, n the next free one.
+
+    A tree with uncommitted changes is named by its commit, ``-dirty``,
+    and the sha256 of ``git diff HEAD`` (``git_diff_sha256``, else None).
+    """
+    import hashlib  # here, not at the top: it adds 3.5 MiB to the children's starting peak
+
+    revision = diff = None
     try:
         git = subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty",
                               "--abbrev=40"], capture_output=True, text=True, check=True)
         revision = git.stdout.strip()
+        if revision.endswith("-dirty"):
+            changes = subprocess.run(["git", "-C", str(ROOT), "diff", "HEAD"], capture_output=True,
+                                     check=True)
+            diff = hashlib.sha256(changes.stdout).hexdigest()
     except (OSError, subprocess.CalledProcessError):  # no git, or not a checkout
-        revision = None
-    record = {"provenance": {"git": revision, "python": platform.python_version(),
+        pass
+    record = {"provenance": {"git": revision, "git_diff_sha256": diff,
+                             "python": platform.python_version(),
                              "platform": platform.platform(), "cpu_count": os.cpu_count(),
                              "loadavg_before": list(load_before),
                              "loadavg_after": list(os.getloadavg()), "repeats": repeats},
@@ -278,7 +304,8 @@ def write_record(root: Path, sections: dict, repeats: int, load_before: tuple) -
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5,
-                        help="timed calls per figure, the least kept (default 5)")
+                        help="timed calls per figure: the least kept, or for a CLI command "
+                             "the median and range (default 5)")
     parser.add_argument("--child", help=argparse.SUPPRESS)  # SECTION:CASE, run here
     args = parser.parse_args(argv)
     if args.repeats < 1:
