@@ -5,17 +5,19 @@ matrix load.  Exit codes: 0 on success, 1 for runtime failures (bad
 files, undecodable or corrupt packets, a failed MDS check), 2 for usage
 errors (bad invocation, wrong packet count, empty input).
 
-Packets are written as ``<name>.p<i>.sxp`` next to a ``<name>.sxmeta``
-sidecar recording the original byte length, the code fields and the
-``zlib.crc32`` of the input; decode finds the sidecar by stripping the
-packet suffix from the first packet argument, reads it with the
-matrix-header reader ``codes.parse_fields``, rejects it unless its code
-matches the packet headers, and, when it takes the sidecar's length,
-checks the restored bytes against its crc32.  Both take that crc32 from
-the bytes the file driver reads or writes, so encode reads its input
-once and decode never reads its output back.  Decode
-always uses the exact (MAP) decoder, so it refuses exactly the survivor
-sets that check lists as failing.
+Packets are written as ``<name>.p<i>.sxp``, each header holding the
+input's byte length and ``zlib.crc32``, next to a ``<name>.sxmeta``
+sidecar that records the same length, the code fields and the crc32 as
+one ``key=value`` line for people and other tools; decode never reads
+it.  Decode takes the length and crc32 from the K packet headers,
+refuses packets that disagree on either or that hold no file (length 0,
+as the library's packets do), and checks the restored bytes against the
+crc32, so any K packets restore the file, wherever they lie, and a
+flipped bit in one of them never yields other bytes with exit 0.  Both
+take the crc32 from the bytes the file driver reads or writes, so
+encode reads its input once and decode never reads its output back.
+Decode always uses the exact (MAP) decoder, so it refuses exactly the
+survivor sets that check lists as failing.
 
 Encode and decode stream their files through the codec's file driver
 (``codec._encode_file`` and ``codec._decode_files``), 2**19 bits of each
@@ -31,17 +33,17 @@ is a plain copy.  Both read exactly the bytes they sized from the input
 or the packet headers, so a file that has become shorter since is an
 error naming it.  A packet whose header fails a check is named by its
 path, as is a matrix file whose text fails one; a --matrix that does not
-match the packet headers names the fields that differ, as the sidecar's
-check does.  Each command writes new files next to the ones it replaces
-and renames them into place only once it has written the last stripe
-(for decode, once every division and the crc32 have checked out), so a
-failed run leaves the packets, sidecar or --out as they were.  A path replaced must be a
+match the packet headers names the fields that differ.  Each command
+writes new files next to the ones it replaces and renames them into
+place only once it has written the last stripe (for decode, once every
+division and the crc32 have checked out), so a failed run leaves the
+packets, sidecar or --out as they were.  A path replaced must be a
 regular file, and the new file takes its permission bits, else 0666
 less the umask.  Encode holds only its input open: it opens a packet
 only while it writes a stripe to it, so N is not bounded by the
-open-file limit.  Encode and decode import neither
-``sxor.analysis`` nor ``json``: the first loads only for analyze
---compare and classify, the second only for the commands with --format.
+open-file limit.  Encode and decode import neither ``sxor.analysis`` nor
+``json``: the first loads only for analyze --compare and classify, the
+second only for the commands with --format.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import stat
 import sys
 import tempfile
@@ -64,18 +65,16 @@ from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .codec import _decode_files, _encode_file, _open_packet
+from .codec import _agreed, _decode_files, _encode_file, _open_packet
 # The library's whole-packet I/O; the CLI streams instead, but
 # perfbench/tracing.py still wraps these names here.
 from .codec import read_packet, write_packet  # noqa: F401
-from .codes import (_FIELDS_LIMIT, CodeSpec, GenMatrix, MatrixFormatError, format_fields,
-                    load_matrix, matrix_for_spec, parse_fields, save_matrix)
+from .codes import (CodeSpec, GenMatrix, MatrixFormatError, format_fields, load_matrix,
+                    matrix_for_spec, save_matrix)
 from .gf2m import FieldCtx, default_modulus
 from .gf2poly import Poly2
 
 __all__ = ["main"]
-
-_PACKET_SUFFIX = re.compile(r"\.p(\d+)\.sxp$")
 
 
 class _UsageError(Exception):
@@ -200,33 +199,6 @@ def _replacing(paths: Sequence[Path], labels: Sequence[str]) -> Iterator[list[st
         raise
 
 
-def _read_sidecar(first_packet: Path) -> tuple[Path, CodeSpec, dict[str, str]] | None:
-    # The sidecar's spec and raw len and crc32, or None when there is no sidecar.
-    name = first_packet.name
-    m = _PACKET_SUFFIX.search(name)
-    if not m:
-        return None
-    sidecar = first_packet.parent / (name[:m.start()] + ".sxmeta")
-    if not sidecar.exists():
-        return None
-    with open(sidecar, "rb") as fh:
-        data = fh.read(_FIELDS_LIMIT + 1)
-    if len(data) > _FIELDS_LIMIT:
-        raise ValueError(f"sidecar {sidecar}: larger than the limit of {_FIELDS_LIMIT} bytes")
-    try:
-        first, *rest = data.decode("ascii").splitlines() or [""]
-        for line, text in enumerate(rest, start=2):
-            if text.strip():  # encode writes one line
-                raise MatrixFormatError("a sidecar holds one line of fields", line)
-        spec, extra = parse_fields(first.split(), ("len", "crc32"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"sidecar {sidecar}: non-ASCII byte {exc.object[exc.start]:#04x} "
-                         f"at offset {exc.start}") from None
-    except MatrixFormatError as exc:
-        raise ValueError(f"sidecar {sidecar}: {exc}") from None
-    return sidecar, spec, extra
-
-
 def cmd_decode(args) -> int:
     with ExitStack() as stack:
         packets = []
@@ -239,12 +211,10 @@ def cmd_decode(args) -> int:
 
 
 def _decode(args, packets) -> None:
-    spec = packets[0][1].spec
-    if len(packets) != spec.k:
-        raise _UsageError(f"this code needs exactly {spec.k} packets, got {len(packets)}")
-    total_len, len_source = args.length, "--length"
-    if total_len is not None and total_len < 0:
-        raise _UsageError(f"--length must not be negative, got {total_len}")
+    heads = [head for _, head in packets]
+    spec = heads[0].spec
+    if len(heads) != spec.k:
+        raise _UsageError(f"this code needs exactly {spec.k} packets, got {len(heads)}")
     if args.matrix:
         mat = _load_matrix(args.matrix)
         if mat.spec != spec:
@@ -254,40 +224,26 @@ def _decode(args, packets) -> None:
         mat = matrix_for_spec(spec)
         if mat is None:
             raise _UsageError("user-kind packets need --matrix to decode")
-
-    found = _read_sidecar(Path(args.packets[0]))
-    crc = None  # the sidecar's crc32, checked only against the length it states
-    if found is not None:
-        sidecar, sidecar_spec, extra = found
-        if sidecar_spec != spec:
-            raise ValueError("sidecar metadata does not match the packet headers: "
-                             f"{sidecar} differs in {_differing(spec, sidecar_spec)}")
-        if total_len is None and "len" in extra:
-            if not extra["len"].isdecimal():  # the file was read as ASCII
-                raise ValueError(f"sidecar {sidecar}: len={extra['len']!r} "
-                                 "is not a non-negative decimal integer")
-            total_len, len_source = int(extra["len"]), "sidecar length"
-            crc = extra.get("crc32")
-            if crc is not None and not re.fullmatch(r"[0-9a-fA-F]{8}", crc):
-                raise ValueError(f"sidecar {sidecar}: crc32={crc!r} is not 8 hex digits")
-    if total_len is None:
-        raise _UsageError("original length unknown: no sidecar found, pass --length")
-    bit_len = packets[0][1].source_len
+    size = _agreed(heads, "file_len")
+    crc = _agreed(heads, "crc32", "08x")
+    if not size:
+        raise ValueError("the packets hold no file (file_len=0): sxor encode did not write them")
+    bit_len = _agreed(heads, "source_len")
     if bit_len % 8:
         raise ValueError(f"source length {bit_len} is not a whole number of bytes")
     chunk = bit_len // 8
-    if total_len > spec.k * chunk:
-        raise ValueError(f"{len_source} {total_len} exceeds decoded size {spec.k * chunk}")
+    if size > spec.k * chunk:
+        raise ValueError(f"file_len={size} exceeds decoded size {spec.k * chunk}")
 
     # Decode into a new file next to --out, and put it in place only once
-    # every division, and the sidecar's crc32, has checked out.
+    # every division, and the crc32, has checked out.
     with _replacing([Path(args.out)], [f"--out {args.out}"]) as (tmp,):
         with open(tmp, "wb") as fh:
-            got = _decode_files(mat, packets, fh, total_len)
-        if crc is not None and got != int(crc, 16):
-            raise ValueError(f"sidecar {sidecar}: crc32={crc}, but the restored bytes have "
-                             f"crc32={got:08x}")
-    print(f"restored {total_len} bytes to {args.out}")
+            got = _decode_files(mat, packets, fh, size)
+        if got != crc:
+            raise ValueError(f"the restored bytes have crc32={got:08x}, but the packet headers "
+                             f"state crc32={crc:08x}")
+    print(f"restored {size} bytes to {args.out}")
 
 
 def _emit(fmt: str, doc: dict, text: str) -> int:
@@ -372,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("packets", nargs="+", help="surviving packet files")
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--matrix", help="generator matrix file (user-kind packets)")
-    p.add_argument("--length", type=int, help="original byte length (overrides sidecar)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("analyze", help="overhead and XOR-cost metrics")

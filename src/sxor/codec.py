@@ -56,9 +56,11 @@ nonzero.  There the per-bit peel would complete too, and both decoders
 accept exactly the payloads that length-L sources reproduce, so the
 choice changes no decoded source, only a rejection's message.
 
-The binary packet format is little-endian and self-describing: it embeds
-the CodeSpec so a decoder can rebuild the generator matrix from headers
-alone for the constructed kinds.
+The binary packet format is little-endian.  Its header embeds the
+CodeSpec, so a decoder can rebuild the generator matrix from headers
+alone for the constructed kinds, and the byte length and crc32 of the
+file ``sxor encode`` split, so any K packets of a file restore it with
+nothing beside them.
 """
 
 from __future__ import annotations
@@ -138,6 +140,9 @@ class Packet:
     it was encoded for, and ``bit_len`` the formal payload length
     L + l_index; high zero coefficients are significant on the wire, so
     bit_len is carried explicitly rather than recovered from bits.
+    ``file_len`` and ``crc32`` are the byte length and ``zlib.crc32`` of
+    the file ``sxor encode`` split; 0 and 0, as :func:`encode` builds
+    them, mean the packet holds no file.
 
     ``Packet(...)`` and ``dataclasses.replace`` check every field.  The
     packets :func:`encode` builds, and those :func:`packet_from_bytes`
@@ -150,17 +155,23 @@ class Packet:
     source_len: int
     bit_len: int
     spec: CodeSpec
+    file_len: int = 0
+    crc32: int = 0
 
     def __post_init__(self):
         _check_fields(self.index, self.source_len, self.bit_len, self.spec)
         if self.bits.mask.bit_length() > self.bit_len:
             raise ValueError(_PAD_BITS)
+        if self.file_len < 0 or self.crc32 < 0:
+            raise ValueError("file length and crc32 must not be negative")
 
     @classmethod
-    def _of(cls, index: int, bits: Poly2, source_len: int, bit_len: int, spec: CodeSpec) -> "Packet":
+    def _of(cls, index: int, bits: Poly2, source_len: int, bit_len: int, spec: CodeSpec,
+            file_len: int = 0, crc32: int = 0) -> "Packet":
         # A packet whose fields the codec built itself or has just checked.
         packet = cls.__new__(cls)
-        packet.__dict__.update(index=index, bits=bits, source_len=source_len, bit_len=bit_len, spec=spec)
+        packet.__dict__.update(index=index, bits=bits, source_len=source_len, bit_len=bit_len, spec=spec,
+                               file_len=file_len, crc32=crc32)
         return packet
 
 
@@ -446,18 +457,19 @@ def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[str])
     The bytes split into K sources of ceil(size / K) bytes, the last
     zero-padded.  A packet whose column is 1 for one source is that
     source's bytes as read; a source that no other column holds is never
-    made an int.  Each path gets its header, then each stripe's bytes
-    through an ``open(path, "ab")`` of its own, so only ``src`` stays
-    open.  ``src`` is read once, and must still hold ``size`` bytes: a
-    shorter read raises ``ValueError``.  Returns ``zlib.crc32`` of the
-    ``size`` bytes, taken as they are read.
+    made an int.  Each path gets its header, with ``size`` as its file
+    length and 0 as its crc32, then each stripe's bytes through an
+    ``open(path, "ab")`` of its own, and last the crc32 written over that
+    0, so only ``src`` stays open.  ``src`` is read once, and must still
+    hold ``size`` bytes: a shorter read raises ``ValueError``.  Returns
+    ``zlib.crc32`` of the ``size`` bytes, taken as they are read.
     """
     k = mat.spec.k
     chunk = -(-size // k)
     over = mat.column_overheads()
     for j, (path, w) in enumerate(zip(dests, over), 1):
         with open(path, "wb") as fh:
-            fh.write(_header_bytes(mat.spec, j, 8 * chunk, 8 * chunk + w))
+            fh.write(_header_bytes(mat.spec, j, 8 * chunk, 8 * chunk + w, size, 0))
     crcs = [0] * k
 
     def read(i: int, at: int, n: int) -> bytes:
@@ -473,7 +485,13 @@ def _encode_file(mat: GenMatrix, src: BinaryIO, size: int, dests: Sequence[str])
 
     _stream(_encoder(mat), 8 * chunk, [chunk] * k, [chunk + (w + 7) // 8 for w in over], read,
             write)
-    return _file_crc(crcs, chunk, size)
+    crc = _file_crc(crcs, chunk, size)
+    at = len(_header_prefix(mat.spec, 1)) + _LENS.size - 4  # the crc32 field ends the header
+    for path in dests:
+        with open(path, "r+b") as fh:
+            fh.seek(at)
+            fh.write(crc.to_bytes(4, "little"))
+    return crc
 
 
 def _decode_files(mat: GenMatrix, packets: Sequence[tuple], dest: BinaryIO, size: int) -> int:
@@ -696,15 +714,26 @@ def _check_headers(mat: GenMatrix, packets) -> tuple[int, tuple[int, ...]]:
                 raise ValueError(f"packet {p.index} belongs to a different code")
             same.add(id(p.spec))
     idx = mat.check_survivors([p.index for p in packets])
-    lengths = {p.source_len for p in packets}
-    if len(lengths) != 1:
-        raise ValueError(f"packets disagree on source length: {sorted(lengths)}")
-    length = lengths.pop()
+    length = _agreed(packets, "source_len")
     over = mat.column_overheads()
     for p in packets:
         if p.bit_len > length + over[p.index - 1]:  # the payload stays within bit_len
             raise TrailingBits(f"packet {p.index} carries more than {length + over[p.index - 1]} bits")
     return length, idx
+
+
+def _agreed(packets, name: str, fmt: str = "d") -> int:
+    # The value of field ``name`` that every packet (or header) states.
+    # Packets that differ fail, named by index under each value, formatted by fmt.
+    values = {getattr(p, name) for p in packets}
+    if len(values) == 1:
+        return values.pop()
+    seen = {}
+    for p in packets:
+        seen.setdefault(getattr(p, name), []).append(str(p.index))
+    raise ValueError(f"the packets disagree on {name}: " + "; ".join(
+        f"{name}={value:{fmt}} in packet{'s' * (len(idx) > 1)} {', '.join(idx)}"
+        for value, idx in seen.items()))
 
 
 def _check_packets(mat: GenMatrix, packets: Sequence[Packet]) -> tuple[int, dict[int, int], tuple[int, ...]]:
@@ -761,6 +790,16 @@ def _monomial_terms(mat: GenMatrix, idx: tuple[int, ...]):
         for row, t in col:
             hits[row].append((pi, t))
     return tuple(cover), tuple(map(tuple, hits))
+
+
+@lru_cache(maxsize=256)
+def _pattern(mat: GenMatrix, idx: tuple[int, ...]):
+    # _monomial_terms of the survivors idx and the _word_wide verdict on
+    # them, derived once per (matrix, survivors) as _map_kernel is.  A
+    # matrix that is not monomial there raises, and is not cached, so it
+    # raises again on every call.
+    cover, hits = _monomial_terms(mat, idx)
+    return cover, hits, _word_wide(cover, mat.spec.k)
 
 
 _TO_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -854,7 +893,7 @@ def _peel(mat: GenMatrix, idx: tuple[int, ...], length: int, payloads: Sequence[
     # The per-bit peel of the survivors idx, for zigzag_schedule and
     # zigzag_decode: each source's bits and each survivor's residual.
     k = mat.spec.k
-    cover, hits = _monomial_terms(mat, idx)
+    cover, hits, _ = _pattern(mat, idx)
     bufs = _bit_buffers(mat, idx, length, payloads)
     done, values = _peel_bits(cover, hits, length, bufs, trace)
     if done != k * length:
@@ -935,7 +974,7 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
     """
     length, masks, idx = _check_packets(mat, packets)
     payloads = [masks[p] for p in idx]
-    if _word_wide(_monomial_terms(mat, idx)[0], mat.spec.k):
+    if _pattern(mat, idx)[2]:
         return [Poly2(s) for s in _run(map_kernel(mat, idx).network, payloads, length)]
     values, residuals = _peel(mat, idx, length, payloads, None)
     for p, buf in zip(idx, residuals):
@@ -947,15 +986,18 @@ def zigzag_decode(mat: GenMatrix, packets: Sequence[Packet]) -> list[Poly2]:
 # -- binary packet format ----------------------------------------------------
 #
 # Little-endian throughout:
-#   magic "SXP1" | version u8 = 1 | kind u8 | m u8 | g u32 | K u16 | N u16
+#   magic "SXP2" | version u8 = 2 | kind u8 | m u8 | g u32 | K u16 | N u16
 #   | packet_index u16 | x_len u16 | x u16 * x_len | L u64 | payload_bits u64
+#   | file_len u64 | crc32 u32
 #   | payload bytes (LSB-first, ceil(payload_bits / 8) bytes, pad bits zero)
-# x_len is K for systematic codes and 0 otherwise.
+# x_len is K for systematic codes and 0 otherwise.  file_len and crc32 are
+# the byte length and zlib.crc32 of the file sxor encode split, the same
+# in each of its packets; the library's packets hold 0 in both.
 
-_MAGIC = b"SXP1"
-_VERSION = 1
+_MAGIC = b"SXP2"
+_VERSION = 2
 _HEAD = struct.Struct("<4sBBBIHHHH")
-_LENS = struct.Struct("<QQ")
+_LENS = struct.Struct("<QQQI")
 
 
 class _Header(NamedTuple):
@@ -965,6 +1007,8 @@ class _Header(NamedTuple):
     spec: CodeSpec
     source_len: int
     bit_len: int
+    file_len: int
+    crc32: int
     offset: int
 
 
@@ -972,12 +1016,14 @@ def _too_wide(field: str, value: int, bits: int) -> ValueError:
     return ValueError(f"{field}={value} exceeds {(1 << bits) - 1}, the limit of its {bits}-bit header field")
 
 
-def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int) -> bytes:
+def _header_bytes(spec: CodeSpec, index: int, source_len: int, bit_len: int, file_len: int,
+                  crc32: int) -> bytes:
     head = _header_prefix(spec, index)
-    if (source_len | bit_len) >> 64:  # both are positive: Packet checks them
-        field, value = ("L", source_len) if source_len >> 64 else ("payload_bits", bit_len)
-        raise _too_wide(field, value, 64)
-    return head + _LENS.pack(source_len, bit_len)
+    if (source_len | bit_len | file_len) >> 64 or crc32 >> 32:  # none is negative: Packet checks them
+        raise _too_wide(*next(f for f in (("L", source_len, 64), ("payload_bits", bit_len, 64),
+                                          ("file_len", file_len, 64), ("crc32", crc32, 32))
+                              if f[1] >> f[2]))
+    return head + _LENS.pack(source_len, bit_len, file_len, crc32)
 
 
 @lru_cache(maxsize=256)
@@ -1006,7 +1052,7 @@ def _header_spec(kind_code: int, k: int, n: int, m: int, g: int, x: bytes) -> Co
         raise PacketFormatError(str(exc)) from None
 
 
-def _parse_header(data: bytes) -> tuple[int, CodeSpec, int, int, int]:
+def _parse_header(data: bytes) -> tuple[int, CodeSpec, int, int, int, int, int]:
     # The fields of the header at the start of data, in _Header's order;
     # packet_from_bytes and _open_packet check the index and lengths.
     if len(data) < _HEAD.size:
@@ -1023,13 +1069,13 @@ def _parse_header(data: bytes) -> tuple[int, CodeSpec, int, int, int]:
         raise PacketFormatError("truncated x positions")
     if len(data) < off + _LENS.size:
         raise PacketFormatError("truncated length fields")
-    source_len, bit_len = _LENS.unpack_from(data, off)
-    return (index, _header_spec(kind_code, k, n, m, g, bytes(data[_HEAD.size:off])), source_len,
-            bit_len, off + _LENS.size)
+    return (index, _header_spec(kind_code, k, n, m, g, bytes(data[_HEAD.size:off])),
+            *_LENS.unpack_from(data, off), off + _LENS.size)
 
 
 def packet_to_bytes(packet: Packet) -> bytes:
-    head = _header_bytes(packet.spec, packet.index, packet.source_len, packet.bit_len)
+    head = _header_bytes(packet.spec, packet.index, packet.source_len, packet.bit_len,
+                         packet.file_len, packet.crc32)
     return head + packet.bits.mask.to_bytes((packet.bit_len + 7) // 8, "little")
 
 
@@ -1048,9 +1094,10 @@ def _check_payload(size: int, last_byte: Callable[[], int], index: int, spec: Co
 
 
 def packet_from_bytes(data: bytes) -> Packet:
-    index, spec, source_len, bit_len, offset = head = _parse_header(data)
-    _check_payload(len(data), lambda: data[-1], *head)
-    return Packet._of(index, Poly2(int.from_bytes(data[offset:], "little")), source_len, bit_len, spec)
+    index, spec, source_len, bit_len, file_len, crc32, offset = _parse_header(data)
+    _check_payload(len(data), lambda: data[-1], index, spec, source_len, bit_len, offset)
+    return Packet._of(index, Poly2(int.from_bytes(data[offset:], "little")), source_len, bit_len, spec,
+                      file_len, crc32)
 
 
 PathOrFile = Union[str, os.PathLike, io.IOBase]
@@ -1091,7 +1138,7 @@ def _open_packet(path: PathOrFile) -> tuple[BinaryIO, _Header]:
         if len(data) == _HEAD.size:
             data += fh.read(2 * _HEAD.unpack(data)[-1] + _LENS.size)
         head = _Header(*_parse_header(data))
-        _check_payload(os.fstat(fh.fileno()).st_size, last_byte, *head)
+        _check_payload(os.fstat(fh.fileno()).st_size, last_byte, *head[:4], head.offset)
         fh.seek(head.offset)
         return fh, head
     except PacketFormatError as exc:

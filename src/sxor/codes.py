@@ -654,10 +654,10 @@ def user_matrix(entries: Iterable[Iterable[PolyLike]], m: int = 0, g: PolyLike =
 # Fields after "sxorgen v1" may appear in any order; whitespace between
 # fields is free-form.  x appears exactly when kind=systematic.
 
-# Most characters read for one line of format_fields text: a matrix
-# header (before K and N are known) or a .sxmeta sidecar.  The longest
-# either can be, at K = 32 with a 20-digit len, a 32-bit g, 32
-# five-digit x positions and a crc32, is under 300.
+# Most characters load_matrix reads of a matrix header, one line of
+# format_fields text, before K and N are known.  The longest header can
+# be, at K = 32 with a 32-bit g and 32 five-digit x positions, is under
+# 300.
 _FIELDS_LIMIT = 1024
 
 

@@ -322,7 +322,8 @@ def test_decode_keeps_the_mode_of_an_existing_out(tmp_path):
 @pytest.mark.parametrize("stripe", [8, 24, 64])
 def test_striped_files_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
     # With stripes of a few bytes, files span many stripes: packets are
-    # packet_to_bytes of the library's encode, and every set restores.
+    # packet_to_bytes of the library's encode, with the file's length and
+    # crc32 in their headers, and every set restores.
     monkeypatch.setattr(codec, "_STRIPE", stripe)
     mfile = tmp_path / "wide.sxorgen"
     mfile.write_text("sxorgen v1 kind=user K=2 N=3 m=0 g=0x0\n"
@@ -336,6 +337,7 @@ def test_striped_files_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
         k, chunk = mat.spec.k, -(-len(data) // mat.spec.k)
         sources = [int.from_bytes(data[i * chunk:(i + 1) * chunk], "little") for i in range(k)]
         for p in encode(mat, sources, 8 * chunk):
+            p = replace(p, file_len=len(data), crc32=zlib.crc32(data))
             assert packet_path(out, "data.bin", p.index).read_bytes() == packet_to_bytes(p)
         restored = tmp_path / "r.bin"
         for idx in combinations(range(1, mat.spec.n + 1), k):
@@ -366,6 +368,7 @@ def test_verbatim_streams_hold_the_library_bytes(tmp_path, monkeypatch, stripe):
     mat = _resolve_matrix(_build_parser().parse_args(["encode", *flags, "x"]))
     sources = [int.from_bytes(data[i * 254:(i + 1) * 254], "little") for i in range(3)]
     for p in encode(mat, sources, 8 * 254):
+        p = replace(p, file_len=len(data), crc32=zlib.crc32(data))
         assert packet_path(out, "data.bin", p.index).read_bytes() == packet_to_bytes(p)
     restored = tmp_path / "r.bin"
     for survivors in ((2, 4, 5), (1, 3, 6), (3, 6, 7), (2, 6, 7), (1, 4, 7)):
@@ -410,7 +413,7 @@ def test_decode_names_the_packet_whose_header_breaks_a_field_rule(tmp_path, caps
                             ((5, length, length - 1),
                              "payload length cannot be shorter than the source length")):
         target.write_bytes(blob[:15] + struct.pack("<HHQQ", fields[0], 0, *fields[1:])
-                           + blob[35:35 + (fields[2] + 7) // 8])
+                           + blob[35:47 + (fields[2] + 7) // 8])
         assert run(["decode", *packs, "--out", str(restored)]) == 1
         assert f"error: {target}: {message}\n" in capsys.readouterr().err
         assert not restored.exists()
@@ -545,48 +548,42 @@ def test_decode_detects_corruption(tmp_path):
     assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
 
 
-def test_decode_without_sidecar_needs_length(tmp_path, capsys):
+def test_decode_needs_no_sidecar(tmp_path):
+    # The headers hold the file's length and crc32, so packets moved away
+    # from the sidecar, or renamed without the .pN.sxp suffix, restore it.
     data = b"where did the sidecar go" * 3
     src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
     moved = tmp_path / "moved"
     moved.mkdir()
     for i in (1, 2, 3):
         shutil.copy(packet_path(out, "data.bin", i), moved)
-    # Moved away from the sidecar, or renamed without the .pN.sxp suffix
-    # that names it.
     for i in (4, 5, 6):
         shutil.copy(packet_path(out, "data.bin", i), out / f"part{i}")
+    (out / "data.bin.sxmeta").unlink()
     for packs in ([str(moved / f"data.bin.p{i}.sxp") for i in (1, 2, 3)],
                   [str(out / f"part{i}") for i in (4, 5, 6)]):
         restored = tmp_path / "r.bin"
-        assert run(["decode", *packs, "--out", str(restored)]) == 2
-        assert capsys.readouterr().err == \
-            "usage error: original length unknown: no sidecar found, pass --length\n"
-        assert not restored.exists()
-        assert run(["decode", *packs, "--out", str(restored), "--length", str(len(data))]) == 0
+        assert run(["decode", *packs, "--out", str(restored)]) == 0
         assert restored.read_bytes() == data
         restored.unlink()
 
 
-def test_decode_length_override_truncates(tmp_path):
+def test_decode_has_no_length_option(tmp_path, capsys):
+    # The length comes from the headers alone: --length is an unknown
+    # option, a usage error before any packet is read.
     data = bytes(range(60))
     src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
     restored = tmp_path / "r.bin"
     packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
-    assert run(["decode", *packs, "--out", str(restored), "--length", "5"]) == 0
-    assert restored.read_bytes() == data[:5]
-
-
-def test_decode_rejects_negative_length(tmp_path):
-    data = bytes(range(60))
-    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
-    restored = tmp_path / "r.bin"
-    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
-    assert run(["decode", *packs, "--out", str(restored), "--length", "-5"]) == 2
-    sidecar = out / "data.bin.sxmeta"
-    sidecar.write_text(sidecar.read_text().replace("len=60", "len=-3"))
-    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    for length in ("5", "60", "-5"):
+        assert run(["decode", *packs, "--out", str(restored), "--length", length]) == 2
+        assert "unrecognized arguments: --length" in capsys.readouterr().err
     assert not restored.exists()
+
+
+def set_file_fields(path, **fields):
+    # Rewrite a packet file with other file_len or crc32 header fields.
+    write_packet(replace(read_packet(path), **fields), path)
 
 
 def test_decode_checks_length_before_decoding(tmp_path, capsys):
@@ -597,62 +594,59 @@ def test_decode_checks_length_before_decoding(tmp_path, capsys):
     write_packet(replace(p, bits=Poly2(p.bits.mask ^ 1)), parity)
     packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 5)]
     restored = tmp_path / "r.bin"
-    assert run(["decode", *packs, "--out", str(restored), "--length", "60"]) == 1
-    assert "exceeds" not in capsys.readouterr().err  # the corruption is caught
-    assert run(["decode", *packs, "--out", str(restored), "--length", "61"]) == 1
-    assert "--length 61 exceeds decoded size 60" in capsys.readouterr().err
-    sidecar = out / "data.bin.sxmeta"
-    sidecar.write_text(sidecar.read_text().replace("len=60", "len=61"))
     assert run(["decode", *packs, "--out", str(restored)]) == 1
-    assert "sidecar length 61 exceeds decoded size 60" in capsys.readouterr().err
+    assert "exceeds" not in capsys.readouterr().err  # the corruption is caught
+    for path in packs:
+        set_file_fields(path, file_len=61)
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert capsys.readouterr().err == "error: file_len=61 exceeds decoded size 60\n"
     assert not restored.exists()
 
 
 def test_decode_rejects_sources_of_partial_bytes(tmp_path, capsys):
     mat = build_sxor(3, 7, 0xB)
     for p in encode(mat, [0xABC, 0x123, 0xFFF], 12)[:3]:
-        write_packet(p, tmp_path / f"data.bin.p{p.index}.sxp")
+        write_packet(replace(p, file_len=4), tmp_path / f"data.bin.p{p.index}.sxp")
     packs = [str(tmp_path / f"data.bin.p{i}.sxp") for i in (1, 2, 3)]
     restored = tmp_path / "r.bin"
-    assert run(["decode", *packs, "--out", str(restored), "--length", "4"]) == 1
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
     assert "source length 12 is not a whole number of bytes" in capsys.readouterr().err
     assert not restored.exists()
 
 
-def test_decode_rejects_sidecar_mismatch(tmp_path, capsys):
-    data = b"sidecar paranoia" * 2
-    mismatch = "sidecar metadata does not match"
-    for kind, edit, *messages in (
-            ("sxor", ("K=3", "K=4"), mismatch, "data.bin.sxmeta differs in K"),
-            ("systematic", ("x=1,2,3", "x=2,3,4"), mismatch, "data.bin.sxmeta differs in x"),
-            ("sxor", ("g=0xb", "g=0xd"), mismatch, "data.bin.sxmeta differs in g"),
-            ("sxor", ("len=32", "len=1e3"), "data.bin.sxmeta: len='1e3' is not"),
-            ("sxor", ("len=32", "len="), "data.bin.sxmeta: len='' is not"),
-            ("sxor", ("len=32", "len=\u00e932"), "data.bin.sxmeta: non-ASCII byte 0xc3 at offset "),
-            ("sxor", ("len=32", "len=32 len=5"),
-             "data.bin.sxmeta: line 1, field 2: repeated field 'len'"),
-            ("sxor", ("K=3", "K=3x"), "data.bin.sxmeta: line 1: K, N and m must be decimal"),
-            ("sxor", ("K=3", "K=3 k=3"), "data.bin.sxmeta: line 1: unknown fields ['k']"),
-            ("sxor", ("len=32", "32"), "data.bin.sxmeta: line 1, field 1: expected key=value"),
-            ("sxor", ("\n", "\nK=3\n"),
-             "data.bin.sxmeta: line 2: a sidecar holds one line of fields"),
-            ("sxor", ("crc32=", "crc32=z"), "data.bin.sxmeta: crc32='z", "is not 8 hex digits")):
-        src, out = encode_file(tmp_path, data, ["--kind", kind, "--k", "3", "--n", "7"])
-        sidecar = out / "data.bin.sxmeta"
-        text = sidecar.read_text(encoding="ascii")
-        assert edit[0] in text
-        sidecar.write_text(text.replace(*edit), encoding="utf-8")
-        packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
-        assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
-        err = capsys.readouterr().err
-        assert all(message in err for message in messages), err
-        assert not (tmp_path / "r.bin").exists()
+def test_decode_refuses_packets_that_disagree_on_the_file(tmp_path, capsys):
+    # Packets of one code and source length, but of two files: the error
+    # names the field and the packets under each value.  Packets that hold
+    # no file (the library's, file_len=0) are refused too.
+    flags = ["--kind", "sxor", "--k", "3", "--n", "7"]
+    for name in "abc":
+        (tmp_path / name).mkdir()
+    first = encode_file(tmp_path / "a", b"first file, 60 bytes long!" * 2 + b"12345678", flags)[1]
+    same_size = encode_file(tmp_path / "b", b"other file, 60 bytes long!" * 2 + b"12345678", flags)[1]
+    shorter = encode_file(tmp_path / "c", b"first file, 59 bytes long!" * 2 + b"1234567", flags)[1]
+    restored = tmp_path / "r.bin"
+    crcs = [f"{read_packet(packet_path(d, 'data.bin', 1)).crc32:08x}" for d in (first, same_size)]
+    for dirs, message in (((first, first, same_size),
+                           f"the packets disagree on crc32: crc32={crcs[0]} in packets 1, 2; "
+                           f"crc32={crcs[1]} in packet 3"),
+                          ((shorter, first, first),
+                           "the packets disagree on file_len: file_len=59 in packet 1; "
+                           "file_len=60 in packets 2, 3")):
+        packs = [str(packet_path(d, "data.bin", i)) for i, d in enumerate(dirs, 1)]
+        assert run(["decode", *packs, "--out", str(restored)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    packs = [str(packet_path(first, "data.bin", i)) for i in (1, 2, 3)]
+    for path in packs:
+        set_file_fields(path, file_len=0, crc32=0)
+    assert run(["decode", *packs, "--out", str(restored)]) == 1
+    assert capsys.readouterr().err == ("error: the packets hold no file (file_len=0): "
+                                       "sxor encode did not write them\n")
+    assert not restored.exists()
 
 
-def test_decode_checks_the_restored_bytes_against_the_sidecar_crc32(tmp_path, capsys):
+def test_decode_checks_the_restored_bytes_against_the_header_crc32(tmp_path, capsys):
     # A flipped bit in a systematic packet decodes to other bytes: the
-    # sidecar's crc32 catches them, and --out stays as it was.  With
-    # --length, or with no crc32 field, the same decode is unchecked.
+    # headers' crc32 catches them, and --out stays as it was.
     data = bytes(range(100))
     src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "7"])
     target = packet_path(out, "data.bin", 2)
@@ -663,41 +657,30 @@ def test_decode_checks_the_restored_bytes_against_the_sidecar_crc32(tmp_path, ca
     packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
     restored = tmp_path / "r.bin"
     restored.write_bytes(b"before")
-    sidecar = out / "data.bin.sxmeta"
     assert run(["decode", *packs, "--out", str(restored)]) == 1
     assert capsys.readouterr().err == (
-        f"error: sidecar {sidecar}: crc32={zlib.crc32(data):08x}, "
-        f"but the restored bytes have crc32={zlib.crc32(wrong):08x}\n")
+        f"error: the restored bytes have crc32={zlib.crc32(wrong):08x}, but the packet headers "
+        f"state crc32={zlib.crc32(data):08x}\n")
     assert restored.read_bytes() == b"before"
-    assert run(["decode", *packs, "--out", str(restored), "--length", "100"]) == 0
-    assert restored.read_bytes() == wrong
-    sidecar.write_text(sidecar.read_text().replace(f" crc32={zlib.crc32(data):08x}", ""))
-    restored.unlink()
-    assert run(["decode", *packs, "--out", str(restored)]) == 0
-    assert restored.read_bytes() == wrong
 
 
-def test_decode_refuses_an_oversized_sidecar(tmp_path, capsys):
+def test_decode_ignores_the_sidecar(tmp_path):
+    # Decode never opens the sidecar: a 1 GiB one, one with other fields,
+    # or none at all changes nothing.
     data = b"a sidecar is one short line" * 2
-    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "7"])
-    os.truncate(out / "data.bin.sxmeta", 1 << 30)  # sparse: no GiB is written
-    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
-    start = time.perf_counter()
-    assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 1
-    assert time.perf_counter() - start < 1
-    assert "data.bin.sxmeta: larger than the limit of 1024 bytes" in capsys.readouterr().err
-    assert not (tmp_path / "r.bin").exists()
-
-
-def test_decode_compares_sidecar_fields_as_values(tmp_path):
-    data = b"hex digits have two cases" * 2
     src, out = encode_file(tmp_path, data, ["--kind", "systematic", "--k", "3", "--n", "7"])
     sidecar = out / "data.bin.sxmeta"
-    sidecar.write_text(sidecar.read_text().replace("g=0xb", "g=0xB"))
-    restored = tmp_path / "r.bin"
     packs = [str(packet_path(out, "data.bin", i)) for i in (2, 5, 7)]
-    assert run(["decode", *packs, "--out", str(restored)]) == 0
-    assert restored.read_bytes() == data
+    restored = tmp_path / "r.bin"
+    for change in (lambda: os.truncate(sidecar, 1 << 30),  # sparse: no GiB is written
+                   lambda: sidecar.write_text("len=5 kind=sxor K=4 N=7 m=3 g=0xd crc32=z\n"),
+                   sidecar.unlink):
+        change()
+        start = time.perf_counter()
+        assert run(["decode", *packs, "--out", str(restored)]) == 0
+        assert time.perf_counter() - start < 1
+        assert restored.read_bytes() == data
+        restored.unlink()
 
 
 def test_encode_deterministic(tmp_path):

@@ -382,6 +382,29 @@ def test_zigzag_requires_monomial_entries():
     mat = build_sxor(3, 7, G1)
     with pytest.raises(NotMonomialMatrix):
         zigzag_schedule(mat, (1, 2, 4), 8)  # column 4 holds z+1
+    packets = encode(mat, [1, 2, 3], 8)
+    for _ in range(3):  # a refusal is not memoized: it raises on every call
+        with pytest.raises(NotMonomialMatrix):
+            zigzag_decode(mat, [packets[j - 1] for j in (1, 2, 4)])
+
+
+def test_zigzag_derives_the_monomial_pattern_once_per_survivor_set(monkeypatch):
+    # The cover, the hits and the word-wide verdict are memoized per
+    # (matrix, survivors), as kernels are, whichever branch decodes.
+    calls = []
+    terms = codec._monomial_terms
+    monkeypatch.setattr(codec, "_monomial_terms", lambda *args: calls.append(args) or terms(*args))
+    codec._pattern.cache_clear()
+    mat = builtin_zd_k3()
+    rng = random.Random(5)
+    for sub in ((1, 4, 5), (4, 5, 6)):  # word-wide, and per-bit
+        calls.clear()
+        for _ in range(4):
+            src = [rng.getrandbits(40) for _ in range(3)]
+            packets = by_index(encode(mat, src, 40))
+            assert [s.mask for s in zigzag_decode(mat, [packets[j] for j in sub])] == src
+        zigzag_schedule(mat, sub, 40)
+        assert calls == [(mat, sub)]
 
 
 def test_zigzag_stuck_on_identical_columns():
@@ -435,6 +458,9 @@ def test_packet_post_init_validation():
         Packet(1, Poly2(1), 4, 3, spec)
     with pytest.raises(ValueError):
         Packet(1, Poly2(0b10000), 4, 4, spec)
+    for fields in ({"file_len": -1}, {"crc32": -1}):
+        with pytest.raises(ValueError, match="must not be negative"):
+            Packet(1, Poly2(1), 4, 4, spec, **fields)
 
 
 def test_packet_bytes_round_trip():
@@ -447,18 +473,24 @@ def test_packet_bytes_round_trip():
         k = mat.spec.k
         src = [rng.getrandbits(20) for _ in range(k)]
         for p in encode(mat, src, 20):
-            blob = packet_to_bytes(p)
-            again = packet_from_bytes(blob)
-            assert again == p
-            assert packet_to_bytes(again) == blob
+            # As the library builds it, and with a file's length and crc32.
+            for p in (p, replace(p, file_len=7 * k, crc32=0xFFFFFFFF)):
+                blob = packet_to_bytes(p)
+                again = packet_from_bytes(blob)
+                assert again == p
+                assert packet_to_bytes(again) == blob
 
 
 def test_packet_bytes_is_little_endian_with_magic():
     p = encode(TOY, [0b0101, 0b0110], 4)[3]
     blob = packet_to_bytes(p)
-    assert blob[:4] == b"SXP1"
-    assert blob[4] == 1  # version
+    assert blob[:4] == b"SXP2"
+    assert blob[4] == 2  # version
     assert blob[-1] == 0b01001  # 5 payload bits, LSB first
+    # An SXP1 packet, whose header ends at payload_bits, is not read.
+    sxp1 = b"SXP1" + bytes([1]) + blob[5:-13] + blob[-1:]
+    with pytest.raises(PacketFormatError, match="^bad magic b'SXP1'$"):
+        packet_from_bytes(sxp1)
 
 
 def test_packet_bytes_rejections():
@@ -535,10 +567,12 @@ def test_packet_to_bytes_rejects_lengths_past_their_u64_fields():
     # L and payload_bits are u64 header fields: overflow names the field,
     # not struct.error.
     spec = TOY.spec
-    for packet, field in ((Packet(1, Poly2(1), 2**64, 2**64, spec), "L"),
-                          (Packet(1, Poly2(1), 4, 2**64, spec), "payload_bits")):
-        with pytest.raises(ValueError, match=f"^{field}={2**64} exceeds {2**64 - 1}, "
-                                             "the limit of its 64-bit header field$"):
+    for packet, field, bits in ((Packet(1, Poly2(1), 2**64, 2**64, spec), "L", 64),
+                                (Packet(1, Poly2(1), 4, 2**64, spec), "payload_bits", 64),
+                                (Packet(1, Poly2(1), 4, 4, spec, file_len=2**64), "file_len", 64),
+                                (Packet(1, Poly2(1), 4, 4, spec, crc32=2**32), "crc32", 32)):
+        with pytest.raises(ValueError, match=f"^{field}={2**bits} exceeds {2**bits - 1}, "
+                                             f"the limit of its {bits}-bit header field$"):
             packet_to_bytes(packet)
 
 
@@ -557,7 +591,7 @@ def test_packet_from_bytes_checks_the_header_fields():
                             ((5, length, length - 1),
                              "payload length cannot be shorter than the source length")):
         crafted = (blob[:15] + struct.pack("<HHQQ", fields[0], 0, *fields[1:])
-                   + blob[35:35 + (fields[2] + 7) // 8])
+                   + blob[35:47 + (fields[2] + 7) // 8])
         with pytest.raises(PacketFormatError, match=f"^{message}$"):
             packet_from_bytes(crafted)
 
@@ -592,6 +626,15 @@ def test_parsed_packets_compare_their_shared_spec_once(monkeypatch):
     assert len(calls) == 1  # one interned spec, not one compare per packet
     with pytest.raises(ValueError, match="packet 1 belongs to a different code"):
         _check_headers(mat, packets[:4] + [other])
+
+
+def test_decoders_name_the_packets_that_disagree_on_source_length():
+    mat = build_sxor(3, 7, G1)
+    short, long = encode(mat, [1, 2, 3], 8), encode(mat, [1, 2, 3], 12)
+    for decode in (map_decode, zigzag_decode):
+        with pytest.raises(ValueError, match="^the packets disagree on source_len: source_len=8 "
+                                             "in packets 1, 3; source_len=12 in packet 2$"):
+            decode(mat, [short[0], long[1], short[2]])
 
 
 def test_invalid_header_specs_fail_alike_on_every_parse():
@@ -635,10 +678,12 @@ def test_packet_to_bytes_matches_the_format():
         spec = mat.spec
         x = spec.x or ()
         for p in encode(mat, range(5, 5 + spec.k), 11):
-            want = (struct.pack("<4sBBBIHHHH", b"SXP1", 1, ("user", "sxor", "systematic", "zd3")
+            p = replace(p, file_len=3 * p.index, crc32=0x10203 * p.index)
+            want = (struct.pack("<4sBBBIHHHH", b"SXP2", 2, ("user", "sxor", "systematic", "zd3")
                                 .index(spec.kind), spec.m, spec.g.mask, spec.k, spec.n, p.index,
                                 len(x))
-                    + struct.pack(f"<{len(x)}H", *x) + struct.pack("<QQ", 11, p.bit_len)
+                    + struct.pack(f"<{len(x)}H", *x)
+                    + struct.pack("<QQQI", 11, p.bit_len, 3 * p.index, 0x10203 * p.index)
                     + p.bits.mask.to_bytes((p.bit_len + 7) // 8, "little"))
             assert packet_to_bytes(p) == packet_to_bytes(p) == want, (spec, p.index)
 

@@ -163,7 +163,8 @@ def test_word_wide_sets_decode_as_the_per_bit_peel(case):
         bits = chosen[pi].bits.mask ^ (1 << bit % chosen[pi].bit_len)
         chosen[pi] = replace(chosen[pi], bits=Poly2(bits))
     got = decoded(zigzag_decode, mat, chosen)
-    with mock.patch.object(codec, "_word_wide", lambda *args: False):
+    pattern = codec._pattern  # memoized: patching _word_wide alone would miss a warm entry
+    with mock.patch.object(codec, "_pattern", lambda *args: (*pattern(*args)[:2], False)):
         per_bit = decoded(zigzag_decode, mat, chosen)
     assert unworded(got) == unworded(per_bit)
     if codec._word_wide(codec._monomial_terms(mat, survivors)[0], mat.spec.k):
