@@ -212,7 +212,7 @@ def cmd_decode(args) -> int:
 
 def _decode(args, packets) -> None:
     heads = [head for _, head in packets]
-    spec = heads[0].spec
+    spec = _agreed(heads, "spec", lambda value: format_fields(value.fields()))
     if len(heads) != spec.k:
         raise _UsageError(f"this code needs exactly {spec.k} packets, got {len(heads)}")
     if args.matrix:
@@ -225,7 +225,7 @@ def _decode(args, packets) -> None:
         if mat is None:
             raise _UsageError("user-kind packets need --matrix to decode")
     size = _agreed(heads, "file_len")
-    crc = _agreed(heads, "crc32", "08x")
+    crc = _agreed(heads, "crc32", lambda value: f"crc32={value:08x}")
     if not size:
         raise ValueError("the packets hold no file (file_len=0): sxor encode did not write them")
     bit_len = _agreed(heads, "source_len")
@@ -312,43 +312,42 @@ def _add_code_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", help="generator matrix file (required for kind user)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sxor",
-        description="Shift-and-XOR erasure codes: encode, decode, analyze.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("encode", help="split one file into N packet files")
+def _add_encode(p: argparse.ArgumentParser) -> None:
     _add_code_args(p)
     p.add_argument("input", help="file to encode")
     p.add_argument("--out-dir", default=".", help="directory for packet files")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="restore the file from K packet files")
+
+def _add_decode(p: argparse.ArgumentParser) -> None:
     p.add_argument("packets", nargs="+", help="surviving packet files")
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--matrix", help="generator matrix file (user-kind packets)")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("analyze", help="overhead and XOR-cost metrics")
+
+def _add_analyze(p: argparse.ArgumentParser) -> None:
     _add_code_args(p)
     p.add_argument("--compare", action="store_true",
                    help="side-by-side table of all constructions for K=2..6")
     p.add_argument("--format", choices=["markdown", "json"], default="markdown")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("classify", help="equivalence classes of systematic codes")
+
+def _add_classify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", help="field modulus as a hex mask")
     p.add_argument("--format", choices=["markdown", "json"], default="markdown")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("check", help="verify every K-subset of packets decodes")
+
+def _add_check(p: argparse.ArgumentParser) -> None:
     _add_code_args(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("matrix", help="matrix file utilities")
+
+def _add_matrix(p: argparse.ArgumentParser) -> None:
     msub = p.add_subparsers(dest="matrix_command", required=True)
     mp = msub.add_parser("print", help="emit a generator matrix in text form")
     _add_code_args(mp)
@@ -358,11 +357,40 @@ def _build_parser() -> argparse.ArgumentParser:
     ml.add_argument("file")
     ml.set_defaults(func=cmd_matrix_load)
 
+
+# Each subcommand's help line and the function that adds its arguments.
+_COMMANDS = {
+    "encode": ("split one file into N packet files", _add_encode),
+    "decode": ("restore the file from K packet files", _add_decode),
+    "analyze": ("overhead and XOR-cost metrics", _add_analyze),
+    "classify": ("equivalence classes of systematic codes", _add_classify),
+    "check": ("verify every K-subset of packets decodes", _add_check),
+    "matrix": ("matrix file utilities", _add_matrix),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand's, or only ``command``'s.
+
+    A parser for one command lists every command in its usage, as the
+    full tree does, so its help and error messages are the full tree's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sxor",
+        description="Shift-and-XOR erasure codes: encode, decode, analyze.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (text, add) in _COMMANDS.items():
+        if command in (None, name):
+            add(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked command's parser; --help, no command or an unknown
+    # one gets the full tree, whose messages list every command.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

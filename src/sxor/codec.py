@@ -19,10 +19,13 @@ read, and solve the smaller system left.  That system's determinant is
 a cofactor of the last one, and its adjugate follows from a rank-one
 (Desnanot-Jacobi) update, with no second elimination.  A source whose
 packet survived verbatim is that payload itself.  Each division runs
-low coefficients first and is re-verified by multiplication, which is
-what turns packet corruption into a raised error instead of silent
-garbage; a division by 1 returns the dividend itself once no bit sits
-at or above z**L.
+low coefficients first, through the feedback's binomial multiple
+1 + z**P when z has a small order P modulo the feedback (so a quotient
+costs a short multiplication and one shift-XOR per doubling of P), and
+its last stripe is re-verified by multiplication, which is what turns
+packet corruption into a raised error instead of silent garbage; a
+division by 1 returns the dividend itself once no bit sits at or above
+z**L.
 
 Encoding and MAP decoding run on one stripe core: a network of these
 combines and divisions over bit streams.  Every output bit depends only
@@ -294,9 +297,11 @@ class _Run:
     carry: a run keeps nothing else between stripes, and hands each
     stripe's outputs back.  Every stripe but the last is divided by
     :func:`~sxor.gf2poly._div_low`; the last holds every bit from the
-    stripe's start up and is one :func:`~sxor.gf2poly.exact_div_low`.  A
-    failed step's message is kept and the run goes on, so that it
-    reports its first failed step, as a one-stripe run does.
+    stripe's start up and is one :func:`~sxor.gf2poly.exact_div_low`.  The
+    all-ones mask of the stripe width is built once, at the first stripe
+    that is not the last, and serves every map and division.  A failed
+    step's message is kept and the run goes on, so that it reports its
+    first failed step, as a one-stripe run does.
     """
 
     def __init__(self, net: _Network, length: int = 0):
@@ -305,6 +310,7 @@ class _Run:
         self.done = 0  # bits of each stream fed so far
         self.carry = [0] * len(net.maps)
         self.rest = [0] * len(net.maps)
+        self.mask = 0  # all ones below z**bits, for stripes of ``bits`` bits
         self.failed = {}  # message per failed map
 
     def push(self, chunks: Sequence[int], bits: int, final: bool = False) -> list[int]:
@@ -319,6 +325,9 @@ class _Run:
         step that failed.
         """
         net, carry, done = self.net, self.carry, self.done
+        if not final and self.mask.bit_length() != bits:
+            self.mask = (1 << bits) - 1
+        mask = self.mask
         streams = list(chunks)
         k = len(streams)
         for m, (_, plan, step) in enumerate(net.maps):
@@ -327,7 +336,7 @@ class _Run:
                 acc ^= carry[m]
                 carry[m] = 0
             if not final and acc.bit_length() > bits:
-                acc, carry[m] = acc & ((1 << bits) - 1), acc >> bits
+                acc, carry[m] = acc & mask, acc >> bits
             if step:
                 acc = self._solve(m, step, net.delays[k + m] - done, acc, bits, final)
             streams.append(acc)
@@ -348,7 +357,7 @@ class _Run:
                                       f"bits below z^{step.shift}")
         rest = self.rest[m]
         if not final:
-            s, self.rest[m] = _div_low(b, step.feedback.mask, bits, rest)
+            s, self.rest[m] = _div_low(b, step.feedback.mask, bits, rest, self.mask)
             return s
         try:
             return exact_div_low(Poly2(b ^ rest if rest else b), step.feedback, self.length + low).mask
@@ -722,17 +731,19 @@ def _check_headers(mat: GenMatrix, packets) -> tuple[int, tuple[int, ...]]:
     return length, idx
 
 
-def _agreed(packets, name: str, fmt: str = "d") -> int:
+def _agreed(packets, name: str, show: Callable[[object], str] | None = None):
     # The value of field ``name`` that every packet (or header) states.
-    # Packets that differ fail, named by index under each value, formatted by fmt.
+    # Packets that differ fail, named by index under each value as show
+    # renders it, by default name=value.
     values = {getattr(p, name) for p in packets}
     if len(values) == 1:
         return values.pop()
     seen = {}
     for p in packets:
         seen.setdefault(getattr(p, name), []).append(str(p.index))
+    show = show or (lambda value: f"{name}={value}")
     raise ValueError(f"the packets disagree on {name}: " + "; ".join(
-        f"{name}={value:{fmt}} in packet{'s' * (len(idx) > 1)} {', '.join(idx)}"
+        f"{show(value)} in packet{'s' * (len(idx) > 1)} {', '.join(idx)}"
         for value, idx in seen.items()))
 
 

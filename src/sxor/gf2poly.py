@@ -15,16 +15,22 @@ form error messages use.  Shifts and gcds are mask helpers
 
 The module-level helpers cover the operations that do not belong to a
 single ring element: :func:`exact_div_low` recovers s from b = h*s working
-from the lowest-order coefficient up (the workhorse of the exact decoder;
-it keeps the taps of h as a short list of exponents, so only the shifted
-copies of s are megabit-sized, and ends on fixed-size chunks when s is
-wider than 64 of them; it is the last stripe of :func:`_div_low`, which
-divides one stripe of a longer dividend and carries the product's high
-bits into the next), and
-:func:`split_shift` factors out the largest power of z.
+from the lowest-order coefficient up, and :func:`split_shift` factors out
+the largest power of z.  Exact division is the workhorse of the exact
+decoder.  It is the last stripe of :func:`_div_low`, which divides one
+stripe of a longer dividend and carries the product's high bits into the
+next.  When z has a small order P modulo h, as it has for the
+feedbacks of small codes, :func:`_div_low` divides by the binomial
+multiple 1 + z**P of h: one multiplication by the sparse (1 + z**P) / h,
+then one shift-XOR per doubling of P.  Other divisors run on the taps of
+h, kept as a short list of exponents so that only the shifted copies of
+s are megabit-sized, and end on fixed-size chunks when s is wider than
+64 of them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 __all__ = [
     "Poly2",
@@ -34,17 +40,31 @@ __all__ = [
 ]
 
 
-# Tap stride at which _div_low stops doubling and runs its chunk stage,
-# on operands of more than 64 chunks (2**18 bits); narrower operands
-# double to the end.  Measured on a 2-vCPU Xeon with Python 3.11.7 (see
-# CHANGES.md), over 2**9..2**14: at 13.4 Mbit 2**12 was the best or within
-# 12% of it for taps z, z + z^2 and z + z^3, and 2**9 1.6-2.6x slower; at
-# the CLI's 2**19-bit stripes 2**11 and 2**12 were within 7% of each other
-# for two and three taps.  Doubling to the end beat the chunk stage by
-# 1.0-1.7x from 6,560 to 104,856 bits (library objects of 4-64 KiB) and
-# was 0.98-1.6x as fast at 2**19 bits, but the stripes keep the chunk
-# stage, which won by 1.5x at 13.4 Mbit with two taps.
+# Tap stride at which _div_low's taps path stops doubling and runs its
+# chunk stage, on operands of more than 64 chunks (2**18 bits); narrower
+# operands double to the end.  Only divisors of large order, or whose
+# binomial multiple costs more passes, take that path.  Measured on a
+# 2-vCPU Xeon with Python 3.11.7 (see CHANGES.md), over 2**9..2**14: at
+# 13.4 Mbit 2**12 was the best or within 12% of it for taps z, z + z^2
+# and z + z^3, and 2**9 1.6-2.6x slower; at the CLI's 2**19-bit stripes
+# 2**11 and 2**12 were within 7% of each other for two and three taps.
+# Doubling to the end beat the chunk stage by 1.0-1.7x from 6,560 to
+# 104,856 bits (library objects of 4-64 KiB) and was 0.98-1.6x as fast at
+# 2**19 bits, but the stripes keep the chunk stage, which won by 1.5x at
+# 13.4 Mbit with two taps.
 _CHUNK = 1 << 12
+
+# Whole-operand passes that _binomial_pays charges the chunk stage.  At
+# 2**19 and 2**20 bits a chunk stage took as long as 20-21 shift-XOR
+# passes over the operand, for one to eight taps (CHANGES.md).
+_CHUNK_PASSES = 20
+
+# Largest order of z modulo a divisor that _binomial searches for.  A
+# search past it costs about 25 us per divisor, once per process.  At
+# 2**19 bits no divisor of order 255 with up to five taps gained from its
+# binomial multiple, whose u has about P/2 terms, while orders up to 127
+# did (CHANGES.md).
+_ORDER_BOUND = 256
 
 
 class InconsistentDivision(ValueError):
@@ -206,7 +226,8 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
     ``out_len`` are the product's carry: the decoder's stripe core runs
     the earlier stripes of a long division through :func:`_div_low` and
     hands the last one, with the carry cancelled from it, to this
-    function.  For h = 1 the result is b itself, not a copy.
+    function, which forms h * s in full to compare it with b.  For h = 1
+    the result is b itself, not a copy.
     """
     if not h.mask:
         raise ZeroDivisionError("exact division by zero polynomial")
@@ -216,8 +237,8 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
         raise ValueError("output length must be nonnegative")
     if h.mask == 1 and b.mask.bit_length() <= out_len:
         return b  # s = b; an over-long b falls through to the check below
-    s, rest = _div_low(b.mask, h.mask, out_len)
-    if rest:
+    s = _div_low(b.mask, h.mask, out_len)[0]
+    if _mul_masks(h.mask, s) != b.mask:
         raise InconsistentDivision(
             f"{b.mask.bit_length()}-bit dividend is not divisor * s for any s "
             f"of {out_len} coefficient bits"
@@ -225,7 +246,7 @@ def exact_div_low(b: Poly2, h: Poly2, out_len: int) -> Poly2:
     return Poly2(s)
 
 
-def _div_low(b: int, h: int, width: int, carry: int = 0) -> tuple[int, int]:
+def _div_low(b: int, h: int, width: int, carry: int = 0, mask: int = 0) -> tuple[int, int]:
     """One stripe of a low-first division: s and (h * s + carry - b) / z**width.
 
     s is the ``width``-bit solution of h * s + carry = b mod z**width,
@@ -234,49 +255,97 @@ def _div_low(b: int, h: int, width: int, carry: int = 0) -> tuple[int, int]:
     the stripe's start (fewer than deg h of them).  When b holds no more
     than ``width`` bits, the second value is the carry into the next
     stripe; when it holds all the dividend's remaining bits, the division
-    is exact just when that value is 0.  So the product h * s, formed
-    again, is what re-verifies the division.
+    is exact just when that value is 0.  Only the quotient's top deg h
+    bits reach the product's bits at and above z**width, so the carry is
+    formed from them alone; :func:`exact_div_low` forms h * s in full.
+    ``mask``, when given, is the all-ones mask of ``width`` bits, so that
+    a caller dividing stripe after stripe builds it once.
 
     The per-coefficient recursion is collapsed into rounds of sparse
-    shift-XORs using the characteristic-2 identity
-    1/h = (1+e)(1+e^2)(1+e^4)... with e = h + 1, so megabit operands stay
-    fast.  The taps of e are kept as a list of exponents below
-    ``width``; squaring e multiplies each by 2 (z**t -> z**2t), so a
-    round touches no large int beyond the shifted copies of s.  The
-    doubling runs until no tap is left below ``width`` on operands of at
-    most 64 chunks, and otherwise stops at the chunk size C = 2**r: then
-    s = s_r + e(z**C) * s, which runs on C-bit chunks as chunk[j] ^=
-    chunk[j - t] per tap t of e, lowest first, so log2(C) rounds, not
-    log2(width), touch the whole operand.  The result is bit-identical to
-    the naive recursion.  The rule depends on ``width`` alone: see
-    ``_CHUNK``.
+    shift-XORs, on one of two paths:
+
+    - *Binomial*: when z has a small order P modulo h (see
+      :func:`_binomial`), h times the sparse u = (1 + z**P) / h is a
+      binomial, so 1/h = u * (1 + z**P)(1 + z**2P)(1 + z**4P)...: one
+      multiplication by u, then one shift-XOR per doubling of the stride
+      from P past ``width``, each cut back to ``width`` bits.
+    - *Taps*: the characteristic-2 identity 1/h = (1+e)(1+e^2)(1+e^4)...
+      with e = h + 1.  The taps of e are kept as a list of exponents
+      below ``width``; squaring e multiplies each by 2 (z**t -> z**2t),
+      so a round touches no large int beyond the shifted copies of s.
+      The doubling runs until no tap is left below ``width`` on operands
+      of at most 64 chunks, and otherwise stops at the chunk size C =
+      2**r: then s = s_r + e(z**C) * s, which runs on C-bit chunks as
+      chunk[j] ^= chunk[j - t] per tap t of e, lowest first, so log2(C)
+      rounds, not log2(width), touch the whole operand.
+
+    :func:`_binomial_pays` picks the path by its count of whole-operand
+    passes.  Either result is bit-identical to the naive recursion.
     """
     if h == 1 and b.bit_length() <= width:
         return b, 0  # carry is 0 too: h = 1 leaves none
-    s = b ^ carry if carry else b
-    if s.bit_length() > width:
-        # The all-ones mask of width bits is as large as s: build it where
-        # it is used, so that it does not live through the rounds.
-        s &= (1 << width) - 1
+    # Without the caller's mask, an all-ones mask of width bits is as large
+    # as s: each is built where it is used, so that none lives through the
+    # taps path's rounds.
+    x = b ^ carry if carry else b
     taps = [t for t in _exponents(h ^ 1) if t < width]
-    stride = 1
-    # Bits past width never reach lower ones: they are cut once, below.
-    while taps and (stride < _CHUNK or width <= 64 * _CHUNK):
-        acc = s
-        for t in taps:
-            acc ^= s << (t * stride)
-        s, acc = acc, None  # acc must not keep the last round's s alive
-        stride *= 2
-        taps = [t for t in taps if t * stride < width]
-    s &= (1 << width) - 1
-    if taps:
-        s = _chunk_recurrence(s, taps, width)
-    prod = _mul_masks(h, s)
-    if carry:
-        prod ^= carry
-    if prod == b:
-        return s, 0
-    return s, (prod ^ b) >> width  # s solves the low width bits: they cancel
+    period, u = _binomial(h)
+    if period and _binomial_pays(period, u, taps, width):
+        mask = mask or (1 << width) - 1
+        s = _mul_masks(u, x) & mask  # x's bits past width reach none below it
+        while period < width:
+            s ^= (s << period) & mask
+            period *= 2
+    else:
+        s = x & (mask or (1 << width) - 1) if x.bit_length() > width else x
+        stride = 1
+        # Bits past width never reach lower ones: they are cut once, below.
+        while taps and (stride < _CHUNK or width <= 64 * _CHUNK):
+            acc = s
+            for t in taps:
+                acc ^= s << (t * stride)
+            s, acc = acc, None  # acc must not keep the last round's s alive
+            stride *= 2
+            taps = [t for t in taps if t * stride < width]
+        s &= mask or (1 << width) - 1
+        if taps:
+            s = _chunk_recurrence(s, taps, width)
+    # s solves the low width bits, so they cancel; of h * s, only h times
+    # the top deg h bits of s reaches z**width.
+    top = max(width - h.bit_length() + 1, 0)
+    return s, (_mul_masks(h, s >> top) >> (width - top)) ^ (x >> width)
+
+
+@lru_cache(maxsize=256)
+def _binomial(h: int) -> tuple[int, int]:
+    """(P, u) with h * u = 1 + z**P for the least P up to ``_ORDER_BOUND``, else (0, 0).
+
+    P is the order of z modulo h, found by stepping z**p mod h; a divisor
+    of degree past the bound has no P within it, and is not searched.
+    """
+    degree = h.bit_length() - 1
+    if 0 < degree <= _ORDER_BOUND:
+        r = 1
+        for p in range(1, _ORDER_BOUND + 1):
+            r <<= 1
+            if r >> degree:
+                r ^= h
+            if r == 1:
+                return p, _divmod_masks(1 << p | 1, h)[0]
+    return 0, 0
+
+
+def _binomial_pays(period: int, u: int, taps: list[int], width: int) -> bool:
+    # Whether the binomial path makes no more whole-operand passes than the
+    # taps path: |u| plus one per doubling of P, against one per tap per
+    # round it stays below width, capped at log2(_CHUNK) rounds and
+    # followed by _CHUNK_PASSES when the chunk stage runs.
+    rounds = [((width - 1) // t).bit_length() for t in taps]
+    if width > 64 * _CHUNK:
+        cap = _CHUNK.bit_length() - 1
+        chunked = _CHUNK_PASSES if any(r > cap for r in rounds) else 0
+        rounds = [min(r, cap) for r in rounds] + [chunked]
+    return u.bit_count() + ((width - 1) // period).bit_length() <= sum(rounds)
 
 
 def _chunk_recurrence(s: int, taps: list[int], out_len: int) -> int:

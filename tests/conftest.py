@@ -34,30 +34,45 @@ def run_striped(net, values, length, width, between=None):
 def division_paths(monkeypatch):
     """Run exact divisions at a given chunk size, counting the path each takes past it.
 
-    Call the fixture with the chunk size, a power of two, to get a
-    Counter.  ``"chunk stage"`` counts the divisions that end on
-    ``gf2poly._chunk_recurrence``; ``"doubled"`` counts those that still
-    had taps at the chunk size and doubled to the end instead.
+    Call the fixture with the chunk size, a power of two, and optionally
+    a bound on the divisors' order in place of ``gf2poly._ORDER_BOUND``,
+    to get a Counter.  ``"binomial"`` counts the divisions that run through the
+    divisor's binomial multiple (``gf2poly._binomial_pays`` said so);
+    ``"chunk stage"`` counts those that end on
+    ``gf2poly._chunk_recurrence``; ``"doubled"`` counts those on the taps
+    path that still had taps at the chunk size and doubled to the end
+    instead.
     """
     ran = Counter()
     div_low, chunk_recurrence = gf2poly._div_low, gf2poly._chunk_recurrence
+    binomial_pays = gf2poly._binomial_pays
 
     def counted_chunks(*args):
         ran["chunk stage"] += 1
         return chunk_recurrence(*args)
 
-    def start(chunk):
-        def counted_div(b, h, width, carry=0):
-            before = ran["chunk stage"]
-            result = div_low(b, h, width, carry)
+    def counted_pays(*args):
+        paid = binomial_pays(*args)
+        ran["binomial"] += paid
+        return paid
+
+    def start(chunk, bound=gf2poly._ORDER_BOUND):
+        def counted_div(b, h, width, carry=0, mask=0):
+            before = ran["chunk stage"] + ran["binomial"]
+            result = div_low(b, h, width, carry, mask)
             taps = h ^ 1
-            if ran["chunk stage"] == before and taps and (taps & -taps).bit_length() - 1 < width / chunk:
+            if (ran["chunk stage"] + ran["binomial"] == before and taps
+                    and (taps & -taps).bit_length() - 1 < width / chunk):
                 ran["doubled"] += 1
             return result
 
         monkeypatch.setattr(gf2poly, "_CHUNK", chunk)
         monkeypatch.setattr(gf2poly, "_chunk_recurrence", counted_chunks)
+        monkeypatch.setattr(gf2poly, "_binomial_pays", counted_pays)
         monkeypatch.setattr(gf2poly, "_div_low", counted_div)
+        monkeypatch.setattr(gf2poly, "_ORDER_BOUND", bound)
+        gf2poly._binomial.cache_clear()  # its orders were found under the old bound
         return ran
 
-    return start
+    yield start
+    gf2poly._binomial.cache_clear()

@@ -538,6 +538,42 @@ def test_decode_wrong_packet_count(tmp_path):
     assert run(["decode", *packs, "--out", str(tmp_path / "r.bin")]) == 2
 
 
+def test_decode_names_the_packets_whose_code_differs(tmp_path, capsys):
+    # Every header bit of packet 1 whose flip leaves a valid header of
+    # another code: decode compares the K codes before it reads K or the
+    # kind from any one packet, so each flip exits 1 naming the packets
+    # under each code, not 2 for a packet count or a missing --matrix.
+    data = bytes((i * 73 + 11) % 256 for i in range(40))
+    src, out = encode_file(tmp_path, data, ["--kind", "sxor", "--k", "3", "--n", "5"])
+    target = packet_path(out, "data.bin", 1)
+    clean = target.read_bytes()
+    fh, head = codec._open_packet(target)
+    fh.close()
+    packs = [str(packet_path(out, "data.bin", i)) for i in (1, 2, 3)]
+    restored = tmp_path / "r.bin"
+    differing = set()
+    for bit in range(8 * head.offset):
+        damaged = bytearray(clean)
+        damaged[bit // 8] ^= 1 << bit % 8
+        target.write_bytes(damaged)
+        try:
+            fh, flipped = codec._open_packet(target)
+        except ValueError:
+            continue  # refused naming the packet file
+        fh.close()
+        if flipped.spec == head.spec:
+            continue
+        fields = flipped.spec.fields()
+        differing.update(key for key, v in head.spec.fields().items() if fields[key] != v)
+        assert run(["decode", *packs, "--out", str(restored)]) == 1, bit
+        err = capsys.readouterr().err
+        assert err.startswith("error: the packets disagree on spec: "), (bit, err)
+        assert " in packet 1; " in err and err.endswith(" in packets 2, 3\n"), (bit, err)
+    target.write_bytes(clean)
+    assert {"kind", "K"} <= differing
+    assert not restored.exists()
+
+
 def test_decode_detects_corruption(tmp_path):
     data = b"integrity matters" * 11
     src, out = encode_file(tmp_path, data, ["--kind", "zd3"])
@@ -953,6 +989,47 @@ def test_matrix_print_header_matches_golden(capsys):
                 "--x", "1,3,4"]) == 0
     header = capsys.readouterr().out.splitlines(keepends=True)[0]
     assert header == (GOLDEN / "matrix-print-header.txt").read_text(encoding="ascii")
+
+
+PARSE_CASES = [
+    ["encode", "--help"], ["encode", "x.bin", "--kind", "bad"], ["encode", "x.bin", "--k", "two"],
+    ["encode"], ["encode", "x.bin", "--bogus"],
+    ["decode", "-h"], ["decode", "a.sxp"], ["decode"], ["decode", "a.sxp", "--out", "r", "--length", "3"],
+    ["analyze", "--help"], ["analyze", "--format", "xml"], ["analyze", "--compare", "extra"],
+    ["classify", "--help"], ["classify", "--k", "3"], ["classify", "--k", "3", "--n", "x"],
+    ["check", "--help"], ["check", "--n"], ["check", "--kind", "sxor", "--zz"],
+    ["matrix", "--help"], ["matrix"], ["matrix", "show"], ["matrix", "print", "--help"],
+    ["matrix", "print", "--k", "x"], ["matrix", "load", "--help"], ["matrix", "load"],
+    ["matrix", "load", "a", "b"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_each_command_parses_as_the_full_tree(argv, capsys, monkeypatch):
+    # main builds only the invoked command's parser; its help and its
+    # errors for bad arguments are the full tree's, byte for byte.
+    with pytest.raises(SystemExit) as full:
+        _build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
+                        or _build_parser(command))
+    assert run(argv) == full.value.code
+    assert capsys.readouterr() == want
+    assert built == [argv[0]]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"], ["Encode"], ["--", "encode"]])
+def test_no_or_unknown_command_parses_with_the_full_tree(argv, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
+                        or _build_parser(command))
+    code = run(argv)
+    got = capsys.readouterr()
+    assert built == [None]
+    with pytest.raises(SystemExit) as full:
+        _build_parser().parse_args(argv)
+    assert (code, got) == (full.value.code, capsys.readouterr())
 
 
 def test_readme_cli_examples_parse():

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sxor.gf2poly import _CHUNK, InconsistentDivision, Poly2, _gcd_masks, exact_div_low, split_shift
+from sxor import codec, gf2poly
+from sxor.gf2poly import (_CHUNK, _ORDER_BOUND, InconsistentDivision, Poly2, _gcd_masks, exact_div_low,
+                          split_shift)
 
 # The division's chunk size while the chunked-division property runs:
 # small enough that short operands reach both the chunk stage (past 64
@@ -318,13 +320,112 @@ def test_exact_div_matches_the_per_bit_oracle(division_paths):
 @pytest.mark.parametrize("chunks, stage", [(64, False), (65, True)])
 def test_division_runs_the_chunk_stage_only_past_64_chunks(division_paths, chunks, stage):
     # At the real chunk size: 64 chunks (2**18 bits) double to the end, 65
-    # run the chunk stage.  h * s is reproduced only by s itself.
+    # run the chunk stage.  h * s is reproduced only by s itself.  Each h
+    # has an order of z past the bound (889, 465, and a degree past it),
+    # so none takes the binomial path.
     ran = division_paths(_CHUNK)
     rng = random.Random(chunks)
-    for h in (0b11, 0b111, 1 | 1 << 5 | 1 << 9000):
+    for h in (1 | 1 << 1 | 1 << 10, 1 | 1 << 1 | 1 << 2 | 1 << 10, 1 | 1 << 5 | 1 << 9000):
         s = Poly2(rng.getrandbits(chunks * _CHUNK))
         assert exact_div_low(s * Poly2(h), Poly2(h), chunks * _CHUNK) == s
     assert ran == ({"chunk stage": 3} if stage else {"doubled": 3})
+
+
+def div_low_naive(b, h, width, carry=0):
+    # The low-first recursion, one coefficient at a time, as _div_low's
+    # oracle: with x = b + carry, s_k = x_k + sum over taps d of s_(k-d)
+    # below width, then the coefficients of h * s + x from z**width up.
+    taps = [d for d in range(1, h.bit_length()) if h >> d & 1]
+    x = b ^ carry
+    top = max(x.bit_length(), width + h.bit_length())
+    bits = [c == "1" for c in format(x, f"0{top}b")[::-1]]
+    s = []
+    for k in range(width):
+        v = bits[k]
+        for d in taps:
+            if d > k:
+                break
+            v ^= s[k - d]
+        s.append(v)
+    rest = []
+    for k in range(width, top):
+        v = bits[k]
+        for d in (0, *taps):
+            if 0 <= k - d < width:
+                v ^= s[k - d]
+        rest.append(v)
+    return tuple(int("".join("1" if v else "0" for v in reversed(bits)) or "0", 2)
+                 for bits in (s, rest))
+
+
+@st.composite
+def stripe_divisions(draw):
+    # Divisors of 1 to 8 taps, with repeated factors, or whose order P is
+    # at, just under or just over the bound (1 + z^P, or the all-ones
+    # (1 + z^P) / (1 + z) of degree P - 1); widths around 64 chunks and
+    # below; carries below z^(deg h); and dividends that are one stripe,
+    # a whole product longer than the width, such a product with a
+    # garbage bit, or random bits past the width.
+    shape = draw(st.sampled_from(["taps", "repeated factor", "order near the bound"]))
+    if shape == "taps":
+        h = 1 | sum(1 << t for t in draw(st.lists(st.integers(1, 40), min_size=1, max_size=8,
+                                                    unique=True)))
+    elif shape == "repeated factor":
+        f = Poly2(1 | draw(st.integers(1, 63)) << 1)
+        h = f * f * Poly2(1 | draw(st.integers(0, 63)) << 1)
+        for _ in range(draw(st.integers(0, 2))):
+            h = h * f
+        h = h.mask
+    else:
+        period = _ORDER_BOUND + draw(st.integers(-1, 1))
+        h = draw(st.sampled_from([1 << period | 1, (1 << period) - 1]))
+    width = draw(st.sampled_from([0, 1, 2, 64 * CHUNK - 1, 64 * CHUNK + 1])
+                 | st.integers(3, 3 * 64 * CHUNK))
+    degree = h.bit_length() - 1
+    carry = draw(st.integers(0, (1 << degree) - 1))
+    rng = draw(st.randoms(use_true_random=False))
+    product = (Poly2(h) * Poly2(rng.getrandbits(width) if width else 0)).mask ^ carry
+    form = draw(st.sampled_from(["stripe", "whole", "garbage", "random"]))
+    if form == "stripe":
+        b = product & ((1 << width) - 1)
+    elif form == "whole":
+        b = product
+    elif form == "garbage":
+        b = product ^ 1 << draw(st.integers(width, width + degree + 8))
+    else:
+        b = rng.getrandbits(width + degree + 8)
+    return b, h, width, carry, draw(st.booleans())
+
+
+def test_div_low_matches_the_naive_recursion(division_paths):
+    @PROPERTY
+    @given(stripe_divisions())
+    def check(case):
+        b, h, width, carry, masked = case
+        mask = (1 << width) - 1 if masked else 0
+        assert gf2poly._div_low(b, h, width, carry, mask) == div_low_naive(b, h, width, carry)
+
+    ran = division_paths(CHUNK)
+    check()
+    assert ran["binomial"] and ran["chunk stage"] and ran["doubled"], ran
+
+
+@pytest.mark.parametrize("width, paths", [(64 * _CHUNK - 1, {"binomial": 2, "doubled": 1}),
+                                          (64 * _CHUNK + 1, {"binomial": 2, "chunk stage": 1}),
+                                          (codec._STRIPE, {"binomial": 2, "chunk stage": 1})])
+def test_div_low_at_the_stripe_widths(division_paths, width, paths):
+    # At the real chunk size, around 64 chunks and at the file driver's
+    # stripe width: z^4+z^2+1 (P = 6) and the eight taps of the all-ones
+    # z^8+...+1 (P = 9) divide through their binomial multiples, and
+    # z^10+z+1 (P = 889) by its taps.  Each dividend runs past the width,
+    # as a last stripe's does, or is one stripe.
+    ran = division_paths(_CHUNK)
+    rng = random.Random(width)
+    for n, h in enumerate((0b10101, 0x1FF, 1 | 1 << 1 | 1 << 10)):
+        carry = rng.getrandbits(h.bit_length() - 1)
+        b = rng.getrandbits(width + 40 if n % 2 else width)
+        assert gf2poly._div_low(b, h, width, carry) == div_low_naive(b, h, width, carry), h
+    assert ran == paths
 
 
 def test_split_reconstruction_random():

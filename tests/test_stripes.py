@@ -123,7 +123,8 @@ def test_run_state_stays_bounded_over_many_stripes(m, monkeypatch):
         want = [v for v, _ in outs]
 
         def between(run):
-            assert set(vars(run)) == {"net", "length", "done", "carry", "rest", "failed"}
+            assert set(vars(run)) == {"net", "length", "done", "carry", "rest", "mask", "failed"}
+            assert run.mask == 0xFF  # the stripe width's mask, not a growing one
             held = sum(c.bit_length() for c in run.carry) + sum(r.bit_length() for r in run.rest)
             assert held <= bound, (name, run.done)
 

@@ -38,6 +38,18 @@ repeats.
   to make packet 31, so the two are equal mod g but not in GF(2)[z].
   Its failing subsets are those holding packets 1, 30 and 31, as packet
   1 is all ones.
+- ``division``: µs per ``gf2poly._div_low`` of one 2**19-bit stripe, the
+  file driver's width, with its all-ones mask passed as the stripe core
+  passes it, for the feedback of one decode step: each distinct feedback
+  of perfbench's file-roundtrip sets (systematic 10/14 at the default
+  modulus, the first ten packets left after the lost ones), then the
+  first step of sxor 16/31 and of systematic 32/40 from their last K
+  packets, whose orders are far past the bound.  ``P`` is the order of z
+  modulo the feedback (0 past ``gf2poly._ORDER_BOUND``), ``u_terms`` the
+  terms of u = (1 + z^P) / h, and ``path`` ``binomial`` or ``taps``.  The
+  stripe is the low bits of h * s plus a carry below z^(deg h), for a
+  seeded random s; the quotient must be s, which ``exact_div_low``
+  re-multiplies, and the carry out the product's bits past the stripe.
 - ``zigzag``: for each of zd3's 20 survivor sets, how far one
   ``zigzag_decode`` of a 96 KiB object raised the child's peak
   (``rise_mib``), then µs per decode of a 3 KiB object.  ``stage`` is
@@ -48,7 +60,8 @@ repeats.
 The harness prints one table per section, its columns the row's keys,
 and writes every row, with provenance, to ``BENCH_<n>.json`` at the
 repository root, n the next free integer.  It exits 1, writing nothing,
-when a restore or a ``check`` answer differs (``correct`` is False),
+when a restore, a ``check`` answer or a division's quotient or carry
+differs (``correct`` is False),
 when a child fails, or when a CLI child's peak at 64 MiB is more than
 1.1 times its peak at 16 MiB; never on a timing.
 """
@@ -206,6 +219,38 @@ def check(kind: str, k: int, n: int, repeats: int) -> dict:
             "correct": (ok, failing) == expected}
 
 
+def division(kind: str, k: int, n: int, lost: tuple[int, ...], source: int, repeats: int) -> dict:
+    from sxor import codec, codes, default_modulus, gf2poly
+    from sxor.gf2poly import Poly2, exact_div_low
+
+    g = default_modulus(n.bit_length())
+    mat = (codes.build_sxor(k, n, g) if kind == "sxor"
+           else codes.build_systematic_sxor(k, n, g, range(1, k + 1)))
+    survivors = [j for j in range(1, n + 1) if j not in lost][:k]
+    h = next(step.feedback for step in codec.map_kernel(mat, survivors).steps
+             if step.source == source - 1)
+    width = 1 << 19
+    mask = (1 << width) - 1
+    rng = random.Random(h.mask)
+    s = rng.getrandbits(width)
+    carry = rng.getrandbits(h.degree())
+    product = (h * Poly2(s)).mask ^ carry
+    stripe = product & mask
+    period, u = gf2poly._binomial(h.mask)
+    taps = [t for t in gf2poly._exponents(h.mask ^ 1) if t < width]
+    got = gf2poly._div_low(stripe, h.mask, width, carry, mask)
+    correct = (got == (s, product >> width)
+               and exact_div_low(Poly2(product ^ carry), h, width).mask == got[0])
+    return {"code": f"{kind} {k}/{n}",
+            "lost": ",".join(map(str, lost)) if len(lost) < 5 else f"{lost[0]}-{lost[-1]}",
+            "source": source, "feedback": h.to_text() if h.degree() < 10 else f"degree {h.degree()}",
+            "taps": len(taps), "P": period, "u_terms": u.bit_count(),
+            "path": "binomial" if period and gf2poly._binomial_pays(period, u, taps, width)
+            else "taps",
+            "us": best(gf2poly._div_low, [(stripe, h.mask, width, carry, mask)], repeats) * 1e6,
+            "correct": correct}
+
+
 def zigzag(survivors: tuple[int, ...], repeats: int) -> dict:
     from sxor import codec, codes
 
@@ -243,6 +288,13 @@ SECTIONS = {
                       ("systematic", 6, 15), ("systematic", 8, 15), ("sxor", 8, 15),
                       ("sxor", 6, 31), ("systematic", 6, 31), ("sxor", 3, 100),
                       ("fallback", 6, 31)]),
+    # Each distinct feedback of perfbench's FileRoundtrip.LOST, by the
+    # survivor set and source it first divides, then two of large order.
+    "division": (division, [("systematic", 10, 14, lost, source) for lost, source in
+                            (((8,), 8), ((3, 10), 3), ((1, 7, 12), 1), ((3, 6, 9), 3),
+                             ((2, 5, 7, 10), 5), ((2, 5, 7, 10), 2), ((2, 5, 7, 10), 7))]
+                 + [("sxor", 16, 31, tuple(range(1, 16)), 2),
+                    ("systematic", 32, 40, tuple(range(1, 9)), 1)]),
     "zigzag": (zigzag, [(s,) for s in combinations(range(1, 7), 3)]),
 }
 
@@ -327,7 +379,7 @@ def main(argv=None) -> int:
             row["correct"] = row.pop("correct")  # the last column
             rows.append(row)
             if not row["correct"]:
-                what = "answer" if name == "check" else "restore"
+                what = {"check": "answer", "division": "quotient"}.get(name, "restore")
                 failed.append(f"{name}:{case}: {what} differs")
         print(f"{name}:\n{table(rows)}\n")
     failed += peak_growth(sections["memory"])
