@@ -36,9 +36,9 @@ def division_paths(monkeypatch):
 
     Call the fixture with the chunk size, a power of two, and optionally
     a bound on the divisors' order in place of ``gf2poly._ORDER_BOUND``,
-    to get a Counter.  ``"binomial"`` counts the divisions that run through the
-    divisor's binomial multiple (``gf2poly._binomial_pays`` said so);
-    ``"chunk stage"`` counts those that end on
+    to get a Counter.  ``"binomial"`` counts the divisions that run
+    through the divisor's binomial multiple (``gf2poly._binomial_pays``
+    said so); ``"chunk stage"`` counts those that end on
     ``gf2poly._chunk_recurrence``; ``"doubled"`` counts those on the taps
     path that still had taps at the chunk size and doubled to the end
     instead.

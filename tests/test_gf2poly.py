@@ -354,8 +354,8 @@ def div_low_naive(b, h, width, carry=0):
             if 0 <= k - d < width:
                 v ^= s[k - d]
         rest.append(v)
-    return tuple(int("".join("1" if v else "0" for v in reversed(bits)) or "0", 2)
-                 for bits in (s, rest))
+    return tuple(int("".join("1" if v else "0" for v in reversed(coeffs)) or "0", 2)
+                 for coeffs in (s, rest))
 
 
 @st.composite
