@@ -22,19 +22,29 @@ form, from emit_report or emit_comparison; the comparison report sets
 the three constructions side by side, quoting published reference
 rows for the zigzag-decodable family whose matrices (heuristic searches
 for K in {2,3,4}, a Hankel construction beyond) are out of scope here.
+
+The MDS check walk behind GenMatrix.check_suboptimal lives here too.
+This module loads on first use: the root package serves its names
+through PEP 562 ``__getattr__``, check_suboptimal imports it at its
+first call, and the CLI only for analyze --compare, classify and check,
+so ``sxor encode`` and ``sxor decode`` never compile it.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache, partial, reduce
+from itertools import chain, combinations, compress, count, permutations, repeat
 from math import comb
-from typing import Iterable, Sequence
+from operator import add, mul, xor
+from typing import Iterable, Iterator, Sequence
 
-from .codes import (CodeSpec, GenMatrix, Metrics, _metrics, _systematic, build_sxor,
-                    build_systematic_sxor, format_fields)
-from .gf2m import FieldCtx, PolyLike, _as_poly, default_modulus
-from .gf2poly import Poly2
+from .codes import (MAX_CHECK_SUBSETS, CodeSpec, GenMatrix, Metrics, _metrics, _systematic,
+                    build_sxor, build_systematic_sxor, format_fields)
+from .gf2m import FieldCtx, PolyLike, _as_poly, _zech_tables, default_modulus, is_primitive
+from .gf2poly import Poly2, _divmod_masks
 
 __all__ = [
     "CodeClass",
@@ -294,3 +304,290 @@ def emit_comparison(report: ComparisonReport) -> str:
     for note in report.notes:
         lines += ["", f"note: {note}"]
     return "\n".join(lines) + "\n"
+
+
+# -- the MDS check walk -------------------------------------------------------
+
+
+def _unit_columns(rows: list[list[int]]) -> dict[int, int]:
+    """The pivot step of :meth:`GenMatrix.check_suboptimal`'s walk over
+    GF(2)[z], on a mask grid it changes in place; returns {row: column}
+    of the first unit column, one with one nonzero entry, that each held
+    row has.  (The field walk pivots with :func:`_field_pivots`.)
+
+    While some column's nonzero entries are all 1 and one of them lies
+    in a row that no unit column holds, that row is added to the other
+    rows where the column has a 1, which makes it a unit column.  Adding
+    a row to another leaves every K-subset's determinant as it was and
+    makes no entry wider, and the row added is zero in every unit column,
+    so those stay unit columns.  An sxor code's all-ones column 0 becomes
+    one; a systematic code's unit columns already hold every row.
+    """
+    while True:
+        nonzero = [[r for r, row in enumerate(rows) if row[c]] for c in range(len(rows[0]))]
+        units = {}
+        for c, rs in enumerate(nonzero):
+            if len(rs) == 1:
+                units.setdefault(rs[0], c)
+        pivot = next(((c, p) for c, rs in enumerate(nonzero) if all(rows[r][c] == 1 for r in rs)
+                      for p in rs if p not in units), None)
+        if pivot is None:
+            return units
+        c, p = pivot
+        for r in nonzero[c]:
+            if r != p:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[p])]
+
+
+def _field_pivots(rows: list[list[int]], exp: list[int], log: list[int]) -> dict[int, int] | None:
+    """Gauss-Jordan elimination over GF(2**m) on a grid of discrete logs
+    (:func:`_walk_tables`), in place: the field walk's pivot step.
+
+    Each row in turn takes its first nonzero column as its pivot and is
+    scaled so the pivot is 1; each other row nonzero in that column then
+    has the row, times that entry, added to it.  Returns {row: pivot
+    column}, a unit column for every row.  Row operations multiply every
+    K-subset's determinant by one nonzero constant, so they leave each
+    zero or not.  Returns None, with the grid part reduced, when some row
+    becomes zero: the field rank is below K and every minor is zero.
+    """
+    zero = log[0]
+    units = {}
+    for p, row in enumerate(rows):
+        c = next((c for c, lg in enumerate(row) if lg != zero), None)
+        if c is None:
+            return None
+        inv = -row[c] % (zero // 2)
+        rows[p] = row = [log[exp[lg + inv]] for lg in row]
+        for r, other in enumerate(rows):
+            lead = other[c]
+            if r != p and lead != zero:
+                rows[r] = [log[exp[a] ^ exp[lead + b]] for a, b in zip(other, row)]
+        units[p] = c
+    return units
+
+
+def _lane_tables(m: int, s: int, idx: list, col: list, lazy: bool = False) -> tuple[list, list]:
+    """The index tables of level s of :func:`_zero_minors`, built from
+    those of level s - 1 (``idx`` and ``col``, empty at level 0).
+
+    A level's lanes are the s-subsets of m columns in colex order.  For
+    each position p < s, ``idx[p]`` holds per lane the lane of level
+    s - 1 that the subset less its p-th column is, and ``col[p]`` that
+    column.  The subsets whose largest column is c are one block, those
+    of level s - 1 below c with c added: C(c, s - 1) lanes.  So per
+    block a table is the first C(c, s - 1) entries of the one below,
+    offset by C(c, s - 1) in ``idx``; at the last position it is those
+    lanes in order and c.  A table is bytes when its entries fit one,
+    else a 32-bit array; ``lazy`` gives one-shot iterators instead,
+    which store nothing.
+    """
+    blocks = [comb(c, s - 1) for c in range(s - 1, m)]
+    cuts = [slice(size) for size in blocks]
+    lanes = comb(m, s - 1)
+
+    def pack(parts, bound):
+        parts = chain.from_iterable(parts)
+        return parts if lazy else bytes(parts) if bound <= 256 else array("I", parts)
+
+    return ([pack(map(map, [size.__add__ for size in blocks], map(t.__getitem__, cuts)), lanes)
+             for t in idx] + [pack(map(range, blocks), lanes)],
+            [pack(map(t.__getitem__, cuts), m) for t in col]
+            + [pack(map(repeat, range(s - 1, m), blocks), m)])
+
+
+def _colex(lane: int, s: int, ranks: list[list[int]]) -> list[int]:
+    # The columns of lane ``lane`` of an s-subset level, largest first, in
+    # the combinatorial number system: a lane is the sum of C(c, t) over
+    # its t-th smallest column c, and ranks[t][c] = C(c, t).
+    cols, c = [], len(ranks[0])
+    for t in range(s, 0, -1):
+        c = bisect_right(ranks[t], lane, 0, c) - 1
+        lane -= ranks[t][c]
+        cols.append(c)
+    return cols
+
+
+def _zero_minors(rows: list[list[int]], units: dict[int, int], n: int, combine, one,
+                 zero: int) -> Iterator[list[int]]:
+    """The level walk of :meth:`GenMatrix.check_suboptimal`: yields, as a
+    sorted list of 0-based columns, each K-subset whose minor on the rows
+    its unit columns leave is ``zero``, as the minors are computed.
+
+    ``rows`` and ``units`` are as :func:`_unit_columns` or
+    :func:`_field_pivots` leaves them, with the entries in the form the
+    kernel ``combine`` reads (:func:`_exact_minors`, :func:`_field_minors`
+    or :func:`_byte_minors`), and ``one`` is level 0: the empty minor's
+    value alone in the kernel's lane type, list or bytes.
+    """
+    k = len(rows)
+    held = sorted(units)
+    free = [r for r in range(k) if r not in units]
+    others = [c for c in range(n) if c not in units.values()]
+    rows = [[row[c] for c in others] for row in rows]
+    f, m = len(free), len(others)
+    # Level s holds the minors on s rows, one vector per row set with a
+    # lane per s-subset of the other columns (_lane_tables).  A minor
+    # comes from those one row and one column smaller by expansion along
+    # its first row (signs vanish over GF(2)): per position p of the
+    # subset, the kernel gathers the minors of the row set less that row
+    # through idx[p] and the row's entries through col[p].  Levels up to
+    # len(free) hold the last s free rows; each level above adds one held
+    # row, first, so its vectors are keyed by the bit set (over held) of
+    # the held rows they span.  The minors of K-subsets are those on every
+    # free row.  No level reads the top level or the minors on the first
+    # held row, so those are checked as computed, never stored, and the
+    # top level's tables and vectors stay lazy.
+    top = f + min(len(held), m - f)
+    level, idx, col = {0: one}, [], []
+    for s in range(1, top + 1):
+        last = s == top
+        if not last:
+            idx, col = _lane_tables(m, s, idx, col)
+        sets = [(free[-s], 0, 0)] if s <= f else [
+            (held[i], 1 << i, sum(rest)) for i in range(len(held))
+            for rest in combinations([1 << j for j in range(i + 1, len(held))], s - f - 1)]
+        kept = {}
+        for r, bit, rest in sets:
+            vec = combine(rows[r], level[rest], *(_lane_tables(m, s, idx, col, True) if last
+                                                  else (idx, col)))
+            if not last:
+                vec = type(one)(vec)
+                if bit != 1:
+                    kept[bit | rest] = vec
+            if s >= f and (last or zero in vec):
+                ranks = None
+                for lane in compress(count(), map(zero.__eq__, vec)):
+                    ranks = ranks or [[comb(c, t) for c in range(m)] for t in range(s + 1)]
+                    yield sorted([others[c] for c in _colex(lane, s, ranks)] + [
+                        units[h] for j, h in enumerate(held) if not (bit | rest) >> j & 1])
+        level = kept
+
+
+def _exact_minors(parity, row, parent, idx, col):
+    # The walk's kernel over GF(2)[z]: one row set's minors, lazily, with
+    # entries and minors spread (check_suboptimal), so each product is
+    # one int multiplication and the parity mask ends the sum mod 2.
+    return map(parity.__and__, reduce(partial(map, add), (
+        map(mul, map(row.__getitem__, cp), map(parent.__getitem__, ip))
+        for ip, cp in zip(idx, col))))
+
+
+def _field_minors(exp, log, row, parent, idx, col):
+    # The kernel over GF(2**m) in list lanes, entries and minors held as
+    # discrete logs (_walk_tables): each product is an addition and a
+    # lookup.
+    return map(log.__getitem__, reduce(partial(map, xor), (
+        map(exp.__getitem__, map(add, map(row.__getitem__, cp), map(parent.__getitem__, ip)))
+        for ip, cp in zip(idx, col))))
+
+
+def _byte_minors(exp, log, row, parent, idx, col):
+    # _field_minors in byte lanes, m <= 6: a vector is bytes, one log per
+    # lane.  Gathers are translates when the table is bytes; two logs sum
+    # to at most 4 * (2**m - 1) < 256, so one big-int addition adds every
+    # lane at once, and translates through exp and log close each step.
+    page = parent.ljust(256, b"\0") if len(parent) <= 256 else list(parent)  # lists index faster
+    ents = bytes(row).ljust(256, b"\0")
+    acc = 0
+    for ip, cp in zip(idx, col):
+        src = ip.translate(page) if type(ip) is bytes else bytes(map(page.__getitem__, ip))
+        ent = cp.translate(ents) if type(cp) is bytes else bytes(map(row.__getitem__, cp))
+        acc ^= int.from_bytes((int.from_bytes(src, "little") + int.from_bytes(ent, "little"))
+                              .to_bytes(len(src), "little").translate(exp), "little")
+    return acc.to_bytes(len(src), "little").translate(log)
+
+
+@lru_cache(maxsize=4)
+def _walk_tables(g: int, m: int) -> tuple[Sequence[int], Sequence[int]]:
+    # (exp, log) for the field walk in the field of the primitive modulus
+    # g of degree m, built on the first check there.  log[v] is log_z(v),
+    # and log[0] is the zero log 2 * (2**m - 1); exp[i] is z**i for every
+    # sum of two logs, and 0 for every sum holding the zero log.  Up to
+    # m = 6 they are 256 bytes each, the translate tables of
+    # _byte_minors; above, lists (6.5 MiB at m = 16, built in about
+    # 11 ms), hence the small cache.
+    exp, _, log = _zech_tables(g, m)
+    zero = 2 * len(exp)
+    exp, log = list(exp) * 2 + [0] * (zero + 1), [zero, *log[1:]]
+    return (bytes(exp).ljust(256, b"\0"), bytes(log).ljust(256, b"\0")) if m <= 6 else (exp, log)
+
+
+def _check_suboptimal(mat: GenMatrix) -> tuple[bool, list[tuple[int, ...]]]:
+    """The walk behind :meth:`GenMatrix.check_suboptimal`, with its answer and limit.
+
+    Each walk first makes unit columns (one nonzero entry) by row
+    operations, which leave every K-subset's determinant zero or not,
+    and keeps one unit column of each row it holds.  A K-subset's
+    determinant is then the product of its kept unit entries times
+    the minor of its other columns on the rows those leave.  Another
+    unit column on a held row is one of the other columns: in a
+    subset that keeps the row's unit column it is zero on every row
+    of the minor, so the minor is zero, as the determinant is.  Only
+    those minors are computed, level by level by first-row
+    expansion, taking the held rows first (:func:`_zero_minors`).
+    Each level is one vector per row set, a lane per column subset,
+    and each expansion position adds one pass of C-level operations
+    over it, not a Python step per minor.  When unit columns hold
+    every row the walk has C(N, K) - 1 minors, each a product per
+    column that is not a unit column; with no unit column it covers
+    every j-subset of columns, j = 1..K, with a product per column.
+
+    When the spec's g is primitive of degree m <= 16, as for every
+    sxor and systematic code, the walk runs first over GF(2**m), on
+    the entries reduced mod g and held as discrete logs.  There
+    Gauss-Jordan elimination (:func:`_field_pivots`) gives every row
+    a unit column, [I | P] up to column order, so the walk has
+    C(N, K) - 1 minors: those of P.  When K > N - K it walks those of
+    P's transpose instead, the dual code [P^T | I], which is MDS
+    exactly when this one is: fewer row sets, longer lanes.  For
+    m <= 6 lanes are bytes and a product pass is a few translates and
+    one big-int addition (:func:`_byte_minors`); above, lists
+    (:func:`_field_minors`).  Reduction mod g is a ring
+    homomorphism, so a K-subset's determinant nonzero there is
+    nonzero in GF(2)[z]: if no minor is zero the code is MDS.  A
+    constructed code is Vandermonde, or V_x**-1 * V, over GF(2**m)
+    and always passes there.  At the first zero, when the field rank
+    is below K, or with no field, the walk runs over GF(2)[z] on the
+    unit columns that row additions make (:func:`_unit_columns`,
+    :func:`_exact_minors`) and gives the answer, so a matrix that is
+    MDS only in GF(2)[z] costs at most both walks.
+    """
+    spec = mat.spec
+    k, n = spec.k, spec.n
+    if k > n:
+        raise ValueError("more sources than packets can never be MDS")
+    subsets = sum(comb(n, j) for j in range(1, k + 1))
+    if subsets > MAX_CHECK_SUBSETS:
+        raise ValueError(f"checking K={k} of N={n} walks {subsets} column subsets, "
+                         f"over the check limit of {MAX_CHECK_SUBSETS}")
+    g, m = spec.g.mask, spec.m
+    # CodeSpec has checked the field of every sxor and systematic spec.
+    if spec.kind in ("sxor", "systematic") or 1 <= m <= 16 and is_primitive(g, m):
+        exp, log = _walk_tables(g, m)
+        # Only a user matrix's entries can reach z**m and need reducing.
+        logs = [[log[_divmod_masks(e, g)[1] if e >> m else e] for e in row] for row in mat._masks]
+        units = _field_pivots(logs, exp, log)
+        if units is not None and 2 * k > n:  # walk the dual code [P^T | I] instead
+            logs = [[row[c] for row in logs] for c in range(n) if c not in units.values()]
+            units = {r: k + r for r in range(n - k)}
+        kernel, one = (_byte_minors, b"\0") if type(exp) is bytes else (_field_minors, [0])
+        # The field walk stops at its first zero minor and is dropped,
+        # with its levels, before the GF(2)[z] walk starts.
+        if units is not None and next(_zero_minors(
+                logs, units, n, partial(kernel, exp, log), one, log[0]), None) is None:
+            return True, []
+    rows = [list(row) for row in mat._masks]
+    units = _unit_columns(rows)
+    # Spread entries: coefficient t of a polynomial fills hex digits
+    # d*t to d*t + d - 1.  A minor has degree below K * w, w the widest
+    # entry's bits, and each coefficient sums at most K * w terms
+    # before the kernel's parity mask, fewer than d digits hold, so
+    # int multiplication and addition never carry between them.
+    slots = k * max(map(max, rows)).bit_length() + 1
+    d = slots.bit_length() // 4 + 1
+    spread = {ord("0"): "0" * d, ord("1"): "0" * (d - 1) + "1"}
+    rows = [[int(format(e, "b").translate(spread), 16) for e in row] for row in rows]
+    parity = int(spread[ord("1")] * slots, 16)  # the low bit of each coefficient
+    failing = sorted(_zero_minors(rows, units, n, partial(_exact_minors, parity), [1], 0))
+    return (not failing, [tuple(c + 1 for c in sub) for sub in failing])

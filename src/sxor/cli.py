@@ -41,9 +41,11 @@ packets, sidecar or --out as they were.  A path replaced must be a
 regular file, and the new file takes its permission bits, else 0666
 less the umask.  Encode holds only its input open: it opens a packet
 only while it writes a stripe to it, so N is not bounded by the
-open-file limit.  Encode and decode import neither ``sxor.analysis`` nor
-``json``: the first loads only for analyze --compare and classify, the
-second only for the commands with --format.
+open-file limit.  The CLI never imports ``sxor.zigzag``, and encode and
+decode import none of ``sxor.analysis``, ``sxor.matrix_file`` and
+``json``: the first loads only for analyze --compare, classify and
+check, the second only for --matrix and the matrix commands, and the
+third only for the commands with --format.
 
 A code is named either by --matrix, by --kind zd3, or by --kind with
 --k, --n and optionally --g and --x; passing --k, --n, --g or --x next
@@ -69,8 +71,7 @@ from .codec import _agreed, _decode_files, _encode_file, _open_packet
 # The library's whole-packet I/O; the CLI streams instead, but
 # perfbench/tracing.py still wraps these names here.
 from .codec import read_packet, write_packet  # noqa: F401
-from .codes import (CodeSpec, GenMatrix, MatrixFormatError, format_fields, load_matrix,
-                    matrix_for_spec, save_matrix)
+from .codes import CodeSpec, GenMatrix, format_fields, matrix_for_spec
 from .gf2m import FieldCtx, default_modulus
 from .gf2poly import Poly2
 
@@ -99,6 +100,8 @@ def _parse_x(text: str) -> tuple[int, ...]:
 
 def _load_matrix(path: str) -> GenMatrix:
     # load_matrix, with an error in the file's text naming the file.
+    from .matrix_file import MatrixFormatError, load_matrix
+
     try:
         return load_matrix(path)
     except MatrixFormatError as exc:
@@ -293,6 +296,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_matrix_print(args) -> int:
+    from .matrix_file import save_matrix
+
     save_matrix(_resolve_matrix(args), args.out or sys.stdout)
     return 0
 

@@ -59,6 +59,18 @@ _CHUNK = 1 << 12
 # passes over the operand, for one to eight taps (CHANGES.md).
 _CHUNK_PASSES = 20
 
+# Operand bits whose pass _binomial_pays charges each round of the taps
+# path for its Python overhead (the round's loop and its tap-list
+# comprehension), so a round costs _ROUND_BITS / width passes more than
+# its shift-XORs.  On a 2-vCPU Xeon with Python 3.11.7, least of 15, a
+# one-tap round cost 0.3-0.8 us more than a binomial doubling from
+# 6,560 to 104,864 bits (CHANGES.md), the pass of 4-5 kbit.  At 6,560
+# bits z + 1, z^2 + 1, z^5 + z^2 + 1 and z^7 + z^4 + z^2 + 1 divide
+# faster through their binomial multiples, which the passes alone
+# missed; at 2**19 bits a round's charge is under 0.01 pass and changes
+# no choice.
+_ROUND_BITS = 1 << 12
+
 # Largest order of z modulo a divisor that _binomial searches for.  A
 # search past it costs about 25 us per divisor, once per process.  At
 # 2**19 bits no divisor of order 255 with up to five taps gained from its
@@ -280,7 +292,7 @@ def _div_low(b: int, h: int, width: int, carry: int = 0, mask: int = 0) -> tuple
       rounds, not log2(width), touch the whole operand.
 
     :func:`_binomial_pays` picks the path by its count of whole-operand
-    passes.  Either result is bit-identical to the naive recursion.
+    passes, with a charge per round of the taps path.  Either result is bit-identical to the naive recursion.
     """
     if h == 1 and b.bit_length() <= width:
         return b, 0  # carry is 0 too: h = 1 leaves none
@@ -339,13 +351,16 @@ def _binomial_pays(period: int, u: int, taps: list[int], width: int) -> bool:
     # Whether the binomial path makes no more whole-operand passes than the
     # taps path: |u| plus one per doubling of P, against one per tap per
     # round it stays below width, capped at log2(_CHUNK) rounds and
-    # followed by _CHUNK_PASSES when the chunk stage runs.
+    # followed by _CHUNK_PASSES when the chunk stage runs, plus each
+    # round's _ROUND_BITS.
     rounds = [((width - 1) // t).bit_length() for t in taps]
+    chunked = 0
     if width > 64 * _CHUNK:
         cap = _CHUNK.bit_length() - 1
         chunked = _CHUNK_PASSES if any(r > cap for r in rounds) else 0
-        rounds = [min(r, cap) for r in rounds] + [chunked]
-    return u.bit_count() + ((width - 1) // period).bit_length() <= sum(rounds)
+        rounds = [min(r, cap) for r in rounds]
+    overhead = max(rounds, default=0) * _ROUND_BITS / max(width, 1)
+    return u.bit_count() + ((width - 1) // period).bit_length() <= sum(rounds) + chunked + overhead
 
 
 def _chunk_recurrence(s: int, taps: list[int], out_len: int) -> int:

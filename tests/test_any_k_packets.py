@@ -15,7 +15,6 @@ is copied into a directory of its own, with no sidecar anywhere:
 import io
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
-from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -31,13 +30,6 @@ CODES = {
     "systematic 10/14": ["--kind", "systematic", "--k", "10", "--n", "14"],
     "zd3": ["--kind", "zd3"],
 }
-
-
-@pytest.fixture(autouse=True)
-def one_parser(monkeypatch):
-    # Building the argument parser is most of an in-process call's time
-    # here; one parser parses every call alike.
-    monkeypatch.setattr(cli, "_build_parser", lru_cache(cli._build_parser))
 
 
 def quiet(argv):

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from sxor import codec
+from sxor import codec, zigzag
 from sxor.codec import (NotMonomialMatrix, Packet, PacketFormatError, SingularSubmatrix,
                         TrailingBits, ZigzagStuck, _check_headers, _header_spec, encode,
                         encode_xor_count, map_decode, map_kernel, packet_from_bytes,
@@ -299,7 +299,7 @@ def test_zigzag_solves_two_left_sources_without_the_per_bit_stage(monkeypatch):
     def per_bit(*args):
         raise AssertionError("per-bit stage")
 
-    monkeypatch.setattr(codec, "_peel_bits", per_bit)
+    monkeypatch.setattr(zigzag, "_peel_bits", per_bit)
     mat = builtin_zd_k3()
     rng = random.Random(29)
     src = [rng.getrandbits(200) for _ in range(3)]
@@ -323,22 +323,22 @@ def test_the_per_bit_stage_holds_at_most_max_peel_bits(monkeypatch):
     rng = random.Random(31)
     src = [rng.getrandbits(length) for _ in range(3)]
     packets = by_index(encode(mat, src, length))
-    monkeypatch.setattr(codec, "MAX_PEEL_BITS", held)
+    monkeypatch.setattr(zigzag, "MAX_PEEL_BITS", held)
     assert [s.mask for s in zigzag_decode(mat, [packets[j] for j in (4, 5, 6)])] == src
     assert len(zigzag_schedule(mat, (4, 5, 6), length)) == 3 * length
 
     def per_bit(*args):
         raise AssertionError("per-bit stage")
 
-    monkeypatch.setattr(codec, "_peel_bits", per_bit)
-    monkeypatch.setattr(codec, "MAX_PEEL_BITS", held - 1)
+    monkeypatch.setattr(zigzag, "_peel_bits", per_bit)
+    monkeypatch.setattr(zigzag, "MAX_PEEL_BITS", held - 1)
     message = (f"source length {length}: the per-bit zigzag stage would hold {held} packet "
                f"bits, more than the limit of {held - 1}")
     with pytest.raises(ValueError, match=message):
         zigzag_decode(mat, [packets[j] for j in (4, 5, 6)])
     with pytest.raises(ValueError, match=message):
         zigzag_schedule(mat, (4, 5, 6), length)
-    monkeypatch.setattr(codec, "MAX_PEEL_BITS", 0)
+    monkeypatch.setattr(zigzag, "MAX_PEEL_BITS", 0)
     for sub in ((1, 2, 3), (1, 4, 5), (3, 5, 6)):
         assert [s.mask for s in zigzag_decode(mat, [packets[j] for j in sub])] == src
 
@@ -347,14 +347,14 @@ def test_zigzag_schedule_holds_at_most_max_schedule_bits(monkeypatch):
     # At the limit the order comes back whole; one source bit past it,
     # ValueError names the length and the limit before any peel is run.
     mat = builtin_zd_k3()
-    monkeypatch.setattr(codec, "MAX_SCHEDULE_BITS", 3 * 200)
+    monkeypatch.setattr(zigzag, "MAX_SCHEDULE_BITS", 3 * 200)
     assert len(zigzag_schedule(mat, (4, 5, 6), 200)) == 600
 
     def peel(*args):
         raise AssertionError("peeled")
 
-    monkeypatch.setattr(codec, "_peel", peel)
-    monkeypatch.setattr(codec, "MAX_SCHEDULE_BITS", 3 * 200 - 1)
+    monkeypatch.setattr(zigzag, "_peel", peel)
+    monkeypatch.setattr(zigzag, "MAX_SCHEDULE_BITS", 3 * 200 - 1)
     with pytest.raises(ValueError, match="source length 200: the zigzag schedule would hold 600 "
                                          "source bits, more than the limit of 599"):
         zigzag_schedule(mat, (4, 5, 6), 200)
@@ -392,9 +392,9 @@ def test_zigzag_derives_the_monomial_pattern_once_per_survivor_set(monkeypatch):
     # The cover, the hits and the word-wide verdict are memoized per
     # (matrix, survivors), as kernels are, whichever branch decodes.
     calls = []
-    terms = codec._monomial_terms
-    monkeypatch.setattr(codec, "_monomial_terms", lambda *args: calls.append(args) or terms(*args))
-    codec._pattern.cache_clear()
+    terms = zigzag._monomial_terms
+    monkeypatch.setattr(zigzag, "_monomial_terms", lambda *args: calls.append(args) or terms(*args))
+    zigzag._pattern.cache_clear()
     mat = builtin_zd_k3()
     rng = random.Random(5)
     for sub in ((1, 4, 5), (4, 5, 6)):  # word-wide, and per-bit

@@ -1,11 +1,18 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and loads some modules only on first use."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sxor
+
+# The modules sxor loads on first use, which neither ``import sxor`` nor
+# sxor encode and decode may load.
+LAZY = ["sxor.analysis", "sxor.matrix_file", "sxor.zigzag"]
 
 # -S keeps site (and whatever it imports from site-packages) out of the
 # child, so that only modules the package itself loads appear; -E keeps
@@ -16,7 +23,8 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import sxor, sxor.cli
-print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+new = set(sys.modules) - before
+print(json.dumps([sorted({name.partition(".")[0] for name in new}), sorted(new)]))
 """
 
 
@@ -25,10 +33,11 @@ def test_import_loads_only_the_standard_library():
     child = subprocess.run([sys.executable, "-S", "-E", "-c", PROBE, src],
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr  # e.g. a module only site-packages has
-    loaded = json.loads(child.stdout)
+    loaded, modules = json.loads(child.stdout)
     assert "sxor" in loaded
     outside = [name for name in loaded if name != "sxor" and name not in sys.stdlib_module_names]
     assert not outside, f"importing sxor loaded modules outside the standard library: {outside}"
+    assert not set(LAZY) & set(modules), "importing sxor loaded a module meant for first use"
 
 
 CODEC_PROBE = """
@@ -42,14 +51,28 @@ packets = [f"{work}/obj.bin.p{i}.sxp" for i in (1, 3, 4, 5)]
 codes = (main(["encode", "--kind", "systematic", "--k", "4", "--n", "6", work + "/obj.bin",
                "--out-dir", work]),
          main(["decode", *packets, "--out", work + "/back.bin"]))
-print(codes, "sxor.analysis" in sys.modules, "json" in sys.modules)
+print(codes, sorted(name for name in sys.modules if name in sys.argv[3:] or name == "json"))
 """
 
 
-def test_encode_and_decode_load_neither_analysis_nor_json(tmp_path):
+def test_encode_and_decode_load_no_lazy_module_and_no_json(tmp_path):
     src = str(Path(sxor.__file__).resolve().parents[1])
-    child = subprocess.run([sys.executable, "-S", "-E", "-c", CODEC_PROBE, src, str(tmp_path)],
+    child = subprocess.run([sys.executable, "-S", "-E", "-c", CODEC_PROBE, src, str(tmp_path), *LAZY],
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split("\n")[-2] == "(0, 0) False False"
+    assert child.stdout.split("\n")[-2] == "(0, 0) []"
     assert (tmp_path / "back.bin").read_bytes() == bytes(range(256)) * 40
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("sxor.codec", "sxor.zigzag", "zigzag_decode"),
+    ("sxor.codec", "sxor.zigzag", "zigzag_schedule"),
+    ("sxor.codec", "sxor.zigzag", "MAX_PEEL_BITS"),
+    ("sxor.codec", "sxor.zigzag", "MAX_SCHEDULE_BITS"),
+    ("sxor", "sxor.zigzag", "zigzag_decode"),
+    ("sxor", "sxor.zigzag", "zigzag_schedule"),
+    *((module, "sxor.matrix_file", name) for module in ("sxor.codes", "sxor")
+      for name in ("MatrixFormatError", "format_matrix", "parse_fields", "parse_matrix",
+                   "save_matrix", "load_matrix"))])
+def test_moved_names_are_one_object_at_the_old_and_the_new_path(old, new, name):
+    assert getattr(importlib.import_module(old), name) is getattr(importlib.import_module(new), name)

@@ -27,9 +27,10 @@ from hypothesis import example, given, settings, strategies as st
 from sxor.cli import main
 from sxor.codec import (Packet, PacketFormatError, _open_packet, encode, packet_from_bytes,
                         packet_to_bytes)
-from sxor.codes import (_FIELDS_LIMIT, CodeSpec, GenMatrix, MatrixFormatError, _rows_limit,
-                        build_sxor, build_systematic_sxor, builtin_zd_k3, format_fields,
-                        format_matrix, load_matrix, parse_fields, parse_matrix)
+from sxor.codes import (CodeSpec, GenMatrix, MatrixFormatError, build_sxor, build_systematic_sxor,
+                        builtin_zd_k3, format_fields, format_matrix, load_matrix, parse_fields,
+                        parse_matrix)
+from sxor.matrix_file import _FIELDS_LIMIT, _rows_limit
 
 # Fixed examples, no deadline and no example database, so the suite stays
 # short and leaves no .hypothesis/ directory behind.

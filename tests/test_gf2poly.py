@@ -410,18 +410,27 @@ def test_div_low_matches_the_naive_recursion(division_paths):
     assert ran["binomial"] and ran["chunk stage"] and ran["doubled"], ran
 
 
+# The divisors test_div_low_at_the_stripe_widths runs at a width, by default WIDE.
+WIDE = (0b10101, 0x1FF, 1 | 1 << 1 | 1 << 10)
+DIVISORS = {6560: (0b11, 0b101, 0b100101, 0b10010101)}
+
+
 @pytest.mark.parametrize("width, paths", [(64 * _CHUNK - 1, {"binomial": 2, "doubled": 1}),
                                           (64 * _CHUNK + 1, {"binomial": 2, "chunk stage": 1}),
-                                          (codec._STRIPE, {"binomial": 2, "chunk stage": 1})])
+                                          (codec._STRIPE, {"binomial": 2, "chunk stage": 1}),
+                                          (6560, {"binomial": 4})])
 def test_div_low_at_the_stripe_widths(division_paths, width, paths):
     # At the real chunk size, around 64 chunks and at the file driver's
     # stripe width: z^4+z^2+1 (P = 6) and the eight taps of the all-ones
     # z^8+...+1 (P = 9) divide through their binomial multiples, and
-    # z^10+z+1 (P = 889) by its taps.  Each dividend runs past the width,
-    # as a last stripe's does, or is one stripe.
+    # z^10+z+1 (P = 889) by its taps.  At a 4 KiB object's 6,560-bit
+    # sources, where a taps round's overhead outweighs its passes, z+1,
+    # z^2+1, z^5+z^2+1 and z^7+z^4+z^2+1 divide through theirs.  Each
+    # dividend runs past the width, as a last stripe's does, or is one
+    # stripe.
     ran = division_paths(_CHUNK)
     rng = random.Random(width)
-    for n, h in enumerate((0b10101, 0x1FF, 1 | 1 << 1 | 1 << 10)):
+    for n, h in enumerate(DIVISORS.get(width, WIDE)):
         carry = rng.getrandbits(h.bit_length() - 1)
         b = rng.getrandbits(width + 40 if n % 2 else width)
         assert gf2poly._div_low(b, h, width, carry) == div_low_naive(b, h, width, carry), h

@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
-from sxor import codes, default_modulus
+from sxor import analysis, default_modulus
 from sxor.codes import (build_sxor, build_systematic_sxor, format_matrix, parse_matrix,
                         user_matrix)
 from sxor.gf2poly import Poly2, _gcd_masks
@@ -252,9 +252,9 @@ def test_field_pivots_keep_each_minor_zero_or_not(grid):
     # it reports rank < K (None) exactly when every K-subset's is zero.
     k, n = len(grid), len(grid[0])
     g = Poly2(0xb)
-    exp, log = codes._walk_tables(g.mask, 3)
+    exp, log = analysis._walk_tables(g.mask, 3)
     logs = [[log[divmod(Poly2(e), g)[1].mask] for e in row] for row in grid]
-    units = codes._field_pivots(logs, exp, log)
+    units = analysis._field_pivots(logs, exp, log)
     after = [[exp[lg] for lg in row] for row in logs]
     zero_before = check_by_minors(grid, g)[1]
     assert check_by_minors(after, g)[1] == zero_before
@@ -272,7 +272,7 @@ def test_built_codes_are_certified_in_their_field(k, n, monkeypatch):
     def exact_walk(*args):
         raise AssertionError("check_suboptimal reached the GF(2)[z] walk")
 
-    monkeypatch.setattr(codes, "_exact_minors", exact_walk)
+    monkeypatch.setattr(analysis, "_exact_minors", exact_walk)
     g = default_modulus(n.bit_length())
     for mat in (build_sxor(k, n, g), build_systematic_sxor(k, n, g, range(1, k + 1))):
         assert mat.check_suboptimal() == (True, [])
@@ -285,14 +285,14 @@ def test_field_walk_has_one_minor_per_k_subset(kind, k, minors, monkeypatch):
     # computes the minor of every K-subset but the unit columns' own:
     # C(15, K) - 1 of them, for sxor as for systematic codes.
     walked = [0]
-    byte_minors = codes._byte_minors  # GF(16) has byte lanes: one byte per minor
+    byte_minors = analysis._byte_minors  # GF(16) has byte lanes: one byte per minor
 
     def counting(*args):
         vec = byte_minors(*args)
         walked[0] += len(vec)
         return vec
 
-    monkeypatch.setattr(codes, "_byte_minors", counting)
+    monkeypatch.setattr(analysis, "_byte_minors", counting)
     g = default_modulus(4)
     mat = (build_sxor(k, 15, g) if kind == "sxor"
            else build_systematic_sxor(k, 15, g, range(1, k + 1)))
@@ -350,11 +350,11 @@ def test_level_walk_matches_minor_expansion(case):
     # rows with no unit column.
     m, g, grid = case
     k, n = len(grid), len(grid[0])
-    exp, log = codes._walk_tables(g, m)
+    exp, log = analysis._walk_tables(g, m)
     logs = [[log[divmod(Poly2(e), Poly2(g))[1].mask] for e in row] for row in grid]
-    units = codes._field_pivots(logs, exp, log)
-    kernel, one = (codes._byte_minors, b"\0") if m <= 6 else (codes._field_minors, [0])
-    walked = codes._zero_minors(logs, units, n, partial(kernel, exp, log), one, log[0])
+    units = analysis._field_pivots(logs, exp, log)
+    kernel, one = (analysis._byte_minors, b"\0") if m <= 6 else (analysis._field_minors, [0])
+    walked = analysis._zero_minors(logs, units, n, partial(kernel, exp, log), one, log[0])
     assert sorted(tuple(c + 1 for c in sub) for sub in walked) == check_by_minors(grid, Poly2(g))[1]
     expected = check_by_minors(grid)
     for mat in (user_matrix(grid, m, g), user_matrix(grid, 4, 0x1F), user_matrix(grid)):

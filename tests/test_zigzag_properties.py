@@ -16,7 +16,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from sxor import codec
+from sxor import codec, zigzag
 from sxor.codec import SingularSubmatrix, ZigzagStuck, encode, map_decode, zigzag_decode, zigzag_schedule
 from sxor.codes import builtin_zd_k3, user_matrix
 from sxor.gf2poly import InconsistentDivision, Poly2
@@ -163,11 +163,11 @@ def test_word_wide_sets_decode_as_the_per_bit_peel(case):
         bits = chosen[pi].bits.mask ^ (1 << bit % chosen[pi].bit_len)
         chosen[pi] = replace(chosen[pi], bits=Poly2(bits))
     got = decoded(zigzag_decode, mat, chosen)
-    pattern = codec._pattern  # memoized: patching _word_wide alone would miss a warm entry
-    with mock.patch.object(codec, "_pattern", lambda *args: (*pattern(*args)[:2], False)):
+    pattern = zigzag._pattern  # memoized: patching _word_wide alone would miss a warm entry
+    with mock.patch.object(zigzag, "_pattern", lambda *args: (*pattern(*args)[:2], False)):
         per_bit = decoded(zigzag_decode, mat, chosen)
     assert unworded(got) == unworded(per_bit)
-    if codec._word_wide(codec._monomial_terms(mat, survivors)[0], mat.spec.k):
+    if zigzag._word_wide(zigzag._monomial_terms(mat, survivors)[0], mat.spec.k):
         codec.map_kernel(mat, survivors)
         assert len(zigzag_schedule(mat, survivors, length)) == mat.spec.k * length
         assert got == decoded(map_decode, mat, chosen)

@@ -56,12 +56,25 @@ repeats.
   ``word`` when the set runs the MAP network, ``per-bit`` when the
   decode reaches the per-bit peel.  Each object is three seeded random
   sources, encoded with zd3, as in perfbench's zigzag-zd3 workload.
+- ``startup``: ms to ``import sxor`` and to ``import sxor.cli`` in a
+  fresh interpreter started with this tree's ``src`` as PYTHONPATH, R
+  times each way: the median with its least and most.  ``cold``
+  compiles the package, with bytecode writing off and no cached
+  bytecode of it, as perfbench's set-up samples and every ``python -m
+  sxor`` of a fresh checkout do; ``cached`` reads it from bytecode.
+  Both read the standard library's bytecode from one private
+  PYTHONPYCACHEPREFIX in a temporary directory, filled by one untimed
+  import, so only the package's own compiling differs; the tree's
+  ``__pycache__`` is never read or written.  ``modules`` lists the
+  package's modules the import loaded, which must come from this tree
+  and hold none of those that load on first use (``LAZY``).
 
 The harness prints one table per section, its columns the row's keys,
 and writes every row, with provenance, to ``BENCH_<n>.json`` at the
 repository root, n the next free integer.  It exits 1, writing nothing,
 when a restore, a ``check`` answer or a division's quotient or carry
-differs (``correct`` is False),
+differs, or an import loads a module meant for first use or sxor from
+elsewhere (``correct`` is False),
 when a child fails, or when a CLI child's peak at 64 MiB is more than
 1.1 times its peak at 16 MiB; never on a timing.
 """
@@ -75,6 +88,7 @@ import os
 import platform
 import random
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -87,16 +101,18 @@ ROOT = Path(__file__).resolve().parent.parent
 MIB = 1 << 20
 BLOCK = 1 << 16  # bytes a memory case child writes at once, so that its peak stays low
 RATIO = 1.1  # most a CLI child's peak at 64 MiB may be, times its peak at 16 MiB
+# The package's modules that load on first use: importing sxor or sxor.cli loads none.
+LAZY = ("sxor.analysis", "sxor.matrix_file", "sxor.zigzag")
 
 
-def run(args: list[str]) -> tuple[str, float, float]:
-    """Run ``python args``: its stdout, seconds and peak RSS in MiB.
+def run(args: list[str], env: dict | None = None) -> tuple[str, float, float]:
+    """Run ``python args``, in ``env`` if given: its stdout, seconds and peak RSS in MiB.
 
     A child that fails ends this process with the child's stderr.
     """
     start = time.perf_counter()
     with subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
+                          stderr=subprocess.PIPE, env=env) as proc:
         out, err = proc.stdout.read(), proc.stderr.read()  # each child writes little
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -114,6 +130,14 @@ def best(fn, calls, repeats: int) -> float:
             fn(*args)
         times.append(time.perf_counter() - start)
     return min(times) / len(calls)
+
+
+def spread(name: str, values: list[float]) -> dict:
+    """The median of ``values`` as ``name``, with their least and most as ``name``'s min and max."""
+    values = sorted(values)
+    stem, _, unit = name.rpartition("_")
+    return {name: (values[(len(values) - 1) // 2] + values[len(values) // 2]) / 2,
+            f"{stem}_min_{unit}": values[0], f"{stem}_max_{unit}": values[-1]}
 
 
 def memory(kind: str, k: int, n: int, lost: tuple[int, ...], mib: int, repeats: int) -> dict:
@@ -138,10 +162,7 @@ def memory(kind: str, k: int, n: int, lost: tuple[int, ...], mib: int, repeats: 
                 if op == "decode":
                     correct &= filecmp.cmp(src, restored, shallow=False)
                     restored.unlink()
-            seconds.sort()
-            row.update({f"{op}_s": (seconds[(repeats - 1) // 2] + seconds[repeats // 2]) / 2,
-                        f"{op}_min_s": seconds[0], f"{op}_max_s": seconds[-1],
-                        f"{op}_rss_mib": rss})
+            row.update({**spread(f"{op}_s", seconds), f"{op}_rss_mib": rss})
         return {**row, "correct": correct}
 
 
@@ -189,7 +210,7 @@ def roundtrip(size: int, repeats: int) -> dict:
 
 
 def check(kind: str, k: int, n: int, repeats: int) -> dict:
-    from sxor import codes, default_modulus
+    from sxor import analysis, codes, default_modulus
 
     g = default_modulus(n.bit_length())
     if kind == "zd3":
@@ -207,11 +228,11 @@ def check(kind: str, k: int, n: int, repeats: int) -> dict:
     walked = {"field": 0, "exact": 0}
     for name, walk in (("_byte_minors", "field"), ("_field_minors", "field"),
                        ("_exact_minors", "exact")):
-        def counting(*args, kernel=getattr(codes, name), walk=walk):
+        def counting(*args, kernel=getattr(analysis, name), walk=walk):
             row, idx = args[-4], args[-2]
             walked[walk] += comb(len(row), len(idx))
             return kernel(*args)
-        setattr(codes, name, counting)
+        setattr(analysis, name, counting)
     ok, failing = mat.check_suboptimal()
     expected = (True, []) if kind != "fallback" else (
         False, [(1, *rest, n - 1, n) for rest in combinations(range(2, n - 1), k - 3)])
@@ -252,10 +273,10 @@ def division(kind: str, k: int, n: int, lost: tuple[int, ...], source: int, repe
 
 
 def zigzag(survivors: tuple[int, ...], repeats: int) -> dict:
-    from sxor import codec, codes
+    from sxor import codec, codes, zigzag
 
     mat = codes.builtin_zd_k3()
-    peel_bits, per_bit = codec._peel_bits, []
+    peel_bits, per_bit = zigzag._peel_bits, []
 
     def decodes(size: int) -> tuple[list, bool, float]:
         # The survivors' packets of a size-byte object, whether they restore
@@ -265,16 +286,51 @@ def zigzag(survivors: tuple[int, ...], repeats: int) -> dict:
         sources = [rng.getrandbits(length) for _ in range(3)]
         chosen = [codec.encode(mat, sources, length)[j - 1] for j in survivors]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        codec._peel_bits = lambda *a: per_bit.append(True) or peel_bits(*a)
-        ok = [s.mask for s in codec.zigzag_decode(mat, chosen)] == sources
-        codec._peel_bits = peel_bits
+        zigzag._peel_bits = lambda *a: per_bit.append(True) or peel_bits(*a)
+        ok = [s.mask for s in zigzag.zigzag_decode(mat, chosen)] == sources
+        zigzag._peel_bits = peel_bits
         return chosen, ok, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
 
     _, large, rise = decodes(96 * 1024)
     chosen, small, _ = decodes(3072)
     return {"survivors": ",".join(map(str, survivors)),
-            "us": best(codec.zigzag_decode, [(mat, chosen)], repeats) * 1e6,
+            "us": best(zigzag.zigzag_decode, [(mat, chosen)], repeats) * 1e6,
             "stage": "per-bit" if per_bit else "word", "rise_mib": rise, "correct": large and small}
+
+
+# One timed import in a fresh interpreter: its seconds, then the sxor
+# modules loaded and where sxor came from, taken after the clock stops.
+_IMPORT = """\
+import time
+t0 = time.perf_counter()
+import {module}
+seconds = time.perf_counter() - t0
+import json, sys
+print(json.dumps([seconds, sorted(m for m in sys.modules if m.partition(".")[0] == "sxor"),
+                  sys.modules["sxor"].__file__]))
+"""
+
+
+def startup(module: str, repeats: int) -> dict:
+    src = ROOT / "src"
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        program = _IMPORT.format(module=module)
+        subprocess.run([sys.executable, "-c", program], env=env, check=True, capture_output=True)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        cached = [json.loads(run(["-c", program], env)[0]) for _ in range(repeats)]
+        # The prefix mirrors each source directory: dropping the package's
+        # leaves the standard library's bytecode alone.
+        shutil.rmtree(cache + str(src / "sxor"))
+        cold = [json.loads(run(["-c", program], env)[0]) for _ in range(repeats)]
+    runs = cold + cached
+    modules = runs[0][1]
+    correct = (all(Path(path).resolve().parent == src / "sxor" and loaded == modules
+                   for _, loaded, path in runs) and not set(LAZY) & set(modules))
+    return {"import": module, **spread("cold_ms", [1e3 * s for s, _, _ in cold]),
+            **spread("cached_ms", [1e3 * s for s, _, _ in cached]),
+            "modules": ",".join(m.partition(".")[2] or m for m in modules), "correct": correct}
 
 
 # Each section's case function, and the arguments of each of its cases.
@@ -296,6 +352,7 @@ SECTIONS = {
                  + [("sxor", 16, 31, tuple(range(1, 16)), 2),
                     ("systematic", 32, 40, tuple(range(1, 9)), 1)]),
     "zigzag": (zigzag, [(s,) for s in combinations(range(1, 7), 3)]),
+    "startup": (startup, [("sxor",), ("sxor.cli",)]),
 }
 
 
@@ -379,7 +436,8 @@ def main(argv=None) -> int:
             row["correct"] = row.pop("correct")  # the last column
             rows.append(row)
             if not row["correct"]:
-                what = {"check": "answer", "division": "quotient"}.get(name, "restore")
+                what = {"check": "answer", "division": "quotient", "startup": "import"}.get(
+                    name, "restore")
                 failed.append(f"{name}:{case}: {what} differs")
         print(f"{name}:\n{table(rows)}\n")
     failed += peak_growth(sections["memory"])
