@@ -306,7 +306,7 @@ def emit_comparison(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- the MDS check walk -------------------------------------------------------
+# -- the MDS check walk ----------------------------------------------------
 
 
 def _unit_columns(rows: list[list[int]]) -> dict[int, int]:

@@ -292,7 +292,8 @@ def _div_low(b: int, h: int, width: int, carry: int = 0, mask: int = 0) -> tuple
       rounds, not log2(width), touch the whole operand.
 
     :func:`_binomial_pays` picks the path by its count of whole-operand
-    passes, with a charge per round of the taps path.  Either result is bit-identical to the naive recursion.
+    passes, with a charge per round of the taps path.  Either result is
+    bit-identical to the naive recursion.
     """
     if h == 1 and b.bit_length() <= width:
         return b, 0  # carry is 0 too: h = 1 leaves none

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library, and loads some modules only on first use."""
+"""The package imports nothing outside the standard library, and some modules only on first use."""
 
 import importlib
 import json
@@ -57,8 +57,8 @@ print(codes, sorted(name for name in sys.modules if name in sys.argv[3:] or name
 
 def test_encode_and_decode_load_no_lazy_module_and_no_json(tmp_path):
     src = str(Path(sxor.__file__).resolve().parents[1])
-    child = subprocess.run([sys.executable, "-S", "-E", "-c", CODEC_PROBE, src, str(tmp_path), *LAZY],
-                           capture_output=True, text=True, timeout=60)
+    child = subprocess.run([sys.executable, "-S", "-E", "-c", CODEC_PROBE, src, str(tmp_path),
+                            *LAZY], capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.split("\n")[-2] == "(0, 0) []"
     assert (tmp_path / "back.bin").read_bytes() == bytes(range(256)) * 40
@@ -75,4 +75,5 @@ def test_encode_and_decode_load_no_lazy_module_and_no_json(tmp_path):
       for name in ("MatrixFormatError", "format_matrix", "parse_fields", "parse_matrix",
                    "save_matrix", "load_matrix"))])
 def test_moved_names_are_one_object_at_the_old_and_the_new_path(old, new, name):
-    assert getattr(importlib.import_module(old), name) is getattr(importlib.import_module(new), name)
+    old, new = importlib.import_module(old), importlib.import_module(new)
+    assert getattr(old, name) is getattr(new, name)
